@@ -32,6 +32,7 @@ from .discord import (
     conditional_state,
     discord,
     discord_at_small_polarization,
+    dqc1_discord,
     fit_polarization_scaling,
     haar_discord_survey,
     is_zero_discord,
@@ -76,7 +77,7 @@ __all__ = [
     "load_unitary_json", "output_state", "trace_estimate",
     "DiscordResult", "MeasurementBasis", "MinimizerOptions", "ScalingFit",
     "ScalingFitError", "conditional_state", "discord", "discord_at_small_polarization",
-    "fit_polarization_scaling", "haar_discord_survey", "is_zero_discord",
+    "dqc1_discord", "fit_polarization_scaling", "haar_discord_survey", "is_zero_discord",
     "mutual_information", "projective_average",
     "ColumnPolicy", "ColumnSource", "CorrelationMatrix", "SingularValueDistribution",
     "WitnessVerdict", "column_combination_scan", "correlation_matrix", "default_tau",

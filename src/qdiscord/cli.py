@@ -109,11 +109,11 @@ def cmd_discord(args) -> int:
             raise ValueError("--extrapolate requires --dqc1 UNITARY")
         if args.alpha is None:
             raise ValueError("--extrapolate requires --alpha")
-        fit = fit_polarization_scaling(_resolve_unitary(args.dqc1), opts=opts)
-        value = fit.value_at(args.alpha)
+        fit = fit_polarization_scaling(_resolve_unitary(args.dqc1), opts=opts, alpha=args.alpha)
         payload = {
             "command": "discord",
-            "discord": value,
+            "discord": fit.value,
+            "direct": fit.direct,
             "alpha": args.alpha,
             "scaling": {
                 "exponent": fit.exponent,
@@ -125,8 +125,8 @@ def cmd_discord(args) -> int:
         }
         path = _write_json(args.out, payload)
         print(
-            f"extrapolated discord at alpha={args.alpha:g}: {value:.4e} bits "
-            f"(exponent {fit.exponent:.4f}) -> {path}"
+            f"extrapolated discord at alpha={args.alpha:g}: {fit.value:.4e} bits "
+            f"(direct {fit.direct:.4e}, exponent {fit.exponent:.4f}) -> {path}"
         )
         return EXIT_OK
     if args.alpha is not None:
@@ -296,7 +296,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epsilon", type=float, default=1.0, help="bias for --dqc1 without --extrapolate")
     p.add_argument("--alpha", type=float, help="target polarization for --extrapolate")
     p.add_argument("--extrapolate", action="store_true", help="quadratic-scaling extrapolation")
-    p.add_argument("--grid", type=int, default=64, help="minimizer grid density per angle")
+    p.add_argument("--grid", type=int, default=64,
+                   help="minimizer grid points per angle; with --extrapolate, "
+                   "phi points on the half circle")
     p.add_argument("--out", default="discord.json")
     p.set_defaults(func=cmd_discord)
 
@@ -328,7 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dim", type=int, default=32, help="unitary dimension")
     p.add_argument("--alpha", type=float, default=1.4e-5)
     p.add_argument("--start-seed", type=int, default=0)
-    p.add_argument("--grid", type=int, default=64)
+    p.add_argument("--grid", type=int, default=64, help="phi points on the half circle")
     p.add_argument("--out", default="haar_survey.json")
     p.add_argument("--csv", default="haar_survey.csv", help="per-seed values CSV")
     p.set_defaults(func=cmd_haar_survey)

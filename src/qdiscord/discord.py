@@ -2,9 +2,25 @@
 
 Discord here is the gap between the two mutual-information formulations,
 D(A:B) = H(rho_A) - H(rho) + min over rank-1 projective measurements on the
-qubit A of the average conditional entropy of B. The minimization runs a
-deterministic coarse grid over the Bloch sphere followed by a Nelder-Mead
-polish; all entropies are in bits.
+qubit A of the average conditional entropy of B. For an arbitrary state the
+minimization runs a deterministic coarse grid over the Bloch sphere followed
+by a Nelder-Mead polish; all entropies are in bits.
+
+Circuit outputs (I + eps(|0><1| (+) U^dag + |1><0| (+) U)) / 2d have a closed
+form in the eigenphases lambda_k of U (Datta, Shaji & Caves, PRL 100, 050502).
+Write g(x) = 1 - h2((1 + x)/2) for the binary entropy h2, tau = mean_k
+e^{i lambda_k} and c_k(phi) = cos(lambda_k - phi). Measuring A along the
+Bloch direction (theta, phi) leaves conditional B blocks with eigenvalues
+(1 +- eps sin(theta) c_k)/2d, so
+
+    D = g(eps) - g(eps |tau|) + min_phi [g(eps mean_k c_k) - mean_k g(eps c_k)].
+
+The minimum lies at theta = pi/2: the conditional blocks are
+(rho_B +- n.Gamma)/2 with Gamma_i = Tr_A[(sigma_i (+) I) rho] and Gamma_z = 0,
+so a direction off the equator acts like an equatorial one with a shorter
+Bloch vector, which is a coarse-grained measurement, and coarse-graining
+cannot lower the conditional entropy. The bracket has period pi in phi, so
+:func:`dqc1_discord` searches the half circle only, at O(d) per evaluation.
 """
 
 from __future__ import annotations
@@ -14,7 +30,7 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
-from scipy.optimize import minimize
+from scipy.optimize import minimize, minimize_scalar
 
 from . import dqc1
 from .linalg import DensityMatrix, PAULI_1Q, entropy_from_eigenvalues
@@ -23,6 +39,9 @@ NULL_OUTCOME_P = 1e-14
 DEFAULT_ZERO_DISCORD_TOL = 1e-7
 EXTRAPOLATION_EPSILONS = (1e-2, 3e-3, 1e-3)
 DEGENERATE_DISCORD = 1e-12
+# Largest relative gap between the quadratic extrapolation and the discord
+# evaluated directly at the target polarization.
+EXTRAPOLATION_RTOL = 1e-3
 
 
 class ScalingFitError(RuntimeError):
@@ -36,6 +55,10 @@ class MinimizerOptions:
     grid: int = 64
     angle_tol: float = 1e-8
     max_iter: int = 400
+
+    def __post_init__(self):
+        if self.grid < 1:
+            raise ValueError(f"grid {self.grid} must be at least 1")
 
 
 def _canonical_angles(theta: float, phi: float) -> tuple[float, float]:
@@ -262,6 +285,70 @@ def discord(
     )
 
 
+def _bias_information(x) -> np.ndarray:
+    """g(x) = 1 - h2((1 + x)/2) in bits for |x| <= 1.
+
+    Written as (2x atanh x + log1p(-x^2)) / (2 ln 2), which keeps full
+    relative precision at the |x| ~ 1e-5 of NMR polarizations where the
+    entropy form cancels to nothing; |x| = 1 is the pure limit 1.
+    """
+    x = np.asarray(x, dtype=float)
+    inside = np.abs(x) < 1.0
+    xs = np.where(inside, x, 0.0)
+    g = (2 * xs * np.arctanh(xs) + np.log1p(-xs * xs)) / (2 * math.log(2))
+    return np.where(inside, g, 1.0)
+
+
+def dqc1_discord(
+    eigphases: np.ndarray, eps: float, opts: MinimizerOptions | None = None
+) -> DiscordResult:
+    """Discord of the circuit output for bias ``eps`` and a unitary with the
+    given eigenphases, from the closed form in the module docstring.
+
+    The phi search scans ``opts.grid`` points on [0, pi), then runs a bounded
+    scalar polish over the two cells around the best point to
+    ``opts.angle_tol`` in at most ``opts.max_iter`` iterations. The argmin
+    basis lies on the equator (theta = pi/2).
+    """
+    opts = opts or MinimizerOptions()
+    lam = np.asarray(eigphases, dtype=float).ravel()
+    log_d = math.log2(lam.size)
+
+    def excess(phis):
+        # conditional entropy minus log2 d for equatorial measurements at phis
+        c = np.cos(lam - np.asarray(phis, dtype=float)[..., None])
+        return _bias_information(eps * c.mean(axis=-1)) - _bias_information(eps * c).mean(axis=-1)
+
+    h = np.pi / opts.grid
+    phis = np.arange(opts.grid) * h
+    vals = excess(phis)
+    i0 = int(np.argmin(vals))
+    res = minimize_scalar(
+        lambda p: float(excess(p)),
+        bounds=(phis[i0] - h, phis[i0] + h),
+        method="bounded",
+        options=dict(xatol=opts.angle_tol, maxiter=opts.max_iter),
+    )
+    if res.fun <= vals[i0]:
+        best, phi = float(res.fun), float(res.x)
+    else:
+        best, phi = float(vals[i0]), float(phis[i0])
+    tau = abs(np.exp(1j * lam).mean())
+    mi = float(_bias_information(eps) - _bias_information(eps * tau))
+    return DiscordResult(
+        discord=max(mi + best, 0.0),
+        argmin_basis=MeasurementBasis(np.pi / 2, phi),
+        mutual_information=mi,
+        classical_correlations=-best,
+        conditional_term=log_d + best,
+        diagnostics={
+            "grid": opts.grid,
+            "grid_min": log_d + float(vals[i0]),
+            "refine_nfev": int(res.nfev),
+        },
+    )
+
+
 def projective_average(rho: DensityMatrix, basis: MeasurementBasis) -> DensityMatrix:
     """sum_k (E_k (+) I) rho (E_k (+) I): dephasing of A in the given basis."""
     da, db = _split_dims(rho, None if len(rho.qubit_partition) == 2 else (2, rho.dim // 2))
@@ -303,47 +390,63 @@ def is_zero_discord(
 
 @dataclass(frozen=True)
 class ScalingFit:
-    """Power-law fit log D = exponent * log eps + log coefficient."""
+    """Power-law fit log D = exponent * log eps + log coefficient, with the
+    discord evaluated directly at the target polarization alpha."""
 
     exponent: float
     coefficient: float
     epsilons: tuple[float, ...]
     discords: tuple[float, ...]
+    alpha: float
+    direct: float
 
-    def value_at(self, alpha: float) -> float:
-        return self.coefficient * alpha**2
+    @property
+    def value(self) -> float:
+        """Extrapolated discord coefficient * alpha^2."""
+        return self.coefficient * self.alpha**2
 
 
 def fit_polarization_scaling(
     unitary: np.ndarray,
     opts: MinimizerOptions | None = None,
     fit_epsilons: tuple[float, ...] = EXTRAPOLATION_EPSILONS,
+    alpha: float = 1.4e-5,
 ) -> ScalingFit:
-    """Fit the quadratic small-bias scaling of the circuit-output discord.
+    """Fit the quadratic small-bias scaling of the circuit-output discord and
+    check it against the discord evaluated directly at ``alpha``.
 
-    Evaluates D(eps) exactly at moderate biases and fits
+    Evaluates D(eps) with :func:`dqc1_discord` at moderate biases and fits
     log D = p log eps + log c. All-zero discords (e.g. U = I) degenerate to
-    coefficient 0; a fitted exponent with |p - 2| >= 0.02 violates the
-    quadratic-scaling assumption and raises :class:`ScalingFitError` (direct
-    computation must be attempted instead).
+    coefficient 0. :class:`ScalingFitError` is raised when the fitted exponent
+    has |p - 2| >= 0.02, or when c * alpha^2 differs from D(alpha) by more
+    than ``EXTRAPOLATION_RTOL`` relative (``DEGENERATE_DISCORD`` absolute for
+    a degenerate fit).
     """
-    ds = []
-    for eps in fit_epsilons:
-        rho = dqc1.output_state(dqc1.Dqc1Instance(eps, unitary))
-        ds.append(discord(rho, opts=opts).discord)
+    instances = [dqc1.Dqc1Instance(eps, unitary) for eps in (*fit_epsilons, alpha)]
+    eigphases = np.angle(np.linalg.eigvals(instances[0].unitary))
+    *ds, direct = (dqc1_discord(eigphases, inst.epsilon, opts).discord for inst in instances)
     discords = tuple(ds)
     arr = np.asarray(ds)
     if arr.max() < DEGENERATE_DISCORD:
-        return ScalingFit(2.0, 0.0, tuple(fit_epsilons), discords)
-    if arr.min() <= 0.0:
-        raise ScalingFitError(f"discord values {arr} straddle zero; cannot fit scaling")
-    slope, intercept = np.polyfit(np.log(fit_epsilons), np.log(arr), 1)
-    if abs(slope - 2.0) >= 0.02:
+        slope, coefficient = 2.0, 0.0
+    else:
+        if arr.min() <= 0.0:
+            raise ScalingFitError(f"discord values {arr} straddle zero; cannot fit scaling")
+        slope, intercept = np.polyfit(np.log(fit_epsilons), np.log(arr), 1)
+        if abs(slope - 2.0) >= 0.02:
+            raise ScalingFitError(
+                f"fitted scaling exponent {slope:.4f} outside [1.98, 2.02]; "
+                "quadratic extrapolation is invalid, attempt direct computation"
+            )
+        coefficient = math.exp(intercept)
+    fit = ScalingFit(float(slope), coefficient, tuple(fit_epsilons), discords, float(alpha), direct)
+    tol = EXTRAPOLATION_RTOL * direct if coefficient else DEGENERATE_DISCORD
+    if abs(fit.value - direct) > tol:
         raise ScalingFitError(
-            f"fitted scaling exponent {slope:.4f} outside [1.98, 2.02]; "
-            "quadratic extrapolation is invalid, attempt direct computation"
+            f"extrapolated discord {fit.value:.6e} and direct value {direct:.6e} at "
+            f"alpha={alpha:g} differ by more than {tol:.1e}"
         )
-    return ScalingFit(float(slope), float(math.exp(intercept)), tuple(fit_epsilons), discords)
+    return fit
 
 
 def discord_at_small_polarization(
@@ -352,14 +455,14 @@ def discord_at_small_polarization(
     opts: MinimizerOptions | None = None,
     fit_epsilons: tuple[float, ...] = EXTRAPOLATION_EPSILONS,
 ) -> float:
-    """Discord of the circuit output at a polarization too small to evaluate
-    directly in double precision: c * alpha_target^2 from the verified
-    quadratic fit."""
+    """Discord of the circuit output at an NMR-scale polarization:
+    c * alpha_target^2 from the quadratic fit, verified against the direct
+    evaluation at alpha_target."""
     if not 0.0 < alpha_target < 1e-4:
         raise ValueError("extrapolation is for alpha below 1e-4; evaluate directly instead")
-    return fit_polarization_scaling(unitary, opts=opts, fit_epsilons=fit_epsilons).value_at(
-        alpha_target
-    )
+    return fit_polarization_scaling(
+        unitary, opts=opts, fit_epsilons=fit_epsilons, alpha=alpha_target
+    ).value
 
 
 def haar_discord_survey(

@@ -35,6 +35,8 @@ class Dqc1Instance:
         u = np.array(self.unitary, dtype=complex)
         if u.ndim != 2 or u.shape[0] != u.shape[1]:
             raise ValueError("unitary must be square")
+        if not np.isfinite(u).all():
+            raise ValueError("unitary has non-finite (NaN or inf) entries")
         d = u.shape[0]
         n = d.bit_length() - 1
         if d < 2 or 2**n != d:

@@ -51,6 +51,8 @@ class DensityMatrix:
         entries = np.array(self.entries, dtype=complex)
         if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
             raise ValueError("density matrix must be a square 2-d array")
+        if not np.isfinite(entries).all():
+            raise ValueError("density matrix has non-finite (NaN or inf) entries")
         dim = entries.shape[0]
         n = dim.bit_length() - 1
         if dim < 2 or 2**n != dim:

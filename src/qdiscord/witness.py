@@ -24,6 +24,7 @@ from .linalg import DensityMatrix, PauliLabel, pauli_labels, pauli_realize
 TAU_FLOOR = 1e-7
 IDENTITY_VALUE_TOL = 1e-9
 HISTOGRAM_NORM_TOL = 1e-6
+MAX_HISTOGRAM_BINS = 10**6
 
 OUTCOME_WITNESSED = "DiscordWitnessed"
 OUTCOME_INCONCLUSIVE = "Inconclusive"
@@ -55,11 +56,15 @@ class CorrelationMatrix:
         values = np.array(self.values, dtype=float)
         if values.shape != (len(rows), len(cols)):
             raise ValueError(f"values shape {values.shape} != {len(rows)}x{len(cols)}")
+        if not np.isfinite(values).all():
+            raise ValueError("correlation values have non-finite (NaN or inf) entries")
         sigmas = self.sigmas
         if sigmas is not None:
             sigmas = np.array(sigmas, dtype=float)
             if sigmas.shape != values.shape:
                 raise ValueError("sigmas shape does not match values")
+            if not np.isfinite(sigmas).all():
+                raise ValueError("sigmas have non-finite (NaN or inf) entries")
             if sigmas.min() < 0:
                 raise ValueError("sigmas must be non-negative")
         idx = self._identity_index(rows, cols)
@@ -250,8 +255,12 @@ class SingularValueDistribution:
         samples = np.array(self.samples, dtype=float)
         if samples.ndim != 2 or samples.shape[0] < 1:
             raise ValueError("samples must be (n_samples, n_singular_values)")
-        if self.bin_width <= 0:
-            raise ValueError("bin_width must be positive")
+        if not (math.isfinite(self.bin_width) and self.bin_width > 0):
+            raise ValueError(f"bin_width {self.bin_width} must be positive and finite")
+        if float(samples.max(initial=0.0)) / self.bin_width >= MAX_HISTOGRAM_BINS:
+            raise ValueError(
+                f"bin_width {self.bin_width} needs more than {MAX_HISTOGRAM_BINS} histogram bins"
+            )
         samples.setflags(write=False)
         object.__setattr__(self, "samples", samples)
         hists = tuple(_histogram(samples[:, j], self.bin_width) for j in range(samples.shape[1]))

@@ -1,9 +1,4 @@
-"""Acceptance suite: one test per criterion, each printing a pass/fail line.
-
-The Haar-survey criterion runs a 50-seed smoke variant (25% tolerance) by
-default; set QDISCORD_ACCEPTANCE_FULL=1 to run the full 500-seed version at
-15% tolerance (roughly twenty minutes on a desktop core).
-"""
+"""Acceptance suite: one test per criterion, each printing a pass/fail line."""
 
 import json
 import os
@@ -31,9 +26,6 @@ from qdiscord.cli import main as cli_main
 from qdiscord.witness import OUTCOME_WITNESSED
 
 from .conftest import random_classical_quantum_state
-
-FULL_SURVEY = os.environ.get("QDISCORD_ACCEPTANCE_FULL") == "1"
-
 
 def check(num: int, ok: bool, detail: str) -> None:
     print(f"[criterion {num:2d}] {'PASS' if ok else 'FAIL'} - {detail}")
@@ -95,18 +87,16 @@ def test_criterion_03_discord_endpoint(tmp_path):
 
 
 def test_criterion_04_haar_average():
-    n_seeds, tol, budget = (500, 0.15, 7200.0) if FULL_SURVEY else (50, 0.25, 600.0)
     t0 = time.monotonic()
-    values = haar_discord_survey(n_seeds, dim=32, alpha=1.4e-5)
+    values = haar_discord_survey(500, dim=32, alpha=1.4e-5)
     elapsed = time.monotonic() - t0
     mean = values.mean()
     rel = abs(mean - 7.1e-11) / 7.1e-11
-    variant = "full" if FULL_SURVEY else "smoke"
     check(
         4,
-        rel < tol and elapsed < budget,
-        f"{variant} {n_seeds}-seed mean {mean:.4e} ({100 * rel:.1f}% from 7.1e-11, "
-        f"tol {100 * tol:.0f}%), runtime {elapsed:.0f}s < {budget:.0f}s",
+        rel < 0.15 and elapsed < 60.0,
+        f"500-seed mean {mean:.4e} ({100 * rel:.1f}% from 7.1e-11, tol 15%), "
+        f"runtime {elapsed:.1f}s < 60s",
     )
 
 

@@ -1,4 +1,6 @@
+import importlib
 import json
+import types
 
 import numpy as np
 import pytest
@@ -48,6 +50,16 @@ class TestSimulate:
     def test_missing_unitary_file_exits_2(self, tmp_path):
         assert run(tmp_path, "simulate", "--unitary", "nosuch.json") == 2
 
+    @pytest.mark.parametrize(
+        "command",
+        [("simulate", "--unitary"), ("discord", "--alpha", "1.4e-5", "--extrapolate", "--dqc1")],
+    )
+    def test_non_finite_unitary_exits_2(self, tmp_path, capsys, command):
+        bad = tmp_path / "nan.json"
+        bad.write_text('{"dim": 2, "re": [[1, 0], [0, NaN]], "im": [[0, 0], [0, 0]]}')
+        assert run(tmp_path, *command, str(bad)) == 2
+        assert "non-finite" in capsys.readouterr().err
+
 
 class TestDiscordCommand:
     def test_bell(self, tmp_path):
@@ -79,6 +91,33 @@ class TestDiscordCommand:
             tmp_path, "discord", "--dqc1", "jones", "--alpha", "1.4e-5", "--extrapolate"
         )
         assert code == 3
+
+    def test_extrapolate_reports_direct_value(self, tmp_path):
+        args = ("discord", "--dqc1", "jones", "--alpha", "1.4e-5", "--extrapolate")
+        assert run(tmp_path, *args) == 0
+        out = json.loads((tmp_path / "discord.json").read_text())
+        assert out["direct"] == pytest.approx(out["discord"], rel=1e-3)
+
+    def test_extrapolation_disagreeing_with_direct_value_exits_3(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        disc = importlib.import_module("qdiscord.discord")
+        exact = disc.dqc1_discord
+
+        def doubled_at_alpha(eigphases, eps, opts=None):
+            value = exact(eigphases, eps, opts).discord
+            return types.SimpleNamespace(discord=2 * value if eps < 1e-4 else value)
+
+        monkeypatch.setattr(disc, "dqc1_discord", doubled_at_alpha)
+        code = run(
+            tmp_path, "discord", "--dqc1", "jones", "--alpha", "1.4e-5", "--extrapolate"
+        )
+        assert code == 3
+        assert "direct value" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("extra", [(), ("--alpha", "1.4e-5", "--extrapolate")])
+    def test_empty_grid_exits_2(self, tmp_path, extra):
+        assert run(tmp_path, "discord", "--dqc1", "jones", "--grid", "0", *extra) == 2
 
     def test_ensemble_input(self, tmp_path):
         ens = tmp_path / "ens.json"

@@ -11,6 +11,7 @@ from qdiscord import (
     conditional_state,
     discord,
     discord_at_small_polarization,
+    dqc1_discord,
     fit_polarization_scaling,
     haar_random_unitary,
     is_zero_discord,
@@ -227,6 +228,36 @@ class TestIsZeroDiscord:
                 assert discord(rho).discord < 1e-6
                 averaged = projective_average(rho, verdict.basis)
                 assert np.linalg.norm(rho.entries - averaged.entries) < 1e-6
+
+
+class TestDqc1Discord:
+    """The eigenphase closed form against the dense search on the output state."""
+
+    EPSILONS = (1e-3, 3e-3, 1e-2, 0.1, 0.5, 1.0)
+
+    @pytest.mark.parametrize(
+        "unitary",
+        [jones_unitary(), haar_random_unitary(8, 1), haar_random_unitary(16, 2),
+         haar_random_unitary(32, 3)],
+        ids=["jones", "haar8", "haar16", "haar32"],
+    )
+    def test_matches_dense_discord(self, unitary):
+        eigphases = np.angle(np.linalg.eigvals(unitary))
+        for eps in self.EPSILONS:
+            fast = dqc1_discord(eigphases, eps)
+            dense = discord(output_state(Dqc1Instance(eps, unitary)))
+            np.testing.assert_allclose(fast.discord, dense.discord, rtol=1e-9, atol=1e-13)
+            np.testing.assert_allclose(
+                fast.mutual_information, dense.mutual_information, rtol=1e-9, atol=1e-13
+            )
+
+    @pytest.mark.parametrize(
+        "unitary", [np.eye(8), np.kron(np.kron(Z, I2), I2)], ids=["identity", "ZII"]
+    )
+    def test_zero_discord_unitaries_exactly_zero(self, unitary):
+        eigphases = np.angle(np.linalg.eigvals(unitary))
+        for eps in self.EPSILONS:
+            assert dqc1_discord(eigphases, eps).discord == 0.0
 
 
 class TestSmallPolarization:

@@ -24,6 +24,12 @@ class TestInstanceValidation:
         with pytest.raises(ValueError, match="unitary"):
             Dqc1Instance(1.0, np.ones((2, 2)))
 
+    def test_rejects_non_finite_unitary(self):
+        u = np.eye(2, dtype=complex)
+        u[0, 1] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            Dqc1Instance(1.0, u)
+
     def test_rejects_epsilon_out_of_range(self):
         with pytest.raises(ValueError, match="epsilon"):
             Dqc1Instance(1.5, np.eye(2))

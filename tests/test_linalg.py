@@ -48,6 +48,12 @@ class TestDensityMatrix:
         with pytest.raises(ValueError, match="semidefinite"):
             DensityMatrix(np.diag([1.5, -0.5]))
 
+    def test_rejects_non_finite_entries(self):
+        m = np.eye(2, dtype=complex) / 2
+        m[1, 1] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            DensityMatrix(m)
+
     def test_rejects_bad_partition(self):
         with pytest.raises(ValueError, match="partition"):
             DensityMatrix(np.eye(4) / 4, (1, 2))

@@ -77,6 +77,15 @@ class TestCorrelationMatrix:
         with pytest.raises(ValueError, match="uncertainty"):
             CorrelationMatrix(("I",), ("I",), np.array([[1.0]]), np.array([[0.1]]))
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_rejects_non_finite_values_and_sigmas(self, bad):
+        values = np.array([[1.0, 0.2], [0.1, bad]])
+        with pytest.raises(ValueError, match="non-finite"):
+            CorrelationMatrix(("I", "X"), ("I", "Z"), values)
+        sigmas = np.array([[0.0, 0.1], [0.1, bad]])
+        with pytest.raises(ValueError, match="non-finite"):
+            CorrelationMatrix(("I", "X"), ("I", "Z"), np.eye(2), sigmas)
+
     def test_round_trip_reconstruction(self):
         for seed in range(10):
             rho = random_density_matrix((1, 3), seed=seed)
@@ -193,6 +202,16 @@ class TestSingularValueDistribution:
             assert h.relative_occurrence.sum() * 0.05 == pytest.approx(1.0, abs=1e-6)
             assert np.all(np.diff(h.cumulative) >= 0)
             assert h.cumulative[-1] == pytest.approx(1.0, abs=1e-9)
+
+    @pytest.mark.parametrize("bin_width", [0.0, -0.1, float("nan"), float("inf")])
+    def test_rejects_bad_bin_width(self, bin_width):
+        with pytest.raises(ValueError, match="bin_width"):
+            SingularValueDistribution(np.ones((10, 2)), bin_width)
+
+    def test_rejects_bin_count_over_cap(self):
+        # 1.0 / 1e-7 asks for 10^7 bins; refused before any allocation
+        with pytest.raises(ValueError, match="histogram bins"):
+            SingularValueDistribution(np.ones((10, 2)), 1e-7)
 
     def test_distinguishable_count(self):
         samples = np.tile([1.0, 0.3, 0.01], (100, 1))

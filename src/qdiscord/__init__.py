@@ -4,13 +4,9 @@ and the correlation-matrix rank witness with Monte Carlo error propagation."""
 from .linalg import (
     DensityMatrix,
     PauliLabel,
-    hermitian_eigenvalues,
-    partial_trace,
-    partial_transpose,
     pauli_labels,
     pauli_realize,
     random_density_matrix,
-    singular_values,
     tensor,
     von_neumann_entropy,
 )
@@ -29,7 +25,6 @@ from .discord import (
     MinimizerOptions,
     ScalingFit,
     ScalingFitError,
-    conditional_state,
     discord,
     discord_at_small_polarization,
     dqc1_discord,
@@ -37,7 +32,6 @@ from .discord import (
     haar_discord_survey,
     is_zero_discord,
     mutual_information,
-    projective_average,
 )
 from .witness import (
     ColumnPolicy,
@@ -70,15 +64,13 @@ from .states import named_state, eq3_fixture
 __version__ = "0.1.0"
 
 __all__ = [
-    "DensityMatrix", "PauliLabel", "hermitian_eigenvalues", "partial_trace",
-    "partial_transpose", "pauli_labels", "pauli_realize", "random_density_matrix",
-    "singular_values", "tensor", "von_neumann_entropy",
+    "DensityMatrix", "PauliLabel", "pauli_labels", "pauli_realize", "random_density_matrix",
+    "tensor", "von_neumann_entropy",
     "Dqc1Instance", "haar_random_unitary", "input_state", "jones_unitary",
     "load_unitary_json", "output_state", "trace_estimate",
     "DiscordResult", "MeasurementBasis", "MinimizerOptions", "ScalingFit",
-    "ScalingFitError", "conditional_state", "discord", "discord_at_small_polarization",
-    "dqc1_discord", "fit_polarization_scaling", "haar_discord_survey", "is_zero_discord",
-    "mutual_information", "projective_average",
+    "ScalingFitError", "discord", "discord_at_small_polarization", "dqc1_discord",
+    "fit_polarization_scaling", "haar_discord_survey", "is_zero_discord", "mutual_information",
     "ColumnPolicy", "ColumnSource", "CorrelationMatrix", "SingularValueDistribution",
     "WitnessVerdict", "column_combination_scan", "correlation_matrix", "default_tau",
     "extract_columns", "monte_carlo_svd", "rank_lower_bound", "reconstruct_state",

@@ -21,6 +21,7 @@ from .discord import (
     MinimizerOptions,
     ScalingFitError,
     discord,
+    dqc1_discord,
     fit_polarization_scaling,
     haar_discord_survey,
 )
@@ -132,11 +133,10 @@ def cmd_discord(args) -> int:
     if args.alpha is not None:
         raise ValueError("--alpha only applies together with --extrapolate")
     if args.dqc1 is not None:
-        u = _resolve_unitary(args.dqc1)
-        rho = dqc1.output_state(dqc1.Dqc1Instance(args.epsilon, u))
+        inst = dqc1.Dqc1Instance(args.epsilon, _resolve_unitary(args.dqc1))
+        result = dqc1_discord(inst.eigphases, inst.epsilon, opts)
     else:
-        rho = _resolve_state(args)
-    result = discord(rho, opts=opts)
+        result = discord(_resolve_state(args), opts=opts)
     payload = {
         "command": "discord",
         "discord": result.discord,
@@ -297,7 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=float, help="target polarization for --extrapolate")
     p.add_argument("--extrapolate", action="store_true", help="quadratic-scaling extrapolation")
     p.add_argument("--grid", type=int, default=64,
-                   help="minimizer grid points per angle; with --extrapolate, "
+                   help="minimizer grid points per angle; with --dqc1, "
                    "phi points on the half circle")
     p.add_argument("--out", default="discord.json")
     p.set_defaults(func=cmd_discord)

@@ -2,9 +2,20 @@
 
 Discord here is the gap between the two mutual-information formulations,
 D(A:B) = H(rho_A) - H(rho) + min over rank-1 projective measurements on the
-qubit A of the average conditional entropy of B. For an arbitrary state the
-minimization runs a deterministic coarse grid over the Bloch sphere followed
-by a Nelder-Mead polish; all entropies are in bits.
+qubit A of the average conditional entropy of B; all entropies are in bits.
+
+Everything works from one decomposition of the state, rho_B and
+Gamma_i = Tr_A[(sigma_i (+) I) rho]: measuring A along the Bloch vector n
+leaves the unnormalised conditional B operators (rho_B +- n.Gamma)/2. For an
+arbitrary state :func:`discord` minimizes the conditional entropy of these
+blocks with a deterministic coarse grid over the Bloch sphere followed by a
+Nelder-Mead polish. The zero-discord test needs no search: with
+G_ij = Re Tr(Gamma_i Gamma_j),
+
+    ||rho - Pi_n(rho)||_F^2 = ||rho||_F^2 - (||rho_B||_F^2 + n.G.n)/2,
+
+so the closest dephased state lies along the top eigenvector of G (compare
+the geometric discord of Dakic, Vedral & Brukner, PRL 105, 190502).
 
 Circuit outputs (I + eps(|0><1| (+) U^dag + |1><0| (+) U)) / 2d have a closed
 form in the eigenphases lambda_k of U (Datta, Shaji & Caves, PRL 100, 050502).
@@ -15,12 +26,11 @@ Bloch direction (theta, phi) leaves conditional B blocks with eigenvalues
 
     D = g(eps) - g(eps |tau|) + min_phi [g(eps mean_k c_k) - mean_k g(eps c_k)].
 
-The minimum lies at theta = pi/2: the conditional blocks are
-(rho_B +- n.Gamma)/2 with Gamma_i = Tr_A[(sigma_i (+) I) rho] and Gamma_z = 0,
-so a direction off the equator acts like an equatorial one with a shorter
-Bloch vector, which is a coarse-grained measurement, and coarse-graining
-cannot lower the conditional entropy. The bracket has period pi in phi, so
-:func:`dqc1_discord` searches the half circle only, at O(d) per evaluation.
+The minimum lies at theta = pi/2: here Gamma_z = 0, so a direction off the
+equator acts like an equatorial one with a shorter Bloch vector, which is a
+coarse-grained measurement, and coarse-graining cannot lower the conditional
+entropy. The bracket has period pi in phi, so :func:`dqc1_discord` searches
+the half circle only, at O(d) per evaluation.
 """
 
 from __future__ import annotations
@@ -87,11 +97,6 @@ class MeasurementBasis:
         st = np.sin(self.theta)
         return np.array([st * np.cos(self.phi), st * np.sin(self.phi), np.cos(self.theta)])
 
-    def outcome_vectors(self) -> tuple[np.ndarray, np.ndarray]:
-        c, s = np.cos(self.theta / 2), np.sin(self.theta / 2)
-        e = np.exp(1j * self.phi)
-        return np.array([c, s * e]), np.array([s, -c * e])
-
     def projectors(self) -> tuple[np.ndarray, np.ndarray]:
         n = self.bloch_vector
         ns = n[0] * PAULI_1Q["X"] + n[1] * PAULI_1Q["Y"] + n[2] * PAULI_1Q["Z"]
@@ -116,7 +121,7 @@ class DiscordResult:
 
 class ZeroDiscordResult(NamedTuple):
     is_zero: bool
-    basis: MeasurementBasis | None
+    basis: MeasurementBasis
     distance: float
 
 
@@ -132,31 +137,28 @@ def _split_dims(rho: DensityMatrix, dims: tuple[int, int] | None) -> tuple[int, 
     return da, db
 
 
-def _outcome_vectors_batch(thetas: np.ndarray, phis: np.ndarray) -> np.ndarray:
-    """(G, 2 outcomes, 2 components) measurement vectors for angle arrays."""
-    c, s = np.cos(thetas / 2), np.sin(thetas / 2)
-    e = np.exp(1j * phis)
-    v0 = np.stack([c + 0j, s * e], axis=-1)
-    v1 = np.stack([s + 0j, -c * e], axis=-1)
-    return np.stack([v0, v1], axis=1)
+def _bloch_blocks(rho: DensityMatrix, dims: tuple[int, int] | None) -> tuple[np.ndarray, np.ndarray]:
+    """rho_B and the (3, dB, dB) stack Gamma_i = Tr_A[(sigma_i (+) I) rho].
 
-
-def _conditional_blocks(rho4: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Unnormalized conditional B operators <v|rho|v>_A, batched.
-
-    rho4 has shape (2, dB, 2, dB); v has shape (G, 2, 2). The result
-    (G, 2, dB, dB) holds, per grid point and outcome, the operator whose
-    trace is the outcome probability.
+    Measuring the qubit A along the Bloch vector n leaves the unnormalised
+    conditional B operators (rho_B +- n.Gamma)/2, whose traces are the
+    outcome probabilities.
     """
-    return np.einsum("gki,gkj,ibjc->gkbc", v.conj(), v, rho4, optimize=True)
+    da, db = _split_dims(rho, dims)
+    if da != 2:
+        raise ValueError("measurements on A require a 2-dimensional A side")
+    r = rho.entries.reshape(2, db, 2, db)
+    r00, r01, r10, r11 = r[0, :, 0], r[0, :, 1], r[1, :, 0], r[1, :, 1]
+    return r00 + r11, np.stack([r01 + r10, 1j * (r01 - r10), r00 - r11])
 
 
-def _avg_conditional_entropy(rho4: np.ndarray, thetas, phis) -> np.ndarray:
+def _avg_conditional_entropy(rho_b: np.ndarray, gammas: np.ndarray, thetas, phis) -> np.ndarray:
     """sum_k p_k H(rho_{B|k}) in bits for each measurement direction."""
     t = np.atleast_1d(np.asarray(thetas, dtype=float)).ravel()
     p = np.atleast_1d(np.asarray(phis, dtype=float)).ravel()
-    v = _outcome_vectors_batch(t, p)
-    blocks = _conditional_blocks(rho4, v)
+    n = np.stack([np.sin(t) * np.cos(p), np.sin(t) * np.sin(p), np.cos(t)], axis=-1)
+    n_gamma = np.einsum("gi,ibc->gbc", n, gammas)
+    blocks = np.stack([rho_b + n_gamma, rho_b - n_gamma], axis=1) / 2
     w = np.linalg.eigvalsh(blocks)  # (G, 2, dB); sums to p_k per outcome
     pk = np.clip(w.sum(axis=-1), 0.0, None)
     w = np.clip(w, 0.0, None)
@@ -167,52 +169,9 @@ def _avg_conditional_entropy(rho4: np.ndarray, thetas, phis) -> np.ndarray:
     return (-wl + pl).sum(axis=1)
 
 
-def _projective_distance(rho4: np.ndarray, rho_norm_sq: float, thetas, phis) -> np.ndarray:
-    """Frobenius distance from rho to its projectively averaged image.
-
-    Uses ||rho - Pi(rho)||_F^2 = ||rho||_F^2 - sum_k ||<v_k|rho|v_k>_A||_F^2,
-    which holds because Pi(rho) = sum_k |v_k><v_k| (+) <v_k|rho|v_k>_A with
-    orthogonal blocks.
-    """
-    t = np.atleast_1d(np.asarray(thetas, dtype=float)).ravel()
-    p = np.atleast_1d(np.asarray(phis, dtype=float)).ravel()
-    v = _outcome_vectors_batch(t, p)
-    blocks = _conditional_blocks(rho4, v)
-    kept = (np.abs(blocks) ** 2).sum(axis=(-2, -1)).sum(axis=1)
-    return np.sqrt(np.clip(rho_norm_sq - kept, 0.0, None))
-
-
-def _grid_refine(objective, opts: MinimizerOptions) -> tuple[float, MeasurementBasis, dict]:
-    """Coarse (theta, phi) grid scan followed by a Nelder-Mead polish.
-
-    ``objective`` maps (theta array, phi array) to an array of values. The
-    grid search is deterministic; the polish refines the best cell to the
-    angular tolerance.
-    """
-    g = opts.grid
-    thetas = np.linspace(0.0, np.pi, g)
-    phis = np.linspace(0.0, 2 * np.pi, g, endpoint=False)
-    tt, pp = np.meshgrid(thetas, phis, indexing="ij")
-    vals = objective(tt.ravel(), pp.ravel())
-    i0 = int(np.argmin(vals))
-    x0 = np.array([tt.ravel()[i0], pp.ravel()[i0]])
-    h = np.pi / g
-    simplex = np.array([x0, x0 + [h, 0.0], x0 + [0.0, h]])
-    res = minimize(
-        lambda x: float(objective([x[0]], [x[1]])[0]),
-        x0,
-        method="Nelder-Mead",
-        options=dict(
-            xatol=opts.angle_tol,
-            fatol=1e-15,
-            maxiter=opts.max_iter,
-            initial_simplex=simplex,
-        ),
-    )
-    diagnostics = {"grid": g, "grid_min": float(vals[i0]), "refine_nfev": int(res.nfev)}
-    if res.fun <= vals[i0]:
-        return float(res.fun), MeasurementBasis(res.x[0], res.x[1]), diagnostics
-    return float(vals[i0]), MeasurementBasis(x0[0], x0[1]), diagnostics
+def _qubit_a_dims(rho: DensityMatrix) -> tuple[int, int] | None:
+    """The recorded split of a bipartite state, else first qubit against the rest."""
+    return None if len(rho.qubit_partition) == 2 else (2, rho.dim // 2)
 
 
 def conditional_state(
@@ -220,18 +179,14 @@ def conditional_state(
 ) -> tuple[float, DensityMatrix | None]:
     """Outcome probability and post-measurement B state for outcome k.
 
-    System A is the first qubit. Outcomes with probability below
-    ``NULL_OUTCOME_P`` are flagged null by returning ``None``; their entropy
-    contribution is zero.
+    System A is the first qubit; outcome 0 projects onto +n, outcome 1 onto
+    -n. Outcomes with probability below ``NULL_OUTCOME_P`` are flagged null
+    by returning ``None``; their entropy contribution is zero.
     """
-    da, db = _split_dims(rho, None if len(rho.qubit_partition) == 2 else (2, rho.dim // 2))
-    if da != 2:
-        raise ValueError("measured system A must be a single qubit")
     if k not in (0, 1):
         raise ValueError("outcome index must be 0 or 1")
-    rho4 = rho.entries.reshape(2, db, 2, db)
-    v = basis.outcome_vectors()[k]
-    block = np.einsum("i,j,ibjc->bc", v.conj(), v, rho4)
+    rho_b, gammas = _bloch_blocks(rho, _qubit_a_dims(rho))
+    block = (rho_b + (1 - 2 * k) * np.einsum("i,ibc->bc", basis.bloch_vector, gammas)) / 2
     p = float(np.trace(block).real)
     if p < NULL_OUTCOME_P:
         return p, None
@@ -259,29 +214,44 @@ def discord(
     """Quantum discord D(A:B) with A the first qubit.
 
     The conditional term is minimized over all rank-1 projective measurements
-    on A (coarse grid then local refinement); the reported discord is clipped
-    at zero.
+    on A: a deterministic (theta, phi) grid of ``opts.grid`` points per angle,
+    then a Nelder-Mead polish of the best cell to ``opts.angle_tol``. The
+    reported discord is clipped at zero.
     """
     opts = opts or MinimizerOptions()
-    da, db = _split_dims(rho, dims)
-    if da != 2:
-        raise ValueError("discord minimizer requires a 2-dimensional A side")
-    r4 = rho.entries.reshape(2, db, 2, db)
-    rho_a = np.einsum("ibjb->ij", r4)
-    rho_b = np.einsum("ibic->bc", r4)
-    ha = entropy_from_eigenvalues(np.linalg.eigvalsh(rho_a))
-    hb = entropy_from_eigenvalues(np.linalg.eigvalsh(rho_b))
-    hab = entropy_from_eigenvalues(np.linalg.eigvalsh(rho.entries))
-    cond, basis, diag = _grid_refine(lambda t, p: _avg_conditional_entropy(r4, t, p), opts)
-    mi = ha + hb - hab
-    cc = hb - cond
+    rho_b, gammas = _bloch_blocks(rho, dims)
+    g = opts.grid
+    tt, pp = np.meshgrid(
+        np.linspace(0.0, np.pi, g), np.linspace(0.0, 2 * np.pi, g, endpoint=False), indexing="ij"
+    )
+    vals = _avg_conditional_entropy(rho_b, gammas, tt.ravel(), pp.ravel())
+    i0 = int(np.argmin(vals))
+    x0 = np.array([tt.ravel()[i0], pp.ravel()[i0]])
+    h = np.pi / g
+    res = minimize(
+        lambda x: float(_avg_conditional_entropy(rho_b, gammas, x[0], x[1])[0]),
+        x0,
+        method="Nelder-Mead",
+        options=dict(
+            xatol=opts.angle_tol,
+            fatol=1e-15,
+            maxiter=opts.max_iter,
+            initial_simplex=np.array([x0, x0 + [h, 0.0], x0 + [0.0, h]]),
+        ),
+    )
+    if res.fun <= vals[i0]:
+        cond, basis = float(res.fun), MeasurementBasis(res.x[0], res.x[1])
+    else:
+        cond, basis = float(vals[i0]), MeasurementBasis(x0[0], x0[1])
+    mi = mutual_information(rho, dims)
+    cc = entropy_from_eigenvalues(np.linalg.eigvalsh(rho_b)) - cond
     return DiscordResult(
         discord=max(mi - cc, 0.0),
         argmin_basis=basis,
         mutual_information=mi,
         classical_correlations=cc,
         conditional_term=cond,
-        diagnostics=diag,
+        diagnostics={"grid": g, "grid_min": float(vals[i0]), "refine_nfev": int(res.nfev)},
     )
 
 
@@ -351,7 +321,7 @@ def dqc1_discord(
 
 def projective_average(rho: DensityMatrix, basis: MeasurementBasis) -> DensityMatrix:
     """sum_k (E_k (+) I) rho (E_k (+) I): dephasing of A in the given basis."""
-    da, db = _split_dims(rho, None if len(rho.qubit_partition) == 2 else (2, rho.dim // 2))
+    da, db = _split_dims(rho, _qubit_a_dims(rho))
     if da != 2:
         raise ValueError("projective average acts on a single-qubit A side")
     out = np.zeros_like(rho.entries)
@@ -367,25 +337,22 @@ def is_zero_discord(
     rho: DensityMatrix,
     tol: float = DEFAULT_ZERO_DISCORD_TOL,
     dims: tuple[int, int] | None = None,
-    opts: MinimizerOptions | None = None,
 ) -> ZeroDiscordResult:
     """Projective-invariance test: zero discord iff some measurement basis on
     A leaves the state unchanged under projective averaging.
 
-    Minimizes the Frobenius distance ||rho - Pi(rho)||_F over bases with the
-    same grid-plus-refinement search used for discord; returns the achieving
-    basis when the minimum falls below ``tol``.
+    The smallest Frobenius distance ||rho - Pi_n(rho)||_F over bases and the
+    basis that attains it come in closed form from the top eigenpair of
+    G_ij = Re Tr(Gamma_i Gamma_j) (module docstring); the state is zero
+    discord when that distance falls below ``tol``.
     """
-    opts = opts or MinimizerOptions()
-    da, db = _split_dims(rho, dims)
-    if da != 2:
-        raise ValueError("zero-discord search requires a 2-dimensional A side")
-    r4 = rho.entries.reshape(2, db, 2, db)
-    norm_sq = float((np.abs(rho.entries) ** 2).sum())
-    dist, basis, _ = _grid_refine(lambda t, p: _projective_distance(r4, norm_sq, t, p), opts)
-    if dist < tol:
-        return ZeroDiscordResult(True, basis, dist)
-    return ZeroDiscordResult(False, None, dist)
+    rho_b, gammas = _bloch_blocks(rho, dims)
+    w, v = np.linalg.eigh(np.einsum("ibc,jcb->ij", gammas, gammas).real)
+    kept = (np.linalg.norm(rho_b) ** 2 + w[-1]) / 2
+    dist = math.sqrt(max(np.linalg.norm(rho.entries) ** 2 - kept, 0.0))
+    n = v[:, -1]
+    basis = MeasurementBasis(math.acos(min(max(n[2], -1.0), 1.0)), math.atan2(n[1], n[0]))
+    return ZeroDiscordResult(dist < tol, basis, dist)
 
 
 @dataclass(frozen=True)
@@ -416,14 +383,16 @@ def fit_polarization_scaling(
     check it against the discord evaluated directly at ``alpha``.
 
     Evaluates D(eps) with :func:`dqc1_discord` at moderate biases and fits
-    log D = p log eps + log c. All-zero discords (e.g. U = I) degenerate to
-    coefficient 0. :class:`ScalingFitError` is raised when the fitted exponent
-    has |p - 2| >= 0.02, or when c * alpha^2 differs from D(alpha) by more
-    than ``EXTRAPOLATION_RTOL`` relative (``DEGENERATE_DISCORD`` absolute for
-    a degenerate fit).
+    log D = p log eps + log c; ``alpha`` must lie in (0, 1]. All-zero
+    discords (e.g. U = I) degenerate to coefficient 0. :class:`ScalingFitError`
+    is raised when the fitted exponent has |p - 2| >= 0.02, or when
+    c * alpha^2 differs from D(alpha) by more than ``EXTRAPOLATION_RTOL``
+    relative (``DEGENERATE_DISCORD`` absolute for a degenerate fit).
     """
+    if not 0.0 < alpha <= 1.0:
+        raise ValueError(f"alpha {alpha} outside (0, 1]")
     instances = [dqc1.Dqc1Instance(eps, unitary) for eps in (*fit_epsilons, alpha)]
-    eigphases = np.angle(np.linalg.eigvals(instances[0].unitary))
+    eigphases = instances[0].eigphases
     *ds, direct = (dqc1_discord(eigphases, inst.epsilon, opts).discord for inst in instances)
     discords = tuple(ds)
     arr = np.asarray(ds)

@@ -59,6 +59,11 @@ class Dqc1Instance:
     def dim(self) -> int:
         return 2 * self.unitary.shape[0]
 
+    @property
+    def eigphases(self) -> np.ndarray:
+        """Eigenphases of U in (-pi, pi], the input of the discord closed form."""
+        return np.angle(np.linalg.eigvals(self.unitary))
+
 
 def hadamard() -> np.ndarray:
     return (PAULI_1Q["X"] + PAULI_1Q["Z"]) / np.sqrt(2)
@@ -143,7 +148,7 @@ def unitary_from_dict(data: dict) -> np.ndarray:
         d = int(data["dim"])
         re = np.asarray(data["re"], dtype=float)
         im = np.asarray(data["im"], dtype=float)
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, OverflowError) as exc:
         raise ValueError(f"malformed unitary spec: {exc}") from exc
     if re.shape != (d, d) or im.shape != (d, d):
         raise ValueError(f"re/im shapes {re.shape}/{im.shape} do not match dim {d}")

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .discord import MinimizerOptions, is_zero_discord
+from .discord import is_zero_discord
 from .linalg import DensityMatrix, PauliLabel, pauli_realize
 
 # CODATA 2018 (exact in the 2019 SI): hbar = h/2pi with h = 6.62607015e-34 J s,
@@ -65,20 +65,11 @@ class NmrEnsemble:
         return embed(self.pps, self.alpha)
 
 
-def verdict_polarization_invariance(
-    pps: DensityMatrix,
-    alphas: list[float],
-    tol: float = 1e-7,
-    opts: MinimizerOptions | None = None,
-) -> bool:
+def verdict_polarization_invariance(pps: DensityMatrix, alphas: list[float], tol: float = 1e-7) -> bool:
     """True iff the zero-discord verdict of the embedded state agrees with
     that of the pseudopure part across every listed polarization."""
-    reference = is_zero_discord(pps, tol=tol, opts=opts).is_zero
-    for alpha in alphas:
-        verdict = is_zero_discord(embed(pps, alpha), tol=tol, opts=opts).is_zero
-        if verdict != reference:
-            return False
-    return True
+    reference = is_zero_discord(pps, tol=tol).is_zero
+    return all(is_zero_discord(embed(pps, a), tol=tol).is_zero == reference for a in alphas)
 
 
 def simulate_measurement(
@@ -139,7 +130,7 @@ def load_ensemble(data: dict | str | Path, named_states=None) -> NmrEnsemble:
     try:
         alpha = float(data["alpha"])
         pps_spec = data["pps"]
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, OverflowError) as exc:
         raise ValueError(f"malformed ensemble spec: {exc}") from exc
     if isinstance(pps_spec, str):
         if named_states is None:
@@ -150,11 +141,11 @@ def load_ensemble(data: dict | str | Path, named_states=None) -> NmrEnsemble:
             entries = np.asarray(pps_spec["re"], dtype=float) + 1j * np.asarray(
                 pps_spec["im"], dtype=float
             )
-        except (KeyError, TypeError) as exc:
+            part = pps_spec.get("qubit_partition")
+            if part is None:
+                n = entries.shape[0].bit_length() - 1
+                part = (1, n - 1) if n > 1 else (1,)
+            pps = DensityMatrix(entries, tuple(part))
+        except (KeyError, TypeError, IndexError, OverflowError) as exc:
             raise ValueError(f"malformed pps spec: {exc}") from exc
-        part = pps_spec.get("qubit_partition")
-        if part is None:
-            n = entries.shape[0].bit_length() - 1
-            part = (1, n - 1) if n > 1 else (1,)
-        pps = DensityMatrix(entries, tuple(part))
     return NmrEnsemble(alpha, pps)

@@ -19,7 +19,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .linalg import DensityMatrix, PauliLabel, pauli_labels, pauli_realize
+from .linalg import PAULI_1Q, DensityMatrix, PauliLabel, pauli_labels, pauli_realize
 
 TAU_FLOOR = 1e-7
 IDENTITY_VALUE_TOL = 1e-9
@@ -53,6 +53,14 @@ class CorrelationMatrix:
     def __post_init__(self):
         rows = tuple(str(r) for r in self.rows)
         cols = tuple(str(c) for c in self.cols)
+        for side, labels in (("row", rows), ("column", cols)):
+            if not labels or len({len(lab) for lab in labels}) != 1:
+                raise ValueError(f"{side} labels {labels} must be non-empty and of one length")
+            bad = [lab for lab in labels if not lab or set(lab) - PAULI_1Q.keys()]
+            if bad:
+                raise ValueError(f"{side} label {bad[0]!r} is not a Pauli string over IXYZ")
+            if len(set(labels)) != len(labels):
+                raise ValueError(f"duplicate {side} labels in {labels}")
         values = np.array(self.values, dtype=float)
         if values.shape != (len(rows), len(cols)):
             raise ValueError(f"values shape {values.shape} != {len(rows)}x{len(cols)}")
@@ -135,7 +143,7 @@ class CorrelationMatrix:
                 values=np.asarray(data["values"], dtype=float),
                 sigmas=None if data.get("sigmas") is None else np.asarray(data["sigmas"], dtype=float),
             )
-        except (KeyError, TypeError) as exc:
+        except (KeyError, TypeError, OverflowError) as exc:
             raise ValueError(f"malformed correlation-matrix spec: {exc}") from exc
 
     def save(self, path: str | Path) -> None:
@@ -255,6 +263,11 @@ class SingularValueDistribution:
         samples = np.array(self.samples, dtype=float)
         if samples.ndim != 2 or samples.shape[0] < 1:
             raise ValueError("samples must be (n_samples, n_singular_values)")
+        if not np.isfinite(samples).all():
+            raise ValueError(
+                "singular-value samples are non-finite (NaN or inf), "
+                "as from sigmas so large that the noise overflows float64"
+            )
         if not (math.isfinite(self.bin_width) and self.bin_width > 0):
             raise ValueError(f"bin_width {self.bin_width} must be positive and finite")
         if float(samples.max(initial=0.0)) / self.bin_width >= MAX_HISTOGRAM_BINS:
@@ -295,14 +308,16 @@ class SingularValueDistribution:
 def monte_carlo_svd(
     corr: CorrelationMatrix,
     n_samples: int,
-    seed: int,
+    seed: int | Sequence[int],
     bin_width: float = 0.005,
 ) -> SingularValueDistribution:
     """Propagate per-element Gaussian uncertainty through the SVD.
 
     Every element is perturbed independently by its sigma (zero sigma pins
     the element); singular values of each sampled matrix are pooled into the
-    distribution.
+    distribution. ``seed`` is an integer or an integer sequence for
+    ``numpy.random.default_rng``; :func:`witness_procedure` seeds step k of
+    a run with ``[seed, k]``.
     """
     if corr.sigmas is None:
         raise ValueError("correlation matrix carries no sigmas; Monte Carlo needs them")
@@ -313,8 +328,10 @@ def monte_carlo_svd(
         samples = np.tile(sv, (n_samples, 1))
     else:
         rng = np.random.default_rng(seed)
-        noise = rng.standard_normal((n_samples,) + corr.values.shape) * corr.sigmas
-        samples = np.linalg.svd(corr.values + noise, compute_uv=False)
+        # overflow from huge sigmas is refused, with a message, by the distribution
+        with np.errstate(over="ignore", invalid="ignore"):
+            noise = rng.standard_normal((n_samples,) + corr.values.shape) * corr.sigmas
+            samples = np.linalg.svd(corr.values + noise, compute_uv=False)
     return SingularValueDistribution(samples, bin_width)
 
 
@@ -478,7 +495,7 @@ def witness_procedure(
         sub = CorrelationMatrix(
             source.row_labels, tuple(used), np.column_stack(cols), np.column_stack(sigs)
         )
-        dist = _step_distribution(sub, n_samples, seed, step, bin_width)
+        dist = monte_carlo_svd(sub, n_samples, [seed, step], bin_width)
         tau_step = default_tau(sub.sigmas) if tau is None else tau
         rank = dist.n_distinguishable(tau_step, confidence)
         if rank > dim_a:
@@ -488,20 +505,6 @@ def witness_procedure(
     return WitnessVerdict(
         OUTCOME_INCONCLUSIVE, rank, tuple(used), confidence, dim_a, tau_step, dist
     )
-
-
-def _step_distribution(
-    sub: CorrelationMatrix, n_samples: int, seed: int, step: int, bin_width: float
-) -> SingularValueDistribution:
-    """Monte Carlo distribution for one procedure step, deterministically
-    seeded by (seed, step)."""
-    if not np.any(sub.sigmas > 0):
-        sv = np.linalg.svd(sub.values, compute_uv=False)
-        return SingularValueDistribution(np.tile(sv, (n_samples, 1)), bin_width)
-    rng = np.random.default_rng([seed, step])
-    noise = rng.standard_normal((n_samples,) + sub.values.shape) * sub.sigmas
-    samples = np.linalg.svd(sub.values + noise, compute_uv=False)
-    return SingularValueDistribution(samples, bin_width)
 
 
 def write_histogram_csvs(dist: SingularValueDistribution, prefix: str | Path) -> list[Path]:

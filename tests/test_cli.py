@@ -1,12 +1,22 @@
+import contextlib
 import importlib
+import io
 import json
 import types
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qdiscord.cli import main
-from qdiscord import CorrelationMatrix
+from qdiscord import (
+    CorrelationMatrix,
+    Dqc1Instance,
+    discord,
+    eq3_fixture,
+    jones_unitary,
+    output_state,
+)
 
 
 def run(tmp_path, *args) -> int:
@@ -52,7 +62,11 @@ class TestSimulate:
 
     @pytest.mark.parametrize(
         "command",
-        [("simulate", "--unitary"), ("discord", "--alpha", "1.4e-5", "--extrapolate", "--dqc1")],
+        [
+            ("simulate", "--unitary"),
+            ("discord", "--alpha", "1.4e-5", "--extrapolate", "--dqc1"),
+            ("discord", "--dqc1"),
+        ],
     )
     def test_non_finite_unitary_exits_2(self, tmp_path, capsys, command):
         bad = tmp_path / "nan.json"
@@ -79,6 +93,24 @@ class TestDiscordCommand:
 
     def test_alpha_without_extrapolate_exits_2(self, tmp_path):
         assert run(tmp_path, "discord", "--dqc1", "jones", "--alpha", "1e-5") == 2
+
+    @pytest.mark.parametrize("alpha", ["2", "0"])
+    def test_alpha_outside_unit_interval_exits_2(self, tmp_path, capsys, alpha):
+        args = ("discord", "--dqc1", "jones", "--alpha", alpha, "--extrapolate")
+        assert run(tmp_path, *args) == 2
+        assert "alpha" in capsys.readouterr().err
+
+    def test_dqc1_matches_dense_discord(self, tmp_path):
+        # the eigenphase engine answers; the dense search on the state is the oracle
+        assert run(tmp_path, "discord", "--dqc1", "jones", "--epsilon", "0.5") == 0
+        out = json.loads((tmp_path / "discord.json").read_text())
+        dense = discord(output_state(Dqc1Instance(0.5, jones_unitary())))
+        np.testing.assert_allclose(out["discord"], dense.discord, rtol=1e-9, atol=1e-13)
+        assert out["argmin"]["theta"] == pytest.approx(np.pi / 2, abs=1e-15)
+
+    def test_dqc1_epsilon_outside_unit_interval_exits_2(self, tmp_path, capsys):
+        assert run(tmp_path, "discord", "--dqc1", "jones", "--epsilon", "1.5") == 2
+        assert "epsilon" in capsys.readouterr().err
 
     def test_scaling_failure_exits_3(self, tmp_path, monkeypatch):
         from qdiscord.discord import ScalingFitError
@@ -142,8 +174,6 @@ class TestWitnessCommand:
             assert (tmp_path / f"witness_sv{i}.csv").exists()
 
     def test_eq3_fixture_from_file(self, tmp_path):
-        from qdiscord import eq3_fixture
-
         path = tmp_path / "m.json"
         eq3_fixture().save(path)
         assert run(tmp_path, "witness", "--matrix", str(path), "--seed", "1") == 0
@@ -163,6 +193,23 @@ class TestWitnessCommand:
         out = json.loads((tmp_path / "witness.json").read_text())
         assert out["outcome"] == "Inconclusive"
         assert out["rank_lower_bound"] == 1
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            ({"rows": ["I", "Q", "Y", "Z"]}, "Pauli"),
+            ({"rows": [1, 2, 3, 4]}, "Pauli"),
+            ({"rows": ["I", "XX", "Y", "Z"]}, "one length"),
+            ({"cols": ["III", "IZI", "III", "IZZ"]}, "duplicate"),
+            ({"sigmas": [[0.0] + [1e308] * 3] + [[1e308] * 4] * 3}, "non-finite"),
+        ],
+        ids=["symbol", "integer", "mixed-length", "duplicate", "overflow"],
+    )
+    def test_malformed_matrix_exits_2(self, tmp_path, capsys, change, message):
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps({**eq3_fixture().to_dict(), **change}))
+        assert run(tmp_path, "witness", "--matrix", str(path), "--samples", "100") == 2
+        assert message in capsys.readouterr().err
 
     def test_matrix_without_sigmas_exits_2(self, tmp_path):
         corr = CorrelationMatrix(
@@ -248,3 +295,90 @@ class TestHaarSurveyCommand:
             means[alpha] = json.loads((tmp_path / f"s{alpha}.json").read_text())["mean"]
         ratio = means["2.8e-5"] / means["1.4e-5"]
         assert ratio == pytest.approx(4.0, rel=0.02)
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.just(10**400) | st.floats()
+    | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=10,
+)
+VALID_INPUTS = {
+    "unitary": (
+        lambda path: ["simulate", "--unitary", path],
+        {"dim": 2, "re": [[1, 0], [0, 1]], "im": [[0, 0], [0, 0]]},
+    ),
+    "ensemble": (
+        lambda path: ["discord", "--ensemble", path, "--grid", "2"],
+        {"alpha": 0.5, "pps": {"re": (np.eye(4) / 4).tolist(), "im": np.zeros((4, 4)).tolist()}},
+    ),
+    "partitioned-ensemble": (
+        lambda path: ["discord", "--ensemble", path, "--grid", "2"],
+        {
+            "alpha": 0.5,
+            "pps": {"re": (np.eye(4) / 4).tolist(), "im": np.zeros((4, 4)).tolist(),
+                    "qubit_partition": [1, 1]},
+        },
+    ),
+    "matrix": (
+        lambda path: ["witness", "--matrix", path, "--samples", "20"],
+        eq3_fixture().to_dict(),
+    ),
+}
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+class TestMalformedJsonFuzz:
+    """Malformed input files end in exit 2 and an error line, never in an
+    exception or a traceback."""
+
+    @staticmethod
+    def run_quiet(fuzz_dir, kind, document: str) -> tuple[int, str]:
+        command, _ = VALID_INPUTS[kind]
+        path = fuzz_dir / "input.json"
+        path.write_text(document)
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main([*command(str(path)), "--out", str(fuzz_dir / "out.json")])
+        return code, err.getvalue()
+
+    @pytest.mark.parametrize("kind", sorted(VALID_INPUTS))
+    def test_valid_documents_pass(self, fuzz_dir, kind):
+        assert self.run_quiet(fuzz_dir, kind, json.dumps(VALID_INPUTS[kind][1]))[0] == 0
+
+    @pytest.mark.parametrize("kind", sorted(VALID_INPUTS))
+    @settings(deadline=None, max_examples=60)
+    @given(data=st.data())
+    def test_mutated_documents(self, fuzz_dir, kind, data):
+        document = json.loads(json.dumps(VALID_INPUTS[kind][1]))
+        fields = sorted(document) + sorted(f"pps.{k}" for k in document.get("pps", ()))
+        field = data.draw(st.sampled_from(fields))
+        value = data.draw(JSON_VALUES)
+        if field.startswith("pps."):
+            document["pps"][field[4:]] = value
+        else:
+            document[field] = value
+        code, err = self.run_quiet(fuzz_dir, kind, json.dumps(document))
+        assert "Traceback" not in err
+        assert code == 0 or (code == 2 and err.startswith("error: "))
+
+    @pytest.mark.parametrize("kind", sorted(VALID_INPUTS))
+    @settings(deadline=None, max_examples=40)
+    @given(data=st.data())
+    def test_malformed_documents_exit_2(self, fuzz_dir, kind, data):
+        document = json.loads(json.dumps(VALID_INPUTS[kind][1]))
+        malformed = data.draw(st.one_of(
+            # a required field removed
+            st.sampled_from(sorted(document)).map(
+                lambda key: json.dumps({k: v for k, v in document.items() if k != key})
+            ),
+            # a document that is not an object, or not JSON at all
+            JSON_VALUES.filter(lambda v: not isinstance(v, dict)).map(json.dumps),
+            st.text(max_size=20).map(lambda t: t + "{"),
+        ))
+        code, err = self.run_quiet(fuzz_dir, kind, malformed)
+        assert code == 2 and err.startswith("error: ") and "Traceback" not in err

@@ -8,7 +8,6 @@ from qdiscord import (
     MeasurementBasis,
     MinimizerOptions,
     ScalingFitError,
-    conditional_state,
     discord,
     discord_at_small_polarization,
     dqc1_discord,
@@ -19,10 +18,10 @@ from qdiscord import (
     mutual_information,
     named_state,
     output_state,
-    projective_average,
     random_density_matrix,
     tensor,
 )
+from qdiscord.discord import conditional_state, projective_average
 from qdiscord.linalg import PAULI_1Q, entropy_from_eigenvalues
 
 I2 = PAULI_1Q["I"]
@@ -49,11 +48,6 @@ class TestMeasurementBasis:
         b = MeasurementBasis(-0.3, 7.0)
         assert 0 <= b.theta <= np.pi
         assert 0 <= b.phi < 2 * np.pi
-
-    def test_outcome_vectors_match_projectors(self):
-        b = MeasurementBasis(1.1, 2.2)
-        for v, e in zip(b.outcome_vectors(), b.projectors()):
-            np.testing.assert_allclose(np.outer(v, v.conj()), e, atol=1e-12)
 
 
 class TestConditionalState:
@@ -83,6 +77,20 @@ class TestConditionalState:
         b = MeasurementBasis(2.0, 1.0)
         total = sum(conditional_state(rho, b, k)[0] for k in (0, 1))
         assert total == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("part", [(1, 1), (1, 2), (1, 3)])
+    def test_matches_projector_blocks(self, part):
+        # oracle: Tr_A[(E_k (+) I) rho] with E_k built explicitly from the basis
+        rho = random_density_matrix(part, seed=31)
+        db = rho.dim // 2
+        for basis in (Z_BASIS, MeasurementBasis(1.1, 2.2), MeasurementBasis(2.7, 5.9)):
+            for k, e in enumerate(basis.projectors()):
+                block = np.einsum(
+                    "ibic->bc", (np.kron(e, np.eye(db)) @ rho.entries).reshape(2, db, 2, db)
+                )
+                p, cond = conditional_state(rho, basis, k)
+                assert p == pytest.approx(np.trace(block).real, abs=1e-14)
+                np.testing.assert_allclose(cond.entries, block / p, atol=1e-12)
 
 
 class TestMutualInformation:
@@ -228,6 +236,24 @@ class TestIsZeroDiscord:
                 assert discord(rho).discord < 1e-6
                 averaged = projective_average(rho, verdict.basis)
                 assert np.linalg.norm(rho.entries - averaged.entries) < 1e-6
+
+
+    @pytest.mark.parametrize("part", [(1, 1), (1, 2), (1, 3)])
+    def test_closed_form_distance_is_minimum_over_bases(self, part):
+        # oracle: the explicit dephasing, at the returned basis and on a dense
+        # theta-phi sample of bases
+        thetas = np.linspace(0.0, np.pi, 25)
+        phis = np.linspace(0.0, 2 * np.pi, 48, endpoint=False)
+        for seed in range(2):
+            rho = random_density_matrix(part, seed=seed)
+
+            def distance(basis):
+                return np.linalg.norm(rho.entries - projective_average(rho, basis).entries)
+
+            verdict = is_zero_discord(rho)
+            assert verdict.distance == pytest.approx(distance(verdict.basis), abs=1e-12)
+            sampled = min(distance(MeasurementBasis(t, p)) for t in thetas for p in phis)
+            assert sampled >= verdict.distance - 1e-12
 
 
 class TestDqc1Discord:

@@ -10,13 +10,12 @@ from qdiscord import (
     jones_unitary,
     load_unitary_json,
     output_state,
-    partial_transpose,
     pauli_realize,
     tensor,
     trace_estimate,
 )
 from qdiscord.dqc1 import controlled, hadamard, unitary_from_dict, unitary_to_dict
-from qdiscord.linalg import PAULI_1Q
+from qdiscord.linalg import PAULI_1Q, partial_transpose
 
 
 class TestInstanceValidation:
@@ -189,6 +188,10 @@ class TestUnitaryJson:
     def test_rejects_malformed(self):
         with pytest.raises(ValueError, match="malformed"):
             unitary_from_dict({"dim": 2})
+        with pytest.raises(ValueError, match="malformed"):
+            unitary_from_dict({"dim": float("inf"), "re": [[1]], "im": [[0]]})
+        with pytest.raises(ValueError, match="malformed"):
+            unitary_from_dict({"dim": 1, "re": [[10**400]], "im": [[0]]})
 
     def test_rejects_shape_mismatch(self):
         with pytest.raises(ValueError, match="shape"):

@@ -4,16 +4,13 @@ from hypothesis import given, settings, strategies as st
 
 from qdiscord import (
     DensityMatrix,
-    hermitian_eigenvalues,
-    partial_trace,
     pauli_labels,
     pauli_realize,
     random_density_matrix,
-    singular_values,
     tensor,
     von_neumann_entropy,
 )
-from qdiscord.linalg import PAULI_1Q
+from qdiscord.linalg import PAULI_1Q, hermitian_eigenvalues, partial_trace, singular_values
 
 I2 = PAULI_1Q["I"]
 X = PAULI_1Q["X"]

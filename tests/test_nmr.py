@@ -195,6 +195,13 @@ class TestEnsembleIo:
             load_ensemble({"pps": "bell"})
         with pytest.raises(ValueError, match="malformed"):
             load_ensemble({"alpha": 0.1, "pps": {"re": [[1]]}})
+        inline = {"re": [[1, 0], [0, 0]], "im": [[0, 0], [0, 0]]}
+        for pps in ({**inline, "qubit_partition": 1}, {**inline, "qubit_partition": [[1]]},
+                    {"re": 1, "im": 0}):
+            with pytest.raises(ValueError, match="malformed"):
+                load_ensemble({"alpha": 0.1, "pps": pps})
+        with pytest.raises(ValueError, match="malformed"):
+            load_ensemble({"alpha": 10**400, "pps": "bell"})
 
     def test_ensemble_alpha_validated(self):
         with pytest.raises(ValueError, match="alpha"):

@@ -86,6 +86,20 @@ class TestCorrelationMatrix:
         with pytest.raises(ValueError, match="non-finite"):
             CorrelationMatrix(("I", "X"), ("I", "Z"), np.eye(2), sigmas)
 
+    @pytest.mark.parametrize(
+        "rows, cols, message",
+        [
+            (("I", "Q"), ("I", "Z"), "Pauli"),
+            ((1, 2), ("I", "Z"), "Pauli"),
+            (("I", "XX"), ("I", "Z"), "one length"),
+            (("I", "X"), ("I", "I"), "duplicate"),
+            (("I", "X"), ("", ""), "Pauli"),
+        ],
+    )
+    def test_rejects_bad_labels(self, rows, cols, message):
+        with pytest.raises(ValueError, match=message):
+            CorrelationMatrix(rows, cols, np.eye(2))
+
     def test_round_trip_reconstruction(self):
         for seed in range(10):
             rho = random_density_matrix((1, 3), seed=seed)
@@ -185,6 +199,13 @@ class TestMonteCarloSvd:
         assert q01[2] > 0.2  # third singular value bounded away from zero
         assert med[3] < 0.05  # fourth consistent with zero
 
+    def test_overflowing_sigmas_refused(self):
+        corr = eq3_fixture()
+        sigmas = np.where(corr.sigmas > 0, 1e308, 0.0)
+        huge = CorrelationMatrix(corr.rows, corr.cols, corr.values, sigmas)
+        with pytest.raises(ValueError, match="non-finite"):
+            monte_carlo_svd(huge, 100, seed=0)
+
     def test_deterministic(self):
         a = monte_carlo_svd(eq3_fixture(), 200, seed=9)
         b = monte_carlo_svd(eq3_fixture(), 200, seed=9)
@@ -207,6 +228,13 @@ class TestSingularValueDistribution:
     def test_rejects_bad_bin_width(self, bin_width):
         with pytest.raises(ValueError, match="bin_width"):
             SingularValueDistribution(np.ones((10, 2)), bin_width)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_rejects_non_finite_samples(self, bad):
+        samples = np.ones((10, 2))
+        samples[3, 1] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            SingularValueDistribution(samples, 0.005)
 
     def test_rejects_bin_count_over_cap(self):
         # 1.0 / 1e-7 asks for 10^7 bins; refused before any allocation
@@ -278,6 +306,15 @@ class TestWitnessProcedure:
         assert verdict.rank_lower_bound == 3
         assert len(verdict.columns_used) == 4
         assert verdict.tau == pytest.approx(0.2, abs=1e-12)
+
+    def test_step_seeded_by_seed_and_step_index(self):
+        # the last rank check is monte_carlo_svd on the columns used, seeded [seed, step]
+        corr = eq3_fixture()
+        verdict = witness_procedure(corr.as_source(), n_samples=500, seed=4)
+        sub = extract_columns(corr, verdict.columns_used)
+        step = len(verdict.columns_used) - 1
+        expected = monte_carlo_svd(sub, 500, [4, step])
+        np.testing.assert_array_equal(verdict.distribution.samples, expected.samples)
 
     def test_initial_state_inconclusive_after_full_tomography(self):
         corr = correlation_matrix(named_state("initial-dqc1")).with_uniform_sigmas(0.05)

@@ -37,6 +37,7 @@ from .witness import (
     ColumnPolicy,
     ColumnSource,
     CorrelationMatrix,
+    RankCheck,
     SingularValueDistribution,
     WitnessVerdict,
     column_combination_scan,
@@ -71,7 +72,7 @@ __all__ = [
     "DiscordResult", "MeasurementBasis", "MinimizerOptions", "ScalingFit",
     "ScalingFitError", "discord", "discord_at_small_polarization", "dqc1_discord",
     "fit_polarization_scaling", "haar_discord_survey", "is_zero_discord", "mutual_information",
-    "ColumnPolicy", "ColumnSource", "CorrelationMatrix", "SingularValueDistribution",
+    "ColumnPolicy", "ColumnSource", "CorrelationMatrix", "RankCheck", "SingularValueDistribution",
     "WitnessVerdict", "column_combination_scan", "correlation_matrix", "default_tau",
     "extract_columns", "monte_carlo_svd", "rank_lower_bound", "reconstruct_state",
     "witness_procedure", "write_histogram_csvs", "z_sector_first_policy",

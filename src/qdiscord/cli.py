@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -95,11 +96,15 @@ def cmd_simulate(args) -> int:
 
 def cmd_discord(args) -> int:
     opts = MinimizerOptions(grid=args.grid)
+    dqc1_direct = args.dqc1 is not None and not args.extrapolate
+    if args.epsilon is not None and not dqc1_direct:
+        raise ValueError("--epsilon only applies to --dqc1 without --extrapolate")
+    epsilon = 1.0 if dqc1_direct and args.epsilon is None else args.epsilon
     config = {
         "state": args.state,
         "dqc1": args.dqc1,
         "ensemble": args.ensemble,
-        "epsilon": args.epsilon,
+        "epsilon": epsilon,
         "alpha": args.alpha,
         "extrapolate": args.extrapolate,
         "grid": args.grid,
@@ -133,7 +138,7 @@ def cmd_discord(args) -> int:
     if args.alpha is not None:
         raise ValueError("--alpha only applies together with --extrapolate")
     if args.dqc1 is not None:
-        inst = dqc1.Dqc1Instance(args.epsilon, _resolve_unitary(args.dqc1))
+        inst = dqc1.Dqc1Instance(epsilon, _resolve_unitary(args.dqc1))
         result = dqc1_discord(inst.eigphases, inst.epsilon, opts)
     else:
         result = discord(_resolve_state(args), opts=opts)
@@ -170,6 +175,8 @@ def _witness_input(args) -> CorrelationMatrix:
 
 
 def cmd_witness(args) -> int:
+    if not 0.0 < args.confidence <= 1.0:
+        raise ValueError(f"--confidence {args.confidence} outside (0, 1]")
     corr = _witness_input(args)
     config = {
         "matrix": args.matrix,
@@ -224,8 +231,9 @@ def cmd_witness(args) -> int:
             "confidence": verdict.confidence,
             "dim_a": verdict.dim_a,
             "tau": verdict.tau,
-            "quantiles_low": verdict.distribution.quantile(1 - args.confidence).tolist(),
+            "quantiles_low": list(verdict.trajectory[-1].quantiles_low),
             "medians": verdict.distribution.medians().tolist(),
+            "trajectory": [asdict(check) for check in verdict.trajectory],
         },
         "scan": scan_payload,
         "csv_files": [str(p) for p in csv_paths],
@@ -293,7 +301,8 @@ def build_parser() -> argparse.ArgumentParser:
     src.add_argument("--state", help="named state: " + ", ".join(sorted(states.NAMED_STATES)))
     src.add_argument("--dqc1", help="circuit output for this unitary (jones | identity8 | file)")
     src.add_argument("--ensemble", help="ensemble JSON {alpha, pps}")
-    p.add_argument("--epsilon", type=float, default=1.0, help="bias for --dqc1 without --extrapolate")
+    p.add_argument("--epsilon", type=float, default=None,
+                   help="bias for --dqc1 without --extrapolate (default 1)")
     p.add_argument("--alpha", type=float, help="target polarization for --extrapolate")
     p.add_argument("--extrapolate", action="store_true", help="quadratic-scaling extrapolation")
     p.add_argument("--grid", type=int, default=64,

@@ -6,14 +6,19 @@ The witness measures columns of the correlation matrix one at a time,
 lower-bounds the rank by counting singular values statistically
 distinguishable from zero under Gaussian measurement uncertainty, and stops
 as soon as the bound exceeds dim(A) or full tomography is exhausted.
+
+Monte Carlo samples come from one engine, :class:`_GramFold`, which folds
+each column into per-sample rows x rows Gram matrices, so a rank check costs
+one batched ``eigvalsh`` however many columns have been measured.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import zlib
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
@@ -25,6 +30,14 @@ TAU_FLOOR = 1e-7
 IDENTITY_VALUE_TOL = 1e-9
 HISTOGRAM_NORM_TOL = 1e-6
 MAX_HISTOGRAM_BINS = 10**6
+# Singular values below this fraction of a sample's largest are reported as 0:
+# eigvalsh of R R^T is accurate to about 10 eps x its largest eigenvalue, so
+# sqrt(eig) of anything smaller is rounding, not signal (0.1% error at the floor).
+GRAM_RESOLUTION = 1e-6
+NON_FINITE_SAMPLES = (
+    "singular-value samples are non-finite (NaN or inf), "
+    "as from sigmas so large that the noise overflows float64"
+)
 
 OUTCOME_WITNESSED = "DiscordWitnessed"
 OUTCOME_INCONCLUSIVE = "Inconclusive"
@@ -246,28 +259,30 @@ def _histogram(samples: np.ndarray, bin_width: float) -> Histogram:
     return Histogram(centers, rel, cum)
 
 
+def _check_confidence(confidence: float) -> None:
+    if not 0.0 < confidence <= 1.0:
+        raise ValueError(f"confidence {confidence} outside (0, 1]")
+
+
 @dataclass(frozen=True)
 class SingularValueDistribution:
     """Monte Carlo singular-value samples plus per-value histograms.
 
     ``samples[i, j]`` is the j-th largest singular value of the i-th
     perturbed matrix; histograms follow the count/(n x bin_width)
-    normalization with cumulative fractions alongside.
+    normalization with cumulative fractions alongside, and are built on
+    first access.
     """
 
     samples: np.ndarray
     bin_width: float
-    histograms: tuple[Histogram, ...] = field(init=False, repr=False)
 
     def __post_init__(self):
         samples = np.array(self.samples, dtype=float)
         if samples.ndim != 2 or samples.shape[0] < 1:
             raise ValueError("samples must be (n_samples, n_singular_values)")
         if not np.isfinite(samples).all():
-            raise ValueError(
-                "singular-value samples are non-finite (NaN or inf), "
-                "as from sigmas so large that the noise overflows float64"
-            )
+            raise ValueError(NON_FINITE_SAMPLES)
         if not (math.isfinite(self.bin_width) and self.bin_width > 0):
             raise ValueError(f"bin_width {self.bin_width} must be positive and finite")
         if float(samples.max(initial=0.0)) / self.bin_width >= MAX_HISTOGRAM_BINS:
@@ -276,14 +291,19 @@ class SingularValueDistribution:
             )
         samples.setflags(write=False)
         object.__setattr__(self, "samples", samples)
-        hists = tuple(_histogram(samples[:, j], self.bin_width) for j in range(samples.shape[1]))
+
+    @cached_property
+    def histograms(self) -> tuple[Histogram, ...]:
+        hists = tuple(
+            _histogram(self.samples[:, j], self.bin_width) for j in range(self.n_singular_values)
+        )
         for h in hists:
             norm = h.relative_occurrence.sum() * self.bin_width
             if abs(norm - 1.0) > HISTOGRAM_NORM_TOL:
                 raise AssertionError(f"histogram integrates to {norm}, not 1")
             if np.any(np.diff(h.cumulative) < 0) or abs(h.cumulative[-1] - 1.0) > 1e-9:
                 raise AssertionError("cumulative distribution malformed")
-        object.__setattr__(self, "histograms", hists)
+        return hists
 
     @property
     def n_samples(self) -> int:
@@ -299,40 +319,79 @@ class SingularValueDistribution:
 
     def n_distinguishable(self, tau: float, confidence: float = 0.99) -> int:
         """Singular values whose (1 - confidence) quantile exceeds tau."""
+        _check_confidence(confidence)
         return int((self.quantile(1.0 - confidence) > tau).sum())
 
     def medians(self) -> np.ndarray:
         return np.median(self.samples, axis=0)
 
 
+class _GramFold:
+    """Monte Carlo samples of a correlation matrix that grows one column at a time.
+
+    Column ``label`` is perturbed by one (n_samples, rows) standard-normal
+    block from ``default_rng([seed, crc32(label)])`` times its sigmas (zero
+    sigma pins the element), and each sample's column c is folded into that
+    sample's Gram matrix as G += c c^T; the singular values of the k columns
+    folded so far are the square roots of G's top min(rows, k) eigenvalues.
+    Sample i is therefore one hypothetical experiment at every step. A matrix
+    whose sigmas are all zero so far keeps the exact SVD of its values.
+    """
+
+    def __init__(self, n_rows: int, n_samples: int, seed: int):
+        if n_samples < 1:
+            raise ValueError("n_samples must be at least 1")
+        self.n_samples = n_samples
+        self.seed = seed
+        self.gram = np.zeros((n_samples, n_rows, n_rows))
+        self.values: list[np.ndarray] = []
+        self.noisy = False
+
+    def add(self, label: PauliLabel, values: np.ndarray, sigmas: np.ndarray) -> None:
+        self.values.append(values)
+        if not np.any(sigmas > 0):
+            self.gram += np.outer(values, values)
+            return
+        self.noisy = True
+        rng = np.random.default_rng([self.seed, zlib.crc32(label.encode())])
+        # overflow from huge sigmas is refused, with a message, in distribution()
+        with np.errstate(over="ignore", invalid="ignore"):
+            col = values + rng.standard_normal((self.n_samples, values.size)) * sigmas
+            self.gram += col[:, :, None] * col[:, None, :]
+
+    def distribution(self, bin_width: float) -> SingularValueDistribution:
+        """Singular values of every sample of the columns folded so far."""
+        if not self.noisy:
+            sv = np.linalg.svd(np.column_stack(self.values), compute_uv=False)
+            return SingularValueDistribution(np.tile(sv, (self.n_samples, 1)), bin_width)
+        if not np.isfinite(self.gram).all():
+            raise ValueError(NON_FINITE_SAMPLES)
+        n_sv = min(self.gram.shape[1], len(self.values))
+        lam = np.linalg.eigvalsh(self.gram)[:, ::-1][:, :n_sv]
+        lam[lam < GRAM_RESOLUTION**2 * lam[:, :1]] = 0.0  # and negative rounding
+        return SingularValueDistribution(np.sqrt(lam), bin_width)
+
+
 def monte_carlo_svd(
     corr: CorrelationMatrix,
     n_samples: int,
-    seed: int | Sequence[int],
+    seed: int,
     bin_width: float = 0.005,
 ) -> SingularValueDistribution:
-    """Propagate per-element Gaussian uncertainty through the SVD.
+    """Propagate per-element Gaussian uncertainty through the singular values.
 
-    Every element is perturbed independently by its sigma (zero sigma pins
-    the element); singular values of each sampled matrix are pooled into the
-    distribution. ``seed`` is an integer or an integer sequence for
-    ``numpy.random.default_rng``; :func:`witness_procedure` seeds step k of
-    a run with ``[seed, k]``.
+    Every element is perturbed independently by its sigma; each column's
+    noise comes from a stream keyed by ``seed`` and the column label (see
+    :class:`_GramFold`), so the result for the first k columns is the
+    distribution :func:`witness_procedure` checks after acquiring them.
+    Singular values below ``GRAM_RESOLUTION`` times a sample's largest read 0.
     """
     if corr.sigmas is None:
         raise ValueError("correlation matrix carries no sigmas; Monte Carlo needs them")
-    if n_samples < 1:
-        raise ValueError("n_samples must be at least 1")
-    if not np.any(corr.sigmas > 0):
-        sv = np.linalg.svd(corr.values, compute_uv=False)
-        samples = np.tile(sv, (n_samples, 1))
-    else:
-        rng = np.random.default_rng(seed)
-        # overflow from huge sigmas is refused, with a message, by the distribution
-        with np.errstate(over="ignore", invalid="ignore"):
-            noise = rng.standard_normal((n_samples,) + corr.values.shape) * corr.sigmas
-            samples = np.linalg.svd(corr.values + noise, compute_uv=False)
-    return SingularValueDistribution(samples, bin_width)
+    fold = _GramFold(len(corr.rows), n_samples, seed)
+    for j, label in enumerate(corr.cols):
+        fold.add(label, corr.values[:, j], corr.sigmas[:, j])
+    return fold.distribution(bin_width)
 
 
 def column_combination_scan(
@@ -423,11 +482,25 @@ def z_sector_first_policy(col_labels: Sequence[PauliLabel], initial_block: int =
 
 
 @dataclass(frozen=True)
+class RankCheck:
+    """One rank check of the procedure: the column just acquired, the
+    threshold, the rank bound, and each singular value's (1 - confidence)
+    quantile."""
+
+    column: PauliLabel
+    tau: float
+    rank: int
+    quantiles_low: tuple[float, ...]
+
+
+@dataclass(frozen=True)
 class WitnessVerdict:
     """Outcome of the iterative rank procedure.
 
     ``tau`` is the singular-value threshold applied at the last rank check
-    (the auto policy rescales it as the submatrix grows).
+    (the auto policy rescales it as the submatrix grows); ``trajectory``
+    holds every rank check in order, and ``distribution`` the last one's
+    samples.
     """
 
     outcome: str
@@ -437,6 +510,7 @@ class WitnessVerdict:
     dim_a: int
     tau: float
     distribution: SingularValueDistribution = field(repr=False)
+    trajectory: tuple[RankCheck, ...] = field(default=(), repr=False)
 
     def __post_init__(self):
         witnessed = self.rank_lower_bound > self.dim_a
@@ -465,9 +539,12 @@ def witness_procedure(
     each acquisition a Monte Carlo rank bound is computed on the submatrix
     measured so far: a singular value counts as nonzero when its empirical
     (1 - confidence) quantile exceeds tau (default: noise-scaled
-    :func:`default_tau` of the current submatrix). Exhausting all columns
-    without exceeding dim(A) is the Inconclusive verdict, not an error.
+    :func:`default_tau` of the current submatrix). The samples of the check
+    on the first k columns equal :func:`monte_carlo_svd` of those columns.
+    Exhausting all columns without exceeding dim(A) is the Inconclusive
+    verdict, not an error.
     """
+    _check_confidence(confidence)
     if dim_a is None:
         dim_a = 2 ** len(source.row_labels[0])
     policy = policy or z_sector_first_policy(source.col_labels)
@@ -477,33 +554,35 @@ def witness_procedure(
     if not order:
         raise ValueError("column source offers no columns")
 
-    cols: list[np.ndarray] = []
+    fold = _GramFold(len(source.row_labels), n_samples, seed)
     sigs: list[np.ndarray] = []
     used: list[PauliLabel] = []
-    rank = 0
-    dist = None
-    tau_step = TAU_FLOOR
+    trajectory: list[RankCheck] = []
     first_check = min(policy.initial_block, len(order))
 
-    for step, label in enumerate(order):
+    for label in order:
         values, sigmas = source.fetch(label)
-        cols.append(values)
-        sigs.append(np.zeros_like(values) if sigmas is None else sigmas)
+        if sigmas is None:
+            sigmas = np.zeros_like(values)
+        # validated, with its identity entry snapped, as a one-column matrix
+        column = CorrelationMatrix(
+            source.row_labels, (label,), values.reshape(-1, 1), sigmas.reshape(-1, 1)
+        )
+        fold.add(column.cols[0], column.values[:, 0], column.sigmas[:, 0])
+        sigs.append(column.sigmas[:, 0])
         used.append(label)
         if len(used) < first_check:
             continue
-        sub = CorrelationMatrix(
-            source.row_labels, tuple(used), np.column_stack(cols), np.column_stack(sigs)
-        )
-        dist = monte_carlo_svd(sub, n_samples, [seed, step], bin_width)
-        tau_step = default_tau(sub.sigmas) if tau is None else tau
-        rank = dist.n_distinguishable(tau_step, confidence)
+        dist = fold.distribution(bin_width)
+        tau_step = default_tau(np.column_stack(sigs)) if tau is None else tau
+        low = dist.quantile(1.0 - confidence)
+        rank = int((low > tau_step).sum())
+        trajectory.append(RankCheck(label, tau_step, rank, tuple(low.tolist())))
         if rank > dim_a:
-            return WitnessVerdict(
-                OUTCOME_WITNESSED, rank, tuple(used), confidence, dim_a, tau_step, dist
-            )
+            break
+    outcome = OUTCOME_WITNESSED if rank > dim_a else OUTCOME_INCONCLUSIVE
     return WitnessVerdict(
-        OUTCOME_INCONCLUSIVE, rank, tuple(used), confidence, dim_a, tau_step, dist
+        outcome, rank, tuple(used), confidence, dim_a, tau_step, dist, tuple(trajectory)
     )
 
 

@@ -112,6 +112,28 @@ class TestDiscordCommand:
         assert run(tmp_path, "discord", "--dqc1", "jones", "--epsilon", "1.5") == 2
         assert "epsilon" in capsys.readouterr().err
 
+    def test_dqc1_epsilon_defaults_to_one(self, tmp_path):
+        assert run(tmp_path, "discord", "--dqc1", "jones") == 0
+        out = json.loads((tmp_path / "discord.json").read_text())
+        assert out["config"]["epsilon"] == 1.0
+        dense = discord(output_state(Dqc1Instance(1.0, jones_unitary())))
+        np.testing.assert_allclose(out["discord"], dense.discord, rtol=1e-9, atol=1e-13)
+
+    @pytest.mark.parametrize(
+        "source",
+        [
+            ("--state", "bell"),
+            ("--ensemble", "ens.json"),
+            ("--dqc1", "jones", "--alpha", "1.4e-5", "--extrapolate"),
+        ],
+        ids=["state", "ensemble", "extrapolate"],
+    )
+    def test_ignored_epsilon_exits_2(self, tmp_path, capsys, source):
+        (tmp_path / "ens.json").write_text(json.dumps({"alpha": 0.5, "pps": "bell"}))
+        assert run(tmp_path, "discord", *source, "--epsilon", "0.3") == 2
+        assert "--epsilon" in capsys.readouterr().err
+        assert not (tmp_path / "discord.json").exists()
+
     def test_scaling_failure_exits_3(self, tmp_path, monkeypatch):
         from qdiscord.discord import ScalingFitError
 
@@ -259,6 +281,28 @@ class TestWitnessCommand:
             assert body[:, 1].sum() * bin_width == pytest.approx(1.0, abs=1e-3)
             assert np.all(np.diff(body[:, 2]) >= -1e-12)
             assert body[-1, 2] == pytest.approx(1.0, abs=1e-6)
+
+    def test_trajectory_schema(self, tmp_path):
+        args = ("witness", "--state", "initial-dqc1", "--samples", "200", "--seed", "1")
+        assert run(tmp_path, *args) == 0
+        verdict = json.loads((tmp_path / "witness.json").read_text())["verdict"]
+        trajectory = verdict["trajectory"]
+        assert len(trajectory) == len(verdict["columns_used"]) - 4 + 1 == 61
+        for check, column in zip(trajectory, verdict["columns_used"][3:]):
+            assert set(check) == {"column", "tau", "rank", "quantiles_low"}
+            assert check["column"] == column
+            assert len(check["quantiles_low"]) == 4
+        last = trajectory[-1]
+        assert last["rank"] == verdict["rank_lower_bound"]
+        assert last["tau"] == verdict["tau"]
+        assert last["quantiles_low"] == verdict["quantiles_low"]
+
+    @pytest.mark.parametrize("confidence", ["1.5", "0", "-0.1", "nan"])
+    def test_confidence_outside_unit_interval_exits_2(self, tmp_path, capsys, confidence):
+        args = ("witness", "--matrix", "rtrunc_eq3", "--confidence", confidence)
+        assert run(tmp_path, *args) == 2
+        assert "--confidence" in capsys.readouterr().err
+        assert not (tmp_path / "witness.json").exists()
 
     def test_config_embedded(self, tmp_path):
         assert run(tmp_path, "witness", "--matrix", "rtrunc_eq3", "--seed", "3") == 0

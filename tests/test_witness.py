@@ -1,3 +1,5 @@
+import zlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -25,13 +27,28 @@ from qdiscord import (
     write_histogram_csvs,
     z_sector_first_policy,
 )
+from qdiscord import witness as wit
 from qdiscord.witness import (
+    GRAM_RESOLUTION,
     OUTCOME_INCONCLUSIVE,
     OUTCOME_WITNESSED,
     SingularValueDistribution,
     TAU_FLOOR,
     WitnessVerdict,
 )
+
+from .conftest import random_classical_quantum_state
+
+
+def stacked_draws(corr: CorrelationMatrix, n_samples: int, seed: int) -> np.ndarray:
+    """The (n_samples, rows, cols) perturbed matrices of the Monte Carlo, each
+    column drawn from its own default_rng([seed, crc32(label)]) stream."""
+    out = np.empty((n_samples,) + corr.shape)
+    for j, label in enumerate(corr.cols):
+        rng = np.random.default_rng([seed, zlib.crc32(label.encode())])
+        noise = rng.standard_normal((n_samples, len(corr.rows)))
+        out[:, :, j] = corr.values[:, j] + noise * corr.sigmas[:, j]
+    return out
 
 
 def scaled_non_identity(corr: CorrelationMatrix, kappa: float) -> CorrelationMatrix:
@@ -211,6 +228,53 @@ class TestMonteCarloSvd:
         b = monte_carlo_svd(eq3_fixture(), 200, seed=9)
         np.testing.assert_array_equal(a.samples, b.samples)
 
+    @pytest.mark.parametrize(
+        "corr",
+        [
+            eq3_fixture(),
+            correlation_matrix(named_state("initial-dqc1")).with_uniform_sigmas(0.05),
+            correlation_matrix(random_density_matrix((1, 2), seed=3)).with_uniform_sigmas(0.05),
+        ],
+        ids=["rtrunc_eq3", "initial-dqc1", "random-1+2"],
+    )
+    def test_gram_matches_svd_of_the_same_draws(self, corr):
+        gram = monte_carlo_svd(corr, 10000, seed=1).samples
+        ref = np.linalg.svd(stacked_draws(corr, 10000, 1), compute_uv=False)
+        top = ref[:, :1]
+        # squared singular values are the Gram eigenvalues, accurate to ~10 eps
+        # x the largest; values under the resolution read 0
+        assert np.all(np.abs(gram**2 - ref**2) <= 2 * (GRAM_RESOLUTION * top) ** 2)
+        # sqrt turns that into eps x |R|^2 / (2 sv): 1e-12 absolute from 1e-3 x the largest
+        resolved = ref >= 1e-3 * top
+        assert np.abs(gram - ref)[resolved].max() <= 1e-12
+
+    def test_below_resolution_reads_zero(self):
+        # rank one with noise 1e-12: the three small values are under the resolution
+        corr = correlation_matrix(named_state("initial-dqc1")).with_uniform_sigmas(1e-12)
+        dist = monte_carlo_svd(corr, 100, seed=0)
+        assert np.all(dist.samples[:, 0] > 1.0)
+        assert np.all(dist.samples[:, 1:] == 0.0)
+
+    def test_column_noise_independent_of_position(self):
+        # each column keeps its own draw, so reordering the columns only
+        # reorders the Gram sum
+        corr = eq3_fixture()
+        reordered = extract_columns(corr, corr.cols[::-1])
+        a = monte_carlo_svd(corr, 500, seed=6).samples
+        b = monte_carlo_svd(reordered, 500, seed=6).samples
+        np.testing.assert_allclose(a, b, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("n_b", [1, 2, 3])
+    def test_column_keys_disjoint_from_measurement_keys(self, n_b):
+        # the benchmark and the CLI may pass one integer to --seed and
+        # --measure-seed: the witness draws [seed, crc32(col)], nmr draws
+        # [seed, crc32(row + col)]
+        rows, cols = pauli_labels(1), pauli_labels(n_b)
+        witness_keys = {zlib.crc32(c.encode()) for c in cols}
+        measure_keys = {zlib.crc32((r + c).encode()) for r in rows for c in cols}
+        assert len(witness_keys) == len(cols)
+        assert witness_keys.isdisjoint(measure_keys)
+
 
 class TestSingularValueDistribution:
     @settings(deadline=None, max_examples=25)
@@ -245,6 +309,12 @@ class TestSingularValueDistribution:
         samples = np.tile([1.0, 0.3, 0.01], (100, 1))
         dist = SingularValueDistribution(samples, 0.005)
         assert dist.n_distinguishable(0.05, 0.99) == 2
+
+    @pytest.mark.parametrize("confidence", [1.5, 0.0, -0.1, float("nan")])
+    def test_rejects_confidence_outside_unit_interval(self, confidence):
+        dist = SingularValueDistribution(np.ones((10, 2)), 0.005)
+        with pytest.raises(ValueError, match="confidence"):
+            dist.n_distinguishable(0.05, confidence)
 
 
 class TestColumnCombinationScan:
@@ -307,14 +377,44 @@ class TestWitnessProcedure:
         assert len(verdict.columns_used) == 4
         assert verdict.tau == pytest.approx(0.2, abs=1e-12)
 
-    def test_step_seeded_by_seed_and_step_index(self):
-        # the last rank check is monte_carlo_svd on the columns used, seeded [seed, step]
-        corr = eq3_fixture()
-        verdict = witness_procedure(corr.as_source(), n_samples=500, seed=4)
-        sub = extract_columns(corr, verdict.columns_used)
-        step = len(verdict.columns_used) - 1
-        expected = monte_carlo_svd(sub, 500, [4, step])
-        np.testing.assert_array_equal(verdict.distribution.samples, expected.samples)
+    def test_each_check_equals_monte_carlo_svd_of_its_columns(self):
+        corr = correlation_matrix(named_state("initial-dqc1")).with_uniform_sigmas(0.05)
+        verdict = witness_procedure(corr.as_source(), n_samples=300, seed=4)
+        used = verdict.columns_used
+        assert len(verdict.trajectory) == len(used) - 4 + 1
+        for k, check in enumerate(verdict.trajectory, start=4):
+            sub = extract_columns(corr, used[:k])
+            dist = monte_carlo_svd(sub, 300, 4)
+            assert check.column == used[k - 1]
+            assert check.tau == default_tau(sub.sigmas)
+            np.testing.assert_array_equal(check.quantiles_low, dist.quantile(1 - 0.99))
+            assert check.rank == dist.n_distinguishable(check.tau, 0.99)
+        last = monte_carlo_svd(extract_columns(corr, used), 300, 4)
+        np.testing.assert_array_equal(verdict.distribution.samples, last.samples)
+        assert verdict.trajectory[-1].rank == verdict.rank_lower_bound
+        assert verdict.trajectory[-1].tau == verdict.tau
+
+    def test_builds_histograms_for_the_returned_distribution_only(self, monkeypatch, tmp_path):
+        calls = []
+        real = wit._histogram
+
+        def counted(samples, bin_width):
+            calls.append(samples.size)
+            return real(samples, bin_width)
+
+        monkeypatch.setattr(wit, "_histogram", counted)
+        corr = correlation_matrix(named_state("initial-dqc1")).with_uniform_sigmas(0.05)
+        verdict = witness_procedure(corr.as_source(), n_samples=300, seed=1)
+        assert len(verdict.columns_used) == 64
+        assert calls == []
+        write_histogram_csvs(verdict.distribution, tmp_path / "h")
+        write_histogram_csvs(verdict.distribution, tmp_path / "h")
+        assert calls == [300] * 4
+
+    @pytest.mark.parametrize("confidence", [1.5, 0.0, -0.1, float("nan")])
+    def test_rejects_confidence_outside_unit_interval(self, confidence):
+        with pytest.raises(ValueError, match="confidence"):
+            witness_procedure(eq3_fixture().as_source(), confidence=confidence)
 
     def test_initial_state_inconclusive_after_full_tomography(self):
         corr = correlation_matrix(named_state("initial-dqc1")).with_uniform_sigmas(0.05)
@@ -330,13 +430,24 @@ class TestWitnessProcedure:
         assert verdict.rank_lower_bound == 4
 
     def test_soundness_on_classical_quantum_states(self):
-        from .conftest import random_classical_quantum_state
-
         for seed in range(25):
             rho = random_classical_quantum_state(2, seed)
             corr = correlation_matrix(rho).with_uniform_sigmas(0.0)
             verdict = witness_procedure(corr.as_source(), n_samples=100, seed=seed)
             assert verdict.outcome == OUTCOME_INCONCLUSIVE
+
+    @pytest.mark.parametrize("confidence", [0.99, 0.5])
+    @pytest.mark.parametrize("sigma", [1e-12, 1e-9, 1e-6])
+    def test_soundness_at_tiny_sigmas(self, sigma, confidence):
+        # sqrt(eig(R R^T)) has no precision left near zero: rounding alone
+        # would lift the rank-2 null directions above tau = 8 sigma
+        for seed in range(25):
+            rho = random_classical_quantum_state(2, seed)
+            corr = correlation_matrix(rho).with_uniform_sigmas(sigma)
+            verdict = witness_procedure(
+                corr.as_source(), n_samples=100, seed=seed, confidence=confidence
+            )
+            assert verdict.outcome == OUTCOME_INCONCLUSIVE, (seed, verdict.rank_lower_bound)
 
     def test_deterministic_distributions(self):
         a = witness_procedure(eq3_fixture().as_source(), seed=3)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import asdict
 from pathlib import Path
@@ -177,6 +178,11 @@ def _witness_input(args) -> CorrelationMatrix:
 def cmd_witness(args) -> int:
     if not 0.0 < args.confidence <= 1.0:
         raise ValueError(f"--confidence {args.confidence} outside (0, 1]")
+    if args.tau is not None and not (math.isfinite(args.tau) and args.tau > 0):
+        raise ValueError(f"--tau {args.tau} must be positive and finite")
+    for flag, value in (("--scan-combos", args.scan_combos), ("--resamples", args.resamples)):
+        if value is not None and value < 1:
+            raise ValueError(f"{flag} {value} must be at least 1")
     corr = _witness_input(args)
     config = {
         "matrix": args.matrix,

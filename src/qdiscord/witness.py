@@ -8,8 +8,11 @@ distinguishable from zero under Gaussian measurement uncertainty, and stops
 as soon as the bound exceeds dim(A) or full tomography is exhausted.
 
 Monte Carlo samples come from one engine, :class:`_GramFold`, which folds
-each column into per-sample rows x rows Gram matrices, so a rank check costs
-one batched ``eigvalsh`` however many columns have been measured.
+each column into per-sample rows x rows Gram matrices. A rank check needs only
+the low quantile of each singular value, and a column only raises the
+eigenvalues, so a check eigendecomposes just the samples whose last
+eigenvalues could still reach that quantile; the returned distribution
+decomposes them all.
 """
 
 from __future__ import annotations
@@ -264,6 +267,16 @@ def _check_confidence(confidence: float) -> None:
         raise ValueError(f"confidence {confidence} outside (0, 1]")
 
 
+def _check_tau(tau: float) -> None:
+    if not (math.isfinite(tau) and tau > 0):
+        raise ValueError(f"tau {tau} must be positive and finite")
+
+
+def _check_bin_width(bin_width: float) -> None:
+    if not (math.isfinite(bin_width) and bin_width > 0):
+        raise ValueError(f"bin_width {bin_width} must be positive and finite")
+
+
 @dataclass(frozen=True)
 class SingularValueDistribution:
     """Monte Carlo singular-value samples plus per-value histograms.
@@ -283,8 +296,7 @@ class SingularValueDistribution:
             raise ValueError("samples must be (n_samples, n_singular_values)")
         if not np.isfinite(samples).all():
             raise ValueError(NON_FINITE_SAMPLES)
-        if not (math.isfinite(self.bin_width) and self.bin_width > 0):
-            raise ValueError(f"bin_width {self.bin_width} must be positive and finite")
+        _check_bin_width(self.bin_width)
         if float(samples.max(initial=0.0)) / self.bin_width >= MAX_HISTOGRAM_BINS:
             raise ValueError(
                 f"bin_width {self.bin_width} needs more than {MAX_HISTOGRAM_BINS} histogram bins"
@@ -319,6 +331,7 @@ class SingularValueDistribution:
 
     def n_distinguishable(self, tau: float, confidence: float = 0.99) -> int:
         """Singular values whose (1 - confidence) quantile exceeds tau."""
+        _check_tau(tau)
         _check_confidence(confidence)
         return int((self.quantile(1.0 - confidence) > tau).sum())
 
@@ -336,6 +349,9 @@ class _GramFold:
     folded so far are the square roots of G's top min(rows, k) eigenvalues.
     Sample i is therefore one hypothetical experiment at every step. A matrix
     whose sigmas are all zero so far keeps the exact SVD of its values.
+
+    :meth:`quantiles` decomposes only the samples that can reach the low
+    quantile (see there); :meth:`distribution` decomposes every sample.
     """
 
     def __init__(self, n_rows: int, n_samples: int, seed: int):
@@ -344,6 +360,8 @@ class _GramFold:
         self.n_samples = n_samples
         self.seed = seed
         self.gram = np.zeros((n_samples, n_rows, n_rows))
+        # each sample's floored eigenvalues (descending) when last decomposed
+        self.last_eig = np.zeros((n_rows, n_samples))
         self.values: list[np.ndarray] = []
         self.noisy = False
 
@@ -354,22 +372,89 @@ class _GramFold:
             return
         self.noisy = True
         rng = np.random.default_rng([self.seed, zlib.crc32(label.encode())])
-        # overflow from huge sigmas is refused, with a message, in distribution()
+        # overflow from huge sigmas is refused, with a message, at the next check
         with np.errstate(over="ignore", invalid="ignore"):
             col = values + rng.standard_normal((self.n_samples, values.size)) * sigmas
             self.gram += col[:, :, None] * col[:, None, :]
 
+    @property
+    def n_singular_values(self) -> int:
+        return min(self.gram.shape[1], len(self.values))
+
+    def _exact_sv(self) -> np.ndarray:
+        return np.linalg.svd(np.column_stack(self.values), compute_uv=False)
+
+    def _check_finite(self) -> None:
+        if not np.isfinite(self.gram).all():
+            raise ValueError(NON_FINITE_SAMPLES)
+
+    @staticmethod
+    def _eigenvalues(gram: np.ndarray) -> np.ndarray:
+        """Descending eigenvalues of a Gram stack, those under the resolution 0."""
+        lam = np.linalg.eigvalsh(gram)[:, ::-1]
+        lam[lam < GRAM_RESOLUTION**2 * lam[:, :1]] = 0.0  # and negative rounding
+        return lam
+
     def distribution(self, bin_width: float) -> SingularValueDistribution:
         """Singular values of every sample of the columns folded so far."""
         if not self.noisy:
-            sv = np.linalg.svd(np.column_stack(self.values), compute_uv=False)
-            return SingularValueDistribution(np.tile(sv, (self.n_samples, 1)), bin_width)
-        if not np.isfinite(self.gram).all():
-            raise ValueError(NON_FINITE_SAMPLES)
-        n_sv = min(self.gram.shape[1], len(self.values))
-        lam = np.linalg.eigvalsh(self.gram)[:, ::-1][:, :n_sv]
-        lam[lam < GRAM_RESOLUTION**2 * lam[:, :1]] = 0.0  # and negative rounding
+            samples = np.tile(self._exact_sv(), (self.n_samples, 1))
+            return SingularValueDistribution(samples, bin_width)
+        self._check_finite()
+        lam = self._eigenvalues(self.gram)[:, : self.n_singular_values]
         return SingularValueDistribution(np.sqrt(lam), bin_width)
+
+    def _decompose(self, idx: np.ndarray) -> np.ndarray:
+        """Decompose samples ``idx``, keep their eigenvalues as bounds, and
+        return their singular values as an (n_sv, len(idx)) array."""
+        lam = self._eigenvalues(self.gram[idx]).T
+        self.last_eig[:, idx] = lam
+        return np.sqrt(lam[: self.n_singular_values])
+
+    def _lower_bounds(self) -> np.ndarray:
+        """(n_sv, n_samples) lower bounds on the current singular values."""
+        trace = np.einsum("nii->n", self.gram)
+        bound = self.last_eig[: self.n_singular_values]
+        bound = bound - (64 + len(self.values)) * np.finfo(float).eps * trace
+        bound[bound < GRAM_RESOLUTION**2 * trace] = 0.0
+        return np.sqrt(bound)
+
+    def quantiles(self, q: float) -> tuple[np.ndarray, int]:
+        """The q-quantile of each singular value over the samples, equal to
+        ``distribution(...).quantile(q)``, and the number of samples decomposed.
+
+        G only gains c c^T, so by Weyl's inequalities every eigenvalue of a
+        sample is at least its value when last decomposed. That value, less a
+        rounding margin of (64 + columns) eps tr(G) (eigvalsh's error and one
+        eps tr(G) per Gram addition since), is a lower bound; it is kept only
+        while it clears the resolution floor at tr(G) >= lambda_max, else the
+        bound is 0. ``np.quantile`` reads the order statistics at floor(h) and
+        floor(h) + 1, h = q (n - 1), so only the ``need`` smallest values of
+        each singular value must be exact. The samples holding the 2 x ``need``
+        smallest bounds are decomposed first; the need-th smallest of their
+        exact values is at or above the true one, so after decomposing every
+        sample bounded at or below it, no bound is below the need-th smallest
+        value and the quantile is exact.
+        """
+        if not self.noisy:
+            return self._exact_sv(), 0
+        self._check_finite()
+        n = self.n_samples
+        need = min(math.ceil(q * (n - 1)) + 2, n)  # one more covers rounding in h
+        sv = self._lower_bounds()  # (n_sv, n): exact where decomposed, else a bound
+        # twice `need` lowest bounds bring the need-th exact value near the true one
+        lowest = min(2 * need, n) - 1
+        kth = np.partition(sv, lowest, axis=1)[:, lowest, None]
+        first = np.flatnonzero((sv <= kth).any(axis=0))
+        sv[:, first] = self._decompose(first)
+        if first.size == n:  # as at confidence <= 0.5: nothing is left to bound
+            return np.quantile(sv, q, axis=1), n
+        top = np.partition(sv[:, first], need - 1, axis=1)[:, need - 1, None]
+        more = (sv <= top).any(axis=0)
+        more[first] = False
+        rest = np.flatnonzero(more)
+        sv[:, rest] = self._decompose(rest)
+        return np.quantile(sv, q, axis=1), first.size + rest.size
 
 
 def monte_carlo_svd(
@@ -386,6 +471,7 @@ def monte_carlo_svd(
     distribution :func:`witness_procedure` checks after acquiring them.
     Singular values below ``GRAM_RESOLUTION`` times a sample's largest read 0.
     """
+    _check_bin_width(bin_width)
     if corr.sigmas is None:
         raise ValueError("correlation matrix carries no sigmas; Monte Carlo needs them")
     fold = _GramFold(len(corr.rows), n_samples, seed)
@@ -407,6 +493,11 @@ def column_combination_scan(
     and is perturbed ``resamples_per_combo`` times; all singular values pool
     into a single distribution (e.g. 1000 x 10 = 10,000 samples).
     """
+    _check_bin_width(bin_width)
+    if n_combos < 1 or resamples_per_combo < 1:
+        raise ValueError(
+            f"n_combos {n_combos} and resamples_per_combo {resamples_per_combo} must be at least 1"
+        )
     if corr.sigmas is None:
         raise ValueError("correlation matrix carries no sigmas; Monte Carlo needs them")
     n_cols = len(corr.cols)
@@ -484,13 +575,15 @@ def z_sector_first_policy(col_labels: Sequence[PauliLabel], initial_block: int =
 @dataclass(frozen=True)
 class RankCheck:
     """One rank check of the procedure: the column just acquired, the
-    threshold, the rank bound, and each singular value's (1 - confidence)
-    quantile."""
+    threshold, the rank bound, each singular value's (1 - confidence)
+    quantile, and how many samples were eigendecomposed to get it (0 for an
+    exact matrix, whose one SVD serves every sample)."""
 
     column: PauliLabel
     tau: float
     rank: int
     quantiles_low: tuple[float, ...]
+    decomposed: int
 
 
 @dataclass(frozen=True)
@@ -539,12 +632,16 @@ def witness_procedure(
     each acquisition a Monte Carlo rank bound is computed on the submatrix
     measured so far: a singular value counts as nonzero when its empirical
     (1 - confidence) quantile exceeds tau (default: noise-scaled
-    :func:`default_tau` of the current submatrix). The samples of the check
-    on the first k columns equal :func:`monte_carlo_svd` of those columns.
-    Exhausting all columns without exceeding dim(A) is the Inconclusive
-    verdict, not an error.
+    :func:`default_tau` of the current submatrix; a given tau must be positive
+    and finite). The quantiles of the check on the first k columns equal those
+    of :func:`monte_carlo_svd` of those columns, and the verdict's distribution
+    is :func:`monte_carlo_svd` of all columns used. Exhausting all columns
+    without exceeding dim(A) is the Inconclusive verdict, not an error.
     """
     _check_confidence(confidence)
+    _check_bin_width(bin_width)
+    if tau is not None:
+        _check_tau(tau)
     if dim_a is None:
         dim_a = 2 ** len(source.row_labels[0])
     policy = policy or z_sector_first_policy(source.col_labels)
@@ -573,16 +670,16 @@ def witness_procedure(
         used.append(label)
         if len(used) < first_check:
             continue
-        dist = fold.distribution(bin_width)
         tau_step = default_tau(np.column_stack(sigs)) if tau is None else tau
-        low = dist.quantile(1.0 - confidence)
+        low, decomposed = fold.quantiles(1.0 - confidence)
         rank = int((low > tau_step).sum())
-        trajectory.append(RankCheck(label, tau_step, rank, tuple(low.tolist())))
+        trajectory.append(RankCheck(label, tau_step, rank, tuple(low.tolist()), decomposed))
         if rank > dim_a:
             break
     outcome = OUTCOME_WITNESSED if rank > dim_a else OUTCOME_INCONCLUSIVE
     return WitnessVerdict(
-        outcome, rank, tuple(used), confidence, dim_a, tau_step, dist, tuple(trajectory)
+        outcome, rank, tuple(used), confidence, dim_a, tau_step,
+        fold.distribution(bin_width), tuple(trajectory),
     )
 
 

@@ -289,9 +289,10 @@ class TestWitnessCommand:
         trajectory = verdict["trajectory"]
         assert len(trajectory) == len(verdict["columns_used"]) - 4 + 1 == 61
         for check, column in zip(trajectory, verdict["columns_used"][3:]):
-            assert set(check) == {"column", "tau", "rank", "quantiles_low"}
+            assert set(check) == {"column", "tau", "rank", "quantiles_low", "decomposed"}
             assert check["column"] == column
             assert len(check["quantiles_low"]) == 4
+            assert 0 < check["decomposed"] <= 200
         last = trajectory[-1]
         assert last["rank"] == verdict["rank_lower_bound"]
         assert last["tau"] == verdict["tau"]
@@ -302,6 +303,43 @@ class TestWitnessCommand:
         args = ("witness", "--matrix", "rtrunc_eq3", "--confidence", confidence)
         assert run(tmp_path, *args) == 2
         assert "--confidence" in capsys.readouterr().err
+        assert not (tmp_path / "witness.json").exists()
+
+    @pytest.mark.parametrize("tau", ["0", "-1", "nan", "inf"])
+    def test_tau_not_positive_and_finite_exits_2(self, tmp_path, capsys, tau):
+        # tau 0 or -1 used to witness discord in this zero-discord state
+        args = ("witness", "--state", "initial-dqc1", "--samples", "100", "--tau", tau)
+        assert run(tmp_path, *args) == 2
+        assert "--tau" in capsys.readouterr().err
+        assert not (tmp_path / "witness.json").exists()
+
+    @pytest.mark.parametrize(
+        "flag, value, extra, message",
+        [
+            ("--bin", "0", (), "bin_width"),
+            ("--bin", "nan", (), "bin_width"),
+            ("--scan-combos", "0", (), "--scan-combos"),
+            ("--resamples", "0", ("--scan-combos", "10"), "--resamples"),
+        ],
+        ids=["bin-0", "bin-nan", "scan-combos-0", "resamples-0"],
+    )
+    def test_bad_monte_carlo_setting_exits_2_before_fetching(
+        self, tmp_path, capsys, monkeypatch, flag, value, extra, message
+    ):
+        from qdiscord import witness
+
+        fetched = []
+        real = witness.ColumnSource.fetch
+
+        def counted(self, label):
+            fetched.append(label)
+            return real(self, label)
+
+        monkeypatch.setattr(witness.ColumnSource, "fetch", counted)
+        args = ("witness", "--matrix", "rtrunc_eq3", "--samples", "100", flag, value, *extra)
+        assert run(tmp_path, *args) == 2
+        assert message in capsys.readouterr().err
+        assert fetched == []
         assert not (tmp_path / "witness.json").exists()
 
     def test_config_embedded(self, tmp_path):

@@ -58,6 +58,35 @@ def scaled_non_identity(corr: CorrelationMatrix, kappa: float) -> CorrelationMat
     return CorrelationMatrix(corr.rows, corr.cols, values, sigmas)
 
 
+def full_quantiles(gram: np.ndarray, n_sv: int, q: float) -> np.ndarray:
+    """np.quantile of the floored singular values from a full eigvalsh of a
+    Gram stack: the rank check without bounds."""
+    lam = np.linalg.eigvalsh(gram)[:, ::-1][:, :n_sv]
+    lam[lam < GRAM_RESOLUTION**2 * lam[:, :1]] = 0.0
+    return np.quantile(np.sqrt(lam), q, axis=0)
+
+
+def floor_rises_matrix() -> CorrelationMatrix:
+    """Seven columns of noise 3e-6 around the identity's 1, whose three small
+    singular values (about 7e-6) are resolved, then an exact column of 10 that
+    lifts the largest to about 10 and so puts them under the resolution."""
+    values = np.zeros((4, 8))
+    values[0, 0], values[0, 7] = 1.0, 10.0
+    sigmas = np.full((4, 8), 3e-6)
+    sigmas[0, 0] = 0.0
+    sigmas[:, 7] = 0.0
+    return CorrelationMatrix(("I", "X", "Y", "Z"), pauli_labels(2)[:8], values, sigmas)
+
+
+def with_exact_columns(corr: CorrelationMatrix) -> CorrelationMatrix:
+    """corr with columns 0, 1 and 5 exact (zero sigma) and column 8 all zero,
+    which leaves every Gram matrix unchanged when it is folded."""
+    values, sigmas = np.array(corr.values), np.array(corr.sigmas)
+    sigmas[:, [0, 1, 5, 8]] = 0.0
+    values[:, 8] = 0.0
+    return CorrelationMatrix(corr.rows, corr.cols, values, sigmas)
+
+
 class TestCorrelationMatrix:
     def test_maximally_mixed_rank_one(self):
         rho = DensityMatrix(np.eye(4) / 4, (1, 1))
@@ -202,6 +231,11 @@ class TestMonteCarloSvd:
         with pytest.raises(ValueError, match="sigmas"):
             monte_carlo_svd(corr, 10, seed=0)
 
+    @pytest.mark.parametrize("bin_width", [0.0, -0.1, float("nan"), float("inf")])
+    def test_rejects_bad_bin_width(self, bin_width):
+        with pytest.raises(ValueError, match="bin_width"):
+            monte_carlo_svd(eq3_fixture(), 10, seed=0, bin_width=bin_width)
+
     def test_scalar_folded_normal(self):
         corr = CorrelationMatrix(("X",), ("X",), np.array([[1.0]]), np.array([[0.1]]))
         dist = monte_carlo_svd(corr, 20000, seed=5)
@@ -276,6 +310,68 @@ class TestMonteCarloSvd:
         assert witness_keys.isdisjoint(measure_keys)
 
 
+class TestRankCheckQuantiles:
+    """The rank check decomposes only the samples that can reach the low
+    quantile; its quantiles must equal a full decomposition bit for bit."""
+
+    @pytest.mark.parametrize("confidence", [0.5, 0.9, 0.99, 1.0])
+    @pytest.mark.parametrize("n_samples", [1, 2, 7, 100, 10000])
+    @pytest.mark.parametrize(
+        "corr",
+        [
+            with_exact_columns(
+                correlation_matrix(random_density_matrix((1, 2), seed=3)).with_uniform_sigmas(0.05)
+            ),
+            extract_columns(
+                correlation_matrix(named_state("initial-dqc1")).with_uniform_sigmas(1e-12),
+                pauli_labels(3)[:12],
+            ),
+            extract_columns(
+                correlation_matrix(named_state("initial-dqc1")).with_uniform_sigmas(1e-6),
+                pauli_labels(3)[:12],
+            ),
+            floor_rises_matrix(),
+            eq3_fixture(),
+        ],
+        ids=["exact-and-zero-columns", "sigma-1e-12", "sigma-1e-6", "floor-rises", "rtrunc_eq3"],
+    )
+    def test_equals_full_decomposition(self, corr, n_samples, confidence):
+        q = 1.0 - confidence
+        fold = wit._GramFold(len(corr.rows), n_samples, seed=2)
+        for j, label in enumerate(corr.cols):
+            fold.add(label, corr.values[:, j], corr.sigmas[:, j])
+            got, decomposed = fold.quantiles(q)
+            if fold.noisy:
+                want = full_quantiles(fold.gram, fold.n_singular_values, q)
+                assert 0 < decomposed <= n_samples
+            else:
+                want = np.linalg.svd(corr.values[:, : j + 1], compute_uv=False)
+                assert decomposed == 0
+            np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize(
+        "corr",
+        [
+            *(
+                correlation_matrix(named_state("initial-dqc1")).with_uniform_sigmas(sigma)
+                for sigma in (1e-12, 1e-6, 0.05)
+            ),
+            floor_rises_matrix(),
+        ],
+        ids=["sigma-1e-12", "sigma-1e-6", "sigma-0.05", "floor-rises"],
+    )
+    def test_bounds_never_exceed_the_current_values(self, corr):
+        # sigma-1e-12: a column moves lambda_max by less than its rounding, so a
+        # stored lambda_max can exceed the next computed one by an ulp.
+        # floor-rises: small values resolved at one check read 0 at the next
+        fold = wit._GramFold(len(corr.rows), 1000, seed=5)
+        for j, label in enumerate(corr.cols):
+            fold.add(label, corr.values[:, j], corr.sigmas[:, j])
+            current = fold.distribution(0.005).samples.T
+            assert np.all(fold._lower_bounds() <= current)
+            fold.quantiles(0.01)
+
+
 class TestSingularValueDistribution:
     @settings(deadline=None, max_examples=25)
     @given(st.integers(0, 10**6))
@@ -316,8 +412,24 @@ class TestSingularValueDistribution:
         with pytest.raises(ValueError, match="confidence"):
             dist.n_distinguishable(0.05, confidence)
 
+    @pytest.mark.parametrize("tau", [0.0, -1.0, float("nan"), float("inf")])
+    def test_rejects_tau_not_positive_and_finite(self, tau):
+        dist = SingularValueDistribution(np.ones((10, 2)), 0.005)
+        with pytest.raises(ValueError, match="tau"):
+            dist.n_distinguishable(tau)
+
 
 class TestColumnCombinationScan:
+    @pytest.mark.parametrize("bin_width", [0.0, -0.1, float("nan"), float("inf")])
+    def test_rejects_bad_bin_width(self, bin_width):
+        with pytest.raises(ValueError, match="bin_width"):
+            column_combination_scan(eq3_fixture(), 10, 10, seed=0, bin_width=bin_width)
+
+    @pytest.mark.parametrize("n_combos, resamples", [(0, 10), (10, 0), (-1, 10)])
+    def test_rejects_empty_scan(self, n_combos, resamples):
+        with pytest.raises(ValueError, match="at least 1"):
+            column_combination_scan(eq3_fixture(), n_combos, resamples, seed=0)
+
     def test_pool_size(self):
         corr = correlation_matrix(named_state("initial-dqc1")).with_uniform_sigmas(0.05)
         dist = column_combination_scan(corr, 100, 10, seed=0)
@@ -415,6 +527,35 @@ class TestWitnessProcedure:
     def test_rejects_confidence_outside_unit_interval(self, confidence):
         with pytest.raises(ValueError, match="confidence"):
             witness_procedure(eq3_fixture().as_source(), confidence=confidence)
+
+    @pytest.mark.parametrize("tau", [0.0, -1.0, float("nan"), float("inf")])
+    def test_rejects_tau_not_positive_and_finite(self, tau):
+        # tau 0 or -1 used to witness discord in this zero-discord state
+        corr = correlation_matrix(named_state("initial-dqc1")).with_uniform_sigmas(0.05)
+        with pytest.raises(ValueError, match="tau"):
+            witness_procedure(corr.as_source(), tau=tau, n_samples=100)
+
+    @pytest.mark.parametrize("bin_width", [0.0, -0.1, float("nan"), float("inf")])
+    def test_rejects_bad_bin_width_before_fetching(self, bin_width):
+        corr = eq3_fixture()
+        fetched = []
+
+        def fetch(label):
+            fetched.append(label)
+            return corr.column(label)
+
+        source = wit.ColumnSource(corr.rows, corr.cols, fetch)
+        with pytest.raises(ValueError, match="bin_width"):
+            witness_procedure(source, bin_width=bin_width)
+        assert fetched == []
+
+    def test_rank_checks_decompose_a_minority_of_samples(self):
+        corr = correlation_matrix(named_state("initial-dqc1")).with_uniform_sigmas(0.05)
+        verdict = witness_procedure(corr.as_source(), n_samples=10000, seed=1)
+        decomposed = [check.decomposed for check in verdict.trajectory]
+        assert len(decomposed) == 61
+        assert all(0 < d <= 10000 for d in decomposed)
+        assert sum(decomposed) <= 0.4 * 61 * 10000
 
     def test_initial_state_inconclusive_after_full_tomography(self):
         corr = correlation_matrix(named_state("initial-dqc1")).with_uniform_sigmas(0.05)

@@ -26,7 +26,6 @@ from .discord import (
     ScalingFit,
     ScalingFitError,
     discord,
-    discord_at_small_polarization,
     dqc1_discord,
     fit_polarization_scaling,
     haar_discord_survey,
@@ -70,7 +69,7 @@ __all__ = [
     "Dqc1Instance", "haar_random_unitary", "input_state", "jones_unitary",
     "load_unitary_json", "output_state", "trace_estimate",
     "DiscordResult", "MeasurementBasis", "MinimizerOptions", "ScalingFit",
-    "ScalingFitError", "discord", "discord_at_small_polarization", "dqc1_discord",
+    "ScalingFitError", "discord", "dqc1_discord",
     "fit_polarization_scaling", "haar_discord_survey", "is_zero_discord", "mutual_information",
     "ColumnPolicy", "ColumnSource", "CorrelationMatrix", "RankCheck", "SingularValueDistribution",
     "WitnessVerdict", "column_combination_scan", "correlation_matrix", "default_tau",

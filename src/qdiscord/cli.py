@@ -122,12 +122,7 @@ def cmd_discord(args) -> int:
             "discord": fit.value,
             "direct": fit.direct,
             "alpha": args.alpha,
-            "scaling": {
-                "exponent": fit.exponent,
-                "coefficient": fit.coefficient,
-                "epsilons": list(fit.epsilons),
-                "discords": list(fit.discords),
-            },
+            "scaling": {"exponent": fit.exponent, "coefficient": fit.coefficient},
             "config": config,
         }
         path = _write_json(args.out, payload)
@@ -178,9 +173,14 @@ def _witness_input(args) -> CorrelationMatrix:
 def cmd_witness(args) -> int:
     if not 0.0 < args.confidence <= 1.0:
         raise ValueError(f"--confidence {args.confidence} outside (0, 1]")
-    if args.tau is not None and not (math.isfinite(args.tau) and args.tau > 0):
-        raise ValueError(f"--tau {args.tau} must be positive and finite")
-    for flag, value in (("--scan-combos", args.scan_combos), ("--resamples", args.resamples)):
+    for flag, value in (("--tau", args.tau), ("--bin", args.bin)):
+        if value is not None and not (math.isfinite(value) and value > 0):
+            raise ValueError(f"{flag} {value} must be positive and finite")
+    for flag, value in (
+        ("--samples", args.samples),
+        ("--scan-combos", args.scan_combos),
+        ("--resamples", args.resamples),
+    ):
         if value is not None and value < 1:
             raise ValueError(f"{flag} {value} must be at least 1")
     corr = _witness_input(args)
@@ -251,6 +251,8 @@ def cmd_witness(args) -> int:
 
 
 def cmd_haar_survey(args) -> int:
+    if args.seeds < 1:
+        raise ValueError(f"--seeds {args.seeds} must be at least 1")
     opts = MinimizerOptions(grid=args.grid)
     values = haar_discord_survey(
         args.seeds, dim=args.dim, alpha=args.alpha, start_seed=args.start_seed, opts=opts

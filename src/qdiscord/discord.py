@@ -31,6 +31,22 @@ equator acts like an equatorial one with a shorter Bloch vector, which is a
 coarse-grained measurement, and coarse-graining cannot lower the conditional
 entropy. The bracket has period pi in phi, so :func:`dqc1_discord` searches
 the half circle only, at O(d) per evaluation.
+
+At NMR polarizations no search is needed. g(x) = x^2 / (2 ln 2) + O(x^4),
+so the bracket is -eps^2 Var_k c_k(phi) / (2 ln 2) + O(eps^4). With
+tau_m = mean_k e^{i m lambda_k} (tau = tau_1),
+
+    Var_k c_k(phi) = (1 - |tau_1|^2 + Re[(tau_2 - tau_1^2) e^{-2i phi}]) / 2,
+
+largest at phi* = arg(tau_2 - tau_1^2) / 2 (mod pi), and
+
+    D(eps) = c2 eps^2 + O(eps^4),  c2 = (1 - |tau_1|^2 - |tau_2 - tau_1^2|) / (4 ln 2).
+
+:func:`fit_polarization_scaling` returns c2 alpha^2 and checks it against
+:func:`dqc1_discord` at alpha. For Haar-random U, E|tau_1|^2 = E|Tr U|^2 / d^2
+= 1/d^2 and Tr U^2 is nearly complex Gaussian with E|Tr U^2|^2 = 2, so
+E|tau_2 - tau_1^2| is about sqrt(pi/2) / d: both vanish as d grows, and c2
+tends to 1 / (4 ln 2), the alpha^2 / (4 ln 2) asymptote of the ensemble mean.
 """
 
 from __future__ import annotations
@@ -47,7 +63,6 @@ from .linalg import DensityMatrix, PAULI_1Q, entropy_from_eigenvalues
 
 NULL_OUTCOME_P = 1e-14
 DEFAULT_ZERO_DISCORD_TOL = 1e-7
-EXTRAPOLATION_EPSILONS = (1e-2, 3e-3, 1e-3)
 DEGENERATE_DISCORD = 1e-12
 # Largest relative gap between the quadratic extrapolation and the discord
 # evaluated directly at the target polarization.
@@ -357,13 +372,13 @@ def is_zero_discord(
 
 @dataclass(frozen=True)
 class ScalingFit:
-    """Power-law fit log D = exponent * log eps + log coefficient, with the
-    discord evaluated directly at the target polarization alpha."""
+    """Small-polarization discord c2 * alpha^2 from the eigenphase closed
+    form, with the checks made on it: ``exponent`` is the measured
+    log2(D(alpha) / D(alpha/2)) and ``direct`` the discord evaluated at
+    alpha. A degenerate (zero) coefficient reports exponent 2 unmeasured."""
 
     exponent: float
     coefficient: float
-    epsilons: tuple[float, ...]
-    discords: tuple[float, ...]
     alpha: float
     direct: float
 
@@ -376,62 +391,47 @@ class ScalingFit:
 def fit_polarization_scaling(
     unitary: np.ndarray,
     opts: MinimizerOptions | None = None,
-    fit_epsilons: tuple[float, ...] = EXTRAPOLATION_EPSILONS,
     alpha: float = 1.4e-5,
 ) -> ScalingFit:
-    """Fit the quadratic small-bias scaling of the circuit-output discord and
-    check it against the discord evaluated directly at ``alpha``.
+    """Quadratic small-bias discord c2 * alpha^2 of the circuit output,
+    checked against the discord evaluated directly at ``alpha``.
 
-    Evaluates D(eps) with :func:`dqc1_discord` at moderate biases and fits
-    log D = p log eps + log c; ``alpha`` must lie in (0, 1]. All-zero
-    discords (e.g. U = I) degenerate to coefficient 0. :class:`ScalingFitError`
-    is raised when the fitted exponent has |p - 2| >= 0.02, or when
-    c * alpha^2 differs from D(alpha) by more than ``EXTRAPOLATION_RTOL``
-    relative (``DEGENERATE_DISCORD`` absolute for a degenerate fit).
+    c2 comes from the eigenphases of U (module docstring); ``alpha`` must lie
+    in (0, 1]. A c2 at or below ``DEGENERATE_DISCORD`` counts as 0 (e.g.
+    U = I or a Pauli product), and D(alpha) must then lie within
+    ``DEGENERATE_DISCORD`` of 0. Otherwise :class:`ScalingFitError` is raised
+    when the measured exponent log2(D(alpha) / D(alpha/2)) has
+    |p - 2| >= 0.02, or when c2 * alpha^2 differs from D(alpha) by more than
+    ``EXTRAPOLATION_RTOL`` relative.
     """
     if not 0.0 < alpha <= 1.0:
         raise ValueError(f"alpha {alpha} outside (0, 1]")
-    instances = [dqc1.Dqc1Instance(eps, unitary) for eps in (*fit_epsilons, alpha)]
-    eigphases = instances[0].eigphases
-    *ds, direct = (dqc1_discord(eigphases, inst.epsilon, opts).discord for inst in instances)
-    discords = tuple(ds)
-    arr = np.asarray(ds)
-    if arr.max() < DEGENERATE_DISCORD:
-        slope, coefficient = 2.0, 0.0
+    inst = dqc1.Dqc1Instance(alpha, unitary)
+    lam = inst.eigphases
+    tau1, tau2 = np.exp(1j * lam).mean(), np.exp(2j * lam).mean()
+    c2 = (1.0 - abs(tau1) ** 2 - abs(tau2 - tau1**2)) / (4 * math.log(2))
+    degenerate = c2 <= DEGENERATE_DISCORD
+    coefficient = 0.0 if degenerate else float(c2)
+    direct = dqc1_discord(lam, inst.epsilon, opts).discord
+    if degenerate:
+        exponent, tol = 2.0, DEGENERATE_DISCORD
     else:
-        if arr.min() <= 0.0:
-            raise ScalingFitError(f"discord values {arr} straddle zero; cannot fit scaling")
-        slope, intercept = np.polyfit(np.log(fit_epsilons), np.log(arr), 1)
-        if abs(slope - 2.0) >= 0.02:
+        half = dqc1_discord(lam, inst.epsilon / 2, opts).discord
+        exponent = math.log2(direct / half) if direct > 0 and half > 0 else math.nan
+        if not abs(exponent - 2.0) < 0.02:
             raise ScalingFitError(
-                f"fitted scaling exponent {slope:.4f} outside [1.98, 2.02]; "
-                "quadratic extrapolation is invalid, attempt direct computation"
+                f"measured scaling exponent log2(D(alpha)/D(alpha/2)) = {exponent:.4f} "
+                f"outside [1.98, 2.02] at alpha={alpha:g}; quadratic extrapolation is "
+                "invalid, attempt direct computation"
             )
-        coefficient = math.exp(intercept)
-    fit = ScalingFit(float(slope), coefficient, tuple(fit_epsilons), discords, float(alpha), direct)
-    tol = EXTRAPOLATION_RTOL * direct if coefficient else DEGENERATE_DISCORD
+        tol = EXTRAPOLATION_RTOL * direct
+    fit = ScalingFit(exponent, coefficient, inst.epsilon, direct)
     if abs(fit.value - direct) > tol:
         raise ScalingFitError(
             f"extrapolated discord {fit.value:.6e} and direct value {direct:.6e} at "
             f"alpha={alpha:g} differ by more than {tol:.1e}"
         )
     return fit
-
-
-def discord_at_small_polarization(
-    unitary: np.ndarray,
-    alpha_target: float,
-    opts: MinimizerOptions | None = None,
-    fit_epsilons: tuple[float, ...] = EXTRAPOLATION_EPSILONS,
-) -> float:
-    """Discord of the circuit output at an NMR-scale polarization:
-    c * alpha_target^2 from the quadratic fit, verified against the direct
-    evaluation at alpha_target."""
-    if not 0.0 < alpha_target < 1e-4:
-        raise ValueError("extrapolation is for alpha below 1e-4; evaluate directly instead")
-    return fit_polarization_scaling(
-        unitary, opts=opts, fit_epsilons=fit_epsilons, alpha=alpha_target
-    ).value
 
 
 def haar_discord_survey(
@@ -443,13 +443,14 @@ def haar_discord_survey(
 ) -> np.ndarray:
     """Extrapolated discord for Haar-random unitaries, one value per seed.
 
-    The default dimension 32 is large enough that the fixed-size ensemble
-    mean sits within a few percent of the large-system asymptote
-    alpha^2 / (4 ln 2); at dimension 8 the finite-size trace corrections
-    depress the mean by roughly 18%.
+    Each value is :func:`fit_polarization_scaling` at ``alpha``, with its
+    exponent and direct-value checks. c2 falls short of the large-system
+    asymptote 1 / (4 ln 2) by |tau_1|^2 + |tau_2 - tau_1^2|, whose Haar mean
+    is about sqrt(pi/2) / d (module docstring): the dimension-32 mean sits
+    about 4% below alpha^2 / (4 ln 2), and the dimension-8 mean about 18%.
     """
     out = np.empty(n_seeds)
     for i in range(n_seeds):
         u = dqc1.haar_random_unitary(dim, start_seed + i)
-        out[i] = discord_at_small_polarization(u, alpha, opts=opts)
+        out[i] = fit_polarization_scaling(u, opts=opts, alpha=alpha).value
     return out

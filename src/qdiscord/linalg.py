@@ -85,10 +85,6 @@ class DensityMatrix:
     def subsystem_dims(self) -> tuple[int, ...]:
         return tuple(2**k for k in self.qubit_partition)
 
-    def with_partition(self, qubit_partition: Iterable[int]) -> "DensityMatrix":
-        """Same operator, regrouped into a different subsystem split."""
-        return DensityMatrix(self.entries, tuple(qubit_partition))
-
 
 def tensor(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Kronecker product; dimensions multiply."""

@@ -150,7 +150,9 @@ class TestDiscordCommand:
         args = ("discord", "--dqc1", "jones", "--alpha", "1.4e-5", "--extrapolate")
         assert run(tmp_path, *args) == 0
         out = json.loads((tmp_path / "discord.json").read_text())
-        assert out["direct"] == pytest.approx(out["discord"], rel=1e-3)
+        assert out["direct"] == pytest.approx(out["discord"], rel=1e-9)
+        assert set(out["scaling"]) == {"exponent", "coefficient"}
+        assert 1.98 <= out["scaling"]["exponent"] <= 2.02
 
     def test_extrapolation_disagreeing_with_direct_value_exits_3(
         self, tmp_path, monkeypatch, capsys
@@ -316,12 +318,13 @@ class TestWitnessCommand:
     @pytest.mark.parametrize(
         "flag, value, extra, message",
         [
-            ("--bin", "0", (), "bin_width"),
-            ("--bin", "nan", (), "bin_width"),
+            ("--bin", "0", (), "--bin"),
+            ("--bin", "nan", (), "--bin"),
+            ("--samples", "0", (), "--samples"),
             ("--scan-combos", "0", (), "--scan-combos"),
             ("--resamples", "0", ("--scan-combos", "10"), "--resamples"),
         ],
-        ids=["bin-0", "bin-nan", "scan-combos-0", "resamples-0"],
+        ids=["bin-0", "bin-nan", "samples-0", "scan-combos-0", "resamples-0"],
     )
     def test_bad_monte_carlo_setting_exits_2_before_fetching(
         self, tmp_path, capsys, monkeypatch, flag, value, extra, message
@@ -340,6 +343,27 @@ class TestWitnessCommand:
         assert run(tmp_path, *args) == 2
         assert message in capsys.readouterr().err
         assert fetched == []
+        assert not (tmp_path / "witness.json").exists()
+
+    @pytest.mark.parametrize("flag", ["--bin", "--samples"])
+    def test_bad_monte_carlo_setting_exits_2_before_measuring(
+        self, tmp_path, capsys, monkeypatch, flag
+    ):
+        from qdiscord import nmr
+
+        measured = []
+        real = nmr.measured_correlation_matrix
+
+        def counted(*a, **k):
+            measured.append(a)
+            return real(*a, **k)
+
+        monkeypatch.setattr(nmr, "measured_correlation_matrix", counted)
+        (tmp_path / "ens.json").write_text(json.dumps({"alpha": 0.5, "pps": "initial-dqc1"}))
+        args = ("witness", "--ensemble", "ens.json", "--measure-seed", "3", flag, "0")
+        assert run(tmp_path, *args) == 2
+        assert flag in capsys.readouterr().err
+        assert measured == []
         assert not (tmp_path / "witness.json").exists()
 
     def test_config_embedded(self, tmp_path):
@@ -366,6 +390,19 @@ class TestHaarSurveyCommand:
         csv_lines = (tmp_path / "haar_survey.csv").read_text().strip().splitlines()
         assert csv_lines[0] == "seed,discord"
         assert csv_lines[1].startswith("11,")
+
+    @pytest.mark.parametrize("seeds", ["0", "-1"])
+    def test_seeds_below_one_exits_2(self, tmp_path, capsys, seeds):
+        assert run(tmp_path, "haar-survey", "--seeds", seeds, "--dim", "8") == 2
+        assert "--seeds" in capsys.readouterr().err
+        assert not (tmp_path / "haar_survey.json").exists()
+        assert not (tmp_path / "haar_survey.csv").exists()
+
+    def test_alpha_above_nmr_scale_runs(self, tmp_path):
+        args = ("haar-survey", "--seeds", "1", "--dim", "8", "--alpha", "1e-3")
+        assert run(tmp_path, *args) == 0
+        out = json.loads((tmp_path / "haar_survey.json").read_text())
+        assert out["mean"] == pytest.approx(1e-6 / (4 * np.log(2)), rel=0.3)
 
     def test_quadratic_alpha_scaling(self, tmp_path):
         means = {}

@@ -1,3 +1,6 @@
+import itertools
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,7 +12,6 @@ from qdiscord import (
     MinimizerOptions,
     ScalingFitError,
     discord,
-    discord_at_small_polarization,
     dqc1_discord,
     fit_polarization_scaling,
     haar_random_unitary,
@@ -18,6 +20,7 @@ from qdiscord import (
     mutual_information,
     named_state,
     output_state,
+    pauli_realize,
     random_density_matrix,
     tensor,
 )
@@ -286,27 +289,91 @@ class TestDqc1Discord:
             assert dqc1_discord(eigphases, eps).discord == 0.0
 
 
+def eigphases_of(u: np.ndarray) -> np.ndarray:
+    return np.angle(np.linalg.eigvals(u))
+
+
+def polyfit_extrapolation(
+    unitary: np.ndarray, alpha: float, epsilons=(1e-2, 3e-3, 1e-3)
+) -> tuple[float, float]:
+    """Oracle: (exponent, c * alpha^2) from a log-log line through
+    dqc1_discord at moderate biases."""
+    lam = eigphases_of(unitary)
+    ds = [dqc1_discord(lam, eps).discord for eps in epsilons]
+    slope, intercept = np.polyfit(np.log(epsilons), np.log(ds), 1)
+    return float(slope), math.exp(intercept) * alpha**2
+
+
+SMALL_POLARIZATION_UNITARIES = {
+    "jones": jones_unitary(),
+    "identity": np.eye(8),
+    "ZII": np.kron(np.kron(Z, I2), I2),
+    "haar8": haar_random_unitary(8, 1),
+    "haar32": haar_random_unitary(32, 3),
+}
+
+
 class TestSmallPolarization:
     def test_jones_endpoint(self):
-        value = discord_at_small_polarization(jones_unitary(), 1.4e-5)
+        value = fit_polarization_scaling(jones_unitary(), alpha=1.4e-5).value
         assert value == pytest.approx(5.4e-11, rel=0.15)
 
     def test_fit_exponent_quadratic(self):
         fit = fit_polarization_scaling(jones_unitary())
         assert 1.98 < fit.exponent < 2.02
 
+    @pytest.mark.parametrize(
+        "unitary",
+        list(SMALL_POLARIZATION_UNITARIES.values()),
+        ids=list(SMALL_POLARIZATION_UNITARIES),
+    )
+    def test_closed_form_matches_direct_discord(self, unitary):
+        alpha = 1.4e-5
+        fit = fit_polarization_scaling(unitary, alpha=alpha)
+        direct = dqc1_discord(eigphases_of(unitary), alpha).discord
+        np.testing.assert_allclose(fit.value, direct, rtol=1e-9, atol=0.0)
+
+    @pytest.mark.parametrize("name", ["jones", "haar8", "haar32"])
+    def test_polyfit_oracle_agrees(self, name):
+        unitary = SMALL_POLARIZATION_UNITARIES[name]
+        fit = fit_polarization_scaling(unitary)
+        slope, value = polyfit_extrapolation(unitary, fit.alpha)
+        assert abs(slope - 2.0) < 0.02
+        assert value == pytest.approx(fit.value, rel=1e-4)
+
+    @pytest.mark.parametrize("name", ["jones", "haar8", "haar32"])
+    def test_optimal_angle_matches_search(self, name):
+        lam = eigphases_of(SMALL_POLARIZATION_UNITARIES[name])
+        tau1, tau2 = np.exp(1j * lam).mean(), np.exp(2j * lam).mean()
+        phi_star = np.angle(tau2 - tau1**2) / 2
+        gap = (dqc1_discord(lam, 1e-3).argmin_basis.phi - phi_star) % np.pi
+        assert min(gap, np.pi - gap) < 1e-6
+
     def test_identity_short_circuits_to_zero(self):
-        assert discord_at_small_polarization(np.eye(8), 1e-5) == 0.0
+        assert fit_polarization_scaling(np.eye(8), alpha=1e-5).value == 0.0
 
-    def test_pauli_unitary_is_zero_discord_family(self):
-        u = np.kron(np.kron(Z, I2), I2)
-        assert discord_at_small_polarization(u, 1e-5) == 0.0
+    @pytest.mark.parametrize("label", ["".join(p) for p in itertools.product("IXYZ", repeat=3)])
+    def test_pauli_unitary_is_zero_discord_family(self, label):
+        fit = fit_polarization_scaling(np.array(pauli_realize(label), dtype=complex), alpha=1e-5)
+        assert fit.value == 0.0
+        assert fit.exponent == 2.0
 
-    def test_rejects_large_alpha(self):
-        with pytest.raises(ValueError, match="alpha"):
-            discord_at_small_polarization(jones_unitary(), 1e-3)
+    @pytest.mark.parametrize("delta", [1e-3, 3e-4, 1e-4])
+    def test_near_zero_coefficient_counts_as_zero(self, delta):
+        # c2 is 3e-14, 2e-16 and -5e-17 here, and D(alpha) is 6e-24, 0 and 0:
+        # zero within DEGENERATE_DISCORD, so the direct value is held to an
+        # absolute, not a relative, tolerance
+        u = np.diag(np.exp(1j * np.array([0.0, delta, 2 * delta, 0.0])))
+        assert fit_polarization_scaling(u).value == 0.0
+
+    def test_exponent_is_measured_at_alpha_and_half(self):
+        lam = eigphases_of(jones_unitary())
+        fit = fit_polarization_scaling(jones_unitary(), alpha=0.05)
+        ratio = dqc1_discord(lam, 0.05).discord / dqc1_discord(lam, 0.025).discord
+        assert fit.exponent == pytest.approx(math.log2(ratio), abs=1e-12)
+        assert fit.exponent != 2.0
 
     def test_scaling_violation_raises(self):
-        # far outside the quadratic regime the fitted exponent drifts past 2.02
+        # far outside the quadratic regime the measured exponent drifts past 2.02
         with pytest.raises(ScalingFitError, match="exponent"):
-            fit_polarization_scaling(jones_unitary(), fit_epsilons=(0.9, 0.6, 0.3))
+            fit_polarization_scaling(jones_unitary(), alpha=0.9)

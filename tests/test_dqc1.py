@@ -14,8 +14,22 @@ from qdiscord import (
     tensor,
     trace_estimate,
 )
-from qdiscord.dqc1 import controlled, hadamard, unitary_from_dict, unitary_to_dict
+from qdiscord.dqc1 import unitary_from_dict
 from qdiscord.linalg import PAULI_1Q, partial_transpose
+
+
+def unitary_to_dict(u: np.ndarray) -> dict:
+    u = np.asarray(u, dtype=complex)
+    return {"dim": u.shape[0], "re": u.real.tolist(), "im": u.imag.tolist()}
+
+
+def output_closed_form(eps: float, u: np.ndarray) -> np.ndarray:
+    """(I(+)I + eps(|0><1|(+)U† + |1><0|(+)U)) / 2d, block by block."""
+    db = u.shape[0]
+    rho = np.eye(2 * db, dtype=complex) / (2 * db)
+    rho[:db, db:] += eps * u.conj().T / (2 * db)
+    rho[db:, :db] += eps * u / (2 * db)
+    return rho
 
 
 class TestInstanceValidation:
@@ -76,16 +90,12 @@ class TestOutputState:
         np.testing.assert_allclose(rho.entries[8:, :8], u / 16, atol=1e-14)
         np.testing.assert_allclose(rho.entries[:8, 8:], u.conj().T / 16, atol=1e-14)
 
-    def test_circuit_path_matches_closed_form(self):
-        # independent conjugation oracle, not the library's internal check
-        u = haar_random_unitary(4, seed=11)
-        eps = 0.37
-        circuit = controlled(u) @ tensor(hadamard(), np.eye(4))
-        rho_in = input_state(Dqc1Instance(eps, u)).entries
-        oracle = circuit @ rho_in @ circuit.conj().T
-        np.testing.assert_allclose(
-            output_state(Dqc1Instance(eps, u)).entries, oracle, atol=1e-12
-        )
+    @pytest.mark.parametrize("d", [2, 4, 8])
+    @pytest.mark.parametrize("eps", [0.0, 1.4e-5, 0.5, 1.0])
+    def test_circuit_path_matches_closed_form(self, d, eps):
+        u = haar_random_unitary(d, seed=11)
+        rho = output_state(Dqc1Instance(eps, u)).entries
+        assert np.abs(rho - output_closed_form(eps, u)).max() <= 1e-12
 
     @pytest.mark.parametrize("eps", [0.0, 1e-5, 0.5, 1.0])
     def test_valid_density_matrix(self, eps):

@@ -8,7 +8,6 @@ from .linalg import (
     pauli_realize,
     random_density_matrix,
     tensor,
-    von_neumann_entropy,
 )
 from .dqc1 import (
     Dqc1Instance,
@@ -33,7 +32,6 @@ from .discord import (
     mutual_information,
 )
 from .witness import (
-    ColumnPolicy,
     ColumnSource,
     CorrelationMatrix,
     RankCheck,
@@ -48,7 +46,7 @@ from .witness import (
     reconstruct_state,
     witness_procedure,
     write_histogram_csvs,
-    z_sector_first_policy,
+    z_sector_first_order,
 )
 from .nmr import (
     NmrEnsemble,
@@ -65,16 +63,16 @@ __version__ = "0.1.0"
 
 __all__ = [
     "DensityMatrix", "PauliLabel", "pauli_labels", "pauli_realize", "random_density_matrix",
-    "tensor", "von_neumann_entropy",
+    "tensor",
     "Dqc1Instance", "haar_random_unitary", "input_state", "jones_unitary",
     "load_unitary_json", "output_state", "trace_estimate",
     "DiscordResult", "MeasurementBasis", "MinimizerOptions", "ScalingFit",
     "ScalingFitError", "discord", "dqc1_discord",
     "fit_polarization_scaling", "haar_discord_survey", "is_zero_discord", "mutual_information",
-    "ColumnPolicy", "ColumnSource", "CorrelationMatrix", "RankCheck", "SingularValueDistribution",
+    "ColumnSource", "CorrelationMatrix", "RankCheck", "SingularValueDistribution",
     "WitnessVerdict", "column_combination_scan", "correlation_matrix", "default_tau",
     "extract_columns", "monte_carlo_svd", "rank_lower_bound", "reconstruct_state",
-    "witness_procedure", "write_histogram_csvs", "z_sector_first_policy",
+    "witness_procedure", "write_histogram_csvs", "z_sector_first_order",
     "NmrEnsemble", "boltzmann_polarization", "embed", "load_ensemble",
     "measured_correlation_matrix", "simulate_measurement", "verdict_polarization_invariance",
     "named_state", "eq3_fixture",

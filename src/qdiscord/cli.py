@@ -176,6 +176,9 @@ def cmd_witness(args) -> int:
     for flag, value in (("--tau", args.tau), ("--bin", args.bin)):
         if value is not None and not (math.isfinite(value) and value > 0):
             raise ValueError(f"{flag} {value} must be positive and finite")
+    # the Monte Carlo folds squared noisy entries into Gram matrices
+    if not (args.sigma >= 0 and math.isfinite(args.sigma * args.sigma)):
+        raise ValueError(f"--sigma {args.sigma} must be non-negative with a finite square")
     for flag, value in (
         ("--samples", args.samples),
         ("--scan-combos", args.scan_combos),
@@ -184,6 +187,13 @@ def cmd_witness(args) -> int:
         if value is not None and value < 1:
             raise ValueError(f"{flag} {value} must be at least 1")
     corr = _witness_input(args)
+    # largest singular value of the unperturbed matrix: noiseless samples all reach it
+    top = float(np.linalg.norm(corr.values, 2))
+    if top / args.bin >= wit.MAX_HISTOGRAM_BINS:
+        raise ValueError(
+            f"--bin {args.bin} needs more than {wit.MAX_HISTOGRAM_BINS} histogram bins "
+            f"for singular values up to {top:.4g}"
+        )
     config = {
         "matrix": args.matrix,
         "state": args.state,

@@ -3,6 +3,8 @@
 Discord here is the gap between the two mutual-information formulations,
 D(A:B) = H(rho_A) - H(rho) + min over rank-1 projective measurements on the
 qubit A of the average conditional entropy of B; all entropies are in bits.
+A and B are the two blocks of the state's qubit partition
+(:attr:`DensityMatrix.bipartite_dims`), and A must be a single qubit.
 
 Everything works from one decomposition of the state, rho_B and
 Gamma_i = Tr_A[(sigma_i (+) I) rho]: measuring A along the Bloch vector n
@@ -59,7 +61,7 @@ import numpy as np
 from scipy.optimize import minimize, minimize_scalar
 
 from . import dqc1
-from .linalg import DensityMatrix, PAULI_1Q, entropy_from_eigenvalues
+from .linalg import DensityMatrix, entropy_from_eigenvalues
 
 NULL_OUTCOME_P = 1e-14
 DEFAULT_ZERO_DISCORD_TOL = 1e-7
@@ -67,6 +69,9 @@ DEGENERATE_DISCORD = 1e-12
 # Largest relative gap between the quadratic extrapolation and the discord
 # evaluated directly at the target polarization.
 EXTRAPOLATION_RTOL = 1e-3
+# Angle tolerance and iteration cap of the polish after the grid search.
+ANGLE_TOL = 1e-8
+MAX_ITER = 400
 
 
 class ScalingFitError(RuntimeError):
@@ -75,11 +80,10 @@ class ScalingFitError(RuntimeError):
 
 @dataclass(frozen=True)
 class MinimizerOptions:
-    """Grid-then-refine settings for the measurement-basis search."""
+    """Grid size of the measurement-basis search; the polish after it runs
+    to ``ANGLE_TOL`` in at most ``MAX_ITER`` iterations."""
 
     grid: int = 64
-    angle_tol: float = 1e-8
-    max_iter: int = 400
 
     def __post_init__(self):
         if self.grid < 1:
@@ -112,12 +116,6 @@ class MeasurementBasis:
         st = np.sin(self.theta)
         return np.array([st * np.cos(self.phi), st * np.sin(self.phi), np.cos(self.theta)])
 
-    def projectors(self) -> tuple[np.ndarray, np.ndarray]:
-        n = self.bloch_vector
-        ns = n[0] * PAULI_1Q["X"] + n[1] * PAULI_1Q["Y"] + n[2] * PAULI_1Q["Z"]
-        eye = np.eye(2)
-        return (eye + ns) / 2, (eye - ns) / 2
-
 
 @dataclass(frozen=True)
 class DiscordResult:
@@ -140,26 +138,14 @@ class ZeroDiscordResult(NamedTuple):
     distance: float
 
 
-def _split_dims(rho: DensityMatrix, dims: tuple[int, int] | None) -> tuple[int, int]:
-    if dims is None:
-        if len(rho.qubit_partition) != 2:
-            raise ValueError("state has no bipartite split; pass dims explicitly")
-        da, db = rho.subsystem_dims
-    else:
-        da, db = int(dims[0]), int(dims[1])
-    if da * db != rho.dim:
-        raise ValueError(f"dims {da}x{db} do not match state dimension {rho.dim}")
-    return da, db
-
-
-def _bloch_blocks(rho: DensityMatrix, dims: tuple[int, int] | None) -> tuple[np.ndarray, np.ndarray]:
+def _bloch_blocks(rho: DensityMatrix) -> tuple[np.ndarray, np.ndarray]:
     """rho_B and the (3, dB, dB) stack Gamma_i = Tr_A[(sigma_i (+) I) rho].
 
     Measuring the qubit A along the Bloch vector n leaves the unnormalised
     conditional B operators (rho_B +- n.Gamma)/2, whose traces are the
     outcome probabilities.
     """
-    da, db = _split_dims(rho, dims)
+    da, db = rho.bipartite_dims
     if da != 2:
         raise ValueError("measurements on A require a 2-dimensional A side")
     r = rho.entries.reshape(2, db, 2, db)
@@ -184,34 +170,9 @@ def _avg_conditional_entropy(rho_b: np.ndarray, gammas: np.ndarray, thetas, phis
     return (-wl + pl).sum(axis=1)
 
 
-def _qubit_a_dims(rho: DensityMatrix) -> tuple[int, int] | None:
-    """The recorded split of a bipartite state, else first qubit against the rest."""
-    return None if len(rho.qubit_partition) == 2 else (2, rho.dim // 2)
-
-
-def conditional_state(
-    rho: DensityMatrix, basis: MeasurementBasis, k: int
-) -> tuple[float, DensityMatrix | None]:
-    """Outcome probability and post-measurement B state for outcome k.
-
-    System A is the first qubit; outcome 0 projects onto +n, outcome 1 onto
-    -n. Outcomes with probability below ``NULL_OUTCOME_P`` are flagged null
-    by returning ``None``; their entropy contribution is zero.
-    """
-    if k not in (0, 1):
-        raise ValueError("outcome index must be 0 or 1")
-    rho_b, gammas = _bloch_blocks(rho, _qubit_a_dims(rho))
-    block = (rho_b + (1 - 2 * k) * np.einsum("i,ibc->bc", basis.bloch_vector, gammas)) / 2
-    p = float(np.trace(block).real)
-    if p < NULL_OUTCOME_P:
-        return p, None
-    block = (block + block.conj().T) / 2
-    return p, DensityMatrix(block / p, (rho.n_qubits - 1,))
-
-
-def mutual_information(rho: DensityMatrix, dims: tuple[int, int] | None = None) -> float:
+def mutual_information(rho: DensityMatrix) -> float:
     """I(A:B) = H(A) + H(B) - H(A,B) in bits."""
-    da, db = _split_dims(rho, dims)
+    da, db = rho.bipartite_dims
     r4 = rho.entries.reshape(da, db, da, db)
     rho_a = np.einsum("ibjb->ij", r4)
     rho_b = np.einsum("ibic->bc", r4)
@@ -221,20 +182,16 @@ def mutual_information(rho: DensityMatrix, dims: tuple[int, int] | None = None) 
     return ha + hb - hab
 
 
-def discord(
-    rho: DensityMatrix,
-    dims: tuple[int, int] | None = None,
-    opts: MinimizerOptions | None = None,
-) -> DiscordResult:
-    """Quantum discord D(A:B) with A the first qubit.
+def discord(rho: DensityMatrix, opts: MinimizerOptions | None = None) -> DiscordResult:
+    """Quantum discord D(A:B) across the state's two-block split, A a qubit.
 
     The conditional term is minimized over all rank-1 projective measurements
     on A: a deterministic (theta, phi) grid of ``opts.grid`` points per angle,
-    then a Nelder-Mead polish of the best cell to ``opts.angle_tol``. The
-    reported discord is clipped at zero.
+    then a Nelder-Mead polish of the best cell to ``ANGLE_TOL``. The reported
+    discord is clipped at zero.
     """
     opts = opts or MinimizerOptions()
-    rho_b, gammas = _bloch_blocks(rho, dims)
+    rho_b, gammas = _bloch_blocks(rho)
     g = opts.grid
     tt, pp = np.meshgrid(
         np.linspace(0.0, np.pi, g), np.linspace(0.0, 2 * np.pi, g, endpoint=False), indexing="ij"
@@ -248,9 +205,9 @@ def discord(
         x0,
         method="Nelder-Mead",
         options=dict(
-            xatol=opts.angle_tol,
+            xatol=ANGLE_TOL,
             fatol=1e-15,
-            maxiter=opts.max_iter,
+            maxiter=MAX_ITER,
             initial_simplex=np.array([x0, x0 + [h, 0.0], x0 + [0.0, h]]),
         ),
     )
@@ -258,7 +215,7 @@ def discord(
         cond, basis = float(res.fun), MeasurementBasis(res.x[0], res.x[1])
     else:
         cond, basis = float(vals[i0]), MeasurementBasis(x0[0], x0[1])
-    mi = mutual_information(rho, dims)
+    mi = mutual_information(rho)
     cc = entropy_from_eigenvalues(np.linalg.eigvalsh(rho_b)) - cond
     return DiscordResult(
         discord=max(mi - cc, 0.0),
@@ -291,9 +248,9 @@ def dqc1_discord(
     given eigenphases, from the closed form in the module docstring.
 
     The phi search scans ``opts.grid`` points on [0, pi), then runs a bounded
-    scalar polish over the two cells around the best point to
-    ``opts.angle_tol`` in at most ``opts.max_iter`` iterations. The argmin
-    basis lies on the equator (theta = pi/2).
+    scalar polish over the two cells around the best point to ``ANGLE_TOL``
+    in at most ``MAX_ITER`` iterations. The argmin basis lies on the equator
+    (theta = pi/2).
     """
     opts = opts or MinimizerOptions()
     lam = np.asarray(eigphases, dtype=float).ravel()
@@ -312,7 +269,7 @@ def dqc1_discord(
         lambda p: float(excess(p)),
         bounds=(phis[i0] - h, phis[i0] + h),
         method="bounded",
-        options=dict(xatol=opts.angle_tol, maxiter=opts.max_iter),
+        options=dict(xatol=ANGLE_TOL, maxiter=MAX_ITER),
     )
     if res.fun <= vals[i0]:
         best, phi = float(res.fun), float(res.x)
@@ -334,25 +291,7 @@ def dqc1_discord(
     )
 
 
-def projective_average(rho: DensityMatrix, basis: MeasurementBasis) -> DensityMatrix:
-    """sum_k (E_k (+) I) rho (E_k (+) I): dephasing of A in the given basis."""
-    da, db = _split_dims(rho, _qubit_a_dims(rho))
-    if da != 2:
-        raise ValueError("projective average acts on a single-qubit A side")
-    out = np.zeros_like(rho.entries)
-    eye = np.eye(db)
-    for e in basis.projectors():
-        ei = np.kron(e, eye)
-        out = out + ei @ rho.entries @ ei
-    out = (out + out.conj().T) / 2
-    return DensityMatrix(out, rho.qubit_partition)
-
-
-def is_zero_discord(
-    rho: DensityMatrix,
-    tol: float = DEFAULT_ZERO_DISCORD_TOL,
-    dims: tuple[int, int] | None = None,
-) -> ZeroDiscordResult:
+def is_zero_discord(rho: DensityMatrix, tol: float = DEFAULT_ZERO_DISCORD_TOL) -> ZeroDiscordResult:
     """Projective-invariance test: zero discord iff some measurement basis on
     A leaves the state unchanged under projective averaging.
 
@@ -361,7 +300,7 @@ def is_zero_discord(
     G_ij = Re Tr(Gamma_i Gamma_j) (module docstring); the state is zero
     discord when that distance falls below ``tol``.
     """
-    rho_b, gammas = _bloch_blocks(rho, dims)
+    rho_b, gammas = _bloch_blocks(rho)
     w, v = np.linalg.eigh(np.einsum("ibc,jcb->ij", gammas, gammas).real)
     kept = (np.linalg.norm(rho_b) ** 2 + w[-1]) / 2
     dist = math.sqrt(max(np.linalg.norm(rho.entries) ** 2 - kept, 0.0))
@@ -399,9 +338,11 @@ def fit_polarization_scaling(
     c2 comes from the eigenphases of U (module docstring); ``alpha`` must lie
     in (0, 1]. A c2 at or below ``DEGENERATE_DISCORD`` counts as 0 (e.g.
     U = I or a Pauli product), and D(alpha) must then lie within
-    ``DEGENERATE_DISCORD`` of 0. Otherwise :class:`ScalingFitError` is raised
-    when the measured exponent log2(D(alpha) / D(alpha/2)) has
-    |p - 2| >= 0.02, or when c2 * alpha^2 differs from D(alpha) by more than
+    ``DEGENERATE_DISCORD`` of 0. Otherwise ``ValueError`` is raised when
+    D(alpha) or D(alpha/2) falls below the smallest normal double (for the
+    Jones unitary, alpha below about 1e-161), and :class:`ScalingFitError`
+    when the measured exponent log2(D(alpha) / D(alpha/2)) has |p - 2| >= 0.02,
+    or when c2 * alpha^2 differs from D(alpha) by more than
     ``EXTRAPOLATION_RTOL`` relative.
     """
     if not 0.0 < alpha <= 1.0:
@@ -417,7 +358,14 @@ def fit_polarization_scaling(
         exponent, tol = 2.0, DEGENERATE_DISCORD
     else:
         half = dqc1_discord(lam, inst.epsilon / 2, opts).discord
-        exponent = math.log2(direct / half) if direct > 0 and half > 0 else math.nan
+        tiny = np.finfo(float).tiny
+        if min(direct, half) < tiny:
+            raise ValueError(
+                f"alpha {alpha:g} is too small: D(alpha) = {direct:.3e} and "
+                f"D(alpha/2) = {half:.3e} underflow the double-precision range "
+                f"(smallest normal {tiny:.3e})"
+            )
+        exponent = math.log2(direct / half)
         if not abs(exponent - 2.0) < 0.02:
             raise ScalingFitError(
                 f"measured scaling exponent log2(D(alpha)/D(alpha/2)) = {exponent:.4f} "

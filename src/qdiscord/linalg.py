@@ -85,42 +85,19 @@ class DensityMatrix:
     def subsystem_dims(self) -> tuple[int, ...]:
         return tuple(2**k for k in self.qubit_partition)
 
+    @property
+    def bipartite_dims(self) -> tuple[int, int]:
+        """(d_A, d_B) of the A|B split that discord and the correlation
+        matrix use; only a state with exactly two blocks has one."""
+        if len(self.qubit_partition) != 2:
+            raise ValueError("state has no bipartite split")
+        da, db = self.subsystem_dims
+        return da, db
+
 
 def tensor(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Kronecker product; dimensions multiply."""
     return np.kron(np.asarray(a), np.asarray(b))
-
-
-def partial_trace(rho: DensityMatrix, keep: int | Iterable[int]) -> DensityMatrix:
-    """Trace out all subsystem blocks not listed in ``keep``.
-
-    ``keep`` indexes blocks of ``rho.qubit_partition``; kept blocks stay in
-    their original order.
-    """
-    keep_set = {keep} if isinstance(keep, int) else set(int(k) for k in keep)
-    n_blocks = len(rho.qubit_partition)
-    if not keep_set:
-        raise ValueError("must keep at least one subsystem")
-    bad = [k for k in keep_set if k < 0 or k >= n_blocks]
-    if bad:
-        raise ValueError(f"invalid subsystem index {bad[0]} (have {n_blocks} blocks)")
-    dims = list(rho.subsystem_dims)
-    t = rho.entries.reshape(dims + dims)
-    for idx in sorted(set(range(n_blocks)) - keep_set, reverse=True):
-        t = np.trace(t, axis1=idx, axis2=idx + len(dims))
-        dims.pop(idx)
-    out_dim = int(np.prod(dims))
-    part = tuple(rho.qubit_partition[k] for k in sorted(keep_set))
-    return DensityMatrix(t.reshape(out_dim, out_dim), part)
-
-
-def hermitian_eigenvalues(m: np.ndarray, tol: float = 1e-10) -> np.ndarray:
-    """Real eigenvalues of a Hermitian matrix, in descending order."""
-    m = np.asarray(m, dtype=complex)
-    dev = np.abs(m - m.conj().T).max()
-    if dev > tol:
-        raise ValueError(f"not Hermitian within {tol:.1e}: deviation {dev:.3e}")
-    return np.linalg.eigvalsh(m)[::-1]
 
 
 def entropy_from_eigenvalues(w: np.ndarray) -> float:
@@ -135,24 +112,6 @@ def entropy_from_eigenvalues(w: np.ndarray) -> float:
     w = np.clip(w, 0.0, 1.0)
     nz = w[w > 0]
     return float(-(nz * np.log2(nz)).sum())
-
-
-def von_neumann_entropy(rho: DensityMatrix | np.ndarray) -> float:
-    """H(rho) = -Tr(rho log2 rho) in bits."""
-    if isinstance(rho, DensityMatrix):
-        entries = rho.entries
-    else:
-        entries = np.asarray(rho, dtype=complex)
-        dev = np.abs(entries - entries.conj().T).max()
-        if dev > 1e-10:
-            raise ValueError(f"not Hermitian: deviation {dev:.3e}")
-    return entropy_from_eigenvalues(np.linalg.eigvalsh(entries))
-
-
-def singular_values(m: np.ndarray) -> np.ndarray:
-    """Singular values in descending order; the count above a threshold is a
-    rank lower bound."""
-    return np.linalg.svd(np.asarray(m), compute_uv=False)
 
 
 @lru_cache(maxsize=4096)
@@ -183,19 +142,6 @@ def pauli_labels(n_qubits: int) -> list[PauliLabel]:
     if not 1 <= n_qubits <= MAX_QUBITS:
         raise ValueError(f"n_qubits must be in [1, {MAX_QUBITS}]")
     return ["".join(p) for p in itertools.product("IXYZ", repeat=n_qubits)]
-
-
-def partial_transpose(m: np.ndarray, dims: tuple[int, int], subsystem: int = 0) -> np.ndarray:
-    """Partial transpose of a bipartite operator over one subsystem."""
-    da, db = dims
-    t = np.asarray(m).reshape(da, db, da, db)
-    if subsystem == 0:
-        t = t.transpose(2, 1, 0, 3)
-    elif subsystem == 1:
-        t = t.transpose(0, 3, 2, 1)
-    else:
-        raise ValueError("subsystem must be 0 or 1")
-    return t.reshape(da * db, da * db)
 
 
 def random_density_matrix(

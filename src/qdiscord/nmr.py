@@ -72,6 +72,13 @@ def verdict_polarization_invariance(pps: DensityMatrix, alphas: list[float], tol
     return all(is_zero_discord(embed(pps, a), tol=tol).is_zero == reference for a in alphas)
 
 
+def _measurement_noise(observable: PauliLabel, sigma: float, seed: int) -> float:
+    """Gaussian noise of width sigma from a stream keyed by (seed, observable),
+    so a reading does not depend on the order in which readings are taken."""
+    rng = np.random.default_rng([seed, zlib.crc32(observable.encode())])
+    return sigma * rng.standard_normal()
+
+
 def simulate_measurement(
     rho: DensityMatrix, observable: PauliLabel, sigma: float, seed: int
 ) -> tuple[float, float]:
@@ -88,33 +95,30 @@ def simulate_measurement(
         )
     value = float(np.einsum("ij,ji->", rho.entries, pauli_realize(observable)).real)
     if sigma > 0:
-        rng = np.random.default_rng([seed, zlib.crc32(observable.encode())])
-        value += sigma * rng.standard_normal()
+        value += _measurement_noise(observable, sigma, seed)
     return value, sigma
 
 
-def measured_correlation_matrix(
-    rho: DensityMatrix, sigma: float, seed: int, dims: tuple[int, int] | None = None
-):
+def measured_correlation_matrix(rho: DensityMatrix, sigma: float, seed: int):
     """Correlation matrix as a synthetic experiment would report it.
 
-    Every non-identity entry is read out through :func:`simulate_measurement`
-    with uncertainty ``sigma`` (the identity entry stays exactly 1 with sigma
-    0); with sigma 0 the values are exact but still annotated with zero
+    Every non-identity entry Tr(rho A_n (+) B_m) of :func:`correlation_matrix`
+    gets the noise :func:`simulate_measurement` would add to that observable
+    and carries uncertainty ``sigma``; the identity entry stays exactly 1 with
+    sigma 0. With sigma 0 the values are exact but still annotated with zero
     uncertainties.
     """
     from .witness import CorrelationMatrix, correlation_matrix
 
-    exact = correlation_matrix(rho, dims)
+    exact = correlation_matrix(rho)
     values = np.array(exact.values)
     sigmas = np.full(values.shape, float(sigma))
     for i, row in enumerate(exact.rows):
         for j, col in enumerate(exact.cols):
             if set(row + col) == {"I"}:
                 sigmas[i, j] = 0.0
-                continue
-            if sigma > 0:
-                values[i, j], _ = simulate_measurement(rho, row + col, sigma, seed)
+            elif sigma > 0:
+                values[i, j] += _measurement_noise(row + col, sigma, seed)
     return CorrelationMatrix(exact.rows, exact.cols, values, sigmas)
 
 

@@ -33,6 +33,8 @@ TAU_FLOOR = 1e-7
 IDENTITY_VALUE_TOL = 1e-9
 HISTOGRAM_NORM_TOL = 1e-6
 MAX_HISTOGRAM_BINS = 10**6
+# Columns acquired before the first rank check: the experiment's I/Z block.
+INITIAL_BLOCK = 4
 # Singular values below this fraction of a sample's largest are reported as 0:
 # eigvalsh of R R^T is accurate to about 10 eps x its largest eigenvalue, so
 # sqrt(eig) of anything smaller is rounding, not signal (0.1% error at the floor).
@@ -171,21 +173,14 @@ class CorrelationMatrix:
             return cls.from_dict(json.load(fh))
 
 
-def correlation_matrix(rho: DensityMatrix, dims: tuple[int, int] | None = None) -> CorrelationMatrix:
+def correlation_matrix(rho: DensityMatrix) -> CorrelationMatrix:
     """Full Pauli correlation matrix of a bipartite state (exact, no sigmas).
 
     Row labels run over the A-side Pauli strings, columns over the B side;
     the reconstruction 2^-N sum r_nm A_n (+) B_m recovers the state.
     """
-    if dims is None:
-        if len(rho.qubit_partition) != 2:
-            raise ValueError("state has no bipartite split; pass dims explicitly")
-        na, nb = rho.qubit_partition
-    else:
-        na, nb = (int(d).bit_length() - 1 for d in dims)
-        if 2**na * 2**nb != rho.dim or 2**na != dims[0] or 2**nb != dims[1]:
-            raise ValueError(f"dims {dims} do not match state dimension {rho.dim}")
-    da, db = 2**na, 2**nb
+    da, db = rho.bipartite_dims
+    na, nb = rho.qubit_partition
     r4 = rho.entries.reshape(da, db, da, db)
     a_stack = _pauli_stack(na)
     b_stack = _pauli_stack(nb)
@@ -552,24 +547,14 @@ class ColumnSource:
         )
 
 
-@dataclass(frozen=True)
-class ColumnPolicy:
-    """Acquisition order and the size of the block measured before the first
-    rank check."""
-
-    order: tuple[PauliLabel, ...]
-    initial_block: int = 4
-
-
-def z_sector_first_policy(col_labels: Sequence[PauliLabel], initial_block: int = 4) -> ColumnPolicy:
-    """Acquire I/Z-only columns first, then sweep the remaining labels.
+def z_sector_first_order(col_labels: Sequence[PauliLabel]) -> tuple[PauliLabel, ...]:
+    """Acquisition order: I/Z-only columns first, then the remaining labels.
 
     For a three-qubit B side the first four columns are the identity and the
     single/double Z strings, reproducing the experiment's starting set.
     """
     z_sector = [c for c in col_labels if set(c) <= {"I", "Z"}]
-    rest = [c for c in col_labels if c not in z_sector]
-    return ColumnPolicy(tuple(z_sector + rest), initial_block)
+    return tuple(z_sector + [c for c in col_labels if c not in z_sector])
 
 
 @dataclass(frozen=True)
@@ -591,7 +576,7 @@ class WitnessVerdict:
     """Outcome of the iterative rank procedure.
 
     ``tau`` is the singular-value threshold applied at the last rank check
-    (the auto policy rescales it as the submatrix grows); ``trajectory``
+    (the default tau rescales as the submatrix grows); ``trajectory``
     holds every rank check in order, and ``distribution`` the last one's
     samples.
     """
@@ -618,8 +603,6 @@ class WitnessVerdict:
 
 def witness_procedure(
     source: ColumnSource,
-    dim_a: int | None = None,
-    policy: ColumnPolicy | None = None,
     tau: float | None = None,
     confidence: float = 0.99,
     n_samples: int = 10000,
@@ -628,26 +611,24 @@ def witness_procedure(
 ) -> WitnessVerdict:
     """Iterative column acquisition until rank(R) > dim(A) or exhaustion.
 
-    Acquires the policy's initial block, then one column at a time. After
-    each acquisition a Monte Carlo rank bound is computed on the submatrix
-    measured so far: a singular value counts as nonzero when its empirical
-    (1 - confidence) quantile exceeds tau (default: noise-scaled
-    :func:`default_tau` of the current submatrix; a given tau must be positive
-    and finite). The quantiles of the check on the first k columns equal those
-    of :func:`monte_carlo_svd` of those columns, and the verdict's distribution
-    is :func:`monte_carlo_svd` of all columns used. Exhausting all columns
-    without exceeding dim(A) is the Inconclusive verdict, not an error.
+    Acquires columns in :func:`z_sector_first_order`: ``INITIAL_BLOCK`` of
+    them before the first rank check, then one at a time; dim(A) is 2 to the
+    row-label length. After each acquisition a Monte Carlo rank bound is
+    computed on the submatrix measured so far: a singular value counts as
+    nonzero when its empirical (1 - confidence) quantile exceeds tau
+    (default: noise-scaled :func:`default_tau` of the current submatrix; a
+    given tau must be positive and finite). The quantiles of the check on the
+    first k columns equal those of :func:`monte_carlo_svd` of those columns,
+    and the verdict's distribution is :func:`monte_carlo_svd` of all columns
+    used. Exhausting all columns without exceeding dim(A) is the Inconclusive
+    verdict, not an error.
     """
     _check_confidence(confidence)
     _check_bin_width(bin_width)
     if tau is not None:
         _check_tau(tau)
-    if dim_a is None:
-        dim_a = 2 ** len(source.row_labels[0])
-    policy = policy or z_sector_first_policy(source.col_labels)
-    order = [lab for lab in policy.order if lab in source.col_labels]
-    missing = [lab for lab in source.col_labels if lab not in policy.order]
-    order += missing
+    dim_a = 2 ** len(source.row_labels[0])
+    order = z_sector_first_order(source.col_labels)
     if not order:
         raise ValueError("column source offers no columns")
 
@@ -655,7 +636,7 @@ def witness_procedure(
     sigs: list[np.ndarray] = []
     used: list[PauliLabel] = []
     trajectory: list[RankCheck] = []
-    first_check = min(policy.initial_block, len(order))
+    first_check = min(INITIAL_BLOCK, len(order))
 
     for label in order:
         values, sigmas = source.fetch(label)

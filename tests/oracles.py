@@ -1,0 +1,37 @@
+"""Brute-force references the library's closed forms are checked against."""
+
+import numpy as np
+
+from qdiscord import DensityMatrix, MeasurementBasis
+from qdiscord.linalg import PAULI_1Q
+
+
+def projectors(basis: MeasurementBasis) -> tuple[np.ndarray, np.ndarray]:
+    """The rank-1 projectors (I +- n.sigma)/2 of a qubit measurement."""
+    n = basis.bloch_vector
+    ns = n[0] * PAULI_1Q["X"] + n[1] * PAULI_1Q["Y"] + n[2] * PAULI_1Q["Z"]
+    eye = np.eye(2)
+    return (eye + ns) / 2, (eye - ns) / 2
+
+
+def projective_average(rho: DensityMatrix, basis: MeasurementBasis) -> DensityMatrix:
+    """sum_k (E_k (+) I) rho (E_k (+) I): dephasing of the qubit A in the given
+    basis, with the projectors built as explicit matrices."""
+    da, db = rho.bipartite_dims
+    if da != 2:
+        raise ValueError("projective average acts on a single-qubit A side")
+    out = np.zeros_like(rho.entries)
+    eye = np.eye(db)
+    for e in projectors(basis):
+        ei = np.kron(e, eye)
+        out = out + ei @ rho.entries @ ei
+    out = (out + out.conj().T) / 2
+    return DensityMatrix(out, rho.qubit_partition)
+
+
+def partial_transpose(m: np.ndarray, dims: tuple[int, int]) -> np.ndarray:
+    """Partial transpose of a bipartite operator over subsystem A (the PPT
+    test: a state whose partial transpose has a negative eigenvalue is
+    entangled)."""
+    da, db = dims
+    return np.asarray(m).reshape(da, db, da, db).transpose(2, 1, 0, 3).reshape(da * db, da * db)

@@ -146,6 +146,20 @@ class TestDiscordCommand:
         )
         assert code == 3
 
+    def test_underflowing_alpha_exits_2(self, tmp_path, capsys):
+        # D(alpha) and D(alpha/2) fall below the smallest normal double
+        args = ("discord", "--dqc1", "jones", "--alpha", "1e-170", "--extrapolate")
+        assert run(tmp_path, *args) == 2
+        err = capsys.readouterr().err
+        assert "alpha" in err and "underflow" in err
+        assert not (tmp_path / "discord.json").exists()
+
+    def test_tiny_alpha_in_double_range_runs(self, tmp_path):
+        args = ("discord", "--dqc1", "jones", "--alpha", "1e-150", "--extrapolate")
+        assert run(tmp_path, *args) == 0
+        out = json.loads((tmp_path / "discord.json").read_text())
+        assert 1.98 <= out["scaling"]["exponent"] <= 2.02
+
     def test_extrapolate_reports_direct_value(self, tmp_path):
         args = ("discord", "--dqc1", "jones", "--alpha", "1.4e-5", "--extrapolate")
         assert run(tmp_path, *args) == 0
@@ -345,9 +359,20 @@ class TestWitnessCommand:
         assert fetched == []
         assert not (tmp_path / "witness.json").exists()
 
-    @pytest.mark.parametrize("flag", ["--bin", "--samples"])
+    @pytest.mark.parametrize(
+        "flag, value",
+        [
+            ("--bin", "0"),
+            ("--samples", "0"),
+            ("--sigma", "-1"),
+            ("--sigma", "nan"),
+            ("--sigma", "inf"),
+            ("--sigma", "1e308"),
+        ],
+        ids=["--bin", "--samples", "sigma--1", "sigma-nan", "sigma-inf", "sigma-1e308"],
+    )
     def test_bad_monte_carlo_setting_exits_2_before_measuring(
-        self, tmp_path, capsys, monkeypatch, flag
+        self, tmp_path, capsys, monkeypatch, flag, value
     ):
         from qdiscord import nmr
 
@@ -360,10 +385,24 @@ class TestWitnessCommand:
 
         monkeypatch.setattr(nmr, "measured_correlation_matrix", counted)
         (tmp_path / "ens.json").write_text(json.dumps({"alpha": 0.5, "pps": "initial-dqc1"}))
-        args = ("witness", "--ensemble", "ens.json", "--measure-seed", "3", flag, "0")
+        args = ("witness", "--ensemble", "ens.json", "--measure-seed", "3", flag, value)
         assert run(tmp_path, *args) == 2
         assert flag in capsys.readouterr().err
         assert measured == []
+        assert not (tmp_path / "witness.json").exists()
+
+    @pytest.mark.parametrize(
+        "source", [("--state", "initial-dqc1"), ("--matrix", "rtrunc_eq3")], ids=["state", "matrix"]
+    )
+    def test_bin_too_fine_for_histogram_exits_2_before_the_procedure(
+        self, tmp_path, capsys, monkeypatch, source
+    ):
+        calls = []
+        monkeypatch.setattr("qdiscord.cli.witness_procedure", lambda *a, **k: calls.append(a))
+        assert run(tmp_path, "witness", *source, "--bin", "1e-12") == 2
+        err = capsys.readouterr().err
+        assert "--bin" in err and "histogram bins" in err
+        assert calls == []
         assert not (tmp_path / "witness.json").exists()
 
     def test_config_embedded(self, tmp_path):

@@ -24,8 +24,10 @@ from qdiscord import (
     random_density_matrix,
     tensor,
 )
-from qdiscord.discord import conditional_state, projective_average
+from qdiscord.discord import _bloch_blocks
 from qdiscord.linalg import PAULI_1Q, entropy_from_eigenvalues
+
+from .oracles import projective_average, projectors
 
 I2 = PAULI_1Q["I"]
 X = PAULI_1Q["X"]
@@ -42,7 +44,7 @@ class TestMeasurementBasis:
     @settings(deadline=None, max_examples=50)
     @given(st.floats(-10, 10), st.floats(-10, 10))
     def test_projectors_complete_and_idempotent(self, theta, phi):
-        e0, e1 = MeasurementBasis(theta, phi).projectors()
+        e0, e1 = projectors(MeasurementBasis(theta, phi))
         np.testing.assert_allclose(e0 + e1, np.eye(2), atol=1e-12)
         np.testing.assert_allclose(e0 @ e0, e0, atol=1e-12)
         np.testing.assert_allclose(e1 @ e1, e1, atol=1e-12)
@@ -54,46 +56,21 @@ class TestMeasurementBasis:
 
 
 class TestConditionalState:
-    def test_deterministic_outcome(self):
-        sigma = random_density_matrix((1,), seed=4).entries
-        rho = DensityMatrix(tensor(np.diag([1.0, 0.0]), sigma), (1, 1))
-        p, cond = conditional_state(rho, Z_BASIS, 0)
-        assert p == pytest.approx(1.0, abs=1e-12)
-        np.testing.assert_allclose(cond.entries, sigma, atol=1e-12)
-        p1, cond1 = conditional_state(rho, Z_BASIS, 1)
-        assert p1 < 1e-14 and cond1 is None
-
-    def test_maximally_mixed(self):
-        rho = DensityMatrix(np.eye(4) / 4, (1, 1))
-        for k in (0, 1):
-            p, cond = conditional_state(rho, MeasurementBasis(0.8, 0.3), k)
-            assert p == pytest.approx(0.5, abs=1e-12)
-            np.testing.assert_allclose(cond.entries, I2 / 2, atol=1e-12)
-
-    def test_bell_perfect_correlation(self):
-        p, cond = conditional_state(named_state("bell"), Z_BASIS, 0)
-        assert p == pytest.approx(0.5, abs=1e-12)
-        np.testing.assert_allclose(cond.entries, np.diag([1.0, 0.0]), atol=1e-12)
-
-    def test_probabilities_sum_to_one(self):
-        rho = random_density_matrix((1, 2), seed=8)
-        b = MeasurementBasis(2.0, 1.0)
-        total = sum(conditional_state(rho, b, k)[0] for k in (0, 1))
-        assert total == pytest.approx(1.0, abs=1e-12)
+    """The unnormalised conditional B blocks (rho_B +- n.Gamma)/2."""
 
     @pytest.mark.parametrize("part", [(1, 1), (1, 2), (1, 3)])
     def test_matches_projector_blocks(self, part):
-        # oracle: Tr_A[(E_k (+) I) rho] with E_k built explicitly from the basis
+        # oracle: Tr_A[(E_+- (+) I) rho] with E_+- built explicitly from the basis
         rho = random_density_matrix(part, seed=31)
         db = rho.dim // 2
+        rho_b, gammas = _bloch_blocks(rho)
         for basis in (Z_BASIS, MeasurementBasis(1.1, 2.2), MeasurementBasis(2.7, 5.9)):
-            for k, e in enumerate(basis.projectors()):
+            n_gamma = np.einsum("i,ibc->bc", basis.bloch_vector, gammas)
+            for sign, e in zip((1, -1), projectors(basis)):
                 block = np.einsum(
                     "ibic->bc", (np.kron(e, np.eye(db)) @ rho.entries).reshape(2, db, 2, db)
                 )
-                p, cond = conditional_state(rho, basis, k)
-                assert p == pytest.approx(np.trace(block).real, abs=1e-14)
-                np.testing.assert_allclose(cond.entries, block / p, atol=1e-12)
+                np.testing.assert_allclose((rho_b + sign * n_gamma) / 2, block, atol=1e-12)
 
 
 class TestMutualInformation:
@@ -111,10 +88,9 @@ class TestMutualInformation:
         assert mutual_information(rho) == pytest.approx(oracle, abs=1e-12)
         assert oracle == pytest.approx(1.0, abs=1e-12)
 
-    def test_rejects_dims_mismatch(self):
-        rho = random_density_matrix((1, 1), seed=0)
-        with pytest.raises(ValueError, match="dims"):
-            mutual_information(rho, dims=(2, 4))
+    def test_rejects_state_without_bipartite_split(self):
+        with pytest.raises(ValueError, match="no bipartite split"):
+            mutual_information(random_density_matrix((1, 1, 1), seed=0))
 
 
 class TestDiscord:
@@ -149,7 +125,7 @@ class TestDiscord:
     def test_rejects_non_qubit_a_side(self):
         rho = random_density_matrix((2, 1), seed=1)
         with pytest.raises(ValueError, match="A side"):
-            discord(rho, dims=(4, 2))
+            discord(rho)
 
     def test_nonnegative_on_random_states(self):
         # 200 states across two-to-four total qubits

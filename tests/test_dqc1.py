@@ -15,7 +15,9 @@ from qdiscord import (
     trace_estimate,
 )
 from qdiscord.dqc1 import unitary_from_dict
-from qdiscord.linalg import PAULI_1Q, partial_transpose
+from qdiscord.linalg import PAULI_1Q
+
+from .oracles import partial_transpose
 
 
 def unitary_to_dict(u: np.ndarray) -> dict:
@@ -108,7 +110,7 @@ class TestOutputState:
         for seed in range(100):
             u = haar_random_unitary(8, seed=seed)
             rho = output_state(Dqc1Instance(1.0, u))
-            pt = partial_transpose(rho.entries, (2, 8), subsystem=0)
+            pt = partial_transpose(rho.entries, (2, 8))
             assert np.linalg.eigvalsh(pt)[0] >= -1e-10
 
 

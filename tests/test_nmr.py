@@ -157,6 +157,18 @@ class TestMeasuredCorrelationMatrix:
         b = measured_correlation_matrix(rho, 0.05, seed=3)
         np.testing.assert_array_equal(a.values, b.values)
 
+    @pytest.mark.parametrize("name", ["bell", "initial-dqc1", "final-dqc1"])
+    def test_entries_are_simulated_measurements(self, name):
+        # oracle: one simulate_measurement per observable, which recomputes Tr(rho P)
+        rho = embed(named_state(name), 1e-3)
+        corr = measured_correlation_matrix(rho, 0.05, seed=7)
+        for i, row in enumerate(corr.rows):
+            for j, col in enumerate(corr.cols):
+                if i == j == 0:
+                    continue
+                reading, _ = simulate_measurement(rho, row + col, 0.05, seed=7)
+                assert abs(corr.values[i, j] - reading) <= 1e-15
+
 
 class TestWitnessEmbeddingCommutation:
     def test_rank_commutes_with_embedding(self):

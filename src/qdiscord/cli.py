@@ -209,14 +209,20 @@ def cmd_witness(args) -> int:
         "seed": args.seed,
         "out": str(args.out),
     }
-    verdict = witness_procedure(
-        corr.as_source(),
-        tau=args.tau,
-        confidence=args.confidence,
-        n_samples=args.samples,
-        seed=args.seed,
-        bin_width=args.bin,
-    )
+    try:
+        verdict = witness_procedure(
+            corr.as_source(),
+            tau=args.tau,
+            confidence=args.confidence,
+            n_samples=args.samples,
+            seed=args.seed,
+            bin_width=args.bin,
+        )
+    except wit.HistogramBinsError as exc:
+        raise ValueError(
+            f"--bin {args.bin} is too fine for the noise; use a coarser --bin "
+            f"or a smaller --sigma ({exc})"
+        ) from None
     scan_payload = None
     csv_dist = verdict.distribution
     rank = verdict.rank_lower_bound

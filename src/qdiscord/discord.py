@@ -32,7 +32,10 @@ The minimum lies at theta = pi/2: here Gamma_z = 0, so a direction off the
 equator acts like an equatorial one with a shorter Bloch vector, which is a
 coarse-grained measurement, and coarse-graining cannot lower the conditional
 entropy. The bracket has period pi in phi, so :func:`dqc1_discord` searches
-the half circle only, at O(d) per evaluation.
+the half circle only, at O(d) per evaluation. Since g'(x) = atanh(x) / ln 2,
+its phi-derivatives are closed forms as well, and a safeguarded Newton
+search on them polishes the grid minimum; numpy is all this path needs, and
+scipy is imported only by the dense :func:`discord` search.
 
 At NMR polarizations no search is needed. g(x) = x^2 / (2 ln 2) + O(x^4),
 so the bracket is -eps^2 Var_k c_k(phi) / (2 ln 2) + O(eps^4). With
@@ -58,7 +61,6 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
-from scipy.optimize import minimize, minimize_scalar
 
 from . import dqc1
 from .linalg import DensityMatrix, entropy_from_eigenvalues
@@ -190,6 +192,8 @@ def discord(rho: DensityMatrix, opts: MinimizerOptions | None = None) -> Discord
     then a Nelder-Mead polish of the best cell to ``ANGLE_TOL``. The reported
     discord is clipped at zero.
     """
+    from scipy.optimize import minimize  # the only scipy use; kept off the import path
+
     opts = opts or MinimizerOptions()
     rho_b, gammas = _bloch_blocks(rho)
     g = opts.grid
@@ -223,7 +227,13 @@ def discord(rho: DensityMatrix, opts: MinimizerOptions | None = None) -> Discord
         mutual_information=mi,
         classical_correlations=cc,
         conditional_term=cond,
-        diagnostics={"grid": g, "grid_min": float(vals[i0]), "refine_nfev": int(res.nfev)},
+        diagnostics={
+            "grid": g,
+            "grid_min": float(vals[i0]),
+            "refine_nfev": int(res.nfev),
+            "converged": bool(res.success),
+            "polish_gain": float(vals[i0]) - cond,
+        },
     )
 
 
@@ -241,42 +251,108 @@ def _bias_information(x) -> np.ndarray:
     return np.where(inside, g, 1.0)
 
 
+def _bracket(lam: np.ndarray, eps: float, phis) -> np.ndarray:
+    """The bracket f(phi) = g(eps m) - mean_k g(eps c_k) of the module
+    docstring at each angle of ``phis``: the conditional entropy, less
+    log2 d, of the equatorial measurement at phi."""
+    c = np.cos(lam - np.asarray(phis, dtype=float)[..., None])
+    return _bias_information(eps * c.mean(axis=-1)) - _bias_information(eps * c).mean(axis=-1)
+
+
+def _bracket_slope(lam: np.ndarray, eps: float, phi: float) -> tuple[float, float]:
+    """f'(phi) and f''(phi) of the bracket, both in units of eps / ln 2.
+
+    With s_k = sin(lambda_k - phi), S = mean_k s_k and g'(x) = atanh(x) / ln 2,
+
+        f'  ~ atanh(eps m) S - mean_k atanh(eps c_k) s_k,
+        f'' ~ eps S^2 / (1 - eps^2 m^2) - m atanh(eps m)
+              - eps mean_k s_k^2 / (1 - eps^2 c_k^2) + mean_k c_k atanh(eps c_k).
+
+    A product atanh(x) s with |x| = 1 (a pure conditional block, only at
+    eps = 1) is replaced by its limit 0, so f' stays finite; f'' is then
+    infinite or NaN.
+    """
+    c, s = np.cos(lam - phi), np.sin(lam - phi)
+    m, sm = c.mean(), s.mean()
+    with np.errstate(divide="ignore", invalid="ignore"):
+        at, at_m = np.arctanh(eps * c), np.arctanh(eps * m)
+        t, t_m = at * s, at_m * sm
+        d1 = np.where(np.isfinite(t_m), t_m, 0.0) - np.where(np.isfinite(t), t, 0.0).mean()
+        # 1 - eps^2 c^2 = (1 - eps^2) + eps^2 s^2 keeps its precision as |eps c| -> 1
+        d2 = (
+            eps * sm * sm / (1 - (eps * m) ** 2)
+            - m * at_m
+            - eps * (s * s / ((1 - eps * eps) + (eps * s) ** 2)).mean()
+            + (c * at).mean()
+        )
+    return float(d1), float(d2)
+
+
+def _newton_polish(
+    lam: np.ndarray, eps: float, lo: float, x: float, hi: float, fx: float
+) -> tuple[float, float, int, bool]:
+    """Safeguarded Newton search for a minimum of the bracket between ``lo``
+    and ``hi``, starting at ``x`` with bracket value ``fx``.
+
+    x is always the lowest point seen and neither end lies below it (at the
+    start the ends are the grid neighbours of the grid minimum), so a local
+    minimum no higher than the start stays inside [lo, hi]. Each step
+    moves to the side of x where the bracket falls (the sign of f'): by the
+    Newton step -f'/f'' if f'' is positive and finite and the step stays on
+    that side, else to that side's midpoint. A lower trial point becomes x;
+    a higher one becomes the end on its side. Returns the angle, its value,
+    the number of steps, and whether a step fell to ``ANGLE_TOL`` within
+    ``MAX_ITER``.
+    """
+    for step in range(1, MAX_ITER + 1):
+        d1, d2 = _bracket_slope(lam, eps, x)
+        if d1 == 0:
+            return x, fx, step, True
+        far = hi if d1 < 0 else lo
+        u = x - d1 / d2 if 0 < d2 < math.inf else math.nan
+        if not (u - x) * (far - u) > 0:  # no Newton step, or it leaves the side
+            u = (x + far) / 2
+        fu = float(_bracket(lam, eps, u))
+        if abs(u - x) <= ANGLE_TOL:
+            return (u, fu, step, True) if fu <= fx else (x, fx, step, True)
+        if fu <= fx:
+            lo, hi = (x, hi) if u > x else (lo, x)
+            x, fx = u, fu
+        elif u > x:
+            hi = u
+        else:
+            lo = u
+    return x, fx, MAX_ITER, False
+
+
 def dqc1_discord(
     eigphases: np.ndarray, eps: float, opts: MinimizerOptions | None = None
 ) -> DiscordResult:
     """Discord of the circuit output for bias ``eps`` and a unitary with the
     given eigenphases, from the closed form in the module docstring.
 
-    The phi search scans ``opts.grid`` points on [0, pi), then runs a bounded
-    scalar polish over the two cells around the best point to ``ANGLE_TOL``
-    in at most ``MAX_ITER`` iterations. The argmin basis lies on the equator
+    The phi search scans ``opts.grid`` points on [0, pi), then polishes the
+    best one with a safeguarded Newton search on the analytic phi-derivatives
+    of the bracket, inside the two cells around it, to ``ANGLE_TOL`` in at
+    most ``MAX_ITER`` steps; the polish never ends above the grid minimum.
+    ``diagnostics`` holds the grid minimum, the Newton step count
+    (``refine_nfev``), ``converged`` and ``polish_gain`` (grid minimum less
+    the conditional term). The argmin basis lies on the equator
     (theta = pi/2).
     """
     opts = opts or MinimizerOptions()
     lam = np.asarray(eigphases, dtype=float).ravel()
     log_d = math.log2(lam.size)
-
-    def excess(phis):
-        # conditional entropy minus log2 d for equatorial measurements at phis
-        c = np.cos(lam - np.asarray(phis, dtype=float)[..., None])
-        return _bias_information(eps * c.mean(axis=-1)) - _bias_information(eps * c).mean(axis=-1)
-
     h = np.pi / opts.grid
     phis = np.arange(opts.grid) * h
-    vals = excess(phis)
+    vals = _bracket(lam, eps, phis)
     i0 = int(np.argmin(vals))
-    res = minimize_scalar(
-        lambda p: float(excess(p)),
-        bounds=(phis[i0] - h, phis[i0] + h),
-        method="bounded",
-        options=dict(xatol=ANGLE_TOL, maxiter=MAX_ITER),
+    phi, best, steps, converged = _newton_polish(
+        lam, eps, phis[i0] - h, float(phis[i0]), phis[i0] + h, float(vals[i0])
     )
-    if res.fun <= vals[i0]:
-        best, phi = float(res.fun), float(res.x)
-    else:
-        best, phi = float(vals[i0]), float(phis[i0])
     tau = abs(np.exp(1j * lam).mean())
     mi = float(_bias_information(eps) - _bias_information(eps * tau))
+    grid_min = log_d + float(vals[i0])
     return DiscordResult(
         discord=max(mi + best, 0.0),
         argmin_basis=MeasurementBasis(np.pi / 2, phi),
@@ -285,8 +361,10 @@ def dqc1_discord(
         conditional_term=log_d + best,
         diagnostics={
             "grid": opts.grid,
-            "grid_min": log_d + float(vals[i0]),
-            "refine_nfev": int(res.nfev),
+            "grid_min": grid_min,
+            "refine_nfev": steps,
+            "converged": converged,
+            "polish_gain": grid_min - (log_d + best),
         },
     )
 

@@ -257,6 +257,10 @@ def _histogram(samples: np.ndarray, bin_width: float) -> Histogram:
     return Histogram(centers, rel, cum)
 
 
+class HistogramBinsError(ValueError):
+    """A histogram would need more than ``MAX_HISTOGRAM_BINS`` bins."""
+
+
 def _check_confidence(confidence: float) -> None:
     if not 0.0 < confidence <= 1.0:
         raise ValueError(f"confidence {confidence} outside (0, 1]")
@@ -293,7 +297,7 @@ class SingularValueDistribution:
             raise ValueError(NON_FINITE_SAMPLES)
         _check_bin_width(self.bin_width)
         if float(samples.max(initial=0.0)) / self.bin_width >= MAX_HISTOGRAM_BINS:
-            raise ValueError(
+            raise HistogramBinsError(
                 f"bin_width {self.bin_width} needs more than {MAX_HISTOGRAM_BINS} histogram bins"
             )
         samples.setflags(write=False)
@@ -345,16 +349,23 @@ class _GramFold:
     Sample i is therefore one hypothetical experiment at every step. A matrix
     whose sigmas are all zero so far keeps the exact SVD of its values.
 
-    :meth:`quantiles` decomposes only the samples that can reach the low
-    quantile (see there); :meth:`distribution` decomposes every sample.
+    Only G's lower triangle, the part eigvalsh reads, is kept: packed as one
+    (n_samples,) row per entry, so a column costs rows (rows + 1) / 2
+    products per sample, and a sample's matrix is unpacked only when it is
+    decomposed. :meth:`quantiles` decomposes only the samples that can reach
+    the low quantile (see there); :meth:`distribution` decomposes every
+    sample.
     """
 
     def __init__(self, n_rows: int, n_samples: int, seed: int):
         if n_samples < 1:
             raise ValueError("n_samples must be at least 1")
+        self.n_rows = n_rows
         self.n_samples = n_samples
         self.seed = seed
-        self.gram = np.zeros((n_samples, n_rows, n_rows))
+        self.tril = np.tril_indices(n_rows)
+        self.diagonal = np.flatnonzero(self.tril[0] == self.tril[1])
+        self.packed = np.zeros((self.tril[0].size, n_samples))
         # each sample's floored eigenvalues (descending) when last decomposed
         self.last_eig = np.zeros((n_rows, n_samples))
         self.values: list[np.ndarray] = []
@@ -362,30 +373,38 @@ class _GramFold:
 
     def add(self, label: PauliLabel, values: np.ndarray, sigmas: np.ndarray) -> None:
         self.values.append(values)
-        if not np.any(sigmas > 0):
-            self.gram += np.outer(values, values)
-            return
-        self.noisy = True
-        rng = np.random.default_rng([self.seed, zlib.crc32(label.encode())])
         # overflow from huge sigmas is refused, with a message, at the next check
         with np.errstate(over="ignore", invalid="ignore"):
-            col = values + rng.standard_normal((self.n_samples, values.size)) * sigmas
-            self.gram += col[:, :, None] * col[:, None, :]
+            if np.any(sigmas > 0):
+                self.noisy = True
+                rng = np.random.default_rng([self.seed, zlib.crc32(label.encode())])
+                col = (values + rng.standard_normal((self.n_samples, values.size)) * sigmas).T
+            else:
+                col = values[:, None]  # the same column in every sample
+            for k, (i, j) in enumerate(zip(*self.tril)):
+                self.packed[k] += col[i] * col[j]
 
     @property
     def n_singular_values(self) -> int:
-        return min(self.gram.shape[1], len(self.values))
+        return min(self.n_rows, len(self.values))
+
+    def trace(self) -> np.ndarray:
+        """tr(G) of every sample."""
+        return self.packed[self.diagonal].sum(axis=0)
 
     def _exact_sv(self) -> np.ndarray:
         return np.linalg.svd(np.column_stack(self.values), compute_uv=False)
 
     def _check_finite(self) -> None:
-        if not np.isfinite(self.gram).all():
+        if not np.isfinite(self.packed).all():
             raise ValueError(NON_FINITE_SAMPLES)
 
-    @staticmethod
-    def _eigenvalues(gram: np.ndarray) -> np.ndarray:
-        """Descending eigenvalues of a Gram stack, those under the resolution 0."""
+    def _eigenvalues(self, idx) -> np.ndarray:
+        """Descending eigenvalues of the Gram matrices of samples ``idx``,
+        those under the resolution 0."""
+        packed = self.packed[:, idx]
+        gram = np.zeros((packed.shape[1], self.n_rows, self.n_rows))
+        gram[:, self.tril[0], self.tril[1]] = packed.T
         lam = np.linalg.eigvalsh(gram)[:, ::-1]
         lam[lam < GRAM_RESOLUTION**2 * lam[:, :1]] = 0.0  # and negative rounding
         return lam
@@ -396,19 +415,19 @@ class _GramFold:
             samples = np.tile(self._exact_sv(), (self.n_samples, 1))
             return SingularValueDistribution(samples, bin_width)
         self._check_finite()
-        lam = self._eigenvalues(self.gram)[:, : self.n_singular_values]
+        lam = self._eigenvalues(slice(None))[:, : self.n_singular_values]
         return SingularValueDistribution(np.sqrt(lam), bin_width)
 
     def _decompose(self, idx: np.ndarray) -> np.ndarray:
         """Decompose samples ``idx``, keep their eigenvalues as bounds, and
         return their singular values as an (n_sv, len(idx)) array."""
-        lam = self._eigenvalues(self.gram[idx]).T
+        lam = self._eigenvalues(idx).T
         self.last_eig[:, idx] = lam
         return np.sqrt(lam[: self.n_singular_values])
 
     def _lower_bounds(self) -> np.ndarray:
         """(n_sv, n_samples) lower bounds on the current singular values."""
-        trace = np.einsum("nii->n", self.gram)
+        trace = self.trace()
         bound = self.last_eig[: self.n_singular_values]
         bound = bound - (64 + len(self.values)) * np.finfo(float).eps * trace
         bound[bound < GRAM_RESOLUTION**2 * trace] = 0.0
@@ -621,7 +640,9 @@ def witness_procedure(
     first k columns equal those of :func:`monte_carlo_svd` of those columns,
     and the verdict's distribution is :func:`monte_carlo_svd` of all columns
     used. Exhausting all columns without exceeding dim(A) is the Inconclusive
-    verdict, not an error.
+    verdict, not an error. :class:`HistogramBinsError` is raised at the first
+    rank check whose samples already need more than ``MAX_HISTOGRAM_BINS``
+    bins of ``bin_width``.
     """
     _check_confidence(confidence)
     _check_bin_width(bin_width)
@@ -653,6 +674,15 @@ def witness_procedure(
             continue
         tau_step = default_tau(np.column_stack(sigs)) if tau is None else tau
         low, decomposed = fold.quantiles(1.0 - confidence)
+        # lambda_max(G) >= tr(G) / rows, and G only grows (Weyl), so the
+        # verdict's histograms will need at least this many bins; the 1e-6
+        # slack is far above the rounding of tr(G) and of eigvalsh
+        top = math.sqrt(float(fold.trace().max()) / fold.n_rows) * (1 - 1e-6)
+        if top / bin_width >= MAX_HISTOGRAM_BINS:
+            raise HistogramBinsError(
+                f"bin_width {bin_width} needs more than {MAX_HISTOGRAM_BINS} histogram bins: "
+                f"the largest singular-value sample is at least {top:.4g} after {len(used)} columns"
+            )
         rank = int((low > tau_step).sum())
         trajectory.append(RankCheck(label, tau_step, rank, tuple(low.tolist()), decomposed))
         if rank > dim_a:

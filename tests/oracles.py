@@ -3,6 +3,7 @@
 import numpy as np
 
 from qdiscord import DensityMatrix, MeasurementBasis
+from qdiscord.discord import ANGLE_TOL, MAX_ITER, _bias_information, _bracket
 from qdiscord.linalg import PAULI_1Q
 
 
@@ -35,3 +36,26 @@ def partial_transpose(m: np.ndarray, dims: tuple[int, int]) -> np.ndarray:
     entangled)."""
     da, db = dims
     return np.asarray(m).reshape(da, db, da, db).transpose(2, 1, 0, 3).reshape(da * db, da * db)
+
+
+def bounded_brent_dqc1_discord(eigphases: np.ndarray, eps: float, grid: int = 64) -> float:
+    """``dqc1_discord``'s value with its phi polish done by scipy's bounded
+    Brent search over the two grid cells around the grid minimum, to
+    ``ANGLE_TOL`` in at most ``MAX_ITER`` iterations."""
+    from scipy.optimize import minimize_scalar
+
+    lam = np.asarray(eigphases, dtype=float).ravel()
+    h = np.pi / grid
+    phis = np.arange(grid) * h
+    vals = _bracket(lam, eps, phis)
+    i0 = int(np.argmin(vals))
+    res = minimize_scalar(
+        lambda p: float(_bracket(lam, eps, p)),
+        bounds=(phis[i0] - h, phis[i0] + h),
+        method="bounded",
+        options=dict(xatol=ANGLE_TOL, maxiter=MAX_ITER),
+    )
+    best = min(float(res.fun), float(vals[i0]))
+    tau = abs(np.exp(1j * lam).mean())
+    mi = float(_bias_information(eps) - _bias_information(eps * tau))
+    return max(mi + best, 0.0)

@@ -3,6 +3,7 @@ import importlib
 import io
 import json
 import types
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -82,6 +83,18 @@ class TestDiscordCommand:
         assert out["discord"] == pytest.approx(1.0, abs=1e-6)
         assert out["mutual_information"] == pytest.approx(2.0, abs=1e-9)
         assert "theta" in out["argmin"] and "diagnostics" in out
+
+    @pytest.mark.parametrize(
+        "source", [("--dqc1", "jones"), ("--state", "bell")], ids=["dqc1", "state"]
+    )
+    def test_diagnostics_schema(self, tmp_path, source):
+        assert run(tmp_path, "discord", *source) == 0
+        out = json.loads((tmp_path / "discord.json").read_text())
+        diag = out["diagnostics"]
+        assert set(diag) == {"grid", "grid_min", "refine_nfev", "converged", "polish_gain"}
+        assert diag["converged"] is True
+        assert diag["refine_nfev"] > 0
+        assert diag["polish_gain"] == diag["grid_min"] - out["conditional_term"] >= 0
 
     def test_product_fixture(self, tmp_path):
         assert run(tmp_path, "discord", "--state", "product-fixture") == 0
@@ -405,6 +418,25 @@ class TestWitnessCommand:
         assert calls == []
         assert not (tmp_path / "witness.json").exists()
 
+    def test_noise_too_wide_for_the_bins_exits_2_early(self, tmp_path, capsys, monkeypatch):
+        # sigma 1000 puts the noisy singular values past 10^6 bins of 0.005
+        from qdiscord import witness
+
+        fetched = []
+        real = witness.ColumnSource.fetch
+
+        def counted(self, label):
+            fetched.append(label)
+            return real(self, label)
+
+        monkeypatch.setattr(witness.ColumnSource, "fetch", counted)
+        args = ("witness", "--state", "initial-dqc1", "--samples", "100", "--sigma", "1000")
+        assert run(tmp_path, *args) == 2
+        err = capsys.readouterr().err
+        assert "--bin" in err and "--sigma" in err and "histogram bins" in err
+        assert 4 <= len(fetched) < 64
+        assert not (tmp_path / "witness.json").exists()
+
     def test_config_embedded(self, tmp_path):
         assert run(tmp_path, "witness", "--matrix", "rtrunc_eq3", "--seed", "3") == 0
         out = json.loads((tmp_path / "witness.json").read_text())
@@ -540,3 +572,37 @@ class TestMalformedJsonFuzz:
         ))
         code, err = self.run_quiet(fuzz_dir, kind, malformed)
         assert code == 2 and err.startswith("error: ") and "Traceback" not in err
+
+
+IMPORT_PATH_SCRIPT = """
+import sys
+
+from qdiscord.cli import main
+
+assert "scipy.optimize" not in sys.modules, "import qdiscord.cli"
+for args in (
+    ["witness", "--state", "initial-dqc1", "--samples", "100"],
+    ["haar-survey", "--seeds", "2"],
+    ["discord", "--dqc1", "jones"],
+    ["discord", "--dqc1", "jones", "--extrapolate", "--alpha", "1.4e-5"],
+):
+    assert main(args) == 0, args
+    assert "scipy.optimize" not in sys.modules, args
+assert main(["discord", "--state", "bell"]) == 0
+"""
+
+
+def test_scipy_optimize_stays_off_the_import_path(tmp_path):
+    # a fresh interpreter: only the dense discord() search may load scipy.optimize
+    import os
+    import subprocess
+    import sys
+
+    import qdiscord
+
+    env = dict(os.environ, PYTHONPATH=str(Path(qdiscord.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-c", IMPORT_PATH_SCRIPT],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr

@@ -1,3 +1,4 @@
+import importlib
 import itertools
 import math
 
@@ -24,10 +25,10 @@ from qdiscord import (
     random_density_matrix,
     tensor,
 )
-from qdiscord.discord import _bloch_blocks
+from qdiscord.discord import _bloch_blocks, _bracket
 from qdiscord.linalg import PAULI_1Q, entropy_from_eigenvalues
 
-from .oracles import projective_average, projectors
+from .oracles import bounded_brent_dqc1_discord, projective_average, projectors
 
 I2 = PAULI_1Q["I"]
 X = PAULI_1Q["X"]
@@ -263,6 +264,66 @@ class TestDqc1Discord:
         eigphases = np.angle(np.linalg.eigvals(unitary))
         for eps in self.EPSILONS:
             assert dqc1_discord(eigphases, eps).discord == 0.0
+
+
+POLISH_UNITARIES = {
+    "jones": jones_unitary(),
+    "identity": np.eye(8),
+    "ZII": np.kron(np.kron(Z, I2), I2),
+    "haar2": haar_random_unitary(2, 0),
+    "haar8": haar_random_unitary(8, 1),
+    "haar16": haar_random_unitary(16, 2),
+    "haar32": haar_random_unitary(32, 3),
+}
+POLISH_EPSILONS = (7e-6, 1.4e-5, 1e-3, 0.1, 0.5, 0.99, 1.0)
+
+
+class TestNewtonPolish:
+    """The phi polish of dqc1_discord against the bounded Brent search it
+    replaced. eps = 1 puts pure directions, where f'' is infinite, on the
+    grid of the Jones unitary at grids 1 to 3."""
+
+    @pytest.mark.parametrize("grid", [8, 64])
+    @pytest.mark.parametrize("name", list(POLISH_UNITARIES))
+    def test_matches_bounded_brent_search(self, name, grid):
+        lam = np.angle(np.linalg.eigvals(POLISH_UNITARIES[name]))
+        for eps in POLISH_EPSILONS:
+            res = dqc1_discord(lam, eps, MinimizerOptions(grid=grid))
+            oracle = bounded_brent_dqc1_discord(lam, eps, grid)
+            np.testing.assert_allclose(res.discord, oracle, rtol=1e-9, atol=1e-13)
+            assert res.diagnostics["converged"]
+            if grid == 64 and eps < 1:  # Newton, not bisection (about 22 halvings)
+                assert res.diagnostics["refine_nfev"] <= 10
+
+    @pytest.mark.parametrize("grid", [1, 2, 3])
+    @pytest.mark.parametrize("name", list(POLISH_UNITARIES))
+    def test_coarse_grid_ends_at_a_local_minimum(self, name, grid):
+        # cells this wide can hold several local minima, and neither search is
+        # global: each must end at one, no higher than the grid minimum
+        lam = np.angle(np.linalg.eigvals(POLISH_UNITARIES[name]))
+        for eps in POLISH_EPSILONS:
+            res = dqc1_discord(lam, eps, MinimizerOptions(grid=grid))
+            assert res.diagnostics["converged"]
+            assert res.diagnostics["polish_gain"] >= 0
+            phi = res.argmin_basis.phi
+            here = _bracket(lam, eps, phi)
+            near = _bracket(lam, eps, [phi - 1e-6, phi + 1e-6])
+            assert np.all(near >= here - 1e-12 * abs(here)), (eps, near - here)
+
+    @pytest.mark.parametrize("grid", [1, 2, 3])
+    def test_jones_pure_direction_on_the_grid(self, grid):
+        # the grid point phi = 0 makes three conditional blocks pure at eps = 1
+        lam = np.angle(np.linalg.eigvals(jones_unitary()))
+        for eps in POLISH_EPSILONS:
+            value = dqc1_discord(lam, eps, MinimizerOptions(grid=grid)).discord
+            oracle = bounded_brent_dqc1_discord(lam, eps, grid)
+            assert value <= oracle + 1e-13 + 1e-9 * oracle
+
+    def test_nonconvergence_is_reported(self, monkeypatch):
+        monkeypatch.setattr(importlib.import_module("qdiscord.discord"), "MAX_ITER", 1)
+        lam = np.angle(np.linalg.eigvals(jones_unitary()))
+        diag = dqc1_discord(lam, 1.0, MinimizerOptions(grid=1)).diagnostics
+        assert diag["converged"] is False and diag["refine_nfev"] == 1
 
 
 def eigphases_of(u: np.ndarray) -> np.ndarray:

@@ -58,6 +58,20 @@ def scaled_non_identity(corr: CorrelationMatrix, kappa: float) -> CorrelationMat
     return CorrelationMatrix(corr.rows, corr.cols, values, sigmas)
 
 
+def outer_product_gram(corr: CorrelationMatrix, n_samples: int, seed: int, k: int) -> np.ndarray:
+    """Full (n_samples, rows, rows) Gram stack of the first k columns, each
+    drawn from the witness's keyed stream and folded as a whole outer
+    product c c^T."""
+    gram = np.zeros((n_samples, len(corr.rows), len(corr.rows)))
+    for j, label in enumerate(corr.cols[:k]):
+        col = corr.values[:, j]
+        if np.any(corr.sigmas[:, j] > 0):
+            rng = np.random.default_rng([seed, zlib.crc32(label.encode())])
+            col = col + rng.standard_normal((n_samples, col.size)) * corr.sigmas[:, j]
+        gram += np.atleast_2d(col)[:, :, None] * np.atleast_2d(col)[:, None, :]
+    return gram
+
+
 def full_quantiles(gram: np.ndarray, n_sv: int, q: float) -> np.ndarray:
     """np.quantile of the floored singular values from a full eigvalsh of a
     Gram stack: the rank check without bounds."""
@@ -342,7 +356,8 @@ class TestRankCheckQuantiles:
             fold.add(label, corr.values[:, j], corr.sigmas[:, j])
             got, decomposed = fold.quantiles(q)
             if fold.noisy:
-                want = full_quantiles(fold.gram, fold.n_singular_values, q)
+                gram = outer_product_gram(corr, n_samples, 2, j + 1)
+                want = full_quantiles(gram, fold.n_singular_values, q)
                 assert 0 < decomposed <= n_samples
             else:
                 want = np.linalg.svd(corr.values[:, : j + 1], compute_uv=False)
@@ -594,6 +609,33 @@ class TestWitnessProcedure:
         a = witness_procedure(eq3_fixture().as_source(), seed=3)
         b = witness_procedure(eq3_fixture().as_source(), seed=3)
         np.testing.assert_array_equal(a.distribution.samples, b.distribution.samples)
+
+    @pytest.mark.parametrize("sigma", [0.05, 100.0, 1000.0])
+    def test_bin_bound_never_exceeds_the_final_samples(self, sigma):
+        # the early bin refusal rests on sqrt(tr(G) / rows) at any check being
+        # at most the largest singular value of the final samples
+        corr = correlation_matrix(named_state("initial-dqc1")).with_uniform_sigmas(sigma)
+        fold = wit._GramFold(len(corr.rows), 200, seed=7)
+        bounds = []
+        for j, label in enumerate(corr.cols):
+            fold.add(label, corr.values[:, j], corr.sigmas[:, j])
+            bounds.append(np.sqrt(fold.trace().max() / len(corr.rows)))
+        top = np.sqrt(fold._eigenvalues(slice(None))[:, 0].max())
+        assert max(bounds) == bounds[-1] <= top
+
+    def test_noise_just_within_the_bins_runs(self):
+        # the last samples need 9.7e5 of the 10^6 bins: no early refusal
+        corr = correlation_matrix(named_state("initial-dqc1")).with_uniform_sigmas(430.0)
+        verdict = witness_procedure(corr.as_source(), n_samples=200, seed=7)
+        top_bins = verdict.distribution.samples.max() / 0.005
+        assert 0.95 * wit.MAX_HISTOGRAM_BINS < top_bins < wit.MAX_HISTOGRAM_BINS
+
+    def test_bins_refused_at_the_first_check_that_needs_them(self):
+        corr = correlation_matrix(named_state("initial-dqc1")).with_uniform_sigmas(1000.0)
+        source = corr.as_source()
+        with pytest.raises(wit.HistogramBinsError, match="histogram bins"):
+            witness_procedure(source, n_samples=100, seed=0)
+        assert len(source._taken) < len(corr.cols)
 
     def test_verdict_consistency_enforced(self):
         dist = SingularValueDistribution(np.tile([1.0, 0.5], (10, 1)), 0.005)

@@ -276,9 +276,7 @@ def cmd_haar_survey(args) -> int:
     mean = float(values.mean())
     stderr = float(values.std(ddof=1) / np.sqrt(len(values))) if len(values) > 1 else 0.0
     csv_path = Path(args.csv)
-    lines = ["seed,discord"]
-    for i, v in enumerate(values):
-        lines.append(f"{args.start_seed + i},{v:.8e}")
+    lines = ["seed,discord"] + [f"{args.start_seed + i},{v:.8e}" for i, v in enumerate(values)]
     csv_path.write_text("\n".join(lines) + "\n")
     payload = {
         "command": "haar-survey",

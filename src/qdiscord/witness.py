@@ -113,9 +113,7 @@ class CorrelationMatrix:
     def _identity_index(rows, cols) -> tuple[int, int] | None:
         ri = [i for i, r in enumerate(rows) if _is_identity_label(r)]
         ci = [j for j, c in enumerate(cols) if _is_identity_label(c)]
-        if ri and ci:
-            return ri[0], ci[0]
-        return None
+        return (ri[0], ci[0]) if ri and ci else None
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -143,11 +141,7 @@ class CorrelationMatrix:
         return CorrelationMatrix(self.rows, self.cols, self.values, sigmas)
 
     def to_dict(self) -> dict:
-        out = {
-            "rows": list(self.rows),
-            "cols": list(self.cols),
-            "values": self.values.tolist(),
-        }
+        out = {"rows": list(self.rows), "cols": list(self.cols), "values": self.values.tolist()}
         if self.sigmas is not None:
             out["sigmas"] = self.sigmas.tolist()
         return out
@@ -182,8 +176,7 @@ def correlation_matrix(rho: DensityMatrix) -> CorrelationMatrix:
     da, db = rho.bipartite_dims
     na, nb = rho.qubit_partition
     r4 = rho.entries.reshape(da, db, da, db)
-    a_stack = _pauli_stack(na)
-    b_stack = _pauli_stack(nb)
+    a_stack, b_stack = _pauli_stack(na), _pauli_stack(nb)
     contracted = np.einsum("ibjc,rji->rbc", r4, a_stack, optimize=True)
     values = np.einsum("rbc,scb->rs", contracted, b_stack, optimize=True).real
     return CorrelationMatrix(tuple(pauli_labels(na)), tuple(pauli_labels(nb)), values)
@@ -191,8 +184,7 @@ def correlation_matrix(rho: DensityMatrix) -> CorrelationMatrix:
 
 def reconstruct_state(corr: CorrelationMatrix) -> np.ndarray:
     """Pauli resummation 2^-N sum r_nm A_n (+) B_m of a full correlation matrix."""
-    na = len(corr.rows[0])
-    nb = len(corr.cols[0])
+    na, nb = len(corr.rows[0]), len(corr.cols[0])
     if len(corr.rows) != 4**na or len(corr.cols) != 4**nb:
         raise ValueError("reconstruction needs the full Pauli bases on both sides")
     a_stack = np.stack([pauli_realize(lab) for lab in corr.rows])
@@ -204,12 +196,10 @@ def reconstruct_state(corr: CorrelationMatrix) -> np.ndarray:
 
 def extract_columns(corr: CorrelationMatrix, labels: Sequence[PauliLabel]) -> CorrelationMatrix:
     """Truncated matrix keeping all rows and the selected columns (with sigmas)."""
-    idx = []
-    for lab in labels:
-        try:
-            idx.append(corr.cols.index(lab))
-        except ValueError:
-            raise ValueError(f"unknown column label {lab!r}") from None
+    unknown = [lab for lab in labels if lab not in corr.cols]
+    if unknown:
+        raise ValueError(f"unknown column label {unknown[0]!r}")
+    idx = [corr.cols.index(lab) for lab in labels]
     sig = None if corr.sigmas is None else corr.sigmas[:, idx]
     return CorrelationMatrix(corr.rows, tuple(labels), corr.values[:, idx], sig)
 
@@ -442,13 +432,13 @@ class _GramFold:
         rounding margin of (64 + columns) eps tr(G) (eigvalsh's error and one
         eps tr(G) per Gram addition since), is a lower bound; it is kept only
         while it clears the resolution floor at tr(G) >= lambda_max, else the
-        bound is 0. ``np.quantile`` reads the order statistics at floor(h) and
-        floor(h) + 1, h = q (n - 1), so only the ``need`` smallest values of
-        each singular value must be exact. The samples holding the 2 x ``need``
-        smallest bounds are decomposed first; the need-th smallest of their
-        exact values is at or above the true one, so after decomposing every
-        sample bounded at or below it, no bound is below the need-th smallest
-        value and the quantile is exact.
+        bound is 0. The quantile reads only the order statistics at floor(h)
+        and floor(h) + 1, h = q (n - 1), so only the ``need`` smallest values
+        of each singular value must be exact. The samples holding the 2 x
+        ``need`` smallest bounds are decomposed first; the need-th smallest of
+        their exact values is at or above the true one, so after decomposing
+        every sample bounded at or below it, no bound is below the need-th
+        smallest value, and the decomposed samples alone give the quantile.
         """
         if not self.noisy:
             return self._exact_sv(), 0
@@ -462,13 +452,26 @@ class _GramFold:
         first = np.flatnonzero((sv <= kth).any(axis=0))
         sv[:, first] = self._decompose(first)
         if first.size == n:  # as at confidence <= 0.5: nothing is left to bound
-            return np.quantile(sv, q, axis=1), n
+            return _quantile_of_lowest(sv, q, n), n
         top = np.partition(sv[:, first], need - 1, axis=1)[:, need - 1, None]
         more = (sv <= top).any(axis=0)
         more[first] = False
         rest = np.flatnonzero(more)
+        more[first] = True  # every decomposed sample
         sv[:, rest] = self._decompose(rest)
-        return np.quantile(sv, q, axis=1), first.size + rest.size
+        return _quantile_of_lowest(sv[:, more], q, n), first.size + rest.size
+
+
+def _quantile_of_lowest(lowest: np.ndarray, q: float, n: int) -> np.ndarray:
+    """``np.quantile(full, q, axis=1)`` of an (rows, n) array, bit for bit,
+    from the columns ``lowest`` of it that hold each row's floor(h) + 2
+    smallest values (or all n), h = q (n - 1): numpy's linear rule reads only
+    the order statistics a and b at floor(h) and floor(h) + 1."""
+    h = (n - 1) * q
+    i, j = min(math.floor(h), n - 1), min(math.floor(h) + 1, n - 1)
+    a, b = np.partition(lowest, (i, j), axis=1)[:, [i, j]].T
+    t = h - i
+    return b - (b - a) * (1 - t) if t >= 0.5 else a + (b - a) * t
 
 
 def monte_carlo_svd(
@@ -700,9 +703,8 @@ def write_histogram_csvs(dist: SingularValueDistribution, prefix: str | Path) ->
     paths = []
     for i, h in enumerate(dist.histograms, start=1):
         path = Path(f"{prefix}_sv{i}.csv")
-        lines = ["bin_center,relative_occurrence,cumulative"]
-        for c, r, cu in zip(h.bin_centers, h.relative_occurrence, h.cumulative):
-            lines.append(f"{c:.6f},{r:.6f},{cu:.6f}")
-        path.write_text("\n".join(lines) + "\n")
+        rows = zip(h.bin_centers, h.relative_occurrence, h.cumulative)
+        body = "".join(f"{c:.6f},{r:.6f},{cu:.6f}\n" for c, r, cu in rows)
+        path.write_text("bin_center,relative_occurrence,cumulative\n" + body)
         paths.append(path)
     return paths

@@ -3,7 +3,7 @@
 import numpy as np
 
 from qdiscord import DensityMatrix, MeasurementBasis
-from qdiscord.discord import ANGLE_TOL, MAX_ITER, _bias_information, _bracket
+from qdiscord.discord import ANGLE_TOL, MAX_ITER
 from qdiscord.linalg import PAULI_1Q
 
 
@@ -38,24 +38,42 @@ def partial_transpose(m: np.ndarray, dims: tuple[int, int]) -> np.ndarray:
     return np.asarray(m).reshape(da, db, da, db).transpose(2, 1, 0, 3).reshape(da * db, da * db)
 
 
+def bias_information(x) -> np.ndarray:
+    """g(x) = 1 - h2((1 + x)/2) in bits, written out as
+    ((1 + x) ln(1 + x) + (1 - x) ln(1 - x)) / (2 ln 2) with 0 ln 0 = 0."""
+    from scipy.special import xlog1py
+
+    x = np.asarray(x, dtype=float)
+    return (xlog1py(1 + x, x) + xlog1py(1 - x, -x)) / (2 * np.log(2))
+
+
+def dqc1_bracket(eigphases: np.ndarray, eps: float, phis) -> np.ndarray:
+    """g(eps mean_k c_k) - mean_k g(eps c_k) with c_k = cos(lambda_k - phi),
+    at each angle of ``phis``: the phi-dependent part of the circuit-output
+    conditional entropy (the ``discord`` module docstring)."""
+    c = np.cos(np.subtract.outer(np.atleast_1d(np.asarray(phis, dtype=float)), eigphases))
+    return bias_information(eps * np.mean(c, axis=1)) - np.mean(bias_information(eps * c), axis=1)
+
+
 def bounded_brent_dqc1_discord(eigphases: np.ndarray, eps: float, grid: int = 64) -> float:
     """``dqc1_discord``'s value with its phi polish done by scipy's bounded
     Brent search over the two grid cells around the grid minimum, to
-    ``ANGLE_TOL`` in at most ``MAX_ITER`` iterations."""
+    ``ANGLE_TOL`` in at most ``MAX_ITER`` iterations. The bracket and g are
+    this module's own, so the oracle shares no arithmetic with the engine."""
     from scipy.optimize import minimize_scalar
 
     lam = np.asarray(eigphases, dtype=float).ravel()
     h = np.pi / grid
     phis = np.arange(grid) * h
-    vals = _bracket(lam, eps, phis)
+    vals = dqc1_bracket(lam, eps, phis)
     i0 = int(np.argmin(vals))
     res = minimize_scalar(
-        lambda p: float(_bracket(lam, eps, p)),
+        lambda p: float(dqc1_bracket(lam, eps, p)[0]),
         bounds=(phis[i0] - h, phis[i0] + h),
         method="bounded",
         options=dict(xatol=ANGLE_TOL, maxiter=MAX_ITER),
     )
     best = min(float(res.fun), float(vals[i0]))
     tau = abs(np.exp(1j * lam).mean())
-    mi = float(_bias_information(eps) - _bias_information(eps * tau))
+    mi = float(bias_information(eps) - bias_information(eps * tau))
     return max(mi + best, 0.0)

@@ -1,6 +1,8 @@
+import ast
 import importlib
 import itertools
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -324,6 +326,35 @@ class TestNewtonPolish:
         lam = np.angle(np.linalg.eigvals(jones_unitary()))
         diag = dqc1_discord(lam, 1.0, MinimizerOptions(grid=1)).diagnostics
         assert diag["converged"] is False and diag["refine_nfev"] == 1
+
+    @pytest.mark.parametrize("eps", [1.4e-5, 0.5, 1.0])
+    @pytest.mark.parametrize("name", ["jones", "haar32"])
+    def test_one_bracket_evaluation_per_step(self, monkeypatch, name, eps):
+        # one at the grid minimum, then one per Newton step at its trial point
+        module = importlib.import_module("qdiscord.discord")
+        point, calls = module._bracket_point, []
+
+        def counted(*args):
+            calls.append(args)
+            return point(*args)
+
+        monkeypatch.setattr(module, "_bracket_point", counted)
+        lam = np.angle(np.linalg.eigvals(POLISH_UNITARIES[name]))
+        steps = dqc1_discord(lam, eps).diagnostics["refine_nfev"]
+        assert len(calls) == steps + 1
+
+
+def test_oracles_use_no_private_qdiscord_names():
+    # an oracle that calls the engine's own helpers would check them against themselves
+    tree = ast.parse((Path(__file__).parent / "oracles.py").read_text())
+    private = [
+        f"{node.module}.{alias.name}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "qdiscord"
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert private == []
 
 
 def eigphases_of(u: np.ndarray) -> np.ndarray:

@@ -1,3 +1,4 @@
+import math
 import zlib
 
 import numpy as np
@@ -385,6 +386,18 @@ class TestRankCheckQuantiles:
             current = fold.distribution(0.005).samples.T
             assert np.all(fold._lower_bounds() <= current)
             fold.quantiles(0.01)
+
+    @pytest.mark.parametrize("q", [0.0, 1e-5, 0.01, 0.5, 0.99])
+    @pytest.mark.parametrize("n", [1, 2, 7, 100, 10000])
+    def test_quantile_of_lowest_is_numpy_quantile(self, n, q):
+        # ties (values rounded to 0.1) and the subset of columns the check reads
+        rng = np.random.default_rng(n)
+        full = np.vstack([np.abs(rng.standard_normal((3, n))), np.round(rng.random(n), 1)])
+        want = np.quantile(full, q, axis=1)
+        low = np.argsort(full, axis=1, kind="stable")[:, : min(math.floor(q * (n - 1)) + 2, n)]
+        subset = full[:, rng.permutation(np.unique(low))]
+        for lowest in (full, subset):
+            assert wit._quantile_of_lowest(lowest, q, n).tobytes() == want.tobytes()
 
 
 class TestSingularValueDistribution:

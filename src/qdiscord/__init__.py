@@ -6,7 +6,6 @@ from .linalg import (
     PauliLabel,
     pauli_labels,
     pauli_realize,
-    random_density_matrix,
     tensor,
 )
 from .dqc1 import (
@@ -21,7 +20,6 @@ from .dqc1 import (
 from .discord import (
     DiscordResult,
     MeasurementBasis,
-    MinimizerOptions,
     ScalingFit,
     ScalingFitError,
     discord,
@@ -40,40 +38,32 @@ from .witness import (
     column_combination_scan,
     correlation_matrix,
     default_tau,
-    extract_columns,
-    monte_carlo_svd,
-    rank_lower_bound,
-    reconstruct_state,
     witness_procedure,
     write_histogram_csvs,
     z_sector_first_order,
 )
 from .nmr import (
     NmrEnsemble,
-    boltzmann_polarization,
     embed,
     load_ensemble,
     measured_correlation_matrix,
     simulate_measurement,
-    verdict_polarization_invariance,
 )
 from .states import named_state, eq3_fixture
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "DensityMatrix", "PauliLabel", "pauli_labels", "pauli_realize", "random_density_matrix",
-    "tensor",
+    "DensityMatrix", "PauliLabel", "pauli_labels", "pauli_realize", "tensor",
     "Dqc1Instance", "haar_random_unitary", "input_state", "jones_unitary",
     "load_unitary_json", "output_state", "trace_estimate",
-    "DiscordResult", "MeasurementBasis", "MinimizerOptions", "ScalingFit",
+    "DiscordResult", "MeasurementBasis", "ScalingFit",
     "ScalingFitError", "discord", "dqc1_discord",
     "fit_polarization_scaling", "haar_discord_survey", "is_zero_discord", "mutual_information",
     "ColumnSource", "CorrelationMatrix", "RankCheck", "SingularValueDistribution",
     "WitnessVerdict", "column_combination_scan", "correlation_matrix", "default_tau",
-    "extract_columns", "monte_carlo_svd", "rank_lower_bound", "reconstruct_state",
     "witness_procedure", "write_histogram_csvs", "z_sector_first_order",
-    "NmrEnsemble", "boltzmann_polarization", "embed", "load_ensemble",
-    "measured_correlation_matrix", "simulate_measurement", "verdict_polarization_invariance",
+    "NmrEnsemble", "embed", "load_ensemble", "measured_correlation_matrix",
+    "simulate_measurement",
     "named_state", "eq3_fixture",
 ]

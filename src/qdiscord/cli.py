@@ -20,7 +20,6 @@ import numpy as np
 
 from . import dqc1, nmr, states, witness as wit
 from .discord import (
-    MinimizerOptions,
     ScalingFitError,
     discord,
     dqc1_discord,
@@ -96,7 +95,6 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_discord(args) -> int:
-    opts = MinimizerOptions(grid=args.grid)
     dqc1_direct = args.dqc1 is not None and not args.extrapolate
     if args.epsilon is not None and not dqc1_direct:
         raise ValueError("--epsilon only applies to --dqc1 without --extrapolate")
@@ -108,7 +106,6 @@ def cmd_discord(args) -> int:
         "epsilon": epsilon,
         "alpha": args.alpha,
         "extrapolate": args.extrapolate,
-        "grid": args.grid,
         "out": str(args.out),
     }
     if args.extrapolate:
@@ -116,7 +113,7 @@ def cmd_discord(args) -> int:
             raise ValueError("--extrapolate requires --dqc1 UNITARY")
         if args.alpha is None:
             raise ValueError("--extrapolate requires --alpha")
-        fit = fit_polarization_scaling(_resolve_unitary(args.dqc1), opts=opts, alpha=args.alpha)
+        fit = fit_polarization_scaling(_resolve_unitary(args.dqc1), alpha=args.alpha)
         payload = {
             "command": "discord",
             "discord": fit.value,
@@ -135,9 +132,9 @@ def cmd_discord(args) -> int:
         raise ValueError("--alpha only applies together with --extrapolate")
     if args.dqc1 is not None:
         inst = dqc1.Dqc1Instance(epsilon, _resolve_unitary(args.dqc1))
-        result = dqc1_discord(inst.eigphases, inst.epsilon, opts)
+        result = dqc1_discord(inst.eigphases, inst.epsilon)
     else:
-        result = discord(_resolve_state(args), opts=opts)
+        result = discord(_resolve_state(args))
     payload = {
         "command": "discord",
         "discord": result.discord,
@@ -171,6 +168,11 @@ def _witness_input(args) -> CorrelationMatrix:
 
 
 def cmd_witness(args) -> int:
+    if args.matrix is not None and args.measure_seed is not None:
+        raise ValueError("--measure-seed only applies to --state or --ensemble")
+    if args.scan_combos is None and args.resamples is not None:
+        raise ValueError("--resamples only applies together with --scan-combos")
+    resamples = 10 if args.scan_combos is not None and args.resamples is None else args.resamples
     if not 0.0 < args.confidence <= 1.0:
         raise ValueError(f"--confidence {args.confidence} outside (0, 1]")
     for flag, value in (("--tau", args.tau), ("--bin", args.bin)):
@@ -182,7 +184,7 @@ def cmd_witness(args) -> int:
     for flag, value in (
         ("--samples", args.samples),
         ("--scan-combos", args.scan_combos),
-        ("--resamples", args.resamples),
+        ("--resamples", resamples),
     ):
         if value is not None and value < 1:
             raise ValueError(f"{flag} {value} must be at least 1")
@@ -205,7 +207,7 @@ def cmd_witness(args) -> int:
         "tau": args.tau,
         "confidence": args.confidence,
         "scan_combos": args.scan_combos,
-        "resamples": args.resamples,
+        "resamples": resamples,
         "seed": args.seed,
         "out": str(args.out),
     }
@@ -228,7 +230,7 @@ def cmd_witness(args) -> int:
     rank = verdict.rank_lower_bound
     if args.scan_combos is not None:
         scan_dist = column_combination_scan(
-            corr, args.scan_combos, args.resamples, args.seed, bin_width=args.bin
+            corr, args.scan_combos, resamples, args.seed, bin_width=args.bin
         )
         scan_tau = args.tau if args.tau is not None else default_tau(corr.sigmas, n_cols=4)
         rank = scan_dist.n_distinguishable(scan_tau, args.confidence)
@@ -269,9 +271,8 @@ def cmd_witness(args) -> int:
 def cmd_haar_survey(args) -> int:
     if args.seeds < 1:
         raise ValueError(f"--seeds {args.seeds} must be at least 1")
-    opts = MinimizerOptions(grid=args.grid)
     values = haar_discord_survey(
-        args.seeds, dim=args.dim, alpha=args.alpha, start_seed=args.start_seed, opts=opts
+        args.seeds, dim=args.dim, alpha=args.alpha, start_seed=args.start_seed
     )
     mean = float(values.mean())
     stderr = float(values.std(ddof=1) / np.sqrt(len(values))) if len(values) > 1 else 0.0
@@ -291,7 +292,6 @@ def cmd_haar_survey(args) -> int:
             "dim": args.dim,
             "alpha": args.alpha,
             "start_seed": args.start_seed,
-            "grid": args.grid,
             "out": str(args.out),
             "csv": str(args.csv),
         },
@@ -327,9 +327,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="bias for --dqc1 without --extrapolate (default 1)")
     p.add_argument("--alpha", type=float, help="target polarization for --extrapolate")
     p.add_argument("--extrapolate", action="store_true", help="quadratic-scaling extrapolation")
-    p.add_argument("--grid", type=int, default=64,
-                   help="minimizer grid points per angle; with --dqc1, "
-                   "phi points on the half circle")
     p.add_argument("--out", default="discord.json")
     p.set_defaults(func=cmd_discord)
 
@@ -341,7 +338,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sigma", type=float, default=0.05,
                    help="per-element uncertainty attached to simulated columns")
     p.add_argument("--measure-seed", type=int, default=None,
-                   help="also sample measurement noise into the simulated values")
+                   help="also sample measurement noise into the values of --state or --ensemble")
     p.add_argument("--samples", type=int, default=10000, help="Monte Carlo samples per check")
     p.add_argument("--bin", type=float, default=0.005, help="histogram bin width")
     p.add_argument("--tau", type=float, default=None,
@@ -350,7 +347,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="per-singular-value quantile confidence")
     p.add_argument("--scan-combos", type=int, default=None,
                    help="pool random 4-column combinations (always keeping the identity column)")
-    p.add_argument("--resamples", type=int, default=10, help="noise resamples per combination")
+    p.add_argument("--resamples", type=int, default=None,
+                   help="noise resamples per combination of --scan-combos (default 10)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default="witness.json")
     p.add_argument("--csv-prefix", default=None, help="histogram CSV prefix (default: out stem)")
@@ -361,7 +359,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dim", type=int, default=32, help="unitary dimension")
     p.add_argument("--alpha", type=float, default=1.4e-5)
     p.add_argument("--start-seed", type=int, default=0)
-    p.add_argument("--grid", type=int, default=64, help="phi points on the half circle")
     p.add_argument("--out", default="haar_survey.json")
     p.add_argument("--csv", default="haar_survey.csv", help="per-seed values CSV")
     p.set_defaults(func=cmd_haar_survey)

@@ -71,25 +71,16 @@ DEGENERATE_DISCORD = 1e-12
 # Largest relative gap between the quadratic extrapolation and the discord
 # evaluated directly at the target polarization.
 EXTRAPOLATION_RTOL = 1e-3
-# Angle tolerance and iteration cap of the polish after the grid search.
+# Search grid of both engines: points per angle of the dense (theta, phi)
+# grid, and phi points on [0, pi) of the eigenphase engine. The polish after
+# it runs to ANGLE_TOL in at most MAX_ITER iterations.
+GRID = 64
 ANGLE_TOL = 1e-8
 MAX_ITER = 400
 
 
 class ScalingFitError(RuntimeError):
     """The small-polarization quadratic-scaling assumption failed."""
-
-
-@dataclass(frozen=True)
-class MinimizerOptions:
-    """Grid size of the measurement-basis search; the polish after it runs
-    to ``ANGLE_TOL`` in at most ``MAX_ITER`` iterations."""
-
-    grid: int = 64
-
-    def __post_init__(self):
-        if self.grid < 1:
-            raise ValueError(f"grid {self.grid} must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -178,19 +169,18 @@ def mutual_information(rho: DensityMatrix) -> float:
     return ha + hb - hab
 
 
-def discord(rho: DensityMatrix, opts: MinimizerOptions | None = None) -> DiscordResult:
+def discord(rho: DensityMatrix) -> DiscordResult:
     """Quantum discord D(A:B) across the state's two-block split, A a qubit.
 
     The conditional term is minimized over all rank-1 projective measurements
-    on A: a deterministic (theta, phi) grid of ``opts.grid`` points per angle,
+    on A: a deterministic (theta, phi) grid of ``GRID`` points per angle,
     then a Nelder-Mead polish of the best cell to ``ANGLE_TOL``. The reported
     discord is clipped at zero.
     """
     from scipy.optimize import minimize  # the only scipy use; kept off the import path
 
-    opts = opts or MinimizerOptions()
     rho_b, gammas = _bloch_blocks(rho)
-    g = opts.grid
+    g = GRID
     tt, pp = np.meshgrid(
         np.linspace(0.0, np.pi, g), np.linspace(0.0, 2 * np.pi, g, endpoint=False), indexing="ij"
     )
@@ -322,29 +312,26 @@ def _newton_polish(
     return x, fx, MAX_ITER, False
 
 
-def dqc1_discord(
-    eigphases: np.ndarray, eps: float, opts: MinimizerOptions | None = None
-) -> DiscordResult:
+def dqc1_discord(eigphases: np.ndarray, eps: float) -> DiscordResult:
     """Discord of the circuit output for bias ``eps`` and a unitary with the
     given eigenphases, from the closed form in the module docstring.
 
-    The phi search scans ``opts.grid`` points on [0, pi), then polishes the
+    The phi search scans ``GRID`` points on [0, pi), then polishes the
     best one with a safeguarded Newton search on the analytic phi-derivatives
     of the bracket, inside the two cells around it, to ``ANGLE_TOL`` in at
     most ``MAX_ITER`` steps; the polish never ends above the grid minimum.
     ``diagnostics`` holds the grid minimum, the Newton step count
     (``refine_nfev``), ``converged`` and ``polish_gain`` (grid minimum less
     the conditional term). ``converged`` means the search met ``ANGLE_TOL``
-    inside its two cells, not that the minimum is global: at grid 1 to 3 a
-    cell can hold several local minima (Haar d = 32 seed 3, eps = 1, grid 1
-    ends at 0.5616 bits, not at 0.5436 near phi = 1.36). The argmin basis
-    lies on the equator (theta = pi/2).
+    inside its two cells, not that the minimum is global: on a 1- to 3-point
+    grid a cell can hold several local minima (Haar d = 32 seed 3, eps = 1,
+    a 1-point grid ends at 0.5616 bits, not at 0.5436 near phi = 1.36). The
+    argmin basis lies on the equator (theta = pi/2).
     """
-    opts = opts or MinimizerOptions()
     lam = np.asarray(eigphases, dtype=float).ravel()
     log_d = math.log2(lam.size)
-    h = np.pi / opts.grid
-    phis = np.arange(opts.grid) * h
+    h = np.pi / GRID
+    phis = np.arange(GRID) * h
     vals = _bracket(lam, eps, phis)
     i0 = int(np.argmin(vals))
     phi, best, steps, converged = _newton_polish(
@@ -360,7 +347,7 @@ def dqc1_discord(
         classical_correlations=-best,
         conditional_term=log_d + best,
         diagnostics={
-            "grid": opts.grid,
+            "grid": GRID,
             "grid_min": grid_min,
             "refine_nfev": steps,
             "converged": converged,
@@ -405,11 +392,7 @@ class ScalingFit:
         return self.coefficient * self.alpha**2
 
 
-def fit_polarization_scaling(
-    unitary: np.ndarray,
-    opts: MinimizerOptions | None = None,
-    alpha: float = 1.4e-5,
-) -> ScalingFit:
+def fit_polarization_scaling(unitary: np.ndarray, alpha: float = 1.4e-5) -> ScalingFit:
     """Quadratic small-bias discord c2 * alpha^2 of the circuit output,
     checked against the discord evaluated directly at ``alpha``.
 
@@ -431,11 +414,11 @@ def fit_polarization_scaling(
     c2 = (1.0 - abs(tau1) ** 2 - abs(tau2 - tau1**2)) / (4 * math.log(2))
     degenerate = c2 <= DEGENERATE_DISCORD
     coefficient = 0.0 if degenerate else float(c2)
-    direct = dqc1_discord(lam, inst.epsilon, opts).discord
+    direct = dqc1_discord(lam, inst.epsilon).discord
     if degenerate:
         exponent, tol = 2.0, DEGENERATE_DISCORD
     else:
-        half = dqc1_discord(lam, inst.epsilon / 2, opts).discord
+        half = dqc1_discord(lam, inst.epsilon / 2).discord
         tiny = np.finfo(float).tiny
         if min(direct, half) < tiny:
             raise ValueError(
@@ -461,11 +444,7 @@ def fit_polarization_scaling(
 
 
 def haar_discord_survey(
-    n_seeds: int,
-    dim: int = 32,
-    alpha: float = 1.4e-5,
-    start_seed: int = 0,
-    opts: MinimizerOptions | None = None,
+    n_seeds: int, dim: int = 32, alpha: float = 1.4e-5, start_seed: int = 0
 ) -> np.ndarray:
     """Extrapolated discord for Haar-random unitaries, one value per seed.
 
@@ -478,5 +457,5 @@ def haar_discord_survey(
     out = np.empty(n_seeds)
     for i in range(n_seeds):
         u = dqc1.haar_random_unitary(dim, start_seed + i)
-        out[i] = fit_polarization_scaling(u, opts=opts, alpha=alpha).value
+        out[i] = fit_polarization_scaling(u, alpha=alpha).value
     return out

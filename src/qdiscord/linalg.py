@@ -11,7 +11,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable
 
 import numpy as np
 
@@ -142,20 +141,3 @@ def pauli_labels(n_qubits: int) -> list[PauliLabel]:
     if not 1 <= n_qubits <= MAX_QUBITS:
         raise ValueError(f"n_qubits must be in [1, {MAX_QUBITS}]")
     return ["".join(p) for p in itertools.product("IXYZ", repeat=n_qubits)]
-
-
-def random_density_matrix(
-    qubit_partition: Iterable[int], seed: int, rank: int | None = None
-) -> DensityMatrix:
-    """Ginibre-induced random state: G G† normalized, G complex Gaussian."""
-    part = tuple(int(k) for k in qubit_partition)
-    dim = 2 ** sum(part)
-    rank = dim if rank is None else int(rank)
-    if not 1 <= rank <= dim:
-        raise ValueError(f"rank must be in [1, {dim}]")
-    rng = np.random.default_rng(seed)
-    g = rng.standard_normal((dim, rank)) + 1j * rng.standard_normal((dim, rank))
-    rho = g @ g.conj().T
-    rho /= np.trace(rho).real
-    rho = (rho + rho.conj().T) / 2
-    return DensityMatrix(rho, part)

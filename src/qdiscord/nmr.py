@@ -1,11 +1,10 @@
-"""NMR ensemble model: Boltzmann polarization, pseudopure embedding, and a
-noisy expectation-value measurement emulator.
+"""NMR ensemble model: pseudopure embedding and a noisy expectation-value
+measurement emulator.
 
 The physical ensemble state is (1 - alpha) I/2^N + alpha rho_pps where
 rho_pps is the unit-trace pseudopure part. Whether the state has zero discord
 does not depend on alpha, because projective dephasing leaves the identity
-component untouched; :func:`verdict_polarization_invariance` checks rather
-than assumes this.
+component untouched; the tests check rather than assume this.
 """
 
 from __future__ import annotations
@@ -17,25 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .discord import is_zero_discord
 from .linalg import DensityMatrix, PauliLabel, pauli_realize
-
-# CODATA 2018 (exact in the 2019 SI): hbar = h/2pi with h = 6.62607015e-34 J s,
-# k_B = 1.380649e-23 J/K.
-HBAR = 1.054571817e-34
-K_B = 1.380649e-23
-
-
-def boltzmann_polarization(gamma: float, b0: float, temperature: float) -> float:
-    """Thermal ground-state bias hbar gamma B0 / (2 k_B T).
-
-    gamma is the gyromagnetic ratio in rad s^-1 T^-1, b0 the static field in
-    tesla, temperature in kelvin.
-    """
-    if gamma <= 0 or temperature <= 0 or b0 < 0:
-        raise ValueError("gamma and temperature must be positive, b0 non-negative")
-    return HBAR * gamma * b0 / (2 * K_B * temperature)
-
 
 def embed(pps: DensityMatrix, alpha: float) -> DensityMatrix:
     """(1 - alpha) I/2^N + alpha pps, the physical ensemble state."""
@@ -63,13 +44,6 @@ class NmrEnsemble:
 
     def physical_state(self) -> DensityMatrix:
         return embed(self.pps, self.alpha)
-
-
-def verdict_polarization_invariance(pps: DensityMatrix, alphas: list[float], tol: float = 1e-7) -> bool:
-    """True iff the zero-discord verdict of the embedded state agrees with
-    that of the pseudopure part across every listed polarization."""
-    reference = is_zero_discord(pps, tol=tol).is_zero
-    return all(is_zero_discord(embed(pps, a), tol=tol).is_zero == reference for a in alphas)
 
 
 def _measurement_noise(observable: PauliLabel, sigma: float, seed: int) -> float:

@@ -182,35 +182,6 @@ def correlation_matrix(rho: DensityMatrix) -> CorrelationMatrix:
     return CorrelationMatrix(tuple(pauli_labels(na)), tuple(pauli_labels(nb)), values)
 
 
-def reconstruct_state(corr: CorrelationMatrix) -> np.ndarray:
-    """Pauli resummation 2^-N sum r_nm A_n (+) B_m of a full correlation matrix."""
-    na, nb = len(corr.rows[0]), len(corr.cols[0])
-    if len(corr.rows) != 4**na or len(corr.cols) != 4**nb:
-        raise ValueError("reconstruction needs the full Pauli bases on both sides")
-    a_stack = np.stack([pauli_realize(lab) for lab in corr.rows])
-    b_stack = np.stack([pauli_realize(lab) for lab in corr.cols])
-    out = np.einsum("rs,rij,sbc->ibjc", corr.values, a_stack, b_stack, optimize=True)
-    d = 2 ** (na + nb)
-    return out.reshape(d, d) / d
-
-
-def extract_columns(corr: CorrelationMatrix, labels: Sequence[PauliLabel]) -> CorrelationMatrix:
-    """Truncated matrix keeping all rows and the selected columns (with sigmas)."""
-    unknown = [lab for lab in labels if lab not in corr.cols]
-    if unknown:
-        raise ValueError(f"unknown column label {unknown[0]!r}")
-    idx = [corr.cols.index(lab) for lab in labels]
-    sig = None if corr.sigmas is None else corr.sigmas[:, idx]
-    return CorrelationMatrix(corr.rows, tuple(labels), corr.values[:, idx], sig)
-
-
-def rank_lower_bound(corr: CorrelationMatrix | np.ndarray, tau: float) -> int:
-    """Number of singular values above tau; a lower bound on the rank."""
-    values = corr.values if isinstance(corr, CorrelationMatrix) else np.asarray(corr)
-    sv = np.linalg.svd(values, compute_uv=False)
-    return int((sv > tau).sum())
-
-
 def default_tau(sigmas: np.ndarray | None, n_cols: int | None = None) -> float:
     """Noise-scale singular-value threshold: 2 x median nonzero sigma x sqrt(columns).
 
@@ -474,29 +445,6 @@ def _quantile_of_lowest(lowest: np.ndarray, q: float, n: int) -> np.ndarray:
     return b - (b - a) * (1 - t) if t >= 0.5 else a + (b - a) * t
 
 
-def monte_carlo_svd(
-    corr: CorrelationMatrix,
-    n_samples: int,
-    seed: int,
-    bin_width: float = 0.005,
-) -> SingularValueDistribution:
-    """Propagate per-element Gaussian uncertainty through the singular values.
-
-    Every element is perturbed independently by its sigma; each column's
-    noise comes from a stream keyed by ``seed`` and the column label (see
-    :class:`_GramFold`), so the result for the first k columns is the
-    distribution :func:`witness_procedure` checks after acquiring them.
-    Singular values below ``GRAM_RESOLUTION`` times a sample's largest read 0.
-    """
-    _check_bin_width(bin_width)
-    if corr.sigmas is None:
-        raise ValueError("correlation matrix carries no sigmas; Monte Carlo needs them")
-    fold = _GramFold(len(corr.rows), n_samples, seed)
-    for j, label in enumerate(corr.cols):
-        fold.add(label, corr.values[:, j], corr.sigmas[:, j])
-    return fold.distribution(bin_width)
-
-
 def column_combination_scan(
     corr: CorrelationMatrix,
     n_combos: int,
@@ -639,10 +587,10 @@ def witness_procedure(
     computed on the submatrix measured so far: a singular value counts as
     nonzero when its empirical (1 - confidence) quantile exceeds tau
     (default: noise-scaled :func:`default_tau` of the current submatrix; a
-    given tau must be positive and finite). The quantiles of the check on the
-    first k columns equal those of :func:`monte_carlo_svd` of those columns,
-    and the verdict's distribution is :func:`monte_carlo_svd` of all columns
-    used. Exhausting all columns without exceeding dim(A) is the Inconclusive
+    given tau must be positive and finite). The check on the first k columns
+    reads the quantiles over every Monte Carlo sample of those columns, and
+    the verdict's distribution holds every sample of all columns used.
+    Exhausting all columns without exceeding dim(A) is the Inconclusive
     verdict, not an error. :class:`HistogramBinsError` is raised at the first
     rank check whose samples already need more than ``MAX_HISTOGRAM_BINS``
     bins of ``bin_width``.

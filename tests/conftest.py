@@ -1,7 +1,82 @@
+"""Test helpers: random states, the Boltzmann bias, column selection and the
+full Monte Carlo distribution of a correlation matrix."""
+
+from typing import Sequence
+
 import numpy as np
 import pytest
 
-from qdiscord import DensityMatrix, haar_random_unitary, random_density_matrix
+from qdiscord import (
+    CorrelationMatrix,
+    DensityMatrix,
+    PauliLabel,
+    SingularValueDistribution,
+    embed,
+    haar_random_unitary,
+    is_zero_discord,
+)
+from qdiscord.witness import _check_bin_width, _GramFold
+
+# CODATA 2018 (exact in the 2019 SI): hbar = h/2pi with h = 6.62607015e-34 J s,
+# k_B = 1.380649e-23 J/K.
+HBAR = 1.054571817e-34
+K_B = 1.380649e-23
+
+
+def boltzmann_polarization(gamma: float, b0: float, temperature: float) -> float:
+    """Thermal ground-state bias hbar gamma B0 / (2 k_B T).
+
+    gamma is the gyromagnetic ratio in rad s^-1 T^-1, b0 the static field in
+    tesla, temperature in kelvin.
+    """
+    if gamma <= 0 or temperature <= 0 or b0 < 0:
+        raise ValueError("gamma and temperature must be positive, b0 non-negative")
+    return HBAR * gamma * b0 / (2 * K_B * temperature)
+
+
+def verdict_polarization_invariance(pps: DensityMatrix, alphas: list[float], tol: float = 1e-7) -> bool:
+    """True iff the zero-discord verdict of the embedded state agrees with
+    that of the pseudopure part across every listed polarization."""
+    reference = is_zero_discord(pps, tol=tol).is_zero
+    return all(is_zero_discord(embed(pps, a), tol=tol).is_zero == reference for a in alphas)
+
+
+def random_density_matrix(qubit_partition: Sequence[int], seed: int) -> DensityMatrix:
+    """Ginibre-induced random state: G G† normalized, G complex Gaussian."""
+    part = tuple(int(k) for k in qubit_partition)
+    dim = 2 ** sum(part)
+    rng = np.random.default_rng(seed)
+    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    rho = g @ g.conj().T
+    rho /= np.trace(rho).real
+    rho = (rho + rho.conj().T) / 2
+    return DensityMatrix(rho, part)
+
+
+def extract_columns(corr: CorrelationMatrix, labels: Sequence[PauliLabel]) -> CorrelationMatrix:
+    """Truncated matrix keeping all rows and the selected columns (with sigmas)."""
+    unknown = [lab for lab in labels if lab not in corr.cols]
+    if unknown:
+        raise ValueError(f"unknown column label {unknown[0]!r}")
+    idx = [corr.cols.index(lab) for lab in labels]
+    sig = None if corr.sigmas is None else corr.sigmas[:, idx]
+    return CorrelationMatrix(corr.rows, tuple(labels), corr.values[:, idx], sig)
+
+
+def monte_carlo_svd(
+    corr: CorrelationMatrix, n_samples: int, seed: int, bin_width: float = 0.005
+) -> SingularValueDistribution:
+    """Singular values of every Monte Carlo sample of all of ``corr``'s
+    columns, folded in their given order: the distribution
+    ``witness_procedure`` checks after acquiring the same columns, since each
+    column's noise is keyed by ``seed`` and its label."""
+    _check_bin_width(bin_width)
+    if corr.sigmas is None:
+        raise ValueError("correlation matrix carries no sigmas; Monte Carlo needs them")
+    fold = _GramFold(len(corr.rows), n_samples, seed)
+    for j, label in enumerate(corr.cols):
+        fold.add(label, corr.values[:, j], corr.sigmas[:, j])
+    return fold.distribution(bin_width)
 
 
 def random_classical_quantum_state(n_b_qubits: int, seed: int) -> DensityMatrix:

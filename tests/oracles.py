@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from qdiscord import DensityMatrix, MeasurementBasis
+from qdiscord import CorrelationMatrix, DensityMatrix, MeasurementBasis, pauli_realize
 from qdiscord.discord import ANGLE_TOL, MAX_ITER
 from qdiscord.linalg import PAULI_1Q
 
@@ -77,3 +77,23 @@ def bounded_brent_dqc1_discord(eigphases: np.ndarray, eps: float, grid: int = 64
     tau = abs(np.exp(1j * lam).mean())
     mi = float(bias_information(eps) - bias_information(eps * tau))
     return max(mi + best, 0.0)
+
+
+def reconstruct_state(corr: CorrelationMatrix) -> np.ndarray:
+    """Pauli resummation 2^-N sum r_nm A_n (+) B_m of a full correlation
+    matrix, the inverse of ``correlation_matrix``."""
+    na, nb = len(corr.rows[0]), len(corr.cols[0])
+    if len(corr.rows) != 4**na or len(corr.cols) != 4**nb:
+        raise ValueError("reconstruction needs the full Pauli bases on both sides")
+    a_stack = np.stack([pauli_realize(lab) for lab in corr.rows])
+    b_stack = np.stack([pauli_realize(lab) for lab in corr.cols])
+    out = np.einsum("rs,rij,sbc->ibjc", corr.values, a_stack, b_stack, optimize=True)
+    d = 2 ** (na + nb)
+    return out.reshape(d, d) / d
+
+
+def rank_lower_bound(corr: CorrelationMatrix | np.ndarray, tau: float) -> int:
+    """Number of exact singular values above tau; a lower bound on the rank."""
+    values = corr.values if isinstance(corr, CorrelationMatrix) else np.asarray(corr)
+    sv = np.linalg.svd(values, compute_uv=False)
+    return int((sv > tau).sum())

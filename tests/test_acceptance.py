@@ -9,23 +9,26 @@ import pytest
 
 from qdiscord import (
     Dqc1Instance,
-    boltzmann_polarization,
     correlation_matrix,
     discord,
     haar_discord_survey,
     haar_random_unitary,
     is_zero_discord,
     named_state,
-    random_density_matrix,
-    reconstruct_state,
     trace_estimate,
-    verdict_polarization_invariance,
     witness_procedure,
 )
 from qdiscord.cli import main as cli_main
 from qdiscord.witness import OUTCOME_WITNESSED
 
-from .conftest import random_classical_quantum_state
+from .conftest import (
+    boltzmann_polarization,
+    random_classical_quantum_state,
+    random_density_matrix,
+    verdict_polarization_invariance,
+)
+from .oracles import reconstruct_state
+
 
 def check(num: int, ok: bool, detail: str) -> None:
     print(f"[criterion {num:2d}] {'PASS' if ok else 'FAIL'} - {detail}")

@@ -92,6 +92,7 @@ class TestDiscordCommand:
         out = json.loads((tmp_path / "discord.json").read_text())
         diag = out["diagnostics"]
         assert set(diag) == {"grid", "grid_min", "refine_nfev", "converged", "polish_gain"}
+        assert diag["grid"] == 64 and "grid" not in out["config"]
         assert diag["converged"] is True
         assert diag["refine_nfev"] > 0
         assert diag["polish_gain"] == diag["grid_min"] - out["conditional_term"] >= 0
@@ -187,8 +188,8 @@ class TestDiscordCommand:
         disc = importlib.import_module("qdiscord.discord")
         exact = disc.dqc1_discord
 
-        def doubled_at_alpha(eigphases, eps, opts=None):
-            value = exact(eigphases, eps, opts).discord
+        def doubled_at_alpha(eigphases, eps):
+            value = exact(eigphases, eps).discord
             return types.SimpleNamespace(discord=2 * value if eps < 1e-4 else value)
 
         monkeypatch.setattr(disc, "dqc1_discord", doubled_at_alpha)
@@ -198,9 +199,17 @@ class TestDiscordCommand:
         assert code == 3
         assert "direct value" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("extra", [(), ("--alpha", "1.4e-5", "--extrapolate")])
-    def test_empty_grid_exits_2(self, tmp_path, extra):
-        assert run(tmp_path, "discord", "--dqc1", "jones", "--grid", "0", *extra) == 2
+    @pytest.mark.parametrize(
+        "command",
+        [("discord", "--dqc1", "jones"), ("haar-survey", "--seeds", "1", "--dim", "8")],
+        ids=["discord", "haar-survey"],
+    )
+    def test_grid_is_not_a_flag(self, tmp_path, capsys, command):
+        # the search grid is the library constant GRID, not a setting
+        with pytest.raises(SystemExit) as exc:
+            run(tmp_path, *command, "--grid", "64")
+        assert exc.value.code == 2
+        assert "--grid" in capsys.readouterr().err
 
     def test_ensemble_input(self, tmp_path):
         ens = tmp_path / "ens.json"
@@ -445,6 +454,27 @@ class TestWitnessCommand:
         assert config["samples"] == 10000
         assert config["bin"] == 0.005
         assert config["confidence"] == 0.99
+        assert config["resamples"] is None and config["measure_seed"] is None
+
+    def test_resamples_default_with_scan_combos(self, tmp_path):
+        args = ("witness", "--matrix", "rtrunc_eq3", "--samples", "100", "--scan-combos", "5")
+        assert run(tmp_path, *args) == 0
+        out = json.loads((tmp_path / "witness.json").read_text())
+        assert out["config"]["resamples"] == 10
+        assert out["scan"]["n_samples"] == 5 * 10
+
+    def test_measure_seed_with_matrix_exits_2(self, tmp_path, capsys):
+        # a correlation-matrix file is already measured: no noise is sampled into it
+        args = ("witness", "--matrix", "rtrunc_eq3", "--samples", "100", "--measure-seed", "5")
+        assert run(tmp_path, *args) == 2
+        assert "--measure-seed" in capsys.readouterr().err
+        assert not (tmp_path / "witness.json").exists()
+
+    def test_resamples_without_scan_combos_exits_2(self, tmp_path, capsys):
+        args = ("witness", "--matrix", "rtrunc_eq3", "--samples", "100", "--resamples", "3")
+        assert run(tmp_path, *args) == 2
+        assert "--resamples" in capsys.readouterr().err
+        assert not (tmp_path / "witness.json").exists()
 
 
 class TestHaarSurveyCommand:
@@ -499,11 +529,11 @@ VALID_INPUTS = {
         {"dim": 2, "re": [[1, 0], [0, 1]], "im": [[0, 0], [0, 0]]},
     ),
     "ensemble": (
-        lambda path: ["discord", "--ensemble", path, "--grid", "2"],
+        lambda path: ["discord", "--ensemble", path],
         {"alpha": 0.5, "pps": {"re": (np.eye(4) / 4).tolist(), "im": np.zeros((4, 4)).tolist()}},
     ),
     "partitioned-ensemble": (
-        lambda path: ["discord", "--ensemble", path, "--grid", "2"],
+        lambda path: ["discord", "--ensemble", path],
         {
             "alpha": 0.5,
             "pps": {"re": (np.eye(4) / 4).tolist(), "im": np.zeros((4, 4)).tolist(),
@@ -525,6 +555,13 @@ def fuzz_dir(tmp_path_factory):
 class TestMalformedJsonFuzz:
     """Malformed input files end in exit 2 and an error line, never in an
     exception or a traceback."""
+
+    @pytest.fixture(scope="class", autouse=True)
+    def coarse_grid(self):
+        # the fuzz exercises input handling, not the search: a 2-point grid keeps it fast
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(importlib.import_module("qdiscord.discord"), "GRID", 2)
+            yield
 
     @staticmethod
     def run_quiet(fuzz_dir, kind, document: str) -> tuple[int, str]:

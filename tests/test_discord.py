@@ -12,7 +12,6 @@ from qdiscord import (
     DensityMatrix,
     Dqc1Instance,
     MeasurementBasis,
-    MinimizerOptions,
     ScalingFitError,
     discord,
     dqc1_discord,
@@ -24,12 +23,12 @@ from qdiscord import (
     named_state,
     output_state,
     pauli_realize,
-    random_density_matrix,
     tensor,
 )
 from qdiscord.discord import _bloch_blocks, _bracket
 from qdiscord.linalg import PAULI_1Q, entropy_from_eigenvalues
 
+from .conftest import random_density_matrix
 from .oracles import bounded_brent_dqc1_discord, projective_average, projectors
 
 I2 = PAULI_1Q["I"]
@@ -155,12 +154,17 @@ class TestDiscord:
         ]
         assert all(b >= a - 1e-12 for a, b in zip(values, values[1:]))
 
-    def test_grid_doubling_robust_on_fixtures(self):
+    def test_grid_doubling_robust_on_fixtures(self, monkeypatch):
+        module = importlib.import_module("qdiscord.discord")
+        assert module.GRID == 64
         for name in ("bell", "product-fixture", "initial-dqc1", "final-dqc1"):
             rho = named_state(name)
-            d64 = discord(rho, opts=MinimizerOptions(grid=64)).discord
-            d128 = discord(rho, opts=MinimizerOptions(grid=128)).discord
-            assert abs(d64 - d128) < 1e-8
+            d64 = discord(rho).discord
+            with monkeypatch.context() as patch:
+                patch.setattr(module, "GRID", 128)
+                d128 = discord(rho)
+            assert d128.diagnostics["grid"] == 128
+            assert abs(d64 - d128.discord) < 1e-8
 
 
 class TestProjectiveAverage:
@@ -287,10 +291,12 @@ class TestNewtonPolish:
 
     @pytest.mark.parametrize("grid", [8, 64])
     @pytest.mark.parametrize("name", list(POLISH_UNITARIES))
-    def test_matches_bounded_brent_search(self, name, grid):
+    def test_matches_bounded_brent_search(self, monkeypatch, name, grid):
+        monkeypatch.setattr(importlib.import_module("qdiscord.discord"), "GRID", grid)
         lam = np.angle(np.linalg.eigvals(POLISH_UNITARIES[name]))
         for eps in POLISH_EPSILONS:
-            res = dqc1_discord(lam, eps, MinimizerOptions(grid=grid))
+            res = dqc1_discord(lam, eps)
+            assert res.diagnostics["grid"] == grid
             oracle = bounded_brent_dqc1_discord(lam, eps, grid)
             np.testing.assert_allclose(res.discord, oracle, rtol=1e-9, atol=1e-13)
             assert res.diagnostics["converged"]
@@ -299,12 +305,13 @@ class TestNewtonPolish:
 
     @pytest.mark.parametrize("grid", [1, 2, 3])
     @pytest.mark.parametrize("name", list(POLISH_UNITARIES))
-    def test_coarse_grid_ends_at_a_local_minimum(self, name, grid):
+    def test_coarse_grid_ends_at_a_local_minimum(self, monkeypatch, name, grid):
         # cells this wide can hold several local minima, and neither search is
         # global: each must end at one, no higher than the grid minimum
+        monkeypatch.setattr(importlib.import_module("qdiscord.discord"), "GRID", grid)
         lam = np.angle(np.linalg.eigvals(POLISH_UNITARIES[name]))
         for eps in POLISH_EPSILONS:
-            res = dqc1_discord(lam, eps, MinimizerOptions(grid=grid))
+            res = dqc1_discord(lam, eps)
             assert res.diagnostics["converged"]
             assert res.diagnostics["polish_gain"] >= 0
             phi = res.argmin_basis.phi
@@ -313,18 +320,21 @@ class TestNewtonPolish:
             assert np.all(near >= here - 1e-12 * abs(here)), (eps, near - here)
 
     @pytest.mark.parametrize("grid", [1, 2, 3])
-    def test_jones_pure_direction_on_the_grid(self, grid):
+    def test_jones_pure_direction_on_the_grid(self, monkeypatch, grid):
         # the grid point phi = 0 makes three conditional blocks pure at eps = 1
+        monkeypatch.setattr(importlib.import_module("qdiscord.discord"), "GRID", grid)
         lam = np.angle(np.linalg.eigvals(jones_unitary()))
         for eps in POLISH_EPSILONS:
-            value = dqc1_discord(lam, eps, MinimizerOptions(grid=grid)).discord
+            value = dqc1_discord(lam, eps).discord
             oracle = bounded_brent_dqc1_discord(lam, eps, grid)
             assert value <= oracle + 1e-13 + 1e-9 * oracle
 
     def test_nonconvergence_is_reported(self, monkeypatch):
-        monkeypatch.setattr(importlib.import_module("qdiscord.discord"), "MAX_ITER", 1)
+        module = importlib.import_module("qdiscord.discord")
+        monkeypatch.setattr(module, "MAX_ITER", 1)
+        monkeypatch.setattr(module, "GRID", 1)
         lam = np.angle(np.linalg.eigvals(jones_unitary()))
-        diag = dqc1_discord(lam, 1.0, MinimizerOptions(grid=1)).diagnostics
+        diag = dqc1_discord(lam, 1.0).diagnostics
         assert diag["converged"] is False and diag["refine_nfev"] == 1
 
     @pytest.mark.parametrize("eps", [1.4e-5, 0.5, 1.0])

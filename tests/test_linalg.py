@@ -6,10 +6,11 @@ from qdiscord import (
     DensityMatrix,
     pauli_labels,
     pauli_realize,
-    random_density_matrix,
     tensor,
 )
 from qdiscord.linalg import PAULI_1Q, entropy_from_eigenvalues
+
+from .conftest import random_density_matrix
 
 I2 = PAULI_1Q["I"]
 X = PAULI_1Q["X"]

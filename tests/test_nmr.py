@@ -6,17 +6,20 @@ import pytest
 from qdiscord import (
     DensityMatrix,
     NmrEnsemble,
-    boltzmann_polarization,
     correlation_matrix,
     embed,
     load_ensemble,
     measured_correlation_matrix,
     named_state,
-    random_density_matrix,
-    rank_lower_bound,
     simulate_measurement,
+)
+
+from .conftest import (
+    boltzmann_polarization,
+    random_density_matrix,
     verdict_polarization_invariance,
 )
+from .oracles import rank_lower_bound
 
 GAMMA_C13 = 6.728e7  # rad s^-1 T^-1, supplied by the caller
 

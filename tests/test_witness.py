@@ -13,17 +13,12 @@ from qdiscord import (
     correlation_matrix,
     default_tau,
     eq3_fixture,
-    extract_columns,
     input_state,
     jones_unitary,
-    monte_carlo_svd,
     named_state,
     output_state,
     pauli_labels,
     pauli_realize,
-    random_density_matrix,
-    rank_lower_bound,
-    reconstruct_state,
     witness_procedure,
     write_histogram_csvs,
     z_sector_first_order,
@@ -38,7 +33,13 @@ from qdiscord.witness import (
     WitnessVerdict,
 )
 
-from .conftest import random_classical_quantum_state
+from .conftest import (
+    extract_columns,
+    monte_carlo_svd,
+    random_classical_quantum_state,
+    random_density_matrix,
+)
+from .oracles import rank_lower_bound, reconstruct_state
 
 
 def stacked_draws(corr: CorrelationMatrix, n_samples: int, seed: int) -> np.ndarray:

@@ -25,6 +25,7 @@ from .discord import (
     dqc1_discord,
     fit_polarization_scaling,
     haar_discord_survey,
+    is_zero_discord,
 )
 from .linalg import DensityMatrix
 from .witness import (
@@ -130,11 +131,20 @@ def cmd_discord(args) -> int:
         return EXIT_OK
     if args.alpha is not None:
         raise ValueError("--alpha only applies together with --extrapolate")
+    zero_payload = {}
     if args.dqc1 is not None:
         inst = dqc1.Dqc1Instance(epsilon, _resolve_unitary(args.dqc1))
         result = dqc1_discord(inst.eigphases, inst.epsilon)
     else:
-        result = discord(_resolve_state(args))
+        rho = _resolve_state(args)
+        result = discord(rho)
+        zero = is_zero_discord(rho)
+        zero_payload["zero_discord"] = {
+            "is_zero": zero.is_zero,
+            "distance": zero.distance,
+            "theta": zero.basis.theta,
+            "phi": zero.basis.phi,
+        }
     payload = {
         "command": "discord",
         "discord": result.discord,
@@ -143,6 +153,7 @@ def cmd_discord(args) -> int:
         "conditional_term": result.conditional_term,
         "argmin": {"theta": result.argmin_basis.theta, "phi": result.argmin_basis.phi},
         "diagnostics": result.diagnostics,
+        **zero_payload,
         "config": config,
     }
     path = _write_json(args.out, payload)
@@ -150,7 +161,7 @@ def cmd_discord(args) -> int:
     return EXIT_OK
 
 
-def _witness_input(args) -> CorrelationMatrix:
+def _witness_input(args, sigma: float | None) -> CorrelationMatrix:
     if args.matrix is not None:
         corr = _resolve_matrix(args.matrix)
         if corr.sigmas is None:
@@ -161,15 +172,17 @@ def _witness_input(args) -> CorrelationMatrix:
         return corr
     rho = _resolve_state(args)
     if args.measure_seed is not None:
-        return nmr.measured_correlation_matrix(rho, args.sigma, args.measure_seed)
+        return nmr.measured_correlation_matrix(rho, sigma, args.measure_seed)
     from .witness import correlation_matrix
 
-    return correlation_matrix(rho).with_uniform_sigmas(args.sigma)
+    return correlation_matrix(rho).with_uniform_sigmas(sigma)
 
 
 def cmd_witness(args) -> int:
-    if args.matrix is not None and args.measure_seed is not None:
-        raise ValueError("--measure-seed only applies to --state or --ensemble")
+    for flag, value in (("--measure-seed", args.measure_seed), ("--sigma", args.sigma)):
+        if args.matrix is not None and value is not None:
+            raise ValueError(f"{flag} only applies to --state or --ensemble")
+    sigma = 0.05 if args.matrix is None and args.sigma is None else args.sigma
     if args.scan_combos is None and args.resamples is not None:
         raise ValueError("--resamples only applies together with --scan-combos")
     resamples = 10 if args.scan_combos is not None and args.resamples is None else args.resamples
@@ -179,8 +192,11 @@ def cmd_witness(args) -> int:
         if value is not None and not (math.isfinite(value) and value > 0):
             raise ValueError(f"{flag} {value} must be positive and finite")
     # the Monte Carlo folds squared noisy entries into Gram matrices
-    if not (args.sigma >= 0 and math.isfinite(args.sigma * args.sigma)):
-        raise ValueError(f"--sigma {args.sigma} must be non-negative with a finite square")
+    if sigma is not None and not (sigma >= 0 and math.isfinite(sigma * sigma)):
+        raise ValueError(f"--sigma {sigma} must be non-negative with a finite square")
+    for flag, value in (("--seed", args.seed), ("--measure-seed", args.measure_seed)):
+        if value is not None and value < 0:
+            raise ValueError(f"{flag} {value} must be non-negative")
     for flag, value in (
         ("--samples", args.samples),
         ("--scan-combos", args.scan_combos),
@@ -188,7 +204,7 @@ def cmd_witness(args) -> int:
     ):
         if value is not None and value < 1:
             raise ValueError(f"{flag} {value} must be at least 1")
-    corr = _witness_input(args)
+    corr = _witness_input(args, sigma)
     # largest singular value of the unperturbed matrix: noiseless samples all reach it
     top = float(np.linalg.norm(corr.values, 2))
     if top / args.bin >= wit.MAX_HISTOGRAM_BINS:
@@ -200,7 +216,7 @@ def cmd_witness(args) -> int:
         "matrix": args.matrix,
         "state": args.state,
         "ensemble": args.ensemble,
-        "sigma": args.sigma if args.matrix is None else None,
+        "sigma": sigma,
         "measure_seed": args.measure_seed,
         "samples": args.samples,
         "bin": args.bin,
@@ -271,6 +287,8 @@ def cmd_witness(args) -> int:
 def cmd_haar_survey(args) -> int:
     if args.seeds < 1:
         raise ValueError(f"--seeds {args.seeds} must be at least 1")
+    if args.start_seed < 0:
+        raise ValueError(f"--start-seed {args.start_seed} must be non-negative")
     values = haar_discord_survey(
         args.seeds, dim=args.dim, alpha=args.alpha, start_seed=args.start_seed
     )
@@ -335,8 +353,9 @@ def build_parser() -> argparse.ArgumentParser:
     src.add_argument("--matrix", help=f"correlation-matrix JSON file or '{states.EQ3_FIXTURE_NAME}'")
     src.add_argument("--state", help="named state: " + ", ".join(sorted(states.NAMED_STATES)))
     src.add_argument("--ensemble", help="ensemble JSON {alpha, pps}")
-    p.add_argument("--sigma", type=float, default=0.05,
-                   help="per-element uncertainty attached to simulated columns")
+    p.add_argument("--sigma", type=float, default=None,
+                   help="per-element uncertainty attached to the columns of --state or "
+                   "--ensemble (default 0.05)")
     p.add_argument("--measure-seed", type=int, default=None,
                    help="also sample measurement noise into the values of --state or --ensemble")
     p.add_argument("--samples", type=int, default=10000, help="Monte Carlo samples per check")

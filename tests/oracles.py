@@ -3,7 +3,7 @@
 import numpy as np
 
 from qdiscord import CorrelationMatrix, DensityMatrix, MeasurementBasis, pauli_realize
-from qdiscord.discord import ANGLE_TOL, MAX_ITER
+from qdiscord.discord import ANGLE_TOL, MAX_ITER, NULL_OUTCOME_P
 from qdiscord.linalg import PAULI_1Q
 
 
@@ -28,6 +28,75 @@ def projective_average(rho: DensityMatrix, basis: MeasurementBasis) -> DensityMa
         out = out + ei @ rho.entries @ ei
     out = (out + out.conj().T) / 2
     return DensityMatrix(out, rho.qubit_partition)
+
+
+def _entropy_bits(m: np.ndarray) -> float:
+    w = np.clip(np.linalg.eigvalsh(m), 0.0, None)
+    w = w[w > 0]
+    return float(-(w * np.log2(w)).sum())
+
+
+def _theta_phi_conditional_entropy(rho: DensityMatrix, thetas, phis) -> np.ndarray:
+    """sum_k p_k H(rho_{B|k}) in bits for each Bloch direction (theta, phi),
+    with the conditional blocks Tr_A[(E_k (+) I) rho] of the explicit
+    projectors E_k = (I +- n.sigma)/2."""
+    db = rho.dim // 2
+    t = np.atleast_1d(np.asarray(thetas, dtype=float)).ravel()
+    p = np.atleast_1d(np.asarray(phis, dtype=float)).ravel()
+    n = np.stack([np.sin(t) * np.cos(p), np.sin(t) * np.sin(p), np.cos(t)], axis=-1)
+    ns = np.einsum("gi,iab->gab", n, np.stack([PAULI_1Q[s] for s in "XYZ"]))
+    proj = np.stack([np.eye(2) + ns, np.eye(2) - ns], axis=1) / 2
+    blocks = np.einsum("gsac,ciaj->gsij", proj, rho.entries.reshape(2, db, 2, db))
+    w = np.linalg.eigvalsh(blocks)  # (G, 2, dB); sums to p_k per outcome
+    pk = np.clip(w.sum(axis=-1), 0.0, None)
+    w = np.clip(w, 0.0, None)
+    # p_k H(rho_{B|k}) = -sum_i w log2 w + p_k log2 p_k; null outcomes
+    # (p_k below NULL_OUTCOME_P) contribute 0 through the 0 log 0 limit.
+    wl = np.where(w > 0, w * np.log2(np.where(w > 0, w, 1.0)), 0.0).sum(axis=-1)
+    pl = np.where(pk > NULL_OUTCOME_P, pk * np.log2(np.where(pk > 0, pk, 1.0)), 0.0)
+    return (-wl + pl).sum(axis=1)
+
+
+def nelder_mead_discord(rho: DensityMatrix, grid: int = 64) -> dict:
+    """The dense discord search that ``discord`` replaced: a (theta, phi) grid
+    of ``grid`` points per angle over the whole sphere, then a Nelder-Mead
+    polish of the best cell to ``ANGLE_TOL``. Returns the conditional term,
+    the discord, the mutual information and the classical correlations, each
+    entropy from this module's own partial traces."""
+    from scipy.optimize import minimize
+
+    tt, pp = np.meshgrid(
+        np.linspace(0.0, np.pi, grid),
+        np.linspace(0.0, 2 * np.pi, grid, endpoint=False),
+        indexing="ij",
+    )
+    vals = _theta_phi_conditional_entropy(rho, tt.ravel(), pp.ravel())
+    i0 = int(np.argmin(vals))
+    x0 = np.array([tt.ravel()[i0], pp.ravel()[i0]])
+    h = np.pi / grid
+    res = minimize(
+        lambda x: float(_theta_phi_conditional_entropy(rho, x[0], x[1])[0]),
+        x0,
+        method="Nelder-Mead",
+        options=dict(
+            xatol=ANGLE_TOL,
+            fatol=1e-15,
+            maxiter=MAX_ITER,
+            initial_simplex=np.array([x0, x0 + [h, 0.0], x0 + [0.0, h]]),
+        ),
+    )
+    cond = min(float(res.fun), float(vals[i0]))
+    db = rho.dim // 2
+    r4 = rho.entries.reshape(2, db, 2, db)
+    h_b = _entropy_bits(np.einsum("ibic->bc", r4))
+    mi = _entropy_bits(np.einsum("ibjb->ij", r4)) + h_b - _entropy_bits(rho.entries)
+    cc = h_b - cond
+    return dict(
+        conditional_term=cond,
+        discord=max(mi - cc, 0.0),
+        mutual_information=mi,
+        classical_correlations=cc,
+    )
 
 
 def partial_transpose(m: np.ndarray, dims: tuple[int, int]) -> np.ndarray:

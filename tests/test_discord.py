@@ -25,11 +25,16 @@ from qdiscord import (
     pauli_realize,
     tensor,
 )
-from qdiscord.discord import _bloch_blocks, _bracket
+from qdiscord.discord import _avg_conditional_entropy, _bloch_blocks, _bracket
 from qdiscord.linalg import PAULI_1Q, entropy_from_eigenvalues
 
 from .conftest import random_density_matrix
-from .oracles import bounded_brent_dqc1_discord, projective_average, projectors
+from .oracles import (
+    bounded_brent_dqc1_discord,
+    nelder_mead_discord,
+    projective_average,
+    projectors,
+)
 
 I2 = PAULI_1Q["I"]
 X = PAULI_1Q["X"]
@@ -165,6 +170,73 @@ class TestDiscord:
                 d128 = discord(rho)
             assert d128.diagnostics["grid"] == 128
             assert abs(d64 - d128.discord) < 1e-8
+
+
+def _werner(p: float) -> DensityMatrix:
+    return DensityMatrix(p * named_state("bell").entries + (1 - p) * np.eye(4) / 4, (1, 1))
+
+
+def _pure_product(a: np.ndarray, b: np.ndarray) -> DensityMatrix:
+    v = np.kron(a, b).astype(complex)
+    return DensityMatrix(np.outer(v, v.conj()), (1, 1))
+
+
+# Named fixtures, flat objectives (every direction a minimum) and null
+# outcomes, the Jones circuit outputs, and random states of one to three B qubits.
+DENSE_CASES = {
+    **{name: (lambda name=name: named_state(name))
+       for name in ("bell", "product-fixture", "initial-dqc1", "final-dqc1")},
+    "werner-0.3": lambda: _werner(0.3),
+    "werner-1/3": lambda: _werner(1 / 3),
+    "maximally-mixed": lambda: _werner(0.0),
+    "|00>": lambda: _pure_product(np.array([1, 0]), np.array([1, 0])),
+    "|+0>": lambda: _pure_product(np.array([1, 1]) / np.sqrt(2), np.array([1, 0])),
+    "classical-zz": classical_zz_state,
+    **{f"jones-eps{eps}": (lambda eps=eps: output_state(Dqc1Instance(eps, jones_unitary())))
+       for eps in (0.1, 0.5, 1.0)},
+    **{f"random-1+{nb}-seed{seed}": (lambda nb=nb, seed=seed: random_density_matrix((1, nb), seed))
+       for nb in (1, 2, 3) for seed in range(20)},
+}
+
+
+class TestDenseSearch:
+    """discord()'s hemisphere grid and gradient polish against the 64 x 64
+    theta-phi grid and Nelder-Mead search it replaced."""
+
+    @pytest.mark.parametrize("part", [(1, 1), (1, 2), (1, 3)])
+    def test_gradient_matches_central_differences(self, part):
+        # along tangent directions t of the sphere: t.grad = d/ds f(normalize(n + s t))
+        rng = np.random.default_rng(5)
+        step = 1e-6
+        for seed in range(5):
+            rho_b, gammas = _bloch_blocks(random_density_matrix(part, seed=seed))
+            n = rng.standard_normal(3)
+            n /= np.linalg.norm(n)
+            _, grad = _avg_conditional_entropy(rho_b, gammas, n[None], grad=True)
+            for _ in range(2):
+                t = rng.standard_normal(3)
+                t -= (t @ n) * n
+                t /= np.linalg.norm(t)
+                ends = np.stack([n + step * t, n - step * t])
+                ends /= np.linalg.norm(ends, axis=1, keepdims=True)
+                f_plus, f_minus = _avg_conditional_entropy(rho_b, gammas, ends)
+                assert (f_plus - f_minus) / (2 * step) == pytest.approx(t @ grad[0], abs=1e-7)
+
+    @pytest.mark.parametrize("name", list(DENSE_CASES))
+    def test_matches_nelder_mead_oracle(self, name):
+        rho = DENSE_CASES[name]()
+        res = discord(rho)
+        oracle = nelder_mead_discord(rho)
+        for key, value in oracle.items():
+            assert abs(getattr(res, key) - value) <= 1e-12, key
+        assert res.diagnostics["converged"]
+        assert res.diagnostics["polish_gain"] >= 0
+
+    def test_nonconvergence_is_reported(self, monkeypatch):
+        monkeypatch.setattr(importlib.import_module("qdiscord.discord"), "MAX_ITER", 1)
+        diag = discord(random_density_matrix((1, 2), seed=3)).diagnostics
+        assert diag["converged"] is False
+        assert diag["refine_nfev"] >= 2 and diag["polish_gain"] >= 0
 
 
 class TestProjectiveAverage:

@@ -8,9 +8,8 @@ from pathlib import Path
 import qdiscord
 
 ROOT = Path(__file__).resolve().parents[1]
-# Public without a caller in src/, scripts/ or perfbench/: the zero-discord
-# test of the paper, which the tests and the acceptance criteria exercise.
-NO_CALLER_YET = {"is_zero_discord"}
+# Public without a caller in src/, scripts/ or perfbench/.
+NO_CALLER_YET = set()
 
 
 def code_references() -> set[str]:

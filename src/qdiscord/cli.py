@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from dataclasses import asdict
 from pathlib import Path
@@ -67,9 +68,12 @@ def _resolve_state(args) -> DensityMatrix:
     return nmr.load_ensemble(args.ensemble).physical_state()
 
 
-def _write_json(path: str | Path, payload: dict) -> Path:
-    path = Path(path)
-    path.write_text(json.dumps(payload, indent=1) + "\n")
+def _write_json(args, payload: dict) -> Path:
+    """Write ``payload`` to ``--out`` with every resolved flag as its ``config``."""
+    config = {k: v for k, v in vars(args).items() if k not in ("command", "func")}
+    record = {"command": args.command, **payload, "config": config}
+    path = Path(args.out)
+    path.write_text(json.dumps(record, indent=1) + "\n")
     return path
 
 
@@ -79,15 +83,13 @@ def cmd_simulate(args) -> int:
     estimate = dqc1.trace_estimate(inst)
     exact = complex(np.trace(u)) / u.shape[0]
     payload = {
-        "command": "simulate",
         "re": estimate.real,
         "im": estimate.imag,
         "exact_trace": {"re": exact.real, "im": exact.imag},
         "epsilon": inst.epsilon,
         "n": inst.n,
-        "config": {"unitary": args.unitary, "epsilon": args.epsilon, "out": str(args.out)},
     }
-    path = _write_json(args.out, payload)
+    path = _write_json(args, payload)
     print(
         f"trace estimate: {estimate.real:+.6f} {estimate.imag:+.6f}i "
         f"(eps*Tr(U)/2^n, n={inst.n}) -> {path}"
@@ -96,44 +98,25 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_discord(args) -> int:
-    dqc1_direct = args.dqc1 is not None and not args.extrapolate
-    if args.epsilon is not None and not dqc1_direct:
-        raise ValueError("--epsilon only applies to --dqc1 without --extrapolate")
-    epsilon = 1.0 if dqc1_direct and args.epsilon is None else args.epsilon
-    config = {
-        "state": args.state,
-        "dqc1": args.dqc1,
-        "ensemble": args.ensemble,
-        "epsilon": epsilon,
-        "alpha": args.alpha,
-        "extrapolate": args.extrapolate,
-        "out": str(args.out),
-    }
     if args.extrapolate:
-        if args.dqc1 is None:
-            raise ValueError("--extrapolate requires --dqc1 UNITARY")
         if args.alpha is None:
             raise ValueError("--extrapolate requires --alpha")
         fit = fit_polarization_scaling(_resolve_unitary(args.dqc1), alpha=args.alpha)
         payload = {
-            "command": "discord",
             "discord": fit.value,
             "direct": fit.direct,
             "alpha": args.alpha,
             "scaling": {"exponent": fit.exponent, "coefficient": fit.coefficient},
-            "config": config,
         }
-        path = _write_json(args.out, payload)
+        path = _write_json(args, payload)
         print(
             f"extrapolated discord at alpha={args.alpha:g}: {fit.value:.4e} bits "
             f"(direct {fit.direct:.4e}, exponent {fit.exponent:.4f}) -> {path}"
         )
         return EXIT_OK
-    if args.alpha is not None:
-        raise ValueError("--alpha only applies together with --extrapolate")
     zero_payload = {}
     if args.dqc1 is not None:
-        inst = dqc1.Dqc1Instance(epsilon, _resolve_unitary(args.dqc1))
+        inst = dqc1.Dqc1Instance(args.epsilon, _resolve_unitary(args.dqc1))
         result = dqc1_discord(inst.eigphases, inst.epsilon)
     else:
         rho = _resolve_state(args)
@@ -146,7 +129,6 @@ def cmd_discord(args) -> int:
             "phi": zero.basis.phi,
         }
     payload = {
-        "command": "discord",
         "discord": result.discord,
         "mutual_information": result.mutual_information,
         "classical_correlations": result.classical_correlations,
@@ -154,14 +136,13 @@ def cmd_discord(args) -> int:
         "argmin": {"theta": result.argmin_basis.theta, "phi": result.argmin_basis.phi},
         "diagnostics": result.diagnostics,
         **zero_payload,
-        "config": config,
     }
-    path = _write_json(args.out, payload)
+    path = _write_json(args, payload)
     print(f"discord: {result.discord:.6e} bits (I={result.mutual_information:.6f}) -> {path}")
     return EXIT_OK
 
 
-def _witness_input(args, sigma: float | None) -> CorrelationMatrix:
+def _witness_input(args) -> CorrelationMatrix:
     if args.matrix is not None:
         corr = _resolve_matrix(args.matrix)
         if corr.sigmas is None:
@@ -172,26 +153,20 @@ def _witness_input(args, sigma: float | None) -> CorrelationMatrix:
         return corr
     rho = _resolve_state(args)
     if args.measure_seed is not None:
-        return nmr.measured_correlation_matrix(rho, sigma, args.measure_seed)
+        return nmr.measured_correlation_matrix(rho, args.sigma, args.measure_seed)
     from .witness import correlation_matrix
 
-    return correlation_matrix(rho).with_uniform_sigmas(sigma)
+    return correlation_matrix(rho).with_uniform_sigmas(args.sigma)
 
 
 def cmd_witness(args) -> int:
-    for flag, value in (("--measure-seed", args.measure_seed), ("--sigma", args.sigma)):
-        if args.matrix is not None and value is not None:
-            raise ValueError(f"{flag} only applies to --state or --ensemble")
-    sigma = 0.05 if args.matrix is None and args.sigma is None else args.sigma
-    if args.scan_combos is None and args.resamples is not None:
-        raise ValueError("--resamples only applies together with --scan-combos")
-    resamples = 10 if args.scan_combos is not None and args.resamples is None else args.resamples
     if not 0.0 < args.confidence <= 1.0:
         raise ValueError(f"--confidence {args.confidence} outside (0, 1]")
     for flag, value in (("--tau", args.tau), ("--bin", args.bin)):
         if value is not None and not (math.isfinite(value) and value > 0):
             raise ValueError(f"{flag} {value} must be positive and finite")
     # the Monte Carlo folds squared noisy entries into Gram matrices
+    sigma = args.sigma
     if sigma is not None and not (sigma >= 0 and math.isfinite(sigma * sigma)):
         raise ValueError(f"--sigma {sigma} must be non-negative with a finite square")
     for flag, value in (("--seed", args.seed), ("--measure-seed", args.measure_seed)):
@@ -200,11 +175,11 @@ def cmd_witness(args) -> int:
     for flag, value in (
         ("--samples", args.samples),
         ("--scan-combos", args.scan_combos),
-        ("--resamples", resamples),
+        ("--resamples", args.resamples),
     ):
         if value is not None and value < 1:
             raise ValueError(f"{flag} {value} must be at least 1")
-    corr = _witness_input(args, sigma)
+    corr = _witness_input(args)
     # largest singular value of the unperturbed matrix: noiseless samples all reach it
     top = float(np.linalg.norm(corr.values, 2))
     if top / args.bin >= wit.MAX_HISTOGRAM_BINS:
@@ -212,21 +187,6 @@ def cmd_witness(args) -> int:
             f"--bin {args.bin} needs more than {wit.MAX_HISTOGRAM_BINS} histogram bins "
             f"for singular values up to {top:.4g}"
         )
-    config = {
-        "matrix": args.matrix,
-        "state": args.state,
-        "ensemble": args.ensemble,
-        "sigma": sigma,
-        "measure_seed": args.measure_seed,
-        "samples": args.samples,
-        "bin": args.bin,
-        "tau": args.tau,
-        "confidence": args.confidence,
-        "scan_combos": args.scan_combos,
-        "resamples": resamples,
-        "seed": args.seed,
-        "out": str(args.out),
-    }
     try:
         verdict = witness_procedure(
             corr.as_source(),
@@ -246,7 +206,7 @@ def cmd_witness(args) -> int:
     rank = verdict.rank_lower_bound
     if args.scan_combos is not None:
         scan_dist = column_combination_scan(
-            corr, args.scan_combos, resamples, args.seed, bin_width=args.bin
+            corr, args.scan_combos, args.resamples, args.seed, bin_width=args.bin
         )
         scan_tau = args.tau if args.tau is not None else default_tau(corr.sigmas, n_cols=4)
         rank = scan_dist.n_distinguishable(scan_tau, args.confidence)
@@ -261,7 +221,6 @@ def cmd_witness(args) -> int:
     prefix = args.csv_prefix if args.csv_prefix is not None else Path(args.out).with_suffix("")
     csv_paths = write_histogram_csvs(csv_dist, prefix)
     payload = {
-        "command": "witness",
         "outcome": verdict.outcome,
         "rank_lower_bound": rank,
         "verdict": {
@@ -277,9 +236,8 @@ def cmd_witness(args) -> int:
         },
         "scan": scan_payload,
         "csv_files": [str(p) for p in csv_paths],
-        "config": config,
     }
-    path = _write_json(args.out, payload)
+    path = _write_json(args, payload)
     print(f"{verdict.outcome}: rank lower bound {rank} (dim A = {verdict.dim_a}) -> {path}")
     return EXIT_OK
 
@@ -298,23 +256,14 @@ def cmd_haar_survey(args) -> int:
     lines = ["seed,discord"] + [f"{args.start_seed + i},{v:.8e}" for i, v in enumerate(values)]
     csv_path.write_text("\n".join(lines) + "\n")
     payload = {
-        "command": "haar-survey",
         "mean": mean,
         "stderr": stderr,
         "n_seeds": args.seeds,
         "alpha": args.alpha,
         "dim": args.dim,
         "values_csv": str(csv_path),
-        "config": {
-            "seeds": args.seeds,
-            "dim": args.dim,
-            "alpha": args.alpha,
-            "start_seed": args.start_seed,
-            "out": str(args.out),
-            "csv": str(args.csv),
-        },
     }
-    path = _write_json(args.out, payload)
+    path = _write_json(args, payload)
     print(
         f"haar survey: mean discord {mean:.4e} +- {stderr:.1e} bits "
         f"over {args.seeds} seeds at alpha={args.alpha:g} -> {path}"
@@ -385,10 +334,46 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Flags that act only in some modes of their subcommand: (dest, those modes,
+# whether the args are in them, the default there). Outside its modes a flag
+# is refused rather than ignored.
+SCOPED_FLAGS = {
+    "discord": (
+        ("extrapolate", "--dqc1", lambda a: a.dqc1 is not None, None),
+        ("alpha", "--extrapolate", lambda a: a.extrapolate, None),
+        ("epsilon", "--dqc1 without --extrapolate",
+         lambda a: a.dqc1 is not None and not a.extrapolate, 1.0),
+    ),
+    "witness": (
+        ("sigma", "--state or --ensemble", lambda a: a.matrix is None, 0.05),
+        ("measure_seed", "--state or --ensemble", lambda a: a.matrix is None, None),
+        ("resamples", "--scan-combos", lambda a: a.scan_combos is not None, 10),
+    ),
+}
+
+
+def _check_flags(args) -> None:
+    """Before any work: refuse a flag given outside its modes, resolve its
+    default inside them, and refuse an output path in a missing directory."""
+    for dest, modes, applies, default in SCOPED_FLAGS.get(args.command, ()):
+        value = getattr(args, dest)
+        if not applies(args):
+            if value is not None and value is not False:  # 0 is a given value
+                raise ValueError(f"--{dest.replace('_', '-')} only applies to {modes}")
+        elif value is None:
+            setattr(args, dest, default)
+    for dest in ("out", "csv", "csv_prefix"):
+        path = getattr(args, dest, None)
+        if path is not None and not os.path.isdir(os.path.dirname(path) or "."):
+            flag = "--" + dest.replace("_", "-")
+            raise ValueError(f"{flag} {path}: directory {os.path.dirname(path)} does not exist")
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_flags(args)
         return args.func(args)
     except ScalingFitError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -140,12 +140,6 @@ class CorrelationMatrix:
             sigmas[idx] = 0.0
         return CorrelationMatrix(self.rows, self.cols, self.values, sigmas)
 
-    def to_dict(self) -> dict:
-        out = {"rows": list(self.rows), "cols": list(self.cols), "values": self.values.tolist()}
-        if self.sigmas is not None:
-            out["sigmas"] = self.sigmas.tolist()
-        return out
-
     @classmethod
     def from_dict(cls, data: dict) -> "CorrelationMatrix":
         try:
@@ -157,9 +151,6 @@ class CorrelationMatrix:
             )
         except (KeyError, TypeError, OverflowError) as exc:
             raise ValueError(f"malformed correlation-matrix spec: {exc}") from exc
-
-    def save(self, path: str | Path) -> None:
-        Path(path).write_text(json.dumps(self.to_dict(), indent=1))
 
     @classmethod
     def load(cls, path: str | Path) -> "CorrelationMatrix":

@@ -1,5 +1,6 @@
-"""Test helpers: random states, the Boltzmann bias, column selection and the
-full Monte Carlo distribution of a correlation matrix."""
+"""Test helpers: random states, the Boltzmann bias, column selection, the
+JSON form of a correlation matrix and the full Monte Carlo distribution of
+one."""
 
 from typing import Sequence
 
@@ -61,6 +62,14 @@ def extract_columns(corr: CorrelationMatrix, labels: Sequence[PauliLabel]) -> Co
     idx = [corr.cols.index(lab) for lab in labels]
     sig = None if corr.sigmas is None else corr.sigmas[:, idx]
     return CorrelationMatrix(corr.rows, tuple(labels), corr.values[:, idx], sig)
+
+
+def matrix_document(corr: CorrelationMatrix) -> dict:
+    """The JSON object ``CorrelationMatrix.load`` reads back as ``corr``."""
+    out = {"rows": list(corr.rows), "cols": list(corr.cols), "values": corr.values.tolist()}
+    if corr.sigmas is not None:
+        out["sigmas"] = corr.sigmas.tolist()
+    return out
 
 
 def monte_carlo_svd(

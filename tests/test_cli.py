@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import importlib
 import io
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qdiscord.cli import main
+from qdiscord.cli import build_parser, main
 from qdiscord import (
     CorrelationMatrix,
     Dqc1Instance,
@@ -18,6 +19,8 @@ from qdiscord import (
     jones_unitary,
     output_state,
 )
+
+from .conftest import matrix_document
 
 
 def run(tmp_path, *args) -> int:
@@ -244,7 +247,7 @@ class TestWitnessCommand:
 
     def test_eq3_fixture_from_file(self, tmp_path):
         path = tmp_path / "m.json"
-        eq3_fixture().save(path)
+        path.write_text(json.dumps(matrix_document(eq3_fixture())))
         assert run(tmp_path, "witness", "--matrix", str(path), "--seed", "1") == 0
         out = json.loads((tmp_path / "witness.json").read_text())
         assert out["rank_lower_bound"] == 3
@@ -257,7 +260,7 @@ class TestWitnessCommand:
             np.zeros((4, 2)),
         )
         path = tmp_path / "rank1.json"
-        corr.save(path)
+        path.write_text(json.dumps(matrix_document(corr)))
         assert run(tmp_path, "witness", "--matrix", str(path)) == 0
         out = json.loads((tmp_path / "witness.json").read_text())
         assert out["outcome"] == "Inconclusive"
@@ -276,7 +279,7 @@ class TestWitnessCommand:
     )
     def test_malformed_matrix_exits_2(self, tmp_path, capsys, change, message):
         path = tmp_path / "m.json"
-        path.write_text(json.dumps({**eq3_fixture().to_dict(), **change}))
+        path.write_text(json.dumps({**matrix_document(eq3_fixture()), **change}))
         assert run(tmp_path, "witness", "--matrix", str(path), "--samples", "100") == 2
         assert message in capsys.readouterr().err
 
@@ -285,7 +288,7 @@ class TestWitnessCommand:
             ("I", "X"), ("I", "Z"), np.array([[1.0, 0.2], [0.1, 0.3]])
         )
         path = tmp_path / "nosig.json"
-        corr.save(path)
+        path.write_text(json.dumps(matrix_document(corr)))
         assert run(tmp_path, "witness", "--matrix", str(path)) == 2
 
     def test_simulated_final_state_witnessed(self, tmp_path):
@@ -518,6 +521,175 @@ def test_negative_seed_exits_2_naming_the_flag(tmp_path, capsys, monkeypatch, ar
     assert calls == []
 
 
+def count_calls(monkeypatch, *targets) -> list:
+    """Patch each dotted target to record its calls and then run as before."""
+    calls = []
+    for target in targets:
+        module, name = target.rsplit(".", 1)
+        real = getattr(importlib.import_module(module), name)
+
+        def counted(*a, real=real, **k):
+            calls.append(a)
+            return real(*a, **k)
+
+        monkeypatch.setattr(target, counted)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "args, flag",
+    [
+        (("simulate", "--unitary", "jones", "--out", "nodir/s.json"), "--out"),
+        (("discord", "--dqc1", "jones", "--out", "nodir/d.json"), "--out"),
+        (("witness", "--state", "initial-dqc1", "--out", "nodir/w.json"), "--out"),
+        (("witness", "--state", "initial-dqc1", "--out", "nodir/w.json", "--csv-prefix", "ok"),
+         "--out"),
+        (("witness", "--state", "initial-dqc1", "--csv-prefix", "nodir/ok"), "--csv-prefix"),
+        (("haar-survey", "--seeds", "5", "--out", "nodir/h.json"), "--out"),
+        (("haar-survey", "--seeds", "5", "--csv", "nodir/h.csv"), "--csv"),
+    ],
+    ids=["simulate-out", "discord-out", "witness-out", "witness-out-with-prefix",
+         "witness-csv-prefix", "haar-survey-out", "haar-survey-csv"],
+)
+def test_missing_output_directory_exits_2_before_any_work(
+    tmp_path, capsys, monkeypatch, args, flag
+):
+    calls = count_calls(
+        monkeypatch, "qdiscord.dqc1.trace_estimate", "qdiscord.cli.dqc1_discord",
+        "qdiscord.cli.witness_procedure", "qdiscord.cli.haar_discord_survey",
+    )
+    assert run(tmp_path, *args) == 2
+    assert f"{flag} nodir/" in capsys.readouterr().err
+    assert calls == []
+    assert list(tmp_path.iterdir()) == []
+
+
+def subparsers() -> dict[str, argparse.ArgumentParser]:
+    actions = build_parser()._actions
+    return next(a for a in actions if isinstance(a, argparse._SubParsersAction)).choices
+
+
+def optional_flags(parser: argparse.ArgumentParser) -> list[str]:
+    """The flags a run may leave out, less the required source of its input."""
+    sources = {a for group in parser._mutually_exclusive_groups for a in group._group_actions}
+    return [
+        a.option_strings[0] for a in parser._actions
+        if a.option_strings and not a.required and a.dest != "help" and a not in sources
+    ]
+
+
+# Every source mode, kept small; each run adds --out o.json.
+SOURCE_MODES = {
+    "simulate": [("--unitary", "jones")],
+    "discord": [
+        ("--state", "bell"),
+        ("--ensemble", "ens.json"),
+        ("--dqc1", "jones"),
+        ("--dqc1", "jones", "--extrapolate", "--alpha", "1.4e-5"),
+    ],
+    "witness": [
+        ("--matrix", "rtrunc_eq3", "--samples", "50"),
+        ("--state", "initial-dqc1", "--samples", "50"),
+        ("--ensemble", "ens.json", "--samples", "50"),
+        ("--state", "initial-dqc1", "--samples", "50", "--scan-combos", "5"),
+    ],
+    "haar-survey": [("--seeds", "1", "--dim", "8")],
+}
+# A valid value for each optional flag that differs from its default and from
+# the value in any source mode; a switch that needs a companion flag gets it.
+FLAG_VALUES = {
+    "--epsilon": ("0.5",),
+    "--alpha": ("2.8e-5",),
+    "--extrapolate": ("--alpha", "2.8e-5"),
+    "--sigma": ("0.02",),
+    "--measure-seed": ("0",),  # 0 is a given value, not an absent one
+    "--samples": ("60",),
+    "--bin": ("0.01",),
+    "--tau": ("0.5",),
+    "--confidence": ("0.9",),
+    "--scan-combos": ("3",),
+    "--resamples": ("2",),
+    "--seed": ("1",),
+    "--seeds": ("2",),
+    "--dim": ("4",),
+    "--start-seed": ("3",),
+    "--out": ("alt.json",),
+    "--csv": ("alt.csv",),
+    "--csv-prefix": ("alt",),
+}
+OUTPUT_FLAGS = {"--out", "--csv", "--csv-prefix"}
+
+
+@pytest.mark.parametrize(
+    "command, source",
+    [(command, source) for command, modes in SOURCE_MODES.items() for source in modes],
+    ids=lambda v: " ".join(v) if isinstance(v, tuple) else v,
+)
+def test_every_optional_flag_acts_or_is_refused(tmp_path, capsys, command, source):
+    """Each flag changes the output outside ``config`` or exits 2 naming itself;
+    an output-path flag must write its path."""
+
+    def outputs(*extra):
+        work = tmp_path / f"run{len(list(tmp_path.iterdir()))}"
+        work.mkdir()
+        (work / "ens.json").write_text(json.dumps({"alpha": 0.5, "pps": "initial-dqc1"}))
+        code = run(work, command, *source, "--out", "o.json", *extra)
+        written = {p.name: p.read_bytes() for p in work.iterdir() if p.name != "ens.json"}
+        if "o.json" in written:
+            payload = json.loads(written.pop("o.json"))
+            del payload["config"]
+            written["o.json"] = payload
+        return code, capsys.readouterr().err, written
+
+    code, err, base = outputs()
+    assert code == 0, err
+    unchecked = []
+    for flag in optional_flags(subparsers()[command]):
+        assert flag in FLAG_VALUES, f"{flag} has no test value"
+        code, err, written = outputs(flag, *FLAG_VALUES[flag])
+        if flag in OUTPUT_FLAGS:
+            acts = code == 0 and any(name.startswith("alt") for name in written)
+        else:
+            acts = (code == 2 and flag in err) or (code == 0 and written != base)
+        if not acts:
+            unchecked.append((flag, code, err))
+    assert unchecked == []
+
+
+@pytest.mark.parametrize(
+    "args, resolved",
+    [
+        (("simulate", "--unitary", "jones"), {"epsilon": 1.0}),
+        (("discord", "--dqc1", "jones"), {"epsilon": 1.0, "alpha": None, "extrapolate": False}),
+        (("discord", "--state", "bell"), {"epsilon": None}),
+        (("witness", "--matrix", "rtrunc_eq3", "--samples", "50"),
+         {"sigma": None, "measure_seed": None, "resamples": None, "csv_prefix": None}),
+        (("witness", "--state", "initial-dqc1", "--samples", "50", "--scan-combos", "3"),
+         {"sigma": 0.05, "resamples": 10}),
+        (("haar-survey", "--seeds", "1", "--dim", "8"), {"seeds": 1, "csv": "haar_survey.csv"}),
+    ],
+    ids=["simulate", "discord-dqc1", "discord-state", "witness-matrix", "witness-scan",
+         "haar-survey"],
+)
+def test_config_echoes_every_flag(tmp_path, args, resolved):
+    assert run(tmp_path, *args, "--out", "o.json") == 0
+    config = json.loads((tmp_path / "o.json").read_text())["config"]
+    dests = [a.dest for a in subparsers()[args[0]]._actions if a.dest != "help"]
+    assert list(config) == dests
+    assert config["out"] == "o.json"
+    assert {key: config[key] for key in resolved} == resolved
+
+
+def test_every_scoped_flag_is_a_flag_of_its_subcommand():
+    # a misspelt row would never refuse anything
+    from qdiscord.cli import SCOPED_FLAGS
+
+    parsers = subparsers()
+    for command, rows in SCOPED_FLAGS.items():
+        dests = {a.dest for a in parsers[command]._actions}
+        assert {row[0] for row in rows} <= dests, command
+
+
 class TestHaarSurveyCommand:
     def test_single_seed_deterministic(self, tmp_path):
         args = (
@@ -583,7 +755,7 @@ VALID_INPUTS = {
     ),
     "matrix": (
         lambda path: ["witness", "--matrix", path, "--samples", "20"],
-        eq3_fixture().to_dict(),
+        matrix_document(eq3_fixture()),
     ),
 }
 
@@ -670,3 +842,19 @@ def test_no_src_module_uses_scipy():
             if found:
                 offenders.append(f"{path.name}:{node.lineno}")
     assert offenders == []
+
+
+def test_one_raise_refuses_flags_outside_their_modes():
+    # scope refusals come from SCOPED_FLAGS alone, never from a hand-written check
+    import ast
+
+    import qdiscord
+
+    found = []
+    for path in Path(qdiscord.__file__).parent.rglob("*.py"):
+        tree = ast.parse(path.read_text())
+        in_raise = {id(n) for r in ast.walk(tree) if isinstance(r, ast.Raise) for n in ast.walk(r)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Constant) and "only applies to" in str(node.value):
+                found.append((path.name, node.lineno, id(node) in in_raise))
+    assert len(found) == 1 and found[0][2], found

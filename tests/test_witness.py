@@ -1,3 +1,4 @@
+import json
 import math
 import zlib
 
@@ -35,6 +36,7 @@ from qdiscord.witness import (
 
 from .conftest import (
     extract_columns,
+    matrix_document,
     monte_carlo_svd,
     random_classical_quantum_state,
     random_density_matrix,
@@ -172,7 +174,7 @@ class TestCorrelationMatrix:
     def test_json_round_trip(self, tmp_path):
         corr = eq3_fixture()
         path = tmp_path / "m.json"
-        corr.save(path)
+        path.write_text(json.dumps(matrix_document(corr)))
         loaded = CorrelationMatrix.load(path)
         np.testing.assert_array_equal(loaded.values, corr.values)
         np.testing.assert_array_equal(loaded.sigmas, corr.sigmas)

@@ -32,6 +32,7 @@ from .linalg import DensityMatrix
 from .witness import (
     CorrelationMatrix,
     column_combination_scan,
+    correlation_matrix,
     default_tau,
     witness_procedure,
     write_histogram_csvs,
@@ -154,8 +155,6 @@ def _witness_input(args) -> CorrelationMatrix:
     rho = _resolve_state(args)
     if args.measure_seed is not None:
         return nmr.measured_correlation_matrix(rho, args.sigma, args.measure_seed)
-    from .witness import correlation_matrix
-
     return correlation_matrix(rho).with_uniform_sigmas(args.sigma)
 
 
@@ -209,17 +208,17 @@ def cmd_witness(args) -> int:
             corr, args.scan_combos, args.resamples, args.seed, bin_width=args.bin
         )
         scan_tau = args.tau if args.tau is not None else default_tau(corr.sigmas, n_cols=4)
-        rank = scan_dist.n_distinguishable(scan_tau, args.confidence)
+        low = scan_dist.quantile(1 - args.confidence)
+        rank = int((low > scan_tau).sum())
         scan_payload = {
             "rank_lower_bound": rank,
             "tau": scan_tau,
             "n_samples": scan_dist.n_samples,
-            "quantiles_low": scan_dist.quantile(1 - args.confidence).tolist(),
+            "quantiles_low": low.tolist(),
             "medians": scan_dist.medians().tolist(),
         }
         csv_dist = scan_dist
-    prefix = args.csv_prefix if args.csv_prefix is not None else Path(args.out).with_suffix("")
-    csv_paths = write_histogram_csvs(csv_dist, prefix)
+    csv_paths = write_histogram_csvs(csv_dist, _csv_prefix(args))
     payload = {
         "outcome": verdict.outcome,
         "rank_lower_bound": rank,
@@ -240,6 +239,10 @@ def cmd_witness(args) -> int:
     path = _write_json(args, payload)
     print(f"{verdict.outcome}: rank lower bound {rank} (dim A = {verdict.dim_a}) -> {path}")
     return EXIT_OK
+
+
+def _csv_prefix(args) -> str | Path:
+    return args.csv_prefix if args.csv_prefix is not None else Path(args.out).with_suffix("")
 
 
 def cmd_haar_survey(args) -> int:
@@ -354,7 +357,7 @@ SCOPED_FLAGS = {
 
 def _check_flags(args) -> None:
     """Before any work: refuse a flag given outside its modes, resolve its
-    default inside them, and refuse an output path in a missing directory."""
+    default inside them, and refuse an output path that is a directory or sits in a missing one."""
     for dest, modes, applies, default in SCOPED_FLAGS.get(args.command, ()):
         value = getattr(args, dest)
         if not applies(args):
@@ -364,9 +367,13 @@ def _check_flags(args) -> None:
             setattr(args, dest, default)
     for dest in ("out", "csv", "csv_prefix"):
         path = getattr(args, dest, None)
+        flag = "--" + dest.replace("_", "-")
         if path is not None and not os.path.isdir(os.path.dirname(path) or "."):
-            flag = "--" + dest.replace("_", "-")
             raise ValueError(f"{flag} {path}: directory {os.path.dirname(path)} does not exist")
+        if path is not None and Path(path).is_dir():
+            raise ValueError(f"{flag} {path} is a directory, not a file")
+    if args.command == "witness" and Path(_csv_prefix(args)).is_dir():
+        raise ValueError(f"--out {args.out}: the CSV prefix {_csv_prefix(args)} is a directory")
 
 
 def main(argv=None) -> int:

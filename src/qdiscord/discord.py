@@ -97,11 +97,6 @@ class MeasurementBasis:
         object.__setattr__(self, "theta", float(theta))
         object.__setattr__(self, "phi", float(phi % (2 * np.pi)))
 
-    @property
-    def bloch_vector(self) -> np.ndarray:
-        st = np.sin(self.theta)
-        return np.array([st * np.cos(self.phi), st * np.sin(self.phi), np.cos(self.theta)])
-
 
 @dataclass(frozen=True)
 class DiscordResult:

@@ -17,6 +17,8 @@ from pathlib import Path
 import numpy as np
 
 from .linalg import DensityMatrix, PauliLabel, pauli_realize
+from .states import named_state
+from .witness import CorrelationMatrix, correlation_matrix
 
 def embed(pps: DensityMatrix, alpha: float) -> DensityMatrix:
     """(1 - alpha) I/2^N + alpha pps, the physical ensemble state."""
@@ -82,8 +84,6 @@ def measured_correlation_matrix(rho: DensityMatrix, sigma: float, seed: int):
     sigma 0. With sigma 0 the values are exact but still annotated with zero
     uncertainties.
     """
-    from .witness import CorrelationMatrix, correlation_matrix
-
     exact = correlation_matrix(rho)
     values = np.array(exact.values)
     sigmas = np.full(values.shape, float(sigma))
@@ -96,12 +96,9 @@ def measured_correlation_matrix(rho: DensityMatrix, sigma: float, seed: int):
     return CorrelationMatrix(exact.rows, exact.cols, values, sigmas)
 
 
-def load_ensemble(data: dict | str | Path, named_states=None) -> NmrEnsemble:
-    """Parse {"alpha": a, "pps": <name or {"re", "im"[, "qubit_partition"]}>}.
-
-    ``named_states`` maps fixture names to states; it defaults to the named
-    fixtures shipped with the package.
-    """
+def load_ensemble(data: dict | str | Path) -> NmrEnsemble:
+    """Parse {"alpha": a, "pps": <name or {"re", "im"[, "qubit_partition"]}>};
+    a pps name is one of the package's named fixtures."""
     if not isinstance(data, dict):
         with open(data) as fh:
             data = json.load(fh)
@@ -111,9 +108,7 @@ def load_ensemble(data: dict | str | Path, named_states=None) -> NmrEnsemble:
     except (KeyError, TypeError, OverflowError) as exc:
         raise ValueError(f"malformed ensemble spec: {exc}") from exc
     if isinstance(pps_spec, str):
-        if named_states is None:
-            from .states import named_state as named_states
-        pps = named_states(pps_spec)
+        pps = named_state(pps_spec)
     else:
         try:
             entries = np.asarray(pps_spec["re"], dtype=float) + 1j * np.asarray(

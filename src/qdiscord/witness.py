@@ -277,14 +277,10 @@ class SingularValueDistribution:
         return self.samples.shape[1]
 
     def quantile(self, q: float) -> np.ndarray:
-        """Per-singular-value empirical quantile."""
-        return np.quantile(self.samples, q, axis=0)
-
-    def n_distinguishable(self, tau: float, confidence: float = 0.99) -> int:
-        """Singular values whose (1 - confidence) quantile exceeds tau."""
-        _check_tau(tau)
-        _check_confidence(confidence)
-        return int((self.quantile(1.0 - confidence) > tau).sum())
+        """Per-singular-value empirical quantile (numpy's linear rule)."""
+        if not 0.0 <= q <= 1.0:
+            raise ValueError(f"quantile {q} outside [0, 1]")
+        return _quantile_of_lowest(self.samples.T, q, self.n_samples)
 
     def medians(self) -> np.ndarray:
         return np.median(self.samples, axis=0)
@@ -299,7 +295,7 @@ class _GramFold:
     sample's Gram matrix as G += c c^T; the singular values of the k columns
     folded so far are the square roots of G's top min(rows, k) eigenvalues.
     Sample i is therefore one hypothetical experiment at every step. A matrix
-    whose sigmas are all zero so far keeps the exact SVD of its values.
+    of shared columns whose sigmas are all zero so far keeps its exact SVD.
 
     Only G's lower triangle, the part eigvalsh reads, is kept: packed as one
     (n_samples,) row per entry, so a column costs rows (rows + 1) / 2
@@ -324,15 +320,21 @@ class _GramFold:
         self.noisy = False
 
     def add(self, label: PauliLabel, values: np.ndarray, sigmas: np.ndarray) -> None:
+        """Fold one column: ``values`` and ``sigmas`` are (rows,), shared by
+        every sample, or (rows, n_samples), one column per sample."""
+        values, sigmas = (np.reshape(a, (self.n_rows, -1)) for a in (values, sigmas))
         self.values.append(values)
+        self.noisy |= values.shape[1] > 1
         # overflow from huge sigmas is refused, with a message, at the next check
         with np.errstate(over="ignore", invalid="ignore"):
             if np.any(sigmas > 0):
                 self.noisy = True
                 rng = np.random.default_rng([self.seed, zlib.crc32(label.encode())])
-                col = (values + rng.standard_normal((self.n_samples, values.size)) * sigmas).T
+                z = rng.standard_normal((self.n_samples, self.n_rows))
+                col = np.multiply(z.T, sigmas, out=np.empty((self.n_rows, self.n_samples)))
+                col += values
             else:
-                col = values[:, None]  # the same column in every sample
+                col = values
             for k, (i, j) in enumerate(zip(*self.tril)):
                 self.packed[k] += col[i] * col[j]
 
@@ -447,7 +449,8 @@ def column_combination_scan(
 
     Each combination keeps the identity column, draws three others at random,
     and is perturbed ``resamples_per_combo`` times; all singular values pool
-    into a single distribution (e.g. 1000 x 10 = 10,000 samples).
+    into a single distribution (e.g. 1000 x 10 = 10,000 samples), folded by
+    :class:`_GramFold` with column slot k labelled ``f"combination slot {k}"``.
     """
     _check_bin_width(bin_width)
     if n_combos < 1 or resamples_per_combo < 1:
@@ -468,13 +471,11 @@ def column_combination_scan(
         np.concatenate(([identity[0]], rng.choice(others, size=3, replace=False)))
         for _ in range(n_combos)
     ])
-    sub_vals = corr.values[:, picks].transpose(1, 0, 2)  # (n_combos, rows, 4)
-    sub_sigs = corr.sigmas[:, picks].transpose(1, 0, 2)
-    noise = rng.standard_normal((n_combos, resamples_per_combo) + sub_vals.shape[1:])
-    perturbed = sub_vals[:, None] + noise * sub_sigs[:, None]
-    flat = perturbed.reshape((-1,) + sub_vals.shape[1:])
-    samples = np.linalg.svd(flat, compute_uv=False)
-    return SingularValueDistribution(samples, bin_width)
+    picks = np.repeat(picks, resamples_per_combo, axis=0)  # (n_samples, 4)
+    fold = _GramFold(len(corr.rows), picks.shape[0], seed)
+    for k, slot in enumerate(picks.T):
+        fold.add(f"combination slot {k}", corr.values[:, slot], corr.sigmas[:, slot])
+    return fold.distribution(bin_width)
 
 
 class ColumnSource:

@@ -1,5 +1,7 @@
 """Brute-force references the library's closed forms are checked against."""
 
+import zlib
+
 import numpy as np
 
 from qdiscord import CorrelationMatrix, DensityMatrix, MeasurementBasis, pauli_realize
@@ -7,9 +9,15 @@ from qdiscord.discord import ANGLE_TOL, MAX_ITER, NULL_OUTCOME_P
 from qdiscord.linalg import PAULI_1Q
 
 
+def bloch_vector(basis: MeasurementBasis) -> np.ndarray:
+    """The unit Bloch direction n of the basis angles (theta, phi)."""
+    st = np.sin(basis.theta)
+    return np.array([st * np.cos(basis.phi), st * np.sin(basis.phi), np.cos(basis.theta)])
+
+
 def projectors(basis: MeasurementBasis) -> tuple[np.ndarray, np.ndarray]:
     """The rank-1 projectors (I +- n.sigma)/2 of a qubit measurement."""
-    n = basis.bloch_vector
+    n = bloch_vector(basis)
     ns = n[0] * PAULI_1Q["X"] + n[1] * PAULI_1Q["Y"] + n[2] * PAULI_1Q["Z"]
     eye = np.eye(2)
     return (eye + ns) / 2, (eye - ns) / 2
@@ -166,3 +174,28 @@ def rank_lower_bound(corr: CorrelationMatrix | np.ndarray, tau: float) -> int:
     values = corr.values if isinstance(corr, CorrelationMatrix) else np.asarray(corr)
     sv = np.linalg.svd(values, compute_uv=False)
     return int((sv > tau).sum())
+
+
+def svd_combination_scan(
+    corr: CorrelationMatrix, n_combos: int, resamples_per_combo: int, seed: int
+) -> np.ndarray:
+    """``column_combination_scan``'s samples from one batched SVD of the
+    perturbed 4-column submatrices: the same combinations from
+    ``default_rng(seed)``, and slot k's noise from the stream keyed by
+    ``f"combination slot {k}"``, but no Gram matrices."""
+    rng = np.random.default_rng(seed)
+    identity = next(j for j, c in enumerate(corr.cols) if set(c) == {"I"})
+    others = np.array([j for j in range(len(corr.cols)) if j != identity])
+    picks = np.stack([
+        np.concatenate(([identity], rng.choice(others, size=3, replace=False)))
+        for _ in range(n_combos)
+    ])
+    picks = np.repeat(picks, resamples_per_combo, axis=0)  # (n_samples, 4)
+    noise = np.stack([
+        np.random.default_rng([seed, zlib.crc32(f"combination slot {k}".encode())])
+        .standard_normal((len(picks), len(corr.rows)))
+        for k in range(4)
+    ], axis=-1)
+    values = corr.values[:, picks].transpose(1, 0, 2)  # (n_samples, rows, 4)
+    sigmas = corr.sigmas[:, picks].transpose(1, 0, 2)
+    return np.linalg.svd(values + noise * sigmas, compute_uv=False)

@@ -231,6 +231,14 @@ class TestDiscordCommand:
         assert out["zero_discord"]["is_zero"] is False
 
 
+def with_scan_variants(*values) -> list:
+    """Each value alone, then with ``--scan-combos``, whose rank reads the same
+    --confidence quantile against the same --tau."""
+    return [pytest.param(v, (), id=v) for v in values] + [
+        pytest.param(v, ("--scan-combos", "5"), id=f"scan-{v}") for v in values
+    ]
+
+
 class TestWitnessCommand:
     def test_eq3_fixture_builtin(self, tmp_path):
         code = run(
@@ -348,17 +356,19 @@ class TestWitnessCommand:
         assert last["tau"] == verdict["tau"]
         assert last["quantiles_low"] == verdict["quantiles_low"]
 
-    @pytest.mark.parametrize("confidence", ["1.5", "0", "-0.1", "nan"])
-    def test_confidence_outside_unit_interval_exits_2(self, tmp_path, capsys, confidence):
-        args = ("witness", "--matrix", "rtrunc_eq3", "--confidence", confidence)
+    @pytest.mark.parametrize(
+        "confidence, scan", with_scan_variants("1.5", "0", "-0.1", "nan")
+    )
+    def test_confidence_outside_unit_interval_exits_2(self, tmp_path, capsys, confidence, scan):
+        args = ("witness", "--matrix", "rtrunc_eq3", "--confidence", confidence, *scan)
         assert run(tmp_path, *args) == 2
         assert "--confidence" in capsys.readouterr().err
         assert not (tmp_path / "witness.json").exists()
 
-    @pytest.mark.parametrize("tau", ["0", "-1", "nan", "inf"])
-    def test_tau_not_positive_and_finite_exits_2(self, tmp_path, capsys, tau):
+    @pytest.mark.parametrize("tau, scan", with_scan_variants("0", "-1", "nan", "inf"))
+    def test_tau_not_positive_and_finite_exits_2(self, tmp_path, capsys, tau, scan):
         # tau 0 or -1 used to witness discord in this zero-discord state
-        args = ("witness", "--state", "initial-dqc1", "--samples", "100", "--tau", tau)
+        args = ("witness", "--state", "initial-dqc1", "--samples", "100", "--tau", tau, *scan)
         assert run(tmp_path, *args) == 2
         assert "--tau" in capsys.readouterr().err
         assert not (tmp_path / "witness.json").exists()
@@ -473,7 +483,10 @@ class TestWitnessCommand:
         assert run(tmp_path, *args) == 0
         out = json.loads((tmp_path / "witness.json").read_text())
         assert out["config"]["resamples"] == 10
-        assert out["scan"]["n_samples"] == 5 * 10
+        scan = out["scan"]
+        assert scan["n_samples"] == 5 * 10
+        # the scan rank counts the low quantiles the payload reports
+        assert scan["rank_lower_bound"] == sum(q > scan["tau"] for q in scan["quantiles_low"])
 
     def test_measure_seed_with_matrix_exits_2(self, tmp_path, capsys):
         # a correlation-matrix file is already measured: no noise is sampled into it
@@ -562,6 +575,33 @@ def test_missing_output_directory_exits_2_before_any_work(
     assert f"{flag} nodir/" in capsys.readouterr().err
     assert calls == []
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "args, flag",
+    [
+        (("haar-survey", "--seeds", "1", "--dim", "8", "--out", "d"), "--out"),
+        (("haar-survey", "--seeds", "1", "--dim", "8", "--csv", "d"), "--csv"),
+        (("witness", "--state", "bell", "--samples", "100", "--out", "d"), "--out"),
+        (("witness", "--state", "bell", "--samples", "100", "--csv-prefix", "d"), "--csv-prefix"),
+        (("witness", "--state", "bell", "--samples", "100", "--out", "d.json"), "--out"),
+        (("simulate", "--unitary", "jones", "--out", "."), "--out"),
+    ],
+    ids=["haar-survey-out", "haar-survey-csv", "witness-out", "witness-csv-prefix",
+         "witness-out-stem", "simulate-out-cwd"],
+)
+def test_output_path_naming_a_directory_exits_2_before_any_work(
+    tmp_path, capsys, monkeypatch, args, flag
+):
+    calls = count_calls(
+        monkeypatch, "qdiscord.dqc1.trace_estimate", "qdiscord.cli.witness_procedure",
+        "qdiscord.cli.haar_discord_survey",
+    )
+    (tmp_path / "d").mkdir()
+    assert run(tmp_path, *args) == 2
+    assert f"{flag} {args[-1]}" in capsys.readouterr().err
+    assert calls == []
+    assert [p.name for p in tmp_path.rglob("*")] == ["d"]
 
 
 def subparsers() -> dict[str, argparse.ArgumentParser]:

@@ -30,6 +30,7 @@ from qdiscord.linalg import PAULI_1Q, entropy_from_eigenvalues
 
 from .conftest import random_density_matrix
 from .oracles import (
+    bloch_vector,
     bounded_brent_dqc1_discord,
     nelder_mead_discord,
     projective_average,
@@ -72,7 +73,7 @@ class TestConditionalState:
         db = rho.dim // 2
         rho_b, gammas = _bloch_blocks(rho)
         for basis in (Z_BASIS, MeasurementBasis(1.1, 2.2), MeasurementBasis(2.7, 5.9)):
-            n_gamma = np.einsum("i,ibc->bc", basis.bloch_vector, gammas)
+            n_gamma = np.einsum("i,ibc->bc", bloch_vector(basis), gammas)
             for sign, e in zip((1, -1), projectors(basis)):
                 block = np.einsum(
                     "ibic->bc", (np.kron(e, np.eye(db)) @ rho.entries).reshape(2, db, 2, db)

@@ -1,6 +1,8 @@
+import ast
 import json
 import math
 import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -41,7 +43,7 @@ from .conftest import (
     random_classical_quantum_state,
     random_density_matrix,
 )
-from .oracles import rank_lower_bound, reconstruct_state
+from .oracles import rank_lower_bound, reconstruct_state, svd_combination_scan
 
 
 def stacked_draws(corr: CorrelationMatrix, n_samples: int, seed: int) -> np.ndarray:
@@ -401,6 +403,8 @@ class TestRankCheckQuantiles:
         subset = full[:, rng.permutation(np.unique(low))]
         for lowest in (full, subset):
             assert wit._quantile_of_lowest(lowest, q, n).tobytes() == want.tobytes()
+        got = SingularValueDistribution(full.T, 0.005).quantile(q)
+        assert got.tobytes() == want.tobytes()
 
 
 class TestSingularValueDistribution:
@@ -433,21 +437,17 @@ class TestSingularValueDistribution:
             SingularValueDistribution(np.ones((10, 2)), 1e-7)
 
     def test_distinguishable_count(self):
+        # the rank rule: singular values whose low quantile exceeds tau
         samples = np.tile([1.0, 0.3, 0.01], (100, 1))
-        dist = SingularValueDistribution(samples, 0.005)
-        assert dist.n_distinguishable(0.05, 0.99) == 2
+        low = SingularValueDistribution(samples, 0.005).quantile(0.01)
+        np.testing.assert_array_equal(low, [1.0, 0.3, 0.01])
+        assert int((low > 0.05).sum()) == 2
 
-    @pytest.mark.parametrize("confidence", [1.5, 0.0, -0.1, float("nan")])
-    def test_rejects_confidence_outside_unit_interval(self, confidence):
+    @pytest.mark.parametrize("q", [1.5, -0.1, float("nan")])
+    def test_quantile_outside_unit_interval_refused(self, q):
         dist = SingularValueDistribution(np.ones((10, 2)), 0.005)
-        with pytest.raises(ValueError, match="confidence"):
-            dist.n_distinguishable(0.05, confidence)
-
-    @pytest.mark.parametrize("tau", [0.0, -1.0, float("nan"), float("inf")])
-    def test_rejects_tau_not_positive_and_finite(self, tau):
-        dist = SingularValueDistribution(np.ones((10, 2)), 0.005)
-        with pytest.raises(ValueError, match="tau"):
-            dist.n_distinguishable(tau)
+        with pytest.raises(ValueError, match="quantile"):
+            dist.quantile(q)
 
 
 class TestColumnCombinationScan:
@@ -490,6 +490,26 @@ class TestColumnCombinationScan:
         b = column_combination_scan(corr, 20, 3, seed=4)
         np.testing.assert_array_equal(a.samples, b.samples)
 
+    @pytest.mark.parametrize(
+        "corr",
+        [
+            correlation_matrix(named_state("initial-dqc1")).with_uniform_sigmas(0.05),
+            correlation_matrix(named_state("final-dqc1")).with_uniform_sigmas(0.05),
+            eq3_fixture(),
+            correlation_matrix(named_state("initial-dqc1")).with_uniform_sigmas(0.0),
+        ],
+        ids=["initial-dqc1", "final-dqc1", "rtrunc_eq3", "zero-sigma"],
+    )
+    def test_matches_batched_svd_of_the_same_draws(self, corr):
+        got = column_combination_scan(corr, 300, 10, seed=2).samples
+        ref = svd_combination_scan(corr, 300, 10, seed=2)
+        top = ref[:, :1] * np.ones_like(ref)
+        resolved = ref > GRAM_RESOLUTION * top
+        # eigvalsh of the Gram matrix is accurate to ~eps x the largest value
+        # squared, so a singular value is good to ~1e-12 of the largest
+        assert np.all(np.abs(got - ref)[resolved] <= 1e-10 * top[resolved])
+        assert np.all(got[~resolved] == 0.0)
+
 
 class TestPolicy:
     def test_z_sector_first_for_three_qubits(self):
@@ -531,7 +551,7 @@ class TestWitnessProcedure:
             assert check.column == used[k - 1]
             assert check.tau == default_tau(sub.sigmas)
             np.testing.assert_array_equal(check.quantiles_low, dist.quantile(1 - 0.99))
-            assert check.rank == dist.n_distinguishable(check.tau, 0.99)
+            assert check.rank == int((dist.quantile(1 - 0.99) > check.tau).sum())
         last = monte_carlo_svd(extract_columns(corr, used), 300, 4)
         np.testing.assert_array_equal(verdict.distribution.samples, last.samples)
         assert verdict.trajectory[-1].rank == verdict.rank_lower_bound
@@ -694,3 +714,35 @@ class TestHistogramCsv:
             assert all(len(cell.split(".")[1]) == 6 for cell in lines[1].split(","))
             assert body[:, 1].sum() * 0.01 == pytest.approx(1.0, abs=2e-3)
             assert abs(body[-1, 2] - 1.0) < 1e-6
+
+
+def calls_by_scope(path: Path) -> list[tuple[str, str]]:
+    """(enclosing class.function, called expression) of every call in a module."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                visit(child, f"{scope}.{child.name}".lstrip("."))
+                continue
+            if isinstance(child, ast.Call):
+                found.append((scope, ast.unparse(child.func)))
+            visit(child, scope)
+
+    visit(ast.parse(path.read_text()), "")
+    return found
+
+
+def test_one_monte_carlo_engine_and_one_quantile_rule():
+    # the procedure and the scan both fold through _GramFold, whose exact
+    # matrix is the one SVD; every quantile is _quantile_of_lowest's
+    src = Path(wit.__file__).parent
+    witness_calls = calls_by_scope(src / "witness.py")
+    assert [scope for scope, f in witness_calls if f.endswith("svd")] == ["_GramFold._exact_sv"]
+    assert not [f for scope, f in witness_calls if scope == "column_combination_scan"
+                and "linalg" in f]
+    offenders = [
+        (path.name, f) for path in src.rglob("*.py") for _, f in calls_by_scope(path)
+        if f.endswith(("np.quantile", "n_distinguishable"))
+    ]
+    assert offenders == []

@@ -218,7 +218,8 @@ def cmd_witness(args) -> int:
             "medians": scan_dist.medians().tolist(),
         }
         csv_dist = scan_dist
-    csv_paths = write_histogram_csvs(csv_dist, _csv_prefix(args))
+    prefix = args.csv_prefix if args.csv_prefix is not None else Path(args.out).with_suffix("")
+    csv_paths = write_histogram_csvs(csv_dist, prefix)
     payload = {
         "outcome": verdict.outcome,
         "rank_lower_bound": rank,
@@ -239,10 +240,6 @@ def cmd_witness(args) -> int:
     path = _write_json(args, payload)
     print(f"{verdict.outcome}: rank lower bound {rank} (dim A = {verdict.dim_a}) -> {path}")
     return EXIT_OK
-
-
-def _csv_prefix(args) -> str | Path:
-    return args.csv_prefix if args.csv_prefix is not None else Path(args.out).with_suffix("")
 
 
 def cmd_haar_survey(args) -> int:
@@ -357,7 +354,8 @@ SCOPED_FLAGS = {
 
 def _check_flags(args) -> None:
     """Before any work: refuse a flag given outside its modes, resolve its
-    default inside them, and refuse an output path that is a directory or sits in a missing one."""
+    default inside them, and refuse an output path in a missing directory or
+    an output file that is a directory (a CSV prefix is never opened itself)."""
     for dest, modes, applies, default in SCOPED_FLAGS.get(args.command, ()):
         value = getattr(args, dest)
         if not applies(args):
@@ -370,10 +368,8 @@ def _check_flags(args) -> None:
         flag = "--" + dest.replace("_", "-")
         if path is not None and not os.path.isdir(os.path.dirname(path) or "."):
             raise ValueError(f"{flag} {path}: directory {os.path.dirname(path)} does not exist")
-        if path is not None and Path(path).is_dir():
+        if dest != "csv_prefix" and path is not None and Path(path).is_dir():
             raise ValueError(f"{flag} {path} is a directory, not a file")
-    if args.command == "witness" and Path(_csv_prefix(args)).is_dir():
-        raise ValueError(f"--out {args.out}: the CSV prefix {_csv_prefix(args)} is a directory")
 
 
 def main(argv=None) -> int:

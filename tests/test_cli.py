@@ -231,14 +231,6 @@ class TestDiscordCommand:
         assert out["zero_discord"]["is_zero"] is False
 
 
-def with_scan_variants(*values) -> list:
-    """Each value alone, then with ``--scan-combos``, whose rank reads the same
-    --confidence quantile against the same --tau."""
-    return [pytest.param(v, (), id=v) for v in values] + [
-        pytest.param(v, ("--scan-combos", "5"), id=f"scan-{v}") for v in values
-    ]
-
-
 class TestWitnessCommand:
     def test_eq3_fixture_builtin(self, tmp_path):
         code = run(
@@ -356,19 +348,17 @@ class TestWitnessCommand:
         assert last["tau"] == verdict["tau"]
         assert last["quantiles_low"] == verdict["quantiles_low"]
 
-    @pytest.mark.parametrize(
-        "confidence, scan", with_scan_variants("1.5", "0", "-0.1", "nan")
-    )
-    def test_confidence_outside_unit_interval_exits_2(self, tmp_path, capsys, confidence, scan):
-        args = ("witness", "--matrix", "rtrunc_eq3", "--confidence", confidence, *scan)
+    @pytest.mark.parametrize("confidence", ["1.5", "0", "-0.1", "nan"])
+    def test_confidence_outside_unit_interval_exits_2(self, tmp_path, capsys, confidence):
+        args = ("witness", "--matrix", "rtrunc_eq3", "--confidence", confidence)
         assert run(tmp_path, *args) == 2
         assert "--confidence" in capsys.readouterr().err
         assert not (tmp_path / "witness.json").exists()
 
-    @pytest.mark.parametrize("tau, scan", with_scan_variants("0", "-1", "nan", "inf"))
-    def test_tau_not_positive_and_finite_exits_2(self, tmp_path, capsys, tau, scan):
+    @pytest.mark.parametrize("tau", ["0", "-1", "nan", "inf"])
+    def test_tau_not_positive_and_finite_exits_2(self, tmp_path, capsys, tau):
         # tau 0 or -1 used to witness discord in this zero-discord state
-        args = ("witness", "--state", "initial-dqc1", "--samples", "100", "--tau", tau, *scan)
+        args = ("witness", "--state", "initial-dqc1", "--samples", "100", "--tau", tau)
         assert run(tmp_path, *args) == 2
         assert "--tau" in capsys.readouterr().err
         assert not (tmp_path / "witness.json").exists()
@@ -583,12 +573,9 @@ def test_missing_output_directory_exits_2_before_any_work(
         (("haar-survey", "--seeds", "1", "--dim", "8", "--out", "d"), "--out"),
         (("haar-survey", "--seeds", "1", "--dim", "8", "--csv", "d"), "--csv"),
         (("witness", "--state", "bell", "--samples", "100", "--out", "d"), "--out"),
-        (("witness", "--state", "bell", "--samples", "100", "--csv-prefix", "d"), "--csv-prefix"),
-        (("witness", "--state", "bell", "--samples", "100", "--out", "d.json"), "--out"),
         (("simulate", "--unitary", "jones", "--out", "."), "--out"),
     ],
-    ids=["haar-survey-out", "haar-survey-csv", "witness-out", "witness-csv-prefix",
-         "witness-out-stem", "simulate-out-cwd"],
+    ids=["haar-survey-out", "haar-survey-csv", "witness-out", "simulate-out-cwd"],
 )
 def test_output_path_naming_a_directory_exits_2_before_any_work(
     tmp_path, capsys, monkeypatch, args, flag
@@ -602,6 +589,25 @@ def test_output_path_naming_a_directory_exits_2_before_any_work(
     assert f"{flag} {args[-1]}" in capsys.readouterr().err
     assert calls == []
     assert [p.name for p in tmp_path.rglob("*")] == ["d"]
+
+
+@pytest.mark.parametrize(
+    "args, json_name, csv_stem",
+    [
+        (("--csv-prefix", "d"), "witness.json", "d"),
+        (("--out", "d.json"), "d.json", "d"),
+        (("--csv-prefix", "d/"), "witness.json", "d/"),
+    ],
+    ids=["csv-prefix", "out-stem", "csv-prefix-in-dir"],
+)
+def test_csv_prefix_naming_a_directory_writes_its_files(tmp_path, args, json_name, csv_stem):
+    # a prefix is never opened itself: "d" writes d_sv1.csv beside the
+    # directory d, and "d/" writes d/_sv1.csv inside it
+    (tmp_path / "d").mkdir()
+    assert run(tmp_path, "witness", "--state", "bell", "--samples", "100", *args) == 0
+    assert (tmp_path / json_name).is_file()
+    for i in range(1, 5):
+        assert (tmp_path / f"{csv_stem}_sv{i}.csv").is_file()
 
 
 def subparsers() -> dict[str, argparse.ArgumentParser]:

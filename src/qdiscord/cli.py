@@ -188,7 +188,7 @@ def cmd_witness(args) -> int:
         )
     try:
         verdict = witness_procedure(
-            corr.as_source(),
+            wit.ColumnSource(corr),
             tau=args.tau,
             confidence=args.confidence,
             n_samples=args.samples,

@@ -386,20 +386,20 @@ def dqc1_discord(eigphases: np.ndarray, eps: float) -> DiscordResult:
     )
 
 
-def is_zero_discord(rho: DensityMatrix, tol: float = DEFAULT_ZERO_DISCORD_TOL) -> ZeroDiscordResult:
+def is_zero_discord(rho: DensityMatrix) -> ZeroDiscordResult:
     """Projective-invariance test: zero discord iff some measurement basis on
     A leaves the state unchanged under projective averaging.
 
     The smallest Frobenius distance ||rho - Pi_n(rho)||_F over bases and the
     basis that attains it come in closed form from the top eigenpair of
     G_ij = Re Tr(Gamma_i Gamma_j) (module docstring); the state is zero
-    discord when that distance falls below ``tol``.
+    discord when that distance falls below ``DEFAULT_ZERO_DISCORD_TOL``.
     """
     rho_b, gammas = _bloch_blocks(rho)
     w, v = np.linalg.eigh(np.einsum("ibc,jcb->ij", gammas, gammas).real)
     kept = (np.linalg.norm(rho_b) ** 2 + w[-1]) / 2
     dist = math.sqrt(max(np.linalg.norm(rho.entries) ** 2 - kept, 0.0))
-    return ZeroDiscordResult(dist < tol, _measurement_basis(v[:, -1]), dist)
+    return ZeroDiscordResult(dist < DEFAULT_ZERO_DISCORD_TOL, _measurement_basis(v[:, -1]), dist)
 
 
 @dataclass(frozen=True)

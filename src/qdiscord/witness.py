@@ -2,7 +2,7 @@
 
 A bipartite state expands as rho = 2^-N sum_nm r_nm A_n (+) B_m over Pauli
 string bases; discord D(A:B) is non-zero whenever rank(r_nm) exceeds dim(A).
-The witness measures columns of the correlation matrix one at a time,
+The witness reads the columns of one validated matrix one at a time,
 lower-bounds the rank by counting singular values statistically
 distinguishable from zero under Gaussian measurement uncertainty, and stops
 as soon as the bound exceeds dim(A) or full tomography is exhausted.
@@ -23,7 +23,7 @@ import zlib
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -119,17 +119,6 @@ class CorrelationMatrix:
     def shape(self) -> tuple[int, int]:
         return self.values.shape
 
-    def column(self, label: PauliLabel) -> tuple[np.ndarray, np.ndarray | None]:
-        try:
-            j = self.cols.index(label)
-        except ValueError:
-            raise ValueError(f"unknown column label {label!r}") from None
-        sig = None if self.sigmas is None else self.sigmas[:, j]
-        return self.values[:, j], sig
-
-    def as_source(self) -> "ColumnSource":
-        return ColumnSource(self.rows, self.cols, self.column)
-
     def with_uniform_sigmas(self, sigma: float) -> "CorrelationMatrix":
         """Annotate every entry with the same uncertainty (identity entry 0)."""
         if sigma < 0:
@@ -185,7 +174,7 @@ def default_tau(sigmas: np.ndarray | None, n_cols: int | None = None) -> float:
     if nz.size == 0:
         return TAU_FLOOR
     cols = sigmas.shape[1] if n_cols is None else int(n_cols)
-    return 2.0 * float(np.median(nz)) * math.sqrt(cols)
+    return 2.0 * float(_quantile_of_lowest(nz[None], 0.5, nz.size)[0]) * math.sqrt(cols)
 
 
 @dataclass(frozen=True)
@@ -283,7 +272,7 @@ class SingularValueDistribution:
         return _quantile_of_lowest(self.samples.T, q, self.n_samples)
 
     def medians(self) -> np.ndarray:
-        return np.median(self.samples, axis=0)
+        return self.quantile(0.5)
 
 
 class _GramFold:
@@ -479,34 +468,25 @@ def column_combination_scan(
 
 
 class ColumnSource:
-    """On-demand access to correlation-matrix columns.
+    """On-demand access to the columns of one validated correlation matrix.
 
     Mirrors an experiment: each column may be fetched at most once. ``fetch``
-    returns (values, sigmas) for a column label; sigmas may be None for exact
-    sources.
+    returns a column's (values, sigmas), with zero sigmas when the matrix
+    carries none.
     """
 
-    def __init__(
-        self,
-        row_labels: Iterable[PauliLabel],
-        col_labels: Iterable[PauliLabel],
-        fetch: Callable[[PauliLabel], tuple[np.ndarray, np.ndarray | None]],
-    ):
-        self.row_labels = tuple(row_labels)
-        self.col_labels = tuple(col_labels)
-        self._fetch = fetch
-        self._taken: set[str] = set()
+    def __init__(self, corr: CorrelationMatrix):
+        self.row_labels = corr.rows
+        self.col_labels = corr.cols
+        sigmas = np.zeros(corr.shape) if corr.sigmas is None else corr.sigmas
+        self._unmeasured = dict(zip(corr.cols, zip(corr.values.T, sigmas.T)))
 
-    def fetch(self, label: PauliLabel) -> tuple[np.ndarray, np.ndarray | None]:
+    def fetch(self, label: PauliLabel) -> tuple[np.ndarray, np.ndarray]:
         if label not in self.col_labels:
             raise ValueError(f"unknown column label {label!r}")
-        if label in self._taken:
+        if label not in self._unmeasured:
             raise ValueError(f"column {label!r} already measured")
-        self._taken.add(label)
-        values, sigmas = self._fetch(label)
-        return np.asarray(values, dtype=float), (
-            None if sigmas is None else np.asarray(sigmas, dtype=float)
-        )
+        return self._unmeasured.pop(label)
 
 
 def z_sector_first_order(col_labels: Sequence[PauliLabel]) -> tuple[PauliLabel, ...]:
@@ -573,11 +553,12 @@ def witness_procedure(
 ) -> WitnessVerdict:
     """Iterative column acquisition until rank(R) > dim(A) or exhaustion.
 
-    Acquires columns in :func:`z_sector_first_order`: ``INITIAL_BLOCK`` of
-    them before the first rank check, then one at a time; dim(A) is 2 to the
-    row-label length. After each acquisition a Monte Carlo rank bound is
-    computed on the submatrix measured so far: a singular value counts as
-    nonzero when its empirical (1 - confidence) quantile exceeds tau
+    Fetches the columns of the source's one validated matrix, each once, in
+    :func:`z_sector_first_order`: ``INITIAL_BLOCK`` of them before the first
+    rank check, then one at a time; dim(A) is 2 to the row-label length.
+    After each acquisition a Monte Carlo rank bound is computed on the
+    submatrix measured so far: a singular value counts as nonzero when its
+    empirical (1 - confidence) quantile exceeds tau
     (default: noise-scaled :func:`default_tau` of the current submatrix; a
     given tau must be positive and finite). The check on the first k columns
     reads the quantiles over every Monte Carlo sample of those columns, and
@@ -593,8 +574,6 @@ def witness_procedure(
         _check_tau(tau)
     dim_a = 2 ** len(source.row_labels[0])
     order = z_sector_first_order(source.col_labels)
-    if not order:
-        raise ValueError("column source offers no columns")
 
     fold = _GramFold(len(source.row_labels), n_samples, seed)
     sigs: list[np.ndarray] = []
@@ -604,14 +583,8 @@ def witness_procedure(
 
     for label in order:
         values, sigmas = source.fetch(label)
-        if sigmas is None:
-            sigmas = np.zeros_like(values)
-        # validated, with its identity entry snapped, as a one-column matrix
-        column = CorrelationMatrix(
-            source.row_labels, (label,), values.reshape(-1, 1), sigmas.reshape(-1, 1)
-        )
-        fold.add(column.cols[0], column.values[:, 0], column.sigmas[:, 0])
-        sigs.append(column.sigmas[:, 0])
+        fold.add(label, values, sigmas)
+        sigs.append(sigmas)
         used.append(label)
         if len(used) < first_check:
             continue

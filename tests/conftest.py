@@ -35,11 +35,11 @@ def boltzmann_polarization(gamma: float, b0: float, temperature: float) -> float
     return HBAR * gamma * b0 / (2 * K_B * temperature)
 
 
-def verdict_polarization_invariance(pps: DensityMatrix, alphas: list[float], tol: float = 1e-7) -> bool:
+def verdict_polarization_invariance(pps: DensityMatrix, alphas: list[float]) -> bool:
     """True iff the zero-discord verdict of the embedded state agrees with
     that of the pseudopure part across every listed polarization."""
-    reference = is_zero_discord(pps, tol=tol).is_zero
-    return all(is_zero_discord(embed(pps, a), tol=tol).is_zero == reference for a in alphas)
+    reference = is_zero_discord(pps).is_zero
+    return all(is_zero_discord(embed(pps, a)).is_zero == reference for a in alphas)
 
 
 def random_density_matrix(qubit_partition: Sequence[int], seed: int) -> DensityMatrix:

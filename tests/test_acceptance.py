@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from qdiscord import (
+    ColumnSource,
     Dqc1Instance,
     correlation_matrix,
     discord,
@@ -146,7 +147,7 @@ def test_criterion_07_witness_soundness_and_completeness():
     for seed in range(100):
         rho = random_classical_quantum_state(2, seed)
         corr = correlation_matrix(rho).with_uniform_sigmas(0.0)
-        verdict = witness_procedure(corr.as_source(), n_samples=100, seed=seed)
+        verdict = witness_procedure(ColumnSource(corr), n_samples=100, seed=seed)
         if verdict.witnessed:
             false_positives += 1
 
@@ -160,7 +161,7 @@ def test_criterion_07_witness_soundness_and_completeness():
             continue
         found += 1
         corr = correlation_matrix(rho).with_uniform_sigmas(0.0)
-        verdict = witness_procedure(corr.as_source(), n_samples=100, seed=seed)
+        verdict = witness_procedure(ColumnSource(corr), n_samples=100, seed=seed)
         if verdict.witnessed:
             witnessed += 1
     ok = false_positives == 0 and witnessed >= 95

@@ -3,6 +3,9 @@ import contextlib
 import importlib
 import io
 import json
+import os
+import subprocess
+import sys
 import types
 from pathlib import Path
 
@@ -244,6 +247,24 @@ class TestWitnessCommand:
         assert out["verdict"]["columns_used"] == ["III", "IZI", "IIZ", "IZZ"]
         for i in (1, 2, 3, 4):
             assert (tmp_path / f"witness_sv{i}.csv").exists()
+
+    def test_witness_run_leaves_numpy_ma_unimported(self, tmp_path):
+        # np.median imports numpy.ma on first use; the witness takes its
+        # medians through the one quantile rule instead
+        import qdiscord
+
+        code = (
+            "import sys\n"
+            "from qdiscord.cli import main\n"
+            "assert main(['witness', '--state', 'initial-dqc1', '--samples', '100']) == 0\n"
+            "print('numpy.ma' in sys.modules)\n"
+        )
+        src = str(Path(qdiscord.__file__).resolve().parents[1])
+        out = subprocess.run(
+            [sys.executable, "-c", code], cwd=tmp_path, env=dict(os.environ, PYTHONPATH=src),
+            capture_output=True, text=True, check=True,
+        )
+        assert out.stdout.splitlines()[-1] == "False"
 
     def test_eq3_fixture_from_file(self, tmp_path):
         path = tmp_path / "m.json"

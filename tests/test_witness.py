@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qdiscord import (
+    ColumnSource,
     CorrelationMatrix,
     DensityMatrix,
     Dqc1Instance,
@@ -195,7 +196,7 @@ class TestExtractColumns:
         out = extract_columns(corr, labels)
         assert out.shape == (4, 4)
         for j, lab in enumerate(labels):
-            np.testing.assert_array_equal(out.values[:, j], corr.column(lab)[0])
+            np.testing.assert_array_equal(out.values[:, j], corr.values[:, corr.cols.index(lab)])
 
     def test_single_column_rank_at_most_one(self):
         corr = correlation_matrix(named_state("final-dqc1"))
@@ -519,22 +520,64 @@ class TestPolicy:
         assert sorted(order) == sorted(pauli_labels(3))
 
 
+@pytest.fixture
+def fetched(monkeypatch):
+    """The labels passed to ``ColumnSource.fetch``, in call order."""
+    labels = []
+    real = ColumnSource.fetch
+
+    def counted(self, label):
+        labels.append(label)
+        return real(self, label)
+
+    monkeypatch.setattr(ColumnSource, "fetch", counted)
+    return labels
+
+
 class TestColumnSource:
     def test_fetch_at_most_once(self):
-        source = eq3_fixture().as_source()
+        source = ColumnSource(eq3_fixture())
         source.fetch("III")
         with pytest.raises(ValueError, match="already measured"):
             source.fetch("III")
 
     def test_unknown_label(self):
-        source = eq3_fixture().as_source()
+        source = ColumnSource(eq3_fixture())
         with pytest.raises(ValueError, match="unknown column"):
             source.fetch("XXX")
 
+    def test_matrix_without_sigmas_fetches_zero_sigmas(self):
+        corr = correlation_matrix(named_state("bell"))
+        values, sigmas = ColumnSource(corr).fetch("Z")
+        np.testing.assert_array_equal(values, corr.values[:, corr.cols.index("Z")])
+        np.testing.assert_array_equal(sigmas, np.zeros(len(corr.rows)))
+
 
 class TestWitnessProcedure:
+    @pytest.mark.parametrize("name", ["bell", "initial-dqc1"])
+    def test_matrix_without_sigmas_runs_as_its_zero_sigma_twin(self, name):
+        corr = correlation_matrix(named_state(name))
+        assert corr.sigmas is None
+        bare = witness_procedure(ColumnSource(corr), n_samples=50, seed=2)
+        twin = witness_procedure(ColumnSource(corr.with_uniform_sigmas(0.0)), n_samples=50, seed=2)
+        fields = ("outcome", "rank_lower_bound", "columns_used", "tau")
+        assert [getattr(bare, f) for f in fields] == [getattr(twin, f) for f in fields]
+        assert bare.trajectory == twin.trajectory
+        np.testing.assert_array_equal(bare.distribution.samples, twin.distribution.samples)
+
+    @pytest.mark.parametrize(
+        "corr",
+        [eq3_fixture(), correlation_matrix(named_state("initial-dqc1")).with_uniform_sigmas(0.05)],
+        ids=["witnessed", "full-tomography"],
+    )
+    def test_fetches_exactly_the_columns_used_once_each_in_order(self, corr, fetched):
+        verdict = witness_procedure(ColumnSource(corr), n_samples=100, seed=1)
+        assert tuple(fetched) == verdict.columns_used
+        assert tuple(fetched) == z_sector_first_order(corr.cols)[: len(fetched)]
+        assert len(set(fetched)) == len(fetched)
+
     def test_eq3_fixture_witnessed_with_four_columns(self):
-        verdict = witness_procedure(eq3_fixture().as_source(), seed=1)
+        verdict = witness_procedure(ColumnSource(eq3_fixture()), seed=1)
         assert verdict.outcome == OUTCOME_WITNESSED
         assert verdict.rank_lower_bound == 3
         assert len(verdict.columns_used) == 4
@@ -542,7 +585,7 @@ class TestWitnessProcedure:
 
     def test_each_check_equals_monte_carlo_svd_of_its_columns(self):
         corr = correlation_matrix(named_state("initial-dqc1")).with_uniform_sigmas(0.05)
-        verdict = witness_procedure(corr.as_source(), n_samples=300, seed=4)
+        verdict = witness_procedure(ColumnSource(corr), n_samples=300, seed=4)
         used = verdict.columns_used
         assert len(verdict.trajectory) == len(used) - 4 + 1
         for k, check in enumerate(verdict.trajectory, start=4):
@@ -567,7 +610,7 @@ class TestWitnessProcedure:
 
         monkeypatch.setattr(wit, "_histogram", counted)
         corr = correlation_matrix(named_state("initial-dqc1")).with_uniform_sigmas(0.05)
-        verdict = witness_procedure(corr.as_source(), n_samples=300, seed=1)
+        verdict = witness_procedure(ColumnSource(corr), n_samples=300, seed=1)
         assert len(verdict.columns_used) == 64
         assert calls == []
         write_histogram_csvs(verdict.distribution, tmp_path / "h")
@@ -577,32 +620,24 @@ class TestWitnessProcedure:
     @pytest.mark.parametrize("confidence", [1.5, 0.0, -0.1, float("nan")])
     def test_rejects_confidence_outside_unit_interval(self, confidence):
         with pytest.raises(ValueError, match="confidence"):
-            witness_procedure(eq3_fixture().as_source(), confidence=confidence)
+            witness_procedure(ColumnSource(eq3_fixture()), confidence=confidence)
 
     @pytest.mark.parametrize("tau", [0.0, -1.0, float("nan"), float("inf")])
     def test_rejects_tau_not_positive_and_finite(self, tau):
         # tau 0 or -1 used to witness discord in this zero-discord state
         corr = correlation_matrix(named_state("initial-dqc1")).with_uniform_sigmas(0.05)
         with pytest.raises(ValueError, match="tau"):
-            witness_procedure(corr.as_source(), tau=tau, n_samples=100)
+            witness_procedure(ColumnSource(corr), tau=tau, n_samples=100)
 
     @pytest.mark.parametrize("bin_width", [0.0, -0.1, float("nan"), float("inf")])
-    def test_rejects_bad_bin_width_before_fetching(self, bin_width):
-        corr = eq3_fixture()
-        fetched = []
-
-        def fetch(label):
-            fetched.append(label)
-            return corr.column(label)
-
-        source = wit.ColumnSource(corr.rows, corr.cols, fetch)
+    def test_rejects_bad_bin_width_before_fetching(self, bin_width, fetched):
         with pytest.raises(ValueError, match="bin_width"):
-            witness_procedure(source, bin_width=bin_width)
+            witness_procedure(ColumnSource(eq3_fixture()), bin_width=bin_width)
         assert fetched == []
 
     def test_rank_checks_decompose_a_minority_of_samples(self):
         corr = correlation_matrix(named_state("initial-dqc1")).with_uniform_sigmas(0.05)
-        verdict = witness_procedure(corr.as_source(), n_samples=10000, seed=1)
+        verdict = witness_procedure(ColumnSource(corr), n_samples=10000, seed=1)
         decomposed = [check.decomposed for check in verdict.trajectory]
         assert len(decomposed) == 61
         assert all(0 < d <= 10000 for d in decomposed)
@@ -610,14 +645,14 @@ class TestWitnessProcedure:
 
     def test_initial_state_inconclusive_after_full_tomography(self):
         corr = correlation_matrix(named_state("initial-dqc1")).with_uniform_sigmas(0.05)
-        verdict = witness_procedure(corr.as_source(), n_samples=2000, seed=1)
+        verdict = witness_procedure(ColumnSource(corr), n_samples=2000, seed=1)
         assert verdict.outcome == OUTCOME_INCONCLUSIVE
         assert verdict.rank_lower_bound == 1
         assert len(verdict.columns_used) == 64
 
     def test_exact_bell_witnessed_rank_four(self):
         corr = correlation_matrix(named_state("bell")).with_uniform_sigmas(0.0)
-        verdict = witness_procedure(corr.as_source(), seed=0)
+        verdict = witness_procedure(ColumnSource(corr), seed=0)
         assert verdict.outcome == OUTCOME_WITNESSED
         assert verdict.rank_lower_bound == 4
 
@@ -625,7 +660,7 @@ class TestWitnessProcedure:
         for seed in range(25):
             rho = random_classical_quantum_state(2, seed)
             corr = correlation_matrix(rho).with_uniform_sigmas(0.0)
-            verdict = witness_procedure(corr.as_source(), n_samples=100, seed=seed)
+            verdict = witness_procedure(ColumnSource(corr), n_samples=100, seed=seed)
             assert verdict.outcome == OUTCOME_INCONCLUSIVE
 
     @pytest.mark.parametrize("confidence", [0.99, 0.5])
@@ -637,13 +672,13 @@ class TestWitnessProcedure:
             rho = random_classical_quantum_state(2, seed)
             corr = correlation_matrix(rho).with_uniform_sigmas(sigma)
             verdict = witness_procedure(
-                corr.as_source(), n_samples=100, seed=seed, confidence=confidence
+                ColumnSource(corr), n_samples=100, seed=seed, confidence=confidence
             )
             assert verdict.outcome == OUTCOME_INCONCLUSIVE, (seed, verdict.rank_lower_bound)
 
     def test_deterministic_distributions(self):
-        a = witness_procedure(eq3_fixture().as_source(), seed=3)
-        b = witness_procedure(eq3_fixture().as_source(), seed=3)
+        a = witness_procedure(ColumnSource(eq3_fixture()), seed=3)
+        b = witness_procedure(ColumnSource(eq3_fixture()), seed=3)
         np.testing.assert_array_equal(a.distribution.samples, b.distribution.samples)
 
     @pytest.mark.parametrize("sigma", [0.05, 100.0, 1000.0])
@@ -662,16 +697,16 @@ class TestWitnessProcedure:
     def test_noise_just_within_the_bins_runs(self):
         # the last samples need 9.7e5 of the 10^6 bins: no early refusal
         corr = correlation_matrix(named_state("initial-dqc1")).with_uniform_sigmas(430.0)
-        verdict = witness_procedure(corr.as_source(), n_samples=200, seed=7)
+        verdict = witness_procedure(ColumnSource(corr), n_samples=200, seed=7)
         top_bins = verdict.distribution.samples.max() / 0.005
         assert 0.95 * wit.MAX_HISTOGRAM_BINS < top_bins < wit.MAX_HISTOGRAM_BINS
 
     def test_bins_refused_at_the_first_check_that_needs_them(self):
         corr = correlation_matrix(named_state("initial-dqc1")).with_uniform_sigmas(1000.0)
-        source = corr.as_source()
+        source = ColumnSource(corr)
         with pytest.raises(wit.HistogramBinsError, match="histogram bins"):
             witness_procedure(source, n_samples=100, seed=0)
-        assert len(source._taken) < len(corr.cols)
+        assert source._unmeasured  # refused before the last column
 
     def test_verdict_consistency_enforced(self):
         dist = SingularValueDistribution(np.tile([1.0, 0.5], (10, 1)), 0.005)

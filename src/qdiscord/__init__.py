@@ -43,7 +43,6 @@ from .witness import (
     z_sector_first_order,
 )
 from .nmr import (
-    NmrEnsemble,
     embed,
     load_ensemble,
     measured_correlation_matrix,
@@ -63,7 +62,7 @@ __all__ = [
     "ColumnSource", "CorrelationMatrix", "RankCheck", "SingularValueDistribution",
     "WitnessVerdict", "column_combination_scan", "correlation_matrix", "default_tau",
     "witness_procedure", "write_histogram_csvs", "z_sector_first_order",
-    "NmrEnsemble", "embed", "load_ensemble", "measured_correlation_matrix",
+    "embed", "load_ensemble", "measured_correlation_matrix",
     "simulate_measurement",
     "named_state", "eq3_fixture",
 ]

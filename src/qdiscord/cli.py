@@ -3,8 +3,8 @@
 Results go to JSON/CSV files (paths in the config) with a one-line summary on
 stdout; every JSON embeds the resolved run configuration, including seeds.
 Exit codes: 0 completed (an Inconclusive witness is a result, not a failure),
-2 input error, 3 numerical-assumption failure such as a scaling-fit exponent
-out of range.
+2 input error, including a run too large to allocate, 3 numerical-assumption
+failure such as a scaling-fit exponent out of range.
 """
 
 from __future__ import annotations
@@ -66,7 +66,7 @@ def _resolve_matrix(spec: str) -> CorrelationMatrix:
 def _resolve_state(args) -> DensityMatrix:
     if args.state is not None:
         return states.named_state(args.state)
-    return nmr.load_ensemble(args.ensemble).physical_state()
+    return nmr.load_ensemble(args.ensemble)
 
 
 def _write_json(args, payload: dict) -> Path:
@@ -381,7 +381,7 @@ def main(argv=None) -> int:
     except ScalingFitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError, json.JSONDecodeError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

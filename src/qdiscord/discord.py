@@ -100,23 +100,26 @@ class MeasurementBasis:
 
 @dataclass(frozen=True)
 class DiscordResult:
-    discord: float
     argmin_basis: MeasurementBasis
     mutual_information: float
     classical_correlations: float
     conditional_term: float
     diagnostics: dict = field(default_factory=dict)
 
-    def __post_init__(self):
-        gap = self.mutual_information - self.classical_correlations
-        if self.discord < -1e-9 or abs(self.discord - max(gap, 0.0)) > 1e-9:
-            raise ValueError("inconsistent discord decomposition")
+    @property
+    def discord(self) -> float:
+        """Mutual information less classical correlations, clipped at zero."""
+        return max(self.mutual_information - self.classical_correlations, 0.0)
 
 
 class ZeroDiscordResult(NamedTuple):
-    is_zero: bool
     basis: MeasurementBasis
     distance: float
+
+    @property
+    def is_zero(self) -> bool:
+        """Whether the distance falls below ``DEFAULT_ZERO_DISCORD_TOL``."""
+        return self.distance < DEFAULT_ZERO_DISCORD_TOL
 
 
 def _bloch_blocks(rho: DensityMatrix) -> tuple[np.ndarray, np.ndarray]:
@@ -224,7 +227,7 @@ def discord(rho: DensityMatrix) -> DiscordResult:
     ``diagnostics`` holds the grid minimum, the polish's objective
     evaluations (``refine_nfev``), ``converged`` (a polish step fell to
     ``ANGLE_TOL`` within ``MAX_ITER`` steps) and ``polish_gain`` (grid minimum
-    less the conditional term). The reported discord is clipped at zero.
+    less the conditional term).
     """
     rho_b, gammas = _bloch_blocks(rho)
     k = np.arange(4 * GRID) + 0.5
@@ -236,7 +239,6 @@ def discord(rho: DensityMatrix) -> DiscordResult:
     mi = mutual_information(rho)
     cc = entropy_from_eigenvalues(np.linalg.eigvalsh(rho_b)) - cond
     return DiscordResult(
-        discord=max(mi - cc, 0.0),
         argmin_basis=_measurement_basis(n),
         mutual_information=mi,
         classical_correlations=cc,
@@ -371,7 +373,6 @@ def dqc1_discord(eigphases: np.ndarray, eps: float) -> DiscordResult:
     mi = float(_bias_information(eps) - _bias_information(eps * tau))
     grid_min = log_d + float(vals[i0])
     return DiscordResult(
-        discord=max(mi + best, 0.0),
         argmin_basis=MeasurementBasis(np.pi / 2, phi),
         mutual_information=mi,
         classical_correlations=-best,
@@ -399,7 +400,7 @@ def is_zero_discord(rho: DensityMatrix) -> ZeroDiscordResult:
     w, v = np.linalg.eigh(np.einsum("ibc,jcb->ij", gammas, gammas).real)
     kept = (np.linalg.norm(rho_b) ** 2 + w[-1]) / 2
     dist = math.sqrt(max(np.linalg.norm(rho.entries) ** 2 - kept, 0.0))
-    return ZeroDiscordResult(dist < DEFAULT_ZERO_DISCORD_TOL, _measurement_basis(v[:, -1]), dist)
+    return ZeroDiscordResult(_measurement_basis(v[:, -1]), dist)
 
 
 @dataclass(frozen=True)

@@ -55,10 +55,6 @@ class Dqc1Instance:
         return self.unitary.shape[0].bit_length() - 1
 
     @property
-    def dim(self) -> int:
-        return 2 * self.unitary.shape[0]
-
-    @property
     def eigphases(self) -> np.ndarray:
         """Eigenphases of U in (-pi, pi], the input of the discord closed form."""
         return np.angle(np.linalg.eigvals(self.unitary))

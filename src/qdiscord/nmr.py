@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 import zlib
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -27,25 +26,6 @@ def embed(pps: DensityMatrix, alpha: float) -> DensityMatrix:
     dim = pps.dim
     mixed = (1.0 - alpha) * np.eye(dim) / dim + alpha * pps.entries
     return DensityMatrix(mixed, pps.qubit_partition)
-
-
-@dataclass(frozen=True)
-class NmrEnsemble:
-    """Polarization plus the pseudopure part it dilutes."""
-
-    alpha: float
-    pps: DensityMatrix
-
-    def __post_init__(self):
-        if not 0.0 < self.alpha <= 1.0:
-            raise ValueError(f"alpha {self.alpha} outside (0, 1]")
-
-    @property
-    def n_qubits(self) -> int:
-        return self.pps.n_qubits
-
-    def physical_state(self) -> DensityMatrix:
-        return embed(self.pps, self.alpha)
 
 
 def _measurement_noise(observable: PauliLabel, sigma: float, seed: int) -> float:
@@ -96,8 +76,9 @@ def measured_correlation_matrix(rho: DensityMatrix, sigma: float, seed: int):
     return CorrelationMatrix(exact.rows, exact.cols, values, sigmas)
 
 
-def load_ensemble(data: dict | str | Path) -> NmrEnsemble:
-    """Parse {"alpha": a, "pps": <name or {"re", "im"[, "qubit_partition"]}>};
+def load_ensemble(data: dict | str | Path) -> DensityMatrix:
+    """The physical state :func:`embed` (pps, alpha) of an ensemble spec
+    {"alpha": a, "pps": <name or {"re", "im"[, "qubit_partition"]}>};
     a pps name is one of the package's named fixtures."""
     if not isinstance(data, dict):
         with open(data) as fh:
@@ -121,4 +102,4 @@ def load_ensemble(data: dict | str | Path) -> NmrEnsemble:
             pps = DensityMatrix(entries, tuple(part))
         except (KeyError, TypeError, IndexError, OverflowError) as exc:
             raise ValueError(f"malformed pps spec: {exc}") from exc
-    return NmrEnsemble(alpha, pps)
+    return embed(pps, alpha)

@@ -454,6 +454,8 @@ def column_combination_scan(
     identity = [j for j, c in enumerate(corr.cols) if _is_identity_label(c)]
     if not identity:
         raise ValueError("no identity column present")
+    # allocated first, so a run too large to hold fails before drawing its picks
+    fold = _GramFold(len(corr.rows), n_combos * resamples_per_combo, seed)
     rng = np.random.default_rng(seed)
     others = np.array([j for j in range(n_cols) if j != identity[0]])
     picks = np.stack([
@@ -461,7 +463,6 @@ def column_combination_scan(
         for _ in range(n_combos)
     ])
     picks = np.repeat(picks, resamples_per_combo, axis=0)  # (n_samples, 4)
-    fold = _GramFold(len(corr.rows), picks.shape[0], seed)
     for k, slot in enumerate(picks.T):
         fold.add(f"combination slot {k}", corr.values[:, slot], corr.sigmas[:, slot])
     return fold.distribution(bin_width)
@@ -517,30 +518,32 @@ class RankCheck:
 class WitnessVerdict:
     """Outcome of the iterative rank procedure.
 
-    ``tau`` is the singular-value threshold applied at the last rank check
-    (the default tau rescales as the submatrix grows); ``trajectory``
-    holds every rank check in order, and ``distribution`` the last one's
-    samples.
+    ``trajectory`` holds every rank check in order, and ``distribution`` the
+    last one's samples; the threshold, rank bound and outcome are those of the
+    last check (the default tau rescales as the submatrix grows).
     """
 
-    outcome: str
-    rank_lower_bound: int
     columns_used: tuple[PauliLabel, ...]
     confidence: float
     dim_a: int
-    tau: float
     distribution: SingularValueDistribution = field(repr=False)
-    trajectory: tuple[RankCheck, ...] = field(default=(), repr=False)
+    trajectory: tuple[RankCheck, ...] = field(repr=False)
 
-    def __post_init__(self):
-        witnessed = self.rank_lower_bound > self.dim_a
-        expected = OUTCOME_WITNESSED if witnessed else OUTCOME_INCONCLUSIVE
-        if self.outcome != expected:
-            raise ValueError(f"outcome {self.outcome!r} inconsistent with rank bound")
+    @property
+    def rank_lower_bound(self) -> int:
+        return self.trajectory[-1].rank
+
+    @property
+    def tau(self) -> float:
+        return self.trajectory[-1].tau
 
     @property
     def witnessed(self) -> bool:
-        return self.outcome == OUTCOME_WITNESSED
+        return self.rank_lower_bound > self.dim_a
+
+    @property
+    def outcome(self) -> str:
+        return OUTCOME_WITNESSED if self.witnessed else OUTCOME_INCONCLUSIVE
 
 
 def witness_procedure(
@@ -603,10 +606,8 @@ def witness_procedure(
         trajectory.append(RankCheck(label, tau_step, rank, tuple(low.tolist()), decomposed))
         if rank > dim_a:
             break
-    outcome = OUTCOME_WITNESSED if rank > dim_a else OUTCOME_INCONCLUSIVE
     return WitnessVerdict(
-        outcome, rank, tuple(used), confidence, dim_a, tau_step,
-        fold.distribution(bin_width), tuple(trajectory),
+        tuple(used), confidence, dim_a, fold.distribution(bin_width), tuple(trajectory)
     )
 
 

@@ -613,6 +613,31 @@ def test_output_path_naming_a_directory_exits_2_before_any_work(
 
 
 @pytest.mark.parametrize(
+    "args",
+    [
+        ("witness", "--state", "initial-dqc1", "--samples", str(10**16)),
+        ("haar-survey", "--seeds", str(10**17)),
+        ("witness", "--state", "initial-dqc1", "--samples", "100", "--scan-combos", str(10**16)),
+    ],
+    ids=["witness-samples", "haar-survey-seeds", "scan-combos"],
+)
+def test_run_too_large_to_allocate_exits_2(tmp_path, args):
+    # every size is 10**16 or more: the arrays exceed any virtual address
+    # space, so the refusal does not depend on the host's overcommit policy;
+    # the timeout fails a run that loops instead of refusing
+    import qdiscord
+
+    src = str(Path(qdiscord.__file__).resolve().parents[1])
+    out = subprocess.run(
+        [sys.executable, "-m", "qdiscord", *args], cwd=tmp_path,
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=60,
+    )
+    assert out.returncode == 2, out.stderr
+    assert out.stderr.startswith("error: Unable to allocate")
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
     "args, json_name, csv_stem",
     [
         (("--csv-prefix", "d"), "witness.json", "d"),

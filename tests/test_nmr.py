@@ -5,7 +5,6 @@ import pytest
 
 from qdiscord import (
     DensityMatrix,
-    NmrEnsemble,
     correlation_matrix,
     embed,
     load_ensemble,
@@ -188,22 +187,22 @@ class TestEnsembleIo:
     def test_named_pps(self, tmp_path):
         path = tmp_path / "ens.json"
         path.write_text(json.dumps({"alpha": 0.25, "pps": "bell"}))
-        ens = load_ensemble(path)
-        assert ens.alpha == 0.25
-        np.testing.assert_allclose(ens.pps.entries, named_state("bell").entries)
-        state = ens.physical_state()
+        state = load_ensemble(path)
+        expected = embed(named_state("bell"), 0.25)
+        assert np.array_equal(state.entries, expected.entries)
+        assert state.qubit_partition == expected.qubit_partition
         assert abs(np.trace(state.entries) - 1) < 1e-12
 
     def test_inline_matrix_pps(self):
         pps = named_state("product-fixture")
-        ens = load_ensemble(
+        state = load_ensemble(
             {
                 "alpha": 0.5,
                 "pps": {"re": pps.entries.real.tolist(), "im": pps.entries.imag.tolist()},
             }
         )
-        np.testing.assert_allclose(ens.pps.entries, pps.entries, atol=1e-15)
-        assert ens.pps.qubit_partition == (1, 1)
+        assert np.array_equal(state.entries, embed(pps, 0.5).entries)
+        assert state.qubit_partition == (1, 1)
 
     def test_rejects_malformed(self):
         with pytest.raises(ValueError, match="malformed"):
@@ -219,5 +218,5 @@ class TestEnsembleIo:
             load_ensemble({"alpha": 10**400, "pps": "bell"})
 
     def test_ensemble_alpha_validated(self):
-        with pytest.raises(ValueError, match="alpha"):
-            NmrEnsemble(1.5, named_state("bell"))
+        with pytest.raises(ValueError, match=r"alpha 1\.5 outside \(0, 1\]"):
+            load_ensemble({"alpha": 1.5, "pps": "bell"})

@@ -40,7 +40,7 @@ def test_every_public_name_has_a_caller_outside_the_tests():
 
 
 def test_test_helpers_left_the_package():
-    # rank_lower_bound would pass the test above: the CLI reads a verdict field of that name
+    # rank_lower_bound would pass the test above: the CLI reads a verdict property of that name
     helpers = {
         "MinimizerOptions", "extract_columns", "reconstruct_state", "rank_lower_bound",
         "monte_carlo_svd", "boltzmann_polarization", "verdict_polarization_invariance",

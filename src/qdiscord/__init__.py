@@ -30,7 +30,6 @@ from .discord import (
     mutual_information,
 )
 from .witness import (
-    ColumnSource,
     CorrelationMatrix,
     RankCheck,
     SingularValueDistribution,
@@ -59,8 +58,8 @@ __all__ = [
     "DiscordResult", "MeasurementBasis", "ScalingFit",
     "ScalingFitError", "discord", "dqc1_discord",
     "fit_polarization_scaling", "haar_discord_survey", "is_zero_discord", "mutual_information",
-    "ColumnSource", "CorrelationMatrix", "RankCheck", "SingularValueDistribution",
-    "WitnessVerdict", "column_combination_scan", "correlation_matrix", "default_tau",
+    "CorrelationMatrix", "RankCheck", "SingularValueDistribution", "WitnessVerdict",
+    "column_combination_scan", "correlation_matrix", "default_tau",
     "witness_procedure", "write_histogram_csvs", "z_sector_first_order",
     "embed", "load_ensemble", "measured_correlation_matrix",
     "simulate_measurement",

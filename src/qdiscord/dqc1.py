@@ -14,10 +14,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .linalg import DensityMatrix, PAULI_1Q, pauli_realize, tensor
+from .linalg import MAX_QUBITS, DensityMatrix, PAULI_1Q, complex_from_parts, pauli_realize, tensor
 
 UNITARITY_TOL = 1e-10
-MAX_TOTAL_QUBITS = 8
 MAX_HAAR_DIM = 256
 
 
@@ -40,8 +39,8 @@ class Dqc1Instance:
         n = d.bit_length() - 1
         if d < 2 or 2**n != d:
             raise ValueError(f"unitary dimension {d} is not a power of 2")
-        if 1 + n > MAX_TOTAL_QUBITS:
-            raise ValueError(f"1 + {n} qubits exceeds the {MAX_TOTAL_QUBITS}-qubit cap")
+        if 1 + n > MAX_QUBITS:
+            raise ValueError(f"1 + {n} qubits exceeds the {MAX_QUBITS}-qubit cap")
         dev = np.abs(u.conj().T @ u - np.eye(d)).max()
         if dev > UNITARITY_TOL:
             raise ValueError(f"matrix is not unitary: max |U†U - I| = {dev:.3e}")
@@ -125,13 +124,12 @@ def unitary_from_dict(data: dict) -> np.ndarray:
     """Parse {"dim": d, "re": [[...]], "im": [[...]]}."""
     try:
         d = int(data["dim"])
-        re = np.asarray(data["re"], dtype=float)
-        im = np.asarray(data["im"], dtype=float)
+        u = complex_from_parts(data, "unitary")
     except (KeyError, TypeError, OverflowError) as exc:
         raise ValueError(f"malformed unitary spec: {exc}") from exc
-    if re.shape != (d, d) or im.shape != (d, d):
-        raise ValueError(f"re/im shapes {re.shape}/{im.shape} do not match dim {d}")
-    return re + 1j * im
+    if u.shape != (d, d):
+        raise ValueError(f"re/im shape {u.shape} does not match dim {d}")
+    return u
 
 
 def load_unitary_json(path: str | Path) -> np.ndarray:

@@ -94,6 +94,17 @@ class DensityMatrix:
         return da, db
 
 
+def complex_from_parts(spec: dict, what: str) -> np.ndarray:
+    """re + 1j im of a JSON {"re", "im"} pair, formed only once both parts are
+    finite arrays of one shape (``what`` names the matrix in the refusal)."""
+    re, im = (np.asarray(spec[part], dtype=float) for part in ("re", "im"))
+    if re.shape != im.shape:
+        raise ValueError(f"re/im shapes {re.shape}/{im.shape} differ")
+    if not (np.isfinite(re).all() and np.isfinite(im).all()):
+        raise ValueError(f"{what} has non-finite (NaN or inf) entries")
+    return re + 1j * im
+
+
 def tensor(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Kronecker product; dimensions multiply."""
     return np.kron(np.asarray(a), np.asarray(b))

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .linalg import DensityMatrix, PauliLabel, pauli_realize
+from .linalg import DensityMatrix, PauliLabel, complex_from_parts, pauli_realize
 from .states import named_state
 from .witness import CorrelationMatrix, correlation_matrix
 
@@ -58,22 +58,18 @@ def simulate_measurement(
 def measured_correlation_matrix(rho: DensityMatrix, sigma: float, seed: int):
     """Correlation matrix as a synthetic experiment would report it.
 
-    Every non-identity entry Tr(rho A_n (+) B_m) of :func:`correlation_matrix`
-    gets the noise :func:`simulate_measurement` would add to that observable
-    and carries uncertainty ``sigma``; the identity entry stays exactly 1 with
-    sigma 0. With sigma 0 the values are exact but still annotated with zero
-    uncertainties.
+    The sigmas are :meth:`CorrelationMatrix.with_uniform_sigmas` of the
+    exact :func:`correlation_matrix` (``sigma``, the identity entry 0), and
+    every entry Tr(rho A_n (+) B_m) whose sigma is above 0 gets the noise
+    :func:`simulate_measurement` would add to that observable. With sigma 0
+    the values are exact but still annotated with zero uncertainties.
     """
-    exact = correlation_matrix(rho)
+    exact = correlation_matrix(rho).with_uniform_sigmas(sigma)
+    rows, cols = exact.row_labels, exact.col_labels
     values = np.array(exact.values)
-    sigmas = np.full(values.shape, float(sigma))
-    for i, row in enumerate(exact.rows):
-        for j, col in enumerate(exact.cols):
-            if set(row + col) == {"I"}:
-                sigmas[i, j] = 0.0
-            elif sigma > 0:
-                values[i, j] += _measurement_noise(row + col, sigma, seed)
-    return CorrelationMatrix(exact.rows, exact.cols, values, sigmas)
+    for i, j in zip(*np.nonzero(exact.sigmas > 0)):
+        values[i, j] += _measurement_noise(rows[i] + cols[j], sigma, seed)
+    return CorrelationMatrix(rows, cols, values, exact.sigmas)
 
 
 def load_ensemble(data: dict | str | Path) -> DensityMatrix:
@@ -92,9 +88,7 @@ def load_ensemble(data: dict | str | Path) -> DensityMatrix:
         pps = named_state(pps_spec)
     else:
         try:
-            entries = np.asarray(pps_spec["re"], dtype=float) + 1j * np.asarray(
-                pps_spec["im"], dtype=float
-            )
+            entries = complex_from_parts(pps_spec, "density matrix")
             part = pps_spec.get("qubit_partition")
             if part is None:
                 n = entries.shape[0].bit_length() - 1

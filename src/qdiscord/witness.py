@@ -63,14 +63,14 @@ class CorrelationMatrix:
     """Expansion coefficients r_nm = Tr(rho (A_n (+) B_m)) with optional
     per-element Gaussian uncertainties."""
 
-    rows: tuple[PauliLabel, ...]
-    cols: tuple[PauliLabel, ...]
+    row_labels: tuple[PauliLabel, ...]
+    col_labels: tuple[PauliLabel, ...]
     values: np.ndarray
     sigmas: np.ndarray | None = None
 
     def __post_init__(self):
-        rows = tuple(str(r) for r in self.rows)
-        cols = tuple(str(c) for c in self.cols)
+        rows = tuple(str(r) for r in self.row_labels)
+        cols = tuple(str(c) for c in self.col_labels)
         for side, labels in (("row", rows), ("column", cols)):
             if not labels or len({len(lab) for lab in labels}) != 1:
                 raise ValueError(f"{side} labels {labels} must be non-empty and of one length")
@@ -104,8 +104,8 @@ class CorrelationMatrix:
         values.setflags(write=False)
         if sigmas is not None:
             sigmas.setflags(write=False)
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "cols", cols)
+        object.__setattr__(self, "row_labels", rows)
+        object.__setattr__(self, "col_labels", cols)
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "sigmas", sigmas)
 
@@ -115,26 +115,22 @@ class CorrelationMatrix:
         ci = [j for j, c in enumerate(cols) if _is_identity_label(c)]
         return (ri[0], ci[0]) if ri and ci else None
 
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.values.shape
-
     def with_uniform_sigmas(self, sigma: float) -> "CorrelationMatrix":
         """Annotate every entry with the same uncertainty (identity entry 0)."""
         if sigma < 0:
             raise ValueError("sigma must be non-negative")
         sigmas = np.full(self.values.shape, float(sigma))
-        idx = self._identity_index(self.rows, self.cols)
+        idx = self._identity_index(self.row_labels, self.col_labels)
         if idx is not None:
             sigmas[idx] = 0.0
-        return CorrelationMatrix(self.rows, self.cols, self.values, sigmas)
+        return CorrelationMatrix(self.row_labels, self.col_labels, self.values, sigmas)
 
     @classmethod
     def from_dict(cls, data: dict) -> "CorrelationMatrix":
         try:
             return cls(
-                rows=tuple(data["rows"]),
-                cols=tuple(data["cols"]),
+                row_labels=tuple(data["rows"]),
+                col_labels=tuple(data["cols"]),
                 values=np.asarray(data["values"], dtype=float),
                 sigmas=None if data.get("sigmas") is None else np.asarray(data["sigmas"], dtype=float),
             )
@@ -448,14 +444,14 @@ def column_combination_scan(
         )
     if corr.sigmas is None:
         raise ValueError("correlation matrix carries no sigmas; Monte Carlo needs them")
-    n_cols = len(corr.cols)
+    n_cols = len(corr.col_labels)
     if n_cols < 4:
         raise ValueError("need at least 4 columns to scan combinations")
-    identity = [j for j, c in enumerate(corr.cols) if _is_identity_label(c)]
+    identity = [j for j, c in enumerate(corr.col_labels) if _is_identity_label(c)]
     if not identity:
         raise ValueError("no identity column present")
     # allocated first, so a run too large to hold fails before drawing its picks
-    fold = _GramFold(len(corr.rows), n_combos * resamples_per_combo, seed)
+    fold = _GramFold(len(corr.row_labels), n_combos * resamples_per_combo, seed)
     rng = np.random.default_rng(seed)
     others = np.array([j for j in range(n_cols) if j != identity[0]])
     picks = np.stack([
@@ -466,28 +462,6 @@ def column_combination_scan(
     for k, slot in enumerate(picks.T):
         fold.add(f"combination slot {k}", corr.values[:, slot], corr.sigmas[:, slot])
     return fold.distribution(bin_width)
-
-
-class ColumnSource:
-    """On-demand access to the columns of one validated correlation matrix.
-
-    Mirrors an experiment: each column may be fetched at most once. ``fetch``
-    returns a column's (values, sigmas), with zero sigmas when the matrix
-    carries none.
-    """
-
-    def __init__(self, corr: CorrelationMatrix):
-        self.row_labels = corr.rows
-        self.col_labels = corr.cols
-        sigmas = np.zeros(corr.shape) if corr.sigmas is None else corr.sigmas
-        self._unmeasured = dict(zip(corr.cols, zip(corr.values.T, sigmas.T)))
-
-    def fetch(self, label: PauliLabel) -> tuple[np.ndarray, np.ndarray]:
-        if label not in self.col_labels:
-            raise ValueError(f"unknown column label {label!r}")
-        if label not in self._unmeasured:
-            raise ValueError(f"column {label!r} already measured")
-        return self._unmeasured.pop(label)
 
 
 def z_sector_first_order(col_labels: Sequence[PauliLabel]) -> tuple[PauliLabel, ...]:
@@ -547,7 +521,7 @@ class WitnessVerdict:
 
 
 def witness_procedure(
-    source: ColumnSource,
+    corr: CorrelationMatrix,
     tau: float | None = None,
     confidence: float = 0.99,
     n_samples: int = 10000,
@@ -556,9 +530,10 @@ def witness_procedure(
 ) -> WitnessVerdict:
     """Iterative column acquisition until rank(R) > dim(A) or exhaustion.
 
-    Fetches the columns of the source's one validated matrix, each once, in
+    Acquires the columns of ``corr``, each once, in
     :func:`z_sector_first_order`: ``INITIAL_BLOCK`` of them before the first
-    rank check, then one at a time; dim(A) is 2 to the row-label length.
+    rank check, then one at a time; dim(A) is 2 to the row-label length, and
+    a matrix without sigmas runs as its zero-sigma twin.
     After each acquisition a Monte Carlo rank bound is computed on the
     submatrix measured so far: a singular value counts as nonzero when its
     empirical (1 - confidence) quantile exceeds tau
@@ -575,23 +550,20 @@ def witness_procedure(
     _check_bin_width(bin_width)
     if tau is not None:
         _check_tau(tau)
-    dim_a = 2 ** len(source.row_labels[0])
-    order = z_sector_first_order(source.col_labels)
+    dim_a = 2 ** len(corr.row_labels[0])
+    order = z_sector_first_order(corr.col_labels)
+    index = [corr.col_labels.index(label) for label in order]
+    sigmas = np.zeros(corr.values.shape) if corr.sigmas is None else corr.sigmas
 
-    fold = _GramFold(len(source.row_labels), n_samples, seed)
-    sigs: list[np.ndarray] = []
-    used: list[PauliLabel] = []
+    fold = _GramFold(len(corr.row_labels), n_samples, seed)
     trajectory: list[RankCheck] = []
     first_check = min(INITIAL_BLOCK, len(order))
 
-    for label in order:
-        values, sigmas = source.fetch(label)
-        fold.add(label, values, sigmas)
-        sigs.append(sigmas)
-        used.append(label)
-        if len(used) < first_check:
+    for k, (label, j) in enumerate(zip(order, index), start=1):
+        fold.add(label, corr.values[:, j], sigmas[:, j])
+        if k < first_check:
             continue
-        tau_step = default_tau(np.column_stack(sigs)) if tau is None else tau
+        tau_step = default_tau(sigmas[:, index[:k]]) if tau is None else tau
         low, decomposed = fold.quantiles(1.0 - confidence)
         # lambda_max(G) >= tr(G) / rows, and G only grows (Weyl), so the
         # verdict's histograms will need at least this many bins; the 1e-6
@@ -600,14 +572,14 @@ def witness_procedure(
         if top / bin_width >= MAX_HISTOGRAM_BINS:
             raise HistogramBinsError(
                 f"bin_width {bin_width} needs more than {MAX_HISTOGRAM_BINS} histogram bins: "
-                f"the largest singular-value sample is at least {top:.4g} after {len(used)} columns"
+                f"the largest singular-value sample is at least {top:.4g} after {k} columns"
             )
         rank = int((low > tau_step).sum())
         trajectory.append(RankCheck(label, tau_step, rank, tuple(low.tolist()), decomposed))
         if rank > dim_a:
             break
     return WitnessVerdict(
-        tuple(used), confidence, dim_a, fold.distribution(bin_width), tuple(trajectory)
+        order[:k], confidence, dim_a, fold.distribution(bin_width), tuple(trajectory)
     )
 
 

@@ -56,17 +56,21 @@ def random_density_matrix(qubit_partition: Sequence[int], seed: int) -> DensityM
 
 def extract_columns(corr: CorrelationMatrix, labels: Sequence[PauliLabel]) -> CorrelationMatrix:
     """Truncated matrix keeping all rows and the selected columns (with sigmas)."""
-    unknown = [lab for lab in labels if lab not in corr.cols]
+    unknown = [lab for lab in labels if lab not in corr.col_labels]
     if unknown:
         raise ValueError(f"unknown column label {unknown[0]!r}")
-    idx = [corr.cols.index(lab) for lab in labels]
+    idx = [corr.col_labels.index(lab) for lab in labels]
     sig = None if corr.sigmas is None else corr.sigmas[:, idx]
-    return CorrelationMatrix(corr.rows, tuple(labels), corr.values[:, idx], sig)
+    return CorrelationMatrix(corr.row_labels, tuple(labels), corr.values[:, idx], sig)
 
 
 def matrix_document(corr: CorrelationMatrix) -> dict:
     """The JSON object ``CorrelationMatrix.load`` reads back as ``corr``."""
-    out = {"rows": list(corr.rows), "cols": list(corr.cols), "values": corr.values.tolist()}
+    out = {
+        "rows": list(corr.row_labels),
+        "cols": list(corr.col_labels),
+        "values": corr.values.tolist(),
+    }
     if corr.sigmas is not None:
         out["sigmas"] = corr.sigmas.tolist()
     return out
@@ -82,8 +86,8 @@ def monte_carlo_svd(
     _check_bin_width(bin_width)
     if corr.sigmas is None:
         raise ValueError("correlation matrix carries no sigmas; Monte Carlo needs them")
-    fold = _GramFold(len(corr.rows), n_samples, seed)
-    for j, label in enumerate(corr.cols):
+    fold = _GramFold(len(corr.row_labels), n_samples, seed)
+    for j, label in enumerate(corr.col_labels):
         fold.add(label, corr.values[:, j], corr.sigmas[:, j])
     return fold.distribution(bin_width)
 

@@ -159,11 +159,11 @@ def bounded_brent_dqc1_discord(eigphases: np.ndarray, eps: float, grid: int = 64
 def reconstruct_state(corr: CorrelationMatrix) -> np.ndarray:
     """Pauli resummation 2^-N sum r_nm A_n (+) B_m of a full correlation
     matrix, the inverse of ``correlation_matrix``."""
-    na, nb = len(corr.rows[0]), len(corr.cols[0])
-    if len(corr.rows) != 4**na or len(corr.cols) != 4**nb:
+    na, nb = len(corr.row_labels[0]), len(corr.col_labels[0])
+    if len(corr.row_labels) != 4**na or len(corr.col_labels) != 4**nb:
         raise ValueError("reconstruction needs the full Pauli bases on both sides")
-    a_stack = np.stack([pauli_realize(lab) for lab in corr.rows])
-    b_stack = np.stack([pauli_realize(lab) for lab in corr.cols])
+    a_stack = np.stack([pauli_realize(lab) for lab in corr.row_labels])
+    b_stack = np.stack([pauli_realize(lab) for lab in corr.col_labels])
     out = np.einsum("rs,rij,sbc->ibjc", corr.values, a_stack, b_stack, optimize=True)
     d = 2 ** (na + nb)
     return out.reshape(d, d) / d
@@ -184,8 +184,8 @@ def svd_combination_scan(
     ``default_rng(seed)``, and slot k's noise from the stream keyed by
     ``f"combination slot {k}"``, but no Gram matrices."""
     rng = np.random.default_rng(seed)
-    identity = next(j for j, c in enumerate(corr.cols) if set(c) == {"I"})
-    others = np.array([j for j in range(len(corr.cols)) if j != identity])
+    identity = next(j for j, c in enumerate(corr.col_labels) if set(c) == {"I"})
+    others = np.array([j for j in range(len(corr.col_labels)) if j != identity])
     picks = np.stack([
         np.concatenate(([identity], rng.choice(others, size=3, replace=False)))
         for _ in range(n_combos)
@@ -193,7 +193,7 @@ def svd_combination_scan(
     picks = np.repeat(picks, resamples_per_combo, axis=0)  # (n_samples, 4)
     noise = np.stack([
         np.random.default_rng([seed, zlib.crc32(f"combination slot {k}".encode())])
-        .standard_normal((len(picks), len(corr.rows)))
+        .standard_normal((len(picks), len(corr.row_labels)))
         for k in range(4)
     ], axis=-1)
     values = corr.values[:, picks].transpose(1, 0, 2)  # (n_samples, rows, 4)

@@ -8,13 +8,13 @@ import numpy as np
 import pytest
 
 from qdiscord import (
-    ColumnSource,
     Dqc1Instance,
     correlation_matrix,
     discord,
     haar_discord_survey,
     haar_random_unitary,
     is_zero_discord,
+    measured_correlation_matrix,
     named_state,
     trace_estimate,
     witness_procedure,
@@ -147,7 +147,7 @@ def test_criterion_07_witness_soundness_and_completeness():
     for seed in range(100):
         rho = random_classical_quantum_state(2, seed)
         corr = correlation_matrix(rho).with_uniform_sigmas(0.0)
-        verdict = witness_procedure(ColumnSource(corr), n_samples=100, seed=seed)
+        verdict = witness_procedure(corr, n_samples=100, seed=seed)
         if verdict.witnessed:
             false_positives += 1
 
@@ -161,7 +161,7 @@ def test_criterion_07_witness_soundness_and_completeness():
             continue
         found += 1
         corr = correlation_matrix(rho).with_uniform_sigmas(0.0)
-        verdict = witness_procedure(ColumnSource(corr), n_samples=100, seed=seed)
+        verdict = witness_procedure(corr, n_samples=100, seed=seed)
         if verdict.witnessed:
             witnessed += 1
     ok = false_positives == 0 and witnessed >= 95
@@ -170,6 +170,39 @@ def test_criterion_07_witness_soundness_and_completeness():
         ok,
         f"0 of 100 classical-quantum states witnessed ({false_positives} false positives); "
         f"{witnessed}/100 discordant states witnessed (need >= 95)",
+    )
+
+
+@pytest.mark.parametrize("sigma, detection_floor", [(0.01, 57), (0.05, 30)])
+def test_criterion_07_witness_under_measurement_noise(sigma, detection_floor):
+    # the procedure looks up to 61 times, each at 1 - confidence per singular
+    # value, and its Monte Carlo perturbs values that already carry the noise
+    witnessed_cq = []
+    for n_b, count in ((2, 50), (3, 25)):
+        for seed in range(count):
+            rho = random_classical_quantum_state(n_b, seed)
+            corr = measured_correlation_matrix(rho, sigma, seed)
+            if witness_procedure(corr, n_samples=500, seed=seed).witnessed:
+                witnessed_cq.append((n_b, seed))
+
+    witnessed = 0
+    found = 0
+    seed = 0
+    while found < 60:
+        rho = random_density_matrix((1, 2), seed=1000 + seed)
+        seed += 1
+        if discord(rho).discord <= 0.01:
+            continue
+        found += 1
+        corr = measured_correlation_matrix(rho, sigma, seed)
+        witnessed += witness_procedure(corr, n_samples=500, seed=seed).witnessed
+    ok = witnessed_cq == [] and witnessed >= detection_floor
+    check(
+        7,
+        ok,
+        f"sigma {sigma}: {len(witnessed_cq)} of 75 classical-quantum states witnessed "
+        f"(B qubits, seed: {witnessed_cq}); {witnessed}/60 discordant states witnessed "
+        f"(need >= {detection_floor})",
     )
 
 

@@ -3,6 +3,7 @@ import contextlib
 import importlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -401,13 +402,13 @@ class TestWitnessCommand:
         from qdiscord import witness
 
         fetched = []
-        real = witness.ColumnSource.fetch
+        real = witness._GramFold.add
 
-        def counted(self, label):
+        def counted(self, label, values, sigmas):
             fetched.append(label)
-            return real(self, label)
+            return real(self, label, values, sigmas)
 
-        monkeypatch.setattr(witness.ColumnSource, "fetch", counted)
+        monkeypatch.setattr(witness._GramFold, "add", counted)
         args = ("witness", "--matrix", "rtrunc_eq3", "--samples", "100", flag, value, *extra)
         assert run(tmp_path, *args) == 2
         assert message in capsys.readouterr().err
@@ -465,13 +466,13 @@ class TestWitnessCommand:
         from qdiscord import witness
 
         fetched = []
-        real = witness.ColumnSource.fetch
+        real = witness._GramFold.add
 
-        def counted(self, label):
+        def counted(self, label, values, sigmas):
             fetched.append(label)
-            return real(self, label)
+            return real(self, label, values, sigmas)
 
-        monkeypatch.setattr(witness.ColumnSource, "fetch", counted)
+        monkeypatch.setattr(witness._GramFold, "add", counted)
         args = ("witness", "--state", "initial-dqc1", "--samples", "100", "--sigma", "1000")
         assert run(tmp_path, *args) == 2
         err = capsys.readouterr().err
@@ -612,6 +613,18 @@ def test_output_path_naming_a_directory_exits_2_before_any_work(
     assert [p.name for p in tmp_path.rglob("*")] == ["d"]
 
 
+def run_module(tmp_path, *args) -> subprocess.CompletedProcess:
+    """``python *args`` in a scratch directory with this package importable;
+    the timeout fails a run that loops instead of refusing."""
+    import qdiscord
+
+    src = str(Path(qdiscord.__file__).resolve().parents[1])
+    return subprocess.run(
+        [sys.executable, *args], cwd=tmp_path,
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=60,
+    )
+
+
 @pytest.mark.parametrize(
     "args",
     [
@@ -623,18 +636,37 @@ def test_output_path_naming_a_directory_exits_2_before_any_work(
 )
 def test_run_too_large_to_allocate_exits_2(tmp_path, args):
     # every size is 10**16 or more: the arrays exceed any virtual address
-    # space, so the refusal does not depend on the host's overcommit policy;
-    # the timeout fails a run that loops instead of refusing
-    import qdiscord
-
-    src = str(Path(qdiscord.__file__).resolve().parents[1])
-    out = subprocess.run(
-        [sys.executable, "-m", "qdiscord", *args], cwd=tmp_path,
-        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=60,
-    )
+    # space, so the refusal does not depend on the host's overcommit policy
+    out = run_module(tmp_path, "-m", "qdiscord", *args)
     assert out.returncode == 2, out.stderr
     assert out.stderr.startswith("error: Unable to allocate")
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "command, document, what",
+    [
+        (
+            ("discord", "--ensemble"),
+            {"alpha": 0.5, "pps": {"re": [[1, 0], [0, 0]], "im": [[0, 0], [0, math.inf]]}},
+            "density matrix",
+        ),
+        (
+            ("simulate", "--unitary"),
+            {"dim": 2, "re": [[1, 0], [0, 1]], "im": [[0, 0], [0, math.inf]]},
+            "unitary",
+        ),
+    ],
+    ids=["ensemble", "unitary"],
+)
+def test_infinite_imaginary_part_is_refused_before_numpy_warns(tmp_path, command, document, what):
+    # forming re + 1j im with an infinite im makes numpy warn; with warnings
+    # as errors that warning would end the run with a traceback and exit 1
+    (tmp_path / "in.json").write_text(json.dumps(document))
+    out = run_module(tmp_path, "-W", "error::RuntimeWarning", "-m", "qdiscord", *command, "in.json")
+    assert out.returncode == 2, out.stderr
+    assert out.stderr == f"error: {what} has non-finite (NaN or inf) entries\n"
+    assert not (tmp_path / f"{command[0]}.json").exists()
 
 
 @pytest.mark.parametrize(

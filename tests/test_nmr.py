@@ -164,8 +164,8 @@ class TestMeasuredCorrelationMatrix:
         # oracle: one simulate_measurement per observable, which recomputes Tr(rho P)
         rho = embed(named_state(name), 1e-3)
         corr = measured_correlation_matrix(rho, 0.05, seed=7)
-        for i, row in enumerate(corr.rows):
-            for j, col in enumerate(corr.cols):
+        for i, row in enumerate(corr.row_labels):
+            for j, col in enumerate(corr.col_labels):
                 if i == j == 0:
                     continue
                 reading, _ = simulate_measurement(rho, row + col, 0.05, seed=7)

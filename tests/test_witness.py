@@ -9,7 +9,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qdiscord import (
-    ColumnSource,
     CorrelationMatrix,
     DensityMatrix,
     Dqc1Instance,
@@ -49,10 +48,10 @@ from .oracles import rank_lower_bound, reconstruct_state, svd_combination_scan
 def stacked_draws(corr: CorrelationMatrix, n_samples: int, seed: int) -> np.ndarray:
     """The (n_samples, rows, cols) perturbed matrices of the Monte Carlo, each
     column drawn from its own default_rng([seed, crc32(label)]) stream."""
-    out = np.empty((n_samples,) + corr.shape)
-    for j, label in enumerate(corr.cols):
+    out = np.empty((n_samples,) + corr.values.shape)
+    for j, label in enumerate(corr.col_labels):
         rng = np.random.default_rng([seed, zlib.crc32(label.encode())])
-        noise = rng.standard_normal((n_samples, len(corr.rows)))
+        noise = rng.standard_normal((n_samples, len(corr.row_labels)))
         out[:, :, j] = corr.values[:, j] + noise * corr.sigmas[:, j]
     return out
 
@@ -61,15 +60,15 @@ def scaled_non_identity(corr: CorrelationMatrix, kappa: float) -> CorrelationMat
     values = np.array(corr.values) * kappa
     values[0, 0] = corr.values[0, 0]
     sigmas = None if corr.sigmas is None else corr.sigmas * kappa
-    return CorrelationMatrix(corr.rows, corr.cols, values, sigmas)
+    return CorrelationMatrix(corr.row_labels, corr.col_labels, values, sigmas)
 
 
 def outer_product_gram(corr: CorrelationMatrix, n_samples: int, seed: int, k: int) -> np.ndarray:
     """Full (n_samples, rows, rows) Gram stack of the first k columns, each
     drawn from the witness's keyed stream and folded as a whole outer
     product c c^T."""
-    gram = np.zeros((n_samples, len(corr.rows), len(corr.rows)))
-    for j, label in enumerate(corr.cols[:k]):
+    gram = np.zeros((n_samples, len(corr.row_labels), len(corr.row_labels)))
+    for j, label in enumerate(corr.col_labels[:k]):
         col = corr.values[:, j]
         if np.any(corr.sigmas[:, j] > 0):
             rng = np.random.default_rng([seed, zlib.crc32(label.encode())])
@@ -104,7 +103,7 @@ def with_exact_columns(corr: CorrelationMatrix) -> CorrelationMatrix:
     values, sigmas = np.array(corr.values), np.array(corr.sigmas)
     sigmas[:, [0, 1, 5, 8]] = 0.0
     values[:, 8] = 0.0
-    return CorrelationMatrix(corr.rows, corr.cols, values, sigmas)
+    return CorrelationMatrix(corr.row_labels, corr.col_labels, values, sigmas)
 
 
 class TestCorrelationMatrix:
@@ -126,7 +125,7 @@ class TestCorrelationMatrix:
         # oracle: r(X, B) = Re Tr(U B)/8 and r(Y, B) = Im Tr(U B)/8 at full bias
         u = jones_unitary()
         corr = correlation_matrix(output_state(Dqc1Instance(1.0, u)))
-        for j, lab in enumerate(corr.cols):
+        for j, lab in enumerate(corr.col_labels):
             tr = np.trace(u @ pauli_realize(lab))
             assert corr.values[1, j] == pytest.approx(tr.real / 8, abs=1e-12)
             assert corr.values[2, j] == pytest.approx(tr.imag / 8, abs=1e-12)
@@ -180,22 +179,22 @@ class TestCorrelationMatrix:
         loaded = CorrelationMatrix.load(path)
         np.testing.assert_array_equal(loaded.values, corr.values)
         np.testing.assert_array_equal(loaded.sigmas, corr.sigmas)
-        assert loaded.rows == corr.rows and loaded.cols == corr.cols
+        assert loaded.row_labels == corr.row_labels and loaded.col_labels == corr.col_labels
 
 
 class TestExtractColumns:
     def test_select_all_is_identity(self):
         corr = correlation_matrix(named_state("bell"))
-        out = extract_columns(corr, corr.cols)
+        out = extract_columns(corr, corr.col_labels)
         np.testing.assert_array_equal(out.values, corr.values)
 
     def test_papers_four_columns_from_full_matrix(self):
         corr = correlation_matrix(named_state("final-dqc1"))
         labels = ("III", "IZI", "IIZ", "IZZ")
         out = extract_columns(corr, labels)
-        assert out.shape == (4, 4)
+        assert out.values.shape == (4, 4)
         for j, lab in enumerate(labels):
-            np.testing.assert_array_equal(out.values[:, j], corr.values[:, corr.cols.index(lab)])
+            np.testing.assert_array_equal(out.values[:, j], corr.values[:, corr.col_labels.index(lab)])
 
     def test_single_column_rank_at_most_one(self):
         corr = correlation_matrix(named_state("final-dqc1"))
@@ -273,7 +272,7 @@ class TestMonteCarloSvd:
     def test_overflowing_sigmas_refused(self):
         corr = eq3_fixture()
         sigmas = np.where(corr.sigmas > 0, 1e308, 0.0)
-        huge = CorrelationMatrix(corr.rows, corr.cols, corr.values, sigmas)
+        huge = CorrelationMatrix(corr.row_labels, corr.col_labels, corr.values, sigmas)
         with pytest.raises(ValueError, match="non-finite"):
             monte_carlo_svd(huge, 100, seed=0)
 
@@ -313,7 +312,7 @@ class TestMonteCarloSvd:
         # each column keeps its own draw, so reordering the columns only
         # reorders the Gram sum
         corr = eq3_fixture()
-        reordered = extract_columns(corr, corr.cols[::-1])
+        reordered = extract_columns(corr, corr.col_labels[::-1])
         a = monte_carlo_svd(corr, 500, seed=6).samples
         b = monte_carlo_svd(reordered, 500, seed=6).samples
         np.testing.assert_allclose(a, b, rtol=0, atol=1e-12)
@@ -357,8 +356,8 @@ class TestRankCheckQuantiles:
     )
     def test_equals_full_decomposition(self, corr, n_samples, confidence):
         q = 1.0 - confidence
-        fold = wit._GramFold(len(corr.rows), n_samples, seed=2)
-        for j, label in enumerate(corr.cols):
+        fold = wit._GramFold(len(corr.row_labels), n_samples, seed=2)
+        for j, label in enumerate(corr.col_labels):
             fold.add(label, corr.values[:, j], corr.sigmas[:, j])
             got, decomposed = fold.quantiles(q)
             if fold.noisy:
@@ -385,8 +384,8 @@ class TestRankCheckQuantiles:
         # sigma-1e-12: a column moves lambda_max by less than its rounding, so a
         # stored lambda_max can exceed the next computed one by an ulp.
         # floor-rises: small values resolved at one check read 0 at the next
-        fold = wit._GramFold(len(corr.rows), 1000, seed=5)
-        for j, label in enumerate(corr.cols):
+        fold = wit._GramFold(len(corr.row_labels), 1000, seed=5)
+        for j, label in enumerate(corr.col_labels):
             fold.add(label, corr.values[:, j], corr.sigmas[:, j])
             current = fold.distribution(0.005).samples.T
             assert np.all(fold._lower_bounds() <= current)
@@ -521,35 +520,16 @@ class TestPolicy:
 
 @pytest.fixture
 def fetched(monkeypatch):
-    """The labels passed to ``ColumnSource.fetch``, in call order."""
+    """The labels of the columns folded into the Monte Carlo, in call order."""
     labels = []
-    real = ColumnSource.fetch
+    real = wit._GramFold.add
 
-    def counted(self, label):
+    def counted(self, label, values, sigmas):
         labels.append(label)
-        return real(self, label)
+        return real(self, label, values, sigmas)
 
-    monkeypatch.setattr(ColumnSource, "fetch", counted)
+    monkeypatch.setattr(wit._GramFold, "add", counted)
     return labels
-
-
-class TestColumnSource:
-    def test_fetch_at_most_once(self):
-        source = ColumnSource(eq3_fixture())
-        source.fetch("III")
-        with pytest.raises(ValueError, match="already measured"):
-            source.fetch("III")
-
-    def test_unknown_label(self):
-        source = ColumnSource(eq3_fixture())
-        with pytest.raises(ValueError, match="unknown column"):
-            source.fetch("XXX")
-
-    def test_matrix_without_sigmas_fetches_zero_sigmas(self):
-        corr = correlation_matrix(named_state("bell"))
-        values, sigmas = ColumnSource(corr).fetch("Z")
-        np.testing.assert_array_equal(values, corr.values[:, corr.cols.index("Z")])
-        np.testing.assert_array_equal(sigmas, np.zeros(len(corr.rows)))
 
 
 class TestWitnessProcedure:
@@ -557,8 +537,8 @@ class TestWitnessProcedure:
     def test_matrix_without_sigmas_runs_as_its_zero_sigma_twin(self, name):
         corr = correlation_matrix(named_state(name))
         assert corr.sigmas is None
-        bare = witness_procedure(ColumnSource(corr), n_samples=50, seed=2)
-        twin = witness_procedure(ColumnSource(corr.with_uniform_sigmas(0.0)), n_samples=50, seed=2)
+        bare = witness_procedure(corr, n_samples=50, seed=2)
+        twin = witness_procedure(corr.with_uniform_sigmas(0.0), n_samples=50, seed=2)
         assert bare.columns_used == twin.columns_used
         assert bare.trajectory == twin.trajectory
         np.testing.assert_array_equal(bare.distribution.samples, twin.distribution.samples)
@@ -569,13 +549,13 @@ class TestWitnessProcedure:
         ids=["witnessed", "full-tomography"],
     )
     def test_fetches_exactly_the_columns_used_once_each_in_order(self, corr, fetched):
-        verdict = witness_procedure(ColumnSource(corr), n_samples=100, seed=1)
+        verdict = witness_procedure(corr, n_samples=100, seed=1)
         assert tuple(fetched) == verdict.columns_used
-        assert tuple(fetched) == z_sector_first_order(corr.cols)[: len(fetched)]
+        assert tuple(fetched) == z_sector_first_order(corr.col_labels)[: len(fetched)]
         assert len(set(fetched)) == len(fetched)
 
     def test_eq3_fixture_witnessed_with_four_columns(self):
-        verdict = witness_procedure(ColumnSource(eq3_fixture()), seed=1)
+        verdict = witness_procedure(eq3_fixture(), seed=1)
         assert verdict.outcome == OUTCOME_WITNESSED
         assert verdict.rank_lower_bound == 3
         assert len(verdict.columns_used) == 4
@@ -583,7 +563,7 @@ class TestWitnessProcedure:
 
     def test_each_check_equals_monte_carlo_svd_of_its_columns(self):
         corr = correlation_matrix(named_state("initial-dqc1")).with_uniform_sigmas(0.05)
-        verdict = witness_procedure(ColumnSource(corr), n_samples=300, seed=4)
+        verdict = witness_procedure(corr, n_samples=300, seed=4)
         used = verdict.columns_used
         assert len(verdict.trajectory) == len(used) - 4 + 1
         for k, check in enumerate(verdict.trajectory, start=4):
@@ -606,7 +586,7 @@ class TestWitnessProcedure:
 
         monkeypatch.setattr(wit, "_histogram", counted)
         corr = correlation_matrix(named_state("initial-dqc1")).with_uniform_sigmas(0.05)
-        verdict = witness_procedure(ColumnSource(corr), n_samples=300, seed=1)
+        verdict = witness_procedure(corr, n_samples=300, seed=1)
         assert len(verdict.columns_used) == 64
         assert calls == []
         write_histogram_csvs(verdict.distribution, tmp_path / "h")
@@ -616,24 +596,24 @@ class TestWitnessProcedure:
     @pytest.mark.parametrize("confidence", [1.5, 0.0, -0.1, float("nan")])
     def test_rejects_confidence_outside_unit_interval(self, confidence):
         with pytest.raises(ValueError, match="confidence"):
-            witness_procedure(ColumnSource(eq3_fixture()), confidence=confidence)
+            witness_procedure(eq3_fixture(), confidence=confidence)
 
     @pytest.mark.parametrize("tau", [0.0, -1.0, float("nan"), float("inf")])
     def test_rejects_tau_not_positive_and_finite(self, tau):
         # tau 0 or -1 used to witness discord in this zero-discord state
         corr = correlation_matrix(named_state("initial-dqc1")).with_uniform_sigmas(0.05)
         with pytest.raises(ValueError, match="tau"):
-            witness_procedure(ColumnSource(corr), tau=tau, n_samples=100)
+            witness_procedure(corr, tau=tau, n_samples=100)
 
     @pytest.mark.parametrize("bin_width", [0.0, -0.1, float("nan"), float("inf")])
     def test_rejects_bad_bin_width_before_fetching(self, bin_width, fetched):
         with pytest.raises(ValueError, match="bin_width"):
-            witness_procedure(ColumnSource(eq3_fixture()), bin_width=bin_width)
+            witness_procedure(eq3_fixture(), bin_width=bin_width)
         assert fetched == []
 
     def test_rank_checks_decompose_a_minority_of_samples(self):
         corr = correlation_matrix(named_state("initial-dqc1")).with_uniform_sigmas(0.05)
-        verdict = witness_procedure(ColumnSource(corr), n_samples=10000, seed=1)
+        verdict = witness_procedure(corr, n_samples=10000, seed=1)
         decomposed = [check.decomposed for check in verdict.trajectory]
         assert len(decomposed) == 61
         assert all(0 < d <= 10000 for d in decomposed)
@@ -641,14 +621,14 @@ class TestWitnessProcedure:
 
     def test_initial_state_inconclusive_after_full_tomography(self):
         corr = correlation_matrix(named_state("initial-dqc1")).with_uniform_sigmas(0.05)
-        verdict = witness_procedure(ColumnSource(corr), n_samples=2000, seed=1)
+        verdict = witness_procedure(corr, n_samples=2000, seed=1)
         assert verdict.outcome == OUTCOME_INCONCLUSIVE
         assert verdict.rank_lower_bound == 1
         assert len(verdict.columns_used) == 64
 
     def test_exact_bell_witnessed_rank_four(self):
         corr = correlation_matrix(named_state("bell")).with_uniform_sigmas(0.0)
-        verdict = witness_procedure(ColumnSource(corr), seed=0)
+        verdict = witness_procedure(corr, seed=0)
         assert verdict.outcome == OUTCOME_WITNESSED
         assert verdict.rank_lower_bound == 4
 
@@ -656,7 +636,7 @@ class TestWitnessProcedure:
         for seed in range(25):
             rho = random_classical_quantum_state(2, seed)
             corr = correlation_matrix(rho).with_uniform_sigmas(0.0)
-            verdict = witness_procedure(ColumnSource(corr), n_samples=100, seed=seed)
+            verdict = witness_procedure(corr, n_samples=100, seed=seed)
             assert verdict.outcome == OUTCOME_INCONCLUSIVE
 
     @pytest.mark.parametrize("confidence", [0.99, 0.5])
@@ -668,13 +648,13 @@ class TestWitnessProcedure:
             rho = random_classical_quantum_state(2, seed)
             corr = correlation_matrix(rho).with_uniform_sigmas(sigma)
             verdict = witness_procedure(
-                ColumnSource(corr), n_samples=100, seed=seed, confidence=confidence
+                corr, n_samples=100, seed=seed, confidence=confidence
             )
             assert verdict.outcome == OUTCOME_INCONCLUSIVE, (seed, verdict.rank_lower_bound)
 
     def test_deterministic_distributions(self):
-        a = witness_procedure(ColumnSource(eq3_fixture()), seed=3)
-        b = witness_procedure(ColumnSource(eq3_fixture()), seed=3)
+        a = witness_procedure(eq3_fixture(), seed=3)
+        b = witness_procedure(eq3_fixture(), seed=3)
         np.testing.assert_array_equal(a.distribution.samples, b.distribution.samples)
 
     @pytest.mark.parametrize("sigma", [0.05, 100.0, 1000.0])
@@ -682,27 +662,26 @@ class TestWitnessProcedure:
         # the early bin refusal rests on sqrt(tr(G) / rows) at any check being
         # at most the largest singular value of the final samples
         corr = correlation_matrix(named_state("initial-dqc1")).with_uniform_sigmas(sigma)
-        fold = wit._GramFold(len(corr.rows), 200, seed=7)
+        fold = wit._GramFold(len(corr.row_labels), 200, seed=7)
         bounds = []
-        for j, label in enumerate(corr.cols):
+        for j, label in enumerate(corr.col_labels):
             fold.add(label, corr.values[:, j], corr.sigmas[:, j])
-            bounds.append(np.sqrt(fold.trace().max() / len(corr.rows)))
+            bounds.append(np.sqrt(fold.trace().max() / len(corr.row_labels)))
         top = np.sqrt(fold._eigenvalues(slice(None))[:, 0].max())
         assert max(bounds) == bounds[-1] <= top
 
     def test_noise_just_within_the_bins_runs(self):
         # the last samples need 9.7e5 of the 10^6 bins: no early refusal
         corr = correlation_matrix(named_state("initial-dqc1")).with_uniform_sigmas(430.0)
-        verdict = witness_procedure(ColumnSource(corr), n_samples=200, seed=7)
+        verdict = witness_procedure(corr, n_samples=200, seed=7)
         top_bins = verdict.distribution.samples.max() / 0.005
         assert 0.95 * wit.MAX_HISTOGRAM_BINS < top_bins < wit.MAX_HISTOGRAM_BINS
 
-    def test_bins_refused_at_the_first_check_that_needs_them(self):
+    def test_bins_refused_at_the_first_check_that_needs_them(self, fetched):
         corr = correlation_matrix(named_state("initial-dqc1")).with_uniform_sigmas(1000.0)
-        source = ColumnSource(corr)
         with pytest.raises(wit.HistogramBinsError, match="histogram bins"):
-            witness_procedure(source, n_samples=100, seed=0)
-        assert source._unmeasured  # refused before the last column
+            witness_procedure(corr, n_samples=100, seed=0)
+        assert len(fetched) < 64  # refused before the last column
 
 
 class TestScaleInvariance:

@@ -43,24 +43,18 @@ EXIT_INPUT = 2
 EXIT_NUMERICAL = 3
 
 
-def _resolve_unitary(spec: str) -> np.ndarray:
-    if spec == "jones":
-        return dqc1.jones_unitary()
-    if spec == "identity8":
-        return np.eye(8, dtype=complex)
-    path = Path(spec)
-    if not path.exists():
-        raise ValueError(f"unknown unitary {spec!r}: not a builtin and no such file")
-    return dqc1.load_unitary_json(path)
+def _resolve(spec: str, builtins: dict, load, what: str):
+    """The builtin named ``spec``, else ``load`` of that file; ``what`` names it in refusals."""
+    if spec in builtins:
+        return builtins[spec]()
+    if not Path(spec).exists():
+        raise ValueError(f"unknown {what} {spec!r}: not a builtin and no such file")
+    return load(Path(spec))
 
 
-def _resolve_matrix(spec: str) -> CorrelationMatrix:
-    if spec == states.EQ3_FIXTURE_NAME:
-        return states.eq3_fixture()
-    path = Path(spec)
-    if not path.exists():
-        raise ValueError(f"unknown matrix {spec!r}: not a builtin and no such file")
-    return CorrelationMatrix.load(path)
+_UNITARY = ({"jones": dqc1.jones_unitary, "identity8": lambda: np.eye(8, dtype=complex)},
+            dqc1.load_unitary_json, "unitary")
+_MATRIX = ({states.EQ3_FIXTURE_NAME: states.eq3_fixture}, CorrelationMatrix.load, "matrix")
 
 
 def _resolve_state(args) -> DensityMatrix:
@@ -79,7 +73,7 @@ def _write_json(args, payload: dict) -> Path:
 
 
 def cmd_simulate(args) -> int:
-    u = _resolve_unitary(args.unitary)
+    u = _resolve(args.unitary, *_UNITARY)
     inst = dqc1.Dqc1Instance(args.epsilon, u)
     estimate = dqc1.trace_estimate(inst)
     exact = complex(np.trace(u)) / u.shape[0]
@@ -102,7 +96,7 @@ def cmd_discord(args) -> int:
     if args.extrapolate:
         if args.alpha is None:
             raise ValueError("--extrapolate requires --alpha")
-        fit = fit_polarization_scaling(_resolve_unitary(args.dqc1), alpha=args.alpha)
+        fit = fit_polarization_scaling(_resolve(args.dqc1, *_UNITARY), alpha=args.alpha)
         payload = {
             "discord": fit.value,
             "direct": fit.direct,
@@ -117,7 +111,7 @@ def cmd_discord(args) -> int:
         return EXIT_OK
     zero_payload = {}
     if args.dqc1 is not None:
-        inst = dqc1.Dqc1Instance(args.epsilon, _resolve_unitary(args.dqc1))
+        inst = dqc1.Dqc1Instance(args.epsilon, _resolve(args.dqc1, *_UNITARY))
         result = dqc1_discord(inst.eigphases, inst.epsilon)
     else:
         rho = _resolve_state(args)
@@ -145,7 +139,7 @@ def cmd_discord(args) -> int:
 
 def _witness_input(args) -> CorrelationMatrix:
     if args.matrix is not None:
-        corr = _resolve_matrix(args.matrix)
+        corr = _resolve(args.matrix, *_MATRIX)
         if corr.sigmas is None:
             raise ValueError(
                 "matrix carries no sigmas; Monte Carlo rank bounds need per-element "
@@ -159,25 +153,6 @@ def _witness_input(args) -> CorrelationMatrix:
 
 
 def cmd_witness(args) -> int:
-    if not 0.0 < args.confidence <= 1.0:
-        raise ValueError(f"--confidence {args.confidence} outside (0, 1]")
-    for flag, value in (("--tau", args.tau), ("--bin", args.bin)):
-        if value is not None and not (math.isfinite(value) and value > 0):
-            raise ValueError(f"{flag} {value} must be positive and finite")
-    # the Monte Carlo folds squared noisy entries into Gram matrices
-    sigma = args.sigma
-    if sigma is not None and not (sigma >= 0 and math.isfinite(sigma * sigma)):
-        raise ValueError(f"--sigma {sigma} must be non-negative with a finite square")
-    for flag, value in (("--seed", args.seed), ("--measure-seed", args.measure_seed)):
-        if value is not None and value < 0:
-            raise ValueError(f"{flag} {value} must be non-negative")
-    for flag, value in (
-        ("--samples", args.samples),
-        ("--scan-combos", args.scan_combos),
-        ("--resamples", args.resamples),
-    ):
-        if value is not None and value < 1:
-            raise ValueError(f"{flag} {value} must be at least 1")
     corr = _witness_input(args)
     # largest singular value of the unperturbed matrix: noiseless samples all reach it
     top = float(np.linalg.norm(corr.values, 2))
@@ -243,10 +218,6 @@ def cmd_witness(args) -> int:
 
 
 def cmd_haar_survey(args) -> int:
-    if args.seeds < 1:
-        raise ValueError(f"--seeds {args.seeds} must be at least 1")
-    if args.start_seed < 0:
-        raise ValueError(f"--start-seed {args.start_seed} must be non-negative")
     values = haar_discord_survey(
         args.seeds, dim=args.dim, alpha=args.alpha, start_seed=args.start_seed
     )
@@ -351,11 +322,30 @@ SCOPED_FLAGS = {
     ),
 }
 
+# Numeric flags' ranges, checked in this order after the scoped flags and output
+# paths: (dest, in-range test, refusal). The library checks --dim and --alpha.
+_POSITIVE = (lambda v: math.isfinite(v) and v > 0, "must be positive and finite")
+_NON_NEGATIVE = (lambda v: v >= 0, "must be non-negative")
+_AT_LEAST_1 = (lambda v: v >= 1, "must be at least 1")
+FLAG_RANGES = {
+    "witness": (
+        ("confidence", lambda v: 0.0 < v <= 1.0, "outside (0, 1]"),
+        ("tau", *_POSITIVE), ("bin", *_POSITIVE),
+        # the Monte Carlo folds squared noisy entries into Gram matrices
+        ("sigma", lambda v: v >= 0 and math.isfinite(v * v),
+         "must be non-negative with a finite square"),
+        ("seed", *_NON_NEGATIVE), ("measure_seed", *_NON_NEGATIVE),
+        ("samples", *_AT_LEAST_1), ("scan_combos", *_AT_LEAST_1), ("resamples", *_AT_LEAST_1),
+    ),
+    "haar-survey": (("seeds", *_AT_LEAST_1), ("start_seed", *_NON_NEGATIVE)),
+}
+
 
 def _check_flags(args) -> None:
     """Before any work: refuse a flag given outside its modes, resolve its
-    default inside them, and refuse an output path in a missing directory or
-    an output file that is a directory (a CSV prefix is never opened itself)."""
+    default inside them, refuse an output path in a missing directory or an
+    output file that is a directory (a CSV prefix is never opened itself), and
+    last refuse a numeric flag outside its range in ``FLAG_RANGES``."""
     for dest, modes, applies, default in SCOPED_FLAGS.get(args.command, ()):
         value = getattr(args, dest)
         if not applies(args):
@@ -370,6 +360,10 @@ def _check_flags(args) -> None:
             raise ValueError(f"{flag} {path}: directory {os.path.dirname(path)} does not exist")
         if dest != "csv_prefix" and path is not None and Path(path).is_dir():
             raise ValueError(f"{flag} {path} is a directory, not a file")
+    for dest, in_range, refusal in FLAG_RANGES.get(args.command, ()):
+        value = getattr(args, dest)
+        if value is not None and not in_range(value):
+            raise ValueError(f"--{dest.replace('_', '-')} {value} {refusal}")
 
 
 def main(argv=None) -> int:

@@ -10,6 +10,7 @@ import pytest
 from qdiscord import (
     Dqc1Instance,
     correlation_matrix,
+    default_tau,
     discord,
     haar_discord_survey,
     haar_random_unitary,
@@ -20,7 +21,7 @@ from qdiscord import (
     witness_procedure,
 )
 from qdiscord.cli import main as cli_main
-from qdiscord.witness import OUTCOME_WITNESSED
+from qdiscord.witness import INITIAL_BLOCK, OUTCOME_WITNESSED
 
 from .conftest import (
     boltzmann_polarization,
@@ -173,17 +174,23 @@ def test_criterion_07_witness_soundness_and_completeness():
     )
 
 
+def noisy_classical_quantum_matrices(sigma):
+    """The noisy arm's 75 classical-quantum states, 50 of 1+2 and 25 of 1+3
+    qubits, measured at ``sigma``: ((B qubits, seed), matrix) pairs."""
+    for n_b, count in ((2, 50), (3, 25)):
+        for seed in range(count):
+            rho = random_classical_quantum_state(n_b, seed)
+            yield (n_b, seed), measured_correlation_matrix(rho, sigma, seed)
+
+
 @pytest.mark.parametrize("sigma, detection_floor", [(0.01, 57), (0.05, 30)])
 def test_criterion_07_witness_under_measurement_noise(sigma, detection_floor):
     # the procedure looks up to 61 times, each at 1 - confidence per singular
     # value, and its Monte Carlo perturbs values that already carry the noise
-    witnessed_cq = []
-    for n_b, count in ((2, 50), (3, 25)):
-        for seed in range(count):
-            rho = random_classical_quantum_state(n_b, seed)
-            corr = measured_correlation_matrix(rho, sigma, seed)
-            if witness_procedure(corr, n_samples=500, seed=seed).witnessed:
-                witnessed_cq.append((n_b, seed))
+    witnessed_cq = [
+        key for key, corr in noisy_classical_quantum_matrices(sigma)
+        if witness_procedure(corr, n_samples=500, seed=key[1]).witnessed
+    ]
 
     witnessed = 0
     found = 0
@@ -203,6 +210,27 @@ def test_criterion_07_witness_under_measurement_noise(sigma, detection_floor):
         f"sigma {sigma}: {len(witnessed_cq)} of 75 classical-quantum states witnessed "
         f"(B qubits, seed: {witnessed_cq}); {witnessed}/60 discordant states witnessed "
         f"(need >= {detection_floor})",
+    )
+
+
+@pytest.mark.parametrize("sigma, pinned, earliest", [(0.01, 68, 11), (0.05, 65, 11)])
+def test_criterion_07_fixed_tau_false_positives(sigma, pinned, earliest):
+    # tau held at its first-check value while the noise floor of the singular
+    # values grows as sqrt(columns) and every column is one more look: these
+    # false positives are why the default tau grows, not a fault
+    looks = []
+    for (_, seed), corr in noisy_classical_quantum_matrices(sigma):
+        tau = default_tau(corr.sigmas, n_cols=INITIAL_BLOCK)
+        verdict = witness_procedure(corr, tau=tau, n_samples=500, seed=seed)
+        if verdict.witnessed:
+            looks.append(len(verdict.columns_used))
+    ok = len(looks) == pinned and min(looks, default=None) == earliest
+    check(
+        7,
+        ok,
+        f"sigma {sigma}, fixed tau: {len(looks)} of 75 classical-quantum states witnessed "
+        f"(pinned {pinned}), earliest after {min(looks, default=None)} columns "
+        f"(pinned {earliest})",
     )
 
 

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qdiscord.cli import build_parser, main
+from qdiscord.cli import FLAG_RANGES, build_parser, main
 from qdiscord import (
     CorrelationMatrix,
     Dqc1Instance,
@@ -812,6 +812,52 @@ def test_every_scoped_flag_is_a_flag_of_its_subcommand():
     for command, rows in SCOPED_FLAGS.items():
         dests = {a.dest for a in parsers[command]._actions}
         assert {row[0] for row in rows} <= dests, command
+
+
+# One out-of-range value per FLAG_RANGES entry, run in the source mode that
+# puts every scoped witness flag in scope.
+OUT_OF_RANGE = {
+    "confidence": "1.5", "tau": "-1", "bin": "0", "sigma": "1e308", "seed": "-1",
+    "measure_seed": "-3", "samples": "0", "scan_combos": "0", "resamples": "0",
+    "seeds": "0", "start_seed": "-1",
+}
+RANGE_SOURCES = {
+    "witness": ("--ensemble", "ens.json", "--measure-seed", "3", "--scan-combos", "5",
+                "--samples", "50"),
+    "haar-survey": ("--seeds", "1", "--dim", "8"),
+}
+# Numeric flags the library refuses itself, for API callers as well.
+LIBRARY_CHECKED = {"dim", "alpha"}
+
+
+@pytest.mark.parametrize(
+    "command, dest, in_range, refusal",
+    [(command, *row) for command, rows in FLAG_RANGES.items() for row in rows],
+    ids=[f"{command}-{row[0]}" for command, rows in FLAG_RANGES.items() for row in rows],
+)
+def test_out_of_range_flag_exits_2_before_any_work(
+    tmp_path, capsys, monkeypatch, command, dest, in_range, refusal
+):
+    calls = count_calls(
+        monkeypatch, "qdiscord.nmr.measured_correlation_matrix",
+        "qdiscord.cli.witness_procedure", "qdiscord.cli.haar_discord_survey",
+    )
+    (tmp_path / "ens.json").write_text(json.dumps({"alpha": 0.5, "pps": "initial-dqc1"}))
+    flag, value = "--" + dest.replace("_", "-"), OUT_OF_RANGE[dest]
+    parsed = next(a.type for a in subparsers()[command]._actions if a.dest == dest)(value)
+    assert not in_range(parsed)
+    assert run(tmp_path, command, *RANGE_SOURCES[command], flag, value) == 2
+    assert capsys.readouterr().err == f"error: {flag} {parsed} {refusal}\n"
+    assert calls == []
+    assert [p.name for p in tmp_path.iterdir()] == ["ens.json"]
+
+
+@pytest.mark.parametrize("command", sorted(RANGE_SOURCES))
+def test_every_numeric_flag_has_a_range_or_a_library_check(command):
+    # a numeric flag in neither would reach the library unchecked, and a
+    # misspelt row would never refuse anything
+    numeric = {a.dest for a in subparsers()[command]._actions if a.type in (int, float)}
+    assert numeric - LIBRARY_CHECKED == {row[0] for row in FLAG_RANGES[command]}
 
 
 class TestHaarSurveyCommand:

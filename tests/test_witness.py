@@ -18,6 +18,8 @@ from qdiscord import (
     eq3_fixture,
     input_state,
     jones_unitary,
+    load_ensemble,
+    measured_correlation_matrix,
     named_state,
     output_state,
     pauli_labels,
@@ -618,6 +620,16 @@ class TestWitnessProcedure:
         assert len(decomposed) == 61
         assert all(0 < d <= 10000 for d in decomposed)
         assert sum(decomposed) <= 0.4 * 61 * 10000
+
+    def test_lazy_rank_checks_decomposition_count_is_pinned(self):
+        # one op of the witness-tomography benchmark at alpha 1e-3 and seed 7:
+        # 137,847 Gram matrices over its 61 checks with numpy 2.4.6 and OpenBLAS
+        # 0.3.31; the cap leaves room for another BLAS's rounding, and added
+        # eigen work fails it
+        rho = load_ensemble({"alpha": 1e-3, "pps": "initial-dqc1"})
+        verdict = witness_procedure(measured_correlation_matrix(rho, 0.05, 7), seed=7)
+        assert len(verdict.trajectory) == 61
+        assert sum(check.decomposed for check in verdict.trajectory) <= 140_000
 
     def test_initial_state_inconclusive_after_full_tomography(self):
         corr = correlation_matrix(named_state("initial-dqc1")).with_uniform_sigmas(0.05)

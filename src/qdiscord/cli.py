@@ -139,13 +139,7 @@ def cmd_discord(args) -> int:
 
 def _witness_input(args) -> CorrelationMatrix:
     if args.matrix is not None:
-        corr = _resolve(args.matrix, *_MATRIX)
-        if corr.sigmas is None:
-            raise ValueError(
-                "matrix carries no sigmas; Monte Carlo rank bounds need per-element "
-                "uncertainties (use zero sigmas for exact columns)"
-            )
-        return corr
+        return _resolve(args.matrix, *_MATRIX)
     rho = _resolve_state(args)
     if args.measure_seed is not None:
         return nmr.measured_correlation_matrix(rho, args.sigma, args.measure_seed)

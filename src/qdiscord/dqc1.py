@@ -17,7 +17,8 @@ import numpy as np
 from .linalg import MAX_QUBITS, DensityMatrix, PAULI_1Q, complex_from_parts, pauli_realize, tensor
 
 UNITARITY_TOL = 1e-10
-MAX_HAAR_DIM = 256
+# the circuit adds one clean qubit to the log2(d) mixed ones
+MAX_HAAR_DIM = 2 ** (MAX_QUBITS - 1)
 
 
 @dataclass(frozen=True)
@@ -37,7 +38,9 @@ class Dqc1Instance:
             raise ValueError("unitary has non-finite (NaN or inf) entries")
         d = u.shape[0]
         n = d.bit_length() - 1
-        if d < 2 or 2**n != d:
+        if d < 2:
+            raise ValueError(f"unitary dimension {d} leaves no mixed qubit: need at least 2")
+        if 2**n != d:
             raise ValueError(f"unitary dimension {d} is not a power of 2")
         if 1 + n > MAX_QUBITS:
             raise ValueError(f"1 + {n} qubits exceeds the {MAX_QUBITS}-qubit cap")
@@ -112,7 +115,7 @@ def haar_random_unitary(d: int, seed: int) -> np.ndarray:
     """Haar-distributed unitary via QR of a complex Ginibre matrix with the
     R-diagonal phases fixed (Mezzadri construction)."""
     if not 1 <= d <= MAX_HAAR_DIM:
-        raise ValueError(f"dimension must be in [1, {MAX_HAAR_DIM}]")
+        raise ValueError(f"dimension {d} outside [1, {MAX_HAAR_DIM}]")
     rng = np.random.default_rng(seed)
     z = (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))) / np.sqrt(2)
     q, r = np.linalg.qr(z)

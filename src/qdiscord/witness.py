@@ -60,8 +60,8 @@ def _is_identity_label(label: PauliLabel) -> bool:
 
 @dataclass(frozen=True)
 class CorrelationMatrix:
-    """Expansion coefficients r_nm = Tr(rho (A_n (+) B_m)) with optional
-    per-element Gaussian uncertainties."""
+    """Expansion coefficients r_nm = Tr(rho (A_n (+) B_m)) with per-element
+    Gaussian uncertainties; omitted sigmas are zeros, an exact matrix."""
 
     row_labels: tuple[PauliLabel, ...]
     col_labels: tuple[PauliLabel, ...]
@@ -84,26 +84,23 @@ class CorrelationMatrix:
             raise ValueError(f"values shape {values.shape} != {len(rows)}x{len(cols)}")
         if not np.isfinite(values).all():
             raise ValueError("correlation values have non-finite (NaN or inf) entries")
-        sigmas = self.sigmas
-        if sigmas is not None:
-            sigmas = np.array(sigmas, dtype=float)
-            if sigmas.shape != values.shape:
-                raise ValueError("sigmas shape does not match values")
-            if not np.isfinite(sigmas).all():
-                raise ValueError("sigmas have non-finite (NaN or inf) entries")
-            if sigmas.min() < 0:
-                raise ValueError("sigmas must be non-negative")
+        sigmas = np.zeros(values.shape) if self.sigmas is None else np.array(self.sigmas, dtype=float)
+        if sigmas.shape != values.shape:
+            raise ValueError("sigmas shape does not match values")
+        if not np.isfinite(sigmas).all():
+            raise ValueError("sigmas have non-finite (NaN or inf) entries")
+        if sigmas.min() < 0:
+            raise ValueError("sigmas must be non-negative")
         idx = self._identity_index(rows, cols)
         if idx is not None:
             i, j = idx
             if abs(values[i, j] - 1.0) > IDENTITY_VALUE_TOL:
                 raise ValueError(f"identity entry {values[i, j]} must equal 1 (trace)")
             values[i, j] = 1.0
-            if sigmas is not None and sigmas[i, j] != 0.0:
+            if sigmas[i, j] != 0.0:
                 raise ValueError("identity entry carries no uncertainty")
         values.setflags(write=False)
-        if sigmas is not None:
-            sigmas.setflags(write=False)
+        sigmas.setflags(write=False)
         object.__setattr__(self, "row_labels", rows)
         object.__setattr__(self, "col_labels", cols)
         object.__setattr__(self, "values", values)
@@ -127,8 +124,9 @@ class CorrelationMatrix:
 
     @classmethod
     def from_dict(cls, data: dict) -> "CorrelationMatrix":
+        """Read a document; one that states no sigmas is refused after every other check."""
         try:
-            return cls(
+            corr = cls(
                 row_labels=tuple(data["rows"]),
                 col_labels=tuple(data["cols"]),
                 values=np.asarray(data["values"], dtype=float),
@@ -136,6 +134,12 @@ class CorrelationMatrix:
             )
         except (KeyError, TypeError, OverflowError) as exc:
             raise ValueError(f"malformed correlation-matrix spec: {exc}") from exc
+        if data.get("sigmas") is None:
+            raise ValueError(
+                "matrix carries no sigmas; Monte Carlo rank bounds need per-element "
+                "uncertainties (use zero sigmas for exact columns)"
+            )
+        return corr
 
     @classmethod
     def load(cls, path: str | Path) -> "CorrelationMatrix":
@@ -144,7 +148,7 @@ class CorrelationMatrix:
 
 
 def correlation_matrix(rho: DensityMatrix) -> CorrelationMatrix:
-    """Full Pauli correlation matrix of a bipartite state (exact, no sigmas).
+    """Full Pauli correlation matrix of a bipartite state (exact: zero sigmas).
 
     Row labels run over the A-side Pauli strings, columns over the B side;
     the reconstruction 2^-N sum r_nm A_n (+) B_m recovers the state.
@@ -158,14 +162,11 @@ def correlation_matrix(rho: DensityMatrix) -> CorrelationMatrix:
     return CorrelationMatrix(tuple(pauli_labels(na)), tuple(pauli_labels(nb)), values)
 
 
-def default_tau(sigmas: np.ndarray | None, n_cols: int | None = None) -> float:
+def default_tau(sigmas: np.ndarray, n_cols: int | None = None) -> float:
     """Noise-scale singular-value threshold: 2 x median nonzero sigma x sqrt(columns).
 
     Falls back to a small floor for noiseless (all-zero sigma) matrices.
     """
-    if sigmas is None:
-        return TAU_FLOOR
-    sigmas = np.asarray(sigmas)
     nz = sigmas[sigmas > 0]
     if nz.size == 0:
         return TAU_FLOOR
@@ -442,8 +443,6 @@ def column_combination_scan(
         raise ValueError(
             f"n_combos {n_combos} and resamples_per_combo {resamples_per_combo} must be at least 1"
         )
-    if corr.sigmas is None:
-        raise ValueError("correlation matrix carries no sigmas; Monte Carlo needs them")
     n_cols = len(corr.col_labels)
     if n_cols < 4:
         raise ValueError("need at least 4 columns to scan combinations")
@@ -533,7 +532,7 @@ def witness_procedure(
     Acquires the columns of ``corr``, each once, in
     :func:`z_sector_first_order`: ``INITIAL_BLOCK`` of them before the first
     rank check, then one at a time; dim(A) is 2 to the row-label length, and
-    a matrix without sigmas runs as its zero-sigma twin.
+    zero-sigma entries are exact in every sample.
     After each acquisition a Monte Carlo rank bound is computed on the
     submatrix measured so far: a singular value counts as nonzero when its
     empirical (1 - confidence) quantile exceeds tau
@@ -553,17 +552,15 @@ def witness_procedure(
     dim_a = 2 ** len(corr.row_labels[0])
     order = z_sector_first_order(corr.col_labels)
     index = [corr.col_labels.index(label) for label in order]
-    sigmas = np.zeros(corr.values.shape) if corr.sigmas is None else corr.sigmas
-
     fold = _GramFold(len(corr.row_labels), n_samples, seed)
     trajectory: list[RankCheck] = []
     first_check = min(INITIAL_BLOCK, len(order))
 
     for k, (label, j) in enumerate(zip(order, index), start=1):
-        fold.add(label, corr.values[:, j], sigmas[:, j])
+        fold.add(label, corr.values[:, j], corr.sigmas[:, j])
         if k < first_check:
             continue
-        tau_step = default_tau(sigmas[:, index[:k]]) if tau is None else tau
+        tau_step = default_tau(corr.sigmas[:, index[:k]]) if tau is None else tau
         low, decomposed = fold.quantiles(1.0 - confidence)
         # lambda_max(G) >= tr(G) / rows, and G only grows (Weyl), so the
         # verdict's histograms will need at least this many bins; the 1e-6

@@ -60,20 +60,17 @@ def extract_columns(corr: CorrelationMatrix, labels: Sequence[PauliLabel]) -> Co
     if unknown:
         raise ValueError(f"unknown column label {unknown[0]!r}")
     idx = [corr.col_labels.index(lab) for lab in labels]
-    sig = None if corr.sigmas is None else corr.sigmas[:, idx]
-    return CorrelationMatrix(corr.row_labels, tuple(labels), corr.values[:, idx], sig)
+    return CorrelationMatrix(corr.row_labels, tuple(labels), corr.values[:, idx], corr.sigmas[:, idx])
 
 
 def matrix_document(corr: CorrelationMatrix) -> dict:
     """The JSON object ``CorrelationMatrix.load`` reads back as ``corr``."""
-    out = {
+    return {
         "rows": list(corr.row_labels),
         "cols": list(corr.col_labels),
         "values": corr.values.tolist(),
+        "sigmas": corr.sigmas.tolist(),
     }
-    if corr.sigmas is not None:
-        out["sigmas"] = corr.sigmas.tolist()
-    return out
 
 
 def monte_carlo_svd(
@@ -84,8 +81,6 @@ def monte_carlo_svd(
     ``witness_procedure`` checks after acquiring the same columns, since each
     column's noise is keyed by ``seed`` and its label."""
     _check_bin_width(bin_width)
-    if corr.sigmas is None:
-        raise ValueError("correlation matrix carries no sigmas; Monte Carlo needs them")
     fold = _GramFold(len(corr.row_labels), n_samples, seed)
     for j, label in enumerate(corr.col_labels):
         fold.add(label, corr.values[:, j], corr.sigmas[:, j])

@@ -305,13 +305,16 @@ class TestWitnessCommand:
         assert run(tmp_path, "witness", "--matrix", str(path), "--samples", "100") == 2
         assert message in capsys.readouterr().err
 
-    def test_matrix_without_sigmas_exits_2(self, tmp_path):
+    def test_matrix_without_sigmas_exits_2(self, tmp_path, capsys):
         corr = CorrelationMatrix(
             ("I", "X"), ("I", "Z"), np.array([[1.0, 0.2], [0.1, 0.3]])
         )
+        document = matrix_document(corr)
+        del document["sigmas"]
         path = tmp_path / "nosig.json"
-        path.write_text(json.dumps(matrix_document(corr)))
+        path.write_text(json.dumps(document))
         assert run(tmp_path, "witness", "--matrix", str(path)) == 2
+        assert "matrix carries no sigmas" in capsys.readouterr().err
 
     def test_simulated_final_state_witnessed(self, tmp_path):
         code = run(tmp_path, "witness", "--state", "final-dqc1", "--seed", "2")
@@ -861,6 +864,16 @@ def test_every_numeric_flag_has_a_range_or_a_library_check(command):
 
 
 class TestHaarSurveyCommand:
+    @pytest.mark.parametrize("dim, message", [
+        ("1", "unitary dimension 1 leaves no mixed qubit"),
+        ("3", "unitary dimension 3 is not a power of 2"),
+        ("256", "dimension 256 outside [1, 128]"),
+    ])
+    def test_dimension_the_circuit_cannot_hold_exits_2(self, tmp_path, capsys, dim, message):
+        assert run(tmp_path, "haar-survey", "--seeds", "1", "--dim", dim) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "haar_survey.json").exists()
+
     def test_single_seed_deterministic(self, tmp_path):
         args = (
             "haar-survey", "--seeds", "1", "--dim", "8",

@@ -14,8 +14,8 @@ from qdiscord import (
     tensor,
     trace_estimate,
 )
-from qdiscord.dqc1 import unitary_from_dict
-from qdiscord.linalg import PAULI_1Q
+from qdiscord.dqc1 import MAX_HAAR_DIM, unitary_from_dict
+from qdiscord.linalg import MAX_QUBITS, PAULI_1Q
 
 from .oracles import partial_transpose
 
@@ -52,6 +52,10 @@ class TestInstanceValidation:
     def test_rejects_over_qubit_cap(self):
         with pytest.raises(ValueError, match="cap"):
             Dqc1Instance(1.0, np.eye(256))
+
+    def test_rejects_scalar_unitary(self):
+        with pytest.raises(ValueError, match="dimension 1 leaves no mixed qubit"):
+            Dqc1Instance(1.0, np.eye(1))
 
     def test_n_derived_from_dimension(self):
         assert Dqc1Instance(0.5, np.eye(8)).n == 3
@@ -188,6 +192,12 @@ class TestHaarRandomUnitary:
     def test_rejects_oversized(self):
         with pytest.raises(ValueError):
             haar_random_unitary(512, seed=0)
+
+    def test_largest_dimension_fits_the_circuit(self, monkeypatch):
+        assert Dqc1Instance(1.0, haar_random_unitary(MAX_HAAR_DIM, seed=0)).n == MAX_QUBITS - 1
+        monkeypatch.setattr(np.linalg, "qr", None)  # refused before any draw
+        with pytest.raises(ValueError, match=f"dimension {2 * MAX_HAAR_DIM} outside"):
+            haar_random_unitary(2 * MAX_HAAR_DIM, seed=0)
 
 
 class TestUnitaryJson:

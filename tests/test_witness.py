@@ -61,8 +61,7 @@ def stacked_draws(corr: CorrelationMatrix, n_samples: int, seed: int) -> np.ndar
 def scaled_non_identity(corr: CorrelationMatrix, kappa: float) -> CorrelationMatrix:
     values = np.array(corr.values) * kappa
     values[0, 0] = corr.values[0, 0]
-    sigmas = None if corr.sigmas is None else corr.sigmas * kappa
-    return CorrelationMatrix(corr.row_labels, corr.col_labels, values, sigmas)
+    return CorrelationMatrix(corr.row_labels, corr.col_labels, values, corr.sigmas * kappa)
 
 
 def outer_product_gram(corr: CorrelationMatrix, n_samples: int, seed: int, k: int) -> np.ndarray:
@@ -174,6 +173,19 @@ class TestCorrelationMatrix:
             back = reconstruct_state(corr)
             assert np.linalg.norm(back - rho.entries) < 1e-10
 
+    @pytest.mark.parametrize("change, message", [
+        ({}, "matrix carries no sigmas; Monte Carlo rank bounds need per-element "
+             "uncertainties (use zero sigmas for exact columns)"),
+        ({"rows": ["I", "Q", "Y", "Z"]}, "row label 'Q' is not a Pauli string over IXYZ"),
+    ], ids=["no-sigmas", "bad-label-first"])
+    @pytest.mark.parametrize("sigmas", [{}, {"sigmas": None}], ids=["missing", "null"])
+    def test_document_without_sigmas_refused(self, change, message, sigmas):
+        document = {k: v for k, v in matrix_document(eq3_fixture()).items() if k != "sigmas"}
+        document.update(change, **sigmas)
+        with pytest.raises(ValueError) as err:
+            CorrelationMatrix.from_dict(document)
+        assert str(err.value) == message
+
     def test_json_round_trip(self, tmp_path):
         corr = eq3_fixture()
         path = tmp_path / "m.json"
@@ -231,7 +243,6 @@ class TestDefaultTau:
         assert default_tau(corr.sigmas) == pytest.approx(2 * 0.05 * 2, abs=1e-12)
 
     def test_floor_without_sigmas(self):
-        assert default_tau(None) == TAU_FLOOR
         assert default_tau(np.zeros((4, 4))) == TAU_FLOOR
 
     def test_column_count_scaling(self):
@@ -246,11 +257,6 @@ class TestMonteCarloSvd:
         dist = monte_carlo_svd(corr, 50, seed=0)
         sv = np.linalg.svd(corr.values, compute_uv=False)
         np.testing.assert_array_equal(dist.samples, np.tile(sv, (50, 1)))
-
-    def test_rejects_missing_sigmas(self):
-        corr = correlation_matrix(named_state("bell"))
-        with pytest.raises(ValueError, match="sigmas"):
-            monte_carlo_svd(corr, 10, seed=0)
 
     @pytest.mark.parametrize("bin_width", [0.0, -0.1, float("nan"), float("inf")])
     def test_rejects_bad_bin_width(self, bin_width):
@@ -485,6 +491,12 @@ class TestColumnCombinationScan:
         with pytest.raises(ValueError, match="4 columns"):
             column_combination_scan(corr.with_uniform_sigmas(0.05), 10, 2, seed=0)
 
+    def test_exact_matrix_scans_as_its_zero_sigma_twin(self):
+        corr = correlation_matrix(named_state("final-dqc1"))
+        bare = column_combination_scan(corr, 30, 3, seed=4)
+        twin = column_combination_scan(corr.with_uniform_sigmas(0.0), 30, 3, seed=4)
+        np.testing.assert_array_equal(bare.samples, twin.samples)
+
     def test_deterministic(self):
         corr = correlation_matrix(named_state("initial-dqc1")).with_uniform_sigmas(0.05)
         a = column_combination_scan(corr, 20, 3, seed=4)
@@ -538,7 +550,8 @@ class TestWitnessProcedure:
     @pytest.mark.parametrize("name", ["bell", "initial-dqc1"])
     def test_matrix_without_sigmas_runs_as_its_zero_sigma_twin(self, name):
         corr = correlation_matrix(named_state(name))
-        assert corr.sigmas is None
+        np.testing.assert_array_equal(corr.sigmas, np.zeros(corr.values.shape))
+        assert not corr.sigmas.flags.writeable
         bare = witness_procedure(corr, n_samples=50, seed=2)
         twin = witness_procedure(corr.with_uniform_sigmas(0.0), n_samples=50, seed=2)
         assert bare.columns_used == twin.columns_used

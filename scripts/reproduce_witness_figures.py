@@ -6,7 +6,7 @@ Writes verdict JSONs and per-singular-value histogram CSVs
 (bin_center,relative_occurrence,cumulative) into results/witness/. The
 initial-state panel pools 1000 random four-column combinations x 10 noise
 resamples; the final-state panel propagates the published uncertainties
-through 10,000 SVD samples at bin width 0.005.
+through 10,000 Monte Carlo samples at bin width 0.005.
 """
 
 import argparse

@@ -155,32 +155,17 @@ def cmd_witness(args) -> int:
             f"--bin {args.bin} needs more than {wit.MAX_HISTOGRAM_BINS} histogram bins "
             f"for singular values up to {top:.4g}"
         )
-    try:
-        verdict = witness_procedure(
-            corr,
-            tau=args.tau,
-            confidence=args.confidence,
-            n_samples=args.samples,
-            seed=args.seed,
-            bin_width=args.bin,
-        )
-    except wit.HistogramBinsError as exc:
-        raise ValueError(
-            f"--bin {args.bin} is too fine for the noise; use a coarser --bin "
-            f"or a smaller --sigma ({exc})"
-        ) from None
+    verdict = witness_procedure(
+        corr, tau=args.tau, confidence=args.confidence, n_samples=args.samples, seed=args.seed
+    )
     scan_payload = None
     csv_dist = verdict.distribution
-    rank = verdict.rank_lower_bound
     if args.scan_combos is not None:
-        scan_dist = column_combination_scan(
-            corr, args.scan_combos, args.resamples, args.seed, bin_width=args.bin
-        )
+        scan_dist = column_combination_scan(corr, args.scan_combos, args.resamples, args.seed)
         scan_tau = args.tau if args.tau is not None else default_tau(corr.sigmas, n_cols=4)
         low = scan_dist.quantile(1 - args.confidence)
-        rank = int((low > scan_tau).sum())
         scan_payload = {
-            "rank_lower_bound": rank,
+            "rank_lower_bound": int((low > scan_tau).sum()),
             "tau": scan_tau,
             "n_samples": scan_dist.n_samples,
             "quantiles_low": low.tolist(),
@@ -188,10 +173,16 @@ def cmd_witness(args) -> int:
         }
         csv_dist = scan_dist
     prefix = args.csv_prefix if args.csv_prefix is not None else Path(args.out).with_suffix("")
-    csv_paths = write_histogram_csvs(csv_dist, prefix)
+    try:
+        csv_paths = write_histogram_csvs(csv_dist, prefix, args.bin)
+    except wit.HistogramBinsError as exc:
+        raise ValueError(
+            f"--bin {args.bin} is too fine for the noise; use a coarser --bin "
+            f"or a smaller --sigma ({exc})"
+        ) from None
     payload = {
         "outcome": verdict.outcome,
-        "rank_lower_bound": rank,
+        "rank_lower_bound": verdict.rank_lower_bound,
         "verdict": {
             "outcome": verdict.outcome,
             "rank_lower_bound": verdict.rank_lower_bound,
@@ -207,7 +198,10 @@ def cmd_witness(args) -> int:
         "csv_files": [str(p) for p in csv_paths],
     }
     path = _write_json(args, payload)
-    print(f"{verdict.outcome}: rank lower bound {rank} (dim A = {verdict.dim_a}) -> {path}")
+    print(
+        f"{verdict.outcome}: rank lower bound {verdict.rank_lower_bound} "
+        f"(dim A = {verdict.dim_a}) -> {path}"
+    )
     return EXIT_OK
 
 
@@ -293,7 +287,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=float, default=1.4e-5)
     p.add_argument("--start-seed", type=int, default=0)
     p.add_argument("--out", default="haar_survey.json")
-    p.add_argument("--csv", default="haar_survey.csv", help="per-seed values CSV")
+    p.add_argument("--csv", default=None, help="per-seed values CSV (default: --out with .csv)")
     p.set_defaults(func=cmd_haar_survey)
 
     return parser
@@ -338,8 +332,9 @@ FLAG_RANGES = {
 def _check_flags(args) -> None:
     """Before any work: refuse a flag given outside its modes, resolve its
     default inside them, refuse an output path in a missing directory or an
-    output file that is a directory (a CSV prefix is never opened itself), and
-    last refuse a numeric flag outside its range in ``FLAG_RANGES``."""
+    output file that is a directory (a CSV prefix is never opened itself, and
+    haar-survey's CSV defaults to ``--out`` with a .csv suffix and may not be
+    ``--out``), and last refuse a numeric flag outside its range in ``FLAG_RANGES``."""
     for dest, modes, applies, default in SCOPED_FLAGS.get(args.command, ()):
         value = getattr(args, dest)
         if not applies(args):
@@ -354,6 +349,10 @@ def _check_flags(args) -> None:
             raise ValueError(f"{flag} {path}: directory {os.path.dirname(path)} does not exist")
         if dest != "csv_prefix" and path is not None and Path(path).is_dir():
             raise ValueError(f"{flag} {path} is a directory, not a file")
+        if dest == "out" and getattr(args, "csv", "") is None:
+            args.csv = str(Path(path).with_suffix(".csv"))
+        if dest == "csv" and path is not None and os.path.abspath(path) == os.path.abspath(args.out):
+            raise ValueError(f"{flag} {path} is also the --out path")
     for dest, in_range, refusal in FLAG_RANGES.get(args.command, ()):
         value = getattr(args, dest)
         if value is not None and not in_range(value):

@@ -21,7 +21,7 @@ import json
 import math
 import zlib
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from pathlib import Path
 from typing import Sequence
 
@@ -176,7 +176,7 @@ def default_tau(sigmas: np.ndarray, n_cols: int | None = None) -> float:
 
 @dataclass(frozen=True)
 class Histogram:
-    """Relative-occurrence histogram: count / (n_samples x bin_width) per bin."""
+    """Relative-occurrence histogram: count / (n_samples x bin width) per bin."""
 
     bin_centers: np.ndarray
     relative_occurrence: np.ndarray
@@ -216,16 +216,10 @@ def _check_bin_width(bin_width: float) -> None:
 
 @dataclass(frozen=True)
 class SingularValueDistribution:
-    """Monte Carlo singular-value samples plus per-value histograms.
-
-    ``samples[i, j]`` is the j-th largest singular value of the i-th
-    perturbed matrix; histograms follow the count/(n x bin_width)
-    normalization with cumulative fractions alongside, and are built on
-    first access.
-    """
+    """Monte Carlo singular-value samples: ``samples[i, j]`` is the j-th
+    largest singular value of the i-th perturbed matrix."""
 
     samples: np.ndarray
-    bin_width: float
 
     def __post_init__(self):
         samples = np.array(self.samples, dtype=float)
@@ -233,21 +227,30 @@ class SingularValueDistribution:
             raise ValueError("samples must be (n_samples, n_singular_values)")
         if not np.isfinite(samples).all():
             raise ValueError(NON_FINITE_SAMPLES)
-        _check_bin_width(self.bin_width)
-        if float(samples.max(initial=0.0)) / self.bin_width >= MAX_HISTOGRAM_BINS:
-            raise HistogramBinsError(
-                f"bin_width {self.bin_width} needs more than {MAX_HISTOGRAM_BINS} histogram bins"
+        negative = samples[samples < 0]
+        if negative.size:
+            raise ValueError(
+                f"{negative.size} singular-value samples are negative (smallest {negative.min():.4g})"
             )
         samples.setflags(write=False)
         object.__setattr__(self, "samples", samples)
 
-    @cached_property
-    def histograms(self) -> tuple[Histogram, ...]:
+    def histograms(self, bin_width: float) -> tuple[Histogram, ...]:
+        """One histogram per singular value, count/(n x bin_width) per bin with
+        cumulative fractions alongside; :class:`HistogramBinsError` when the
+        largest sample needs ``MAX_HISTOGRAM_BINS`` bins or more."""
+        _check_bin_width(bin_width)
+        top = float(self.samples.max(initial=0.0))
+        if top / bin_width >= MAX_HISTOGRAM_BINS:
+            raise HistogramBinsError(
+                f"bin_width {bin_width} needs more than {MAX_HISTOGRAM_BINS} histogram bins "
+                f"for singular values up to {top:.4g}"
+            )
         hists = tuple(
-            _histogram(self.samples[:, j], self.bin_width) for j in range(self.n_singular_values)
+            _histogram(self.samples[:, j], bin_width) for j in range(self.n_singular_values)
         )
         for h in hists:
-            norm = h.relative_occurrence.sum() * self.bin_width
+            norm = h.relative_occurrence.sum() * bin_width
             if abs(norm - 1.0) > HISTOGRAM_NORM_TOL:
                 raise AssertionError(f"histogram integrates to {norm}, not 1")
             if np.any(np.diff(h.cumulative) < 0) or abs(h.cumulative[-1] - 1.0) > 1e-9:
@@ -298,7 +301,6 @@ class _GramFold:
         self.n_samples = n_samples
         self.seed = seed
         self.tril = np.tril_indices(n_rows)
-        self.diagonal = np.flatnonzero(self.tril[0] == self.tril[1])
         self.packed = np.zeros((self.tril[0].size, n_samples))
         # each sample's floored eigenvalues (descending) when last decomposed
         self.last_eig = np.zeros((n_rows, n_samples))
@@ -328,10 +330,6 @@ class _GramFold:
     def n_singular_values(self) -> int:
         return min(self.n_rows, len(self.values))
 
-    def trace(self) -> np.ndarray:
-        """tr(G) of every sample."""
-        return self.packed[self.diagonal].sum(axis=0)
-
     def _exact_sv(self) -> np.ndarray:
         return np.linalg.svd(np.column_stack(self.values), compute_uv=False)
 
@@ -349,14 +347,13 @@ class _GramFold:
         lam[lam < GRAM_RESOLUTION**2 * lam[:, :1]] = 0.0  # and negative rounding
         return lam
 
-    def distribution(self, bin_width: float) -> SingularValueDistribution:
+    def distribution(self) -> SingularValueDistribution:
         """Singular values of every sample of the columns folded so far."""
         if not self.noisy:
-            samples = np.tile(self._exact_sv(), (self.n_samples, 1))
-            return SingularValueDistribution(samples, bin_width)
+            return SingularValueDistribution(np.tile(self._exact_sv(), (self.n_samples, 1)))
         self._check_finite()
         lam = self._eigenvalues(slice(None))[:, : self.n_singular_values]
-        return SingularValueDistribution(np.sqrt(lam), bin_width)
+        return SingularValueDistribution(np.sqrt(lam))
 
     def _decompose(self, idx: np.ndarray) -> np.ndarray:
         """Decompose samples ``idx``, keep their eigenvalues as bounds, and
@@ -367,7 +364,7 @@ class _GramFold:
 
     def _lower_bounds(self) -> np.ndarray:
         """(n_sv, n_samples) lower bounds on the current singular values."""
-        trace = self.trace()
+        trace = self.packed[self.tril[0] == self.tril[1]].sum(axis=0)  # tr(G)
         bound = self.last_eig[: self.n_singular_values]
         bound = bound - (64 + len(self.values)) * np.finfo(float).eps * trace
         bound[bound < GRAM_RESOLUTION**2 * trace] = 0.0
@@ -375,7 +372,7 @@ class _GramFold:
 
     def quantiles(self, q: float) -> tuple[np.ndarray, int]:
         """The q-quantile of each singular value over the samples, equal to
-        ``distribution(...).quantile(q)``, and the number of samples decomposed.
+        ``distribution().quantile(q)``, and the number of samples decomposed.
 
         G only gains c c^T, so by Weyl's inequalities every eigenvalue of a
         sample is at least its value when last decomposed. That value, less a
@@ -429,7 +426,6 @@ def column_combination_scan(
     n_combos: int,
     resamples_per_combo: int,
     seed: int,
-    bin_width: float = 0.005,
 ) -> SingularValueDistribution:
     """Pooled singular-value distribution over random 4-column submatrices.
 
@@ -438,7 +434,6 @@ def column_combination_scan(
     into a single distribution (e.g. 1000 x 10 = 10,000 samples), folded by
     :class:`_GramFold` with column slot k labelled ``f"combination slot {k}"``.
     """
-    _check_bin_width(bin_width)
     if n_combos < 1 or resamples_per_combo < 1:
         raise ValueError(
             f"n_combos {n_combos} and resamples_per_combo {resamples_per_combo} must be at least 1"
@@ -460,7 +455,7 @@ def column_combination_scan(
     picks = np.repeat(picks, resamples_per_combo, axis=0)  # (n_samples, 4)
     for k, slot in enumerate(picks.T):
         fold.add(f"combination slot {k}", corr.values[:, slot], corr.sigmas[:, slot])
-    return fold.distribution(bin_width)
+    return fold.distribution()
 
 
 def z_sector_first_order(col_labels: Sequence[PauliLabel]) -> tuple[PauliLabel, ...]:
@@ -525,7 +520,6 @@ def witness_procedure(
     confidence: float = 0.99,
     n_samples: int = 10000,
     seed: int = 0,
-    bin_width: float = 0.005,
 ) -> WitnessVerdict:
     """Iterative column acquisition until rank(R) > dim(A) or exhaustion.
 
@@ -541,12 +535,9 @@ def witness_procedure(
     reads the quantiles over every Monte Carlo sample of those columns, and
     the verdict's distribution holds every sample of all columns used.
     Exhausting all columns without exceeding dim(A) is the Inconclusive
-    verdict, not an error. :class:`HistogramBinsError` is raised at the first
-    rank check whose samples already need more than ``MAX_HISTOGRAM_BINS``
-    bins of ``bin_width``.
+    verdict, not an error.
     """
     _check_confidence(confidence)
-    _check_bin_width(bin_width)
     if tau is not None:
         _check_tau(tau)
     dim_a = 2 ** len(corr.row_labels[0])
@@ -562,29 +553,21 @@ def witness_procedure(
             continue
         tau_step = default_tau(corr.sigmas[:, index[:k]]) if tau is None else tau
         low, decomposed = fold.quantiles(1.0 - confidence)
-        # lambda_max(G) >= tr(G) / rows, and G only grows (Weyl), so the
-        # verdict's histograms will need at least this many bins; the 1e-6
-        # slack is far above the rounding of tr(G) and of eigvalsh
-        top = math.sqrt(float(fold.trace().max()) / fold.n_rows) * (1 - 1e-6)
-        if top / bin_width >= MAX_HISTOGRAM_BINS:
-            raise HistogramBinsError(
-                f"bin_width {bin_width} needs more than {MAX_HISTOGRAM_BINS} histogram bins: "
-                f"the largest singular-value sample is at least {top:.4g} after {k} columns"
-            )
         rank = int((low > tau_step).sum())
         trajectory.append(RankCheck(label, tau_step, rank, tuple(low.tolist()), decomposed))
         if rank > dim_a:
             break
-    return WitnessVerdict(
-        order[:k], confidence, dim_a, fold.distribution(bin_width), tuple(trajectory)
-    )
+    return WitnessVerdict(order[:k], confidence, dim_a, fold.distribution(), tuple(trajectory))
 
 
-def write_histogram_csvs(dist: SingularValueDistribution, prefix: str | Path) -> list[Path]:
+def write_histogram_csvs(
+    dist: SingularValueDistribution, prefix: str | Path, bin_width: float
+) -> list[Path]:
     """Write one CSV per singular value: bin_center,relative_occurrence,cumulative
-    rows at fixed-point 6 decimals. Returns the paths written."""
+    rows at fixed-point 6 decimals. Every histogram is built, and so checked,
+    before the first file is written. Returns the paths written."""
     paths = []
-    for i, h in enumerate(dist.histograms, start=1):
+    for i, h in enumerate(dist.histograms(bin_width), start=1):
         path = Path(f"{prefix}_sv{i}.csv")
         rows = zip(h.bin_centers, h.relative_occurrence, h.cumulative)
         body = "".join(f"{c:.6f},{r:.6f},{cu:.6f}\n" for c, r, cu in rows)

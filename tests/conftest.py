@@ -16,7 +16,7 @@ from qdiscord import (
     haar_random_unitary,
     is_zero_discord,
 )
-from qdiscord.witness import _check_bin_width, _GramFold
+from qdiscord.witness import _GramFold
 
 # CODATA 2018 (exact in the 2019 SI): hbar = h/2pi with h = 6.62607015e-34 J s,
 # k_B = 1.380649e-23 J/K.
@@ -73,18 +73,15 @@ def matrix_document(corr: CorrelationMatrix) -> dict:
     }
 
 
-def monte_carlo_svd(
-    corr: CorrelationMatrix, n_samples: int, seed: int, bin_width: float = 0.005
-) -> SingularValueDistribution:
+def monte_carlo_svd(corr: CorrelationMatrix, n_samples: int, seed: int) -> SingularValueDistribution:
     """Singular values of every Monte Carlo sample of all of ``corr``'s
     columns, folded in their given order: the distribution
     ``witness_procedure`` checks after acquiring the same columns, since each
     column's noise is keyed by ``seed`` and its label."""
-    _check_bin_width(bin_width)
     fold = _GramFold(len(corr.row_labels), n_samples, seed)
     for j, label in enumerate(corr.col_labels):
         fold.add(label, corr.values[:, j], corr.sigmas[:, j])
-    return fold.distribution(bin_width)
+    return fold.distribution()
 
 
 def random_classical_quantum_state(n_b_qubits: int, seed: int) -> DensityMatrix:

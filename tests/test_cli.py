@@ -464,24 +464,28 @@ class TestWitnessCommand:
         assert calls == []
         assert not (tmp_path / "witness.json").exists()
 
-    def test_noise_too_wide_for_the_bins_exits_2_early(self, tmp_path, capsys, monkeypatch):
-        # sigma 1000 puts the noisy singular values past 10^6 bins of 0.005
-        from qdiscord import witness
+    def test_noise_too_wide_for_the_bins_exits_2_early(self, tmp_path, capsys):
+        # sigma 1000 puts the procedure's singular values past 10^6 bins of
+        # 0.005, and sigma 2000 the scan's: refused before any file is written
+        for extra in (("--sigma", "1000"), ("--sigma", "2000", "--scan-combos", "5")):
+            args = ("witness", "--state", "initial-dqc1", "--samples", "100", *extra)
+            assert run(tmp_path, *args) == 2
+            err = capsys.readouterr().err
+            assert err.startswith(
+                "error: --bin 0.005 is too fine for the noise; use a coarser --bin or a "
+                "smaller --sigma (bin_width 0.005 needs more than 1000000 histogram bins "
+                "for singular values up to "
+            )
+            assert list(tmp_path.iterdir()) == []
 
-        fetched = []
-        real = witness._GramFold.add
-
-        def counted(self, label, values, sigmas):
-            fetched.append(label)
-            return real(self, label, values, sigmas)
-
-        monkeypatch.setattr(witness._GramFold, "add", counted)
-        args = ("witness", "--state", "initial-dqc1", "--samples", "100", "--sigma", "1000")
-        assert run(tmp_path, *args) == 2
-        err = capsys.readouterr().err
-        assert "--bin" in err and "--sigma" in err and "histogram bins" in err
-        assert 4 <= len(fetched) < 64
-        assert not (tmp_path / "witness.json").exists()
+    def test_only_the_written_histograms_must_fit_the_bins(self, tmp_path):
+        # at sigma 650 the procedure's samples need 1.4e6 bins of 0.005, but
+        # only the scan's, at 5.9e5, are written
+        args = ("witness", "--state", "initial-dqc1", "--samples", "100", "--sigma", "650",
+                "--scan-combos", "5")
+        assert run(tmp_path, *args) == 0
+        csvs = [f"witness_sv{i}.csv" for i in range(1, 5)]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["witness.json", *csvs]
 
     def test_config_embedded(self, tmp_path):
         assert run(tmp_path, "witness", "--matrix", "rtrunc_eq3", "--seed", "3") == 0
@@ -502,6 +506,19 @@ class TestWitnessCommand:
         assert scan["n_samples"] == 5 * 10
         # the scan rank counts the low quantiles the payload reports
         assert scan["rank_lower_bound"] == sum(q > scan["tau"] for q in scan["quantiles_low"])
+
+    def test_top_level_result_is_the_verdict_with_scan_combos(self, tmp_path, capsys):
+        # the scan's own rank, 1 here, stays in "scan"
+        args = ("witness", "--state", "final-dqc1", "--samples", "100", "--scan-combos", "20")
+        assert run(tmp_path, *args) == 0
+        out = json.loads((tmp_path / "witness.json").read_text())
+        verdict = out["verdict"]
+        assert verdict["outcome"] == out["outcome"] == "DiscordWitnessed"
+        assert verdict["rank_lower_bound"] == out["rank_lower_bound"] == 3
+        assert out["scan"]["rank_lower_bound"] == 1
+        assert capsys.readouterr().out == (
+            "DiscordWitnessed: rank lower bound 3 (dim A = 2) -> witness.json\n"
+        )
 
     def test_measure_seed_with_matrix_exits_2(self, tmp_path, capsys):
         # a correlation-matrix file is already measured: no noise is sampled into it
@@ -793,7 +810,7 @@ def test_every_optional_flag_acts_or_is_refused(tmp_path, capsys, command, sourc
          {"sigma": None, "measure_seed": None, "resamples": None, "csv_prefix": None}),
         (("witness", "--state", "initial-dqc1", "--samples", "50", "--scan-combos", "3"),
          {"sigma": 0.05, "resamples": 10}),
-        (("haar-survey", "--seeds", "1", "--dim", "8"), {"seeds": 1, "csv": "haar_survey.csv"}),
+        (("haar-survey", "--seeds", "1", "--dim", "8"), {"seeds": 1, "csv": "o.csv"}),
     ],
     ids=["simulate", "discord-dqc1", "discord-state", "witness-matrix", "witness-scan",
          "haar-survey"],
@@ -894,6 +911,26 @@ class TestHaarSurveyCommand:
         assert "--seeds" in capsys.readouterr().err
         assert not (tmp_path / "haar_survey.json").exists()
         assert not (tmp_path / "haar_survey.csv").exists()
+
+    def test_csv_defaults_to_beside_out(self, tmp_path, capsys):
+        (tmp_path / "sub").mkdir()
+        args = ("haar-survey", "--seeds", "2", "--dim", "8", "--out", "sub/h.json")
+        assert run(tmp_path, *args) == 0
+        assert json.loads((tmp_path / "sub/h.json").read_text())["values_csv"] == "sub/h.csv"
+        assert sorted(p.name for p in (tmp_path / "sub").iterdir()) == ["h.csv", "h.json"]
+        assert [p.name for p in tmp_path.iterdir()] == ["sub"]
+        # a derived path that is a directory is refused before any work
+        (tmp_path / "sub/d.csv").mkdir()
+        assert run(tmp_path, *args[:-1], "sub/d.json") == 2
+        assert "--csv sub/d.csv is a directory" in capsys.readouterr().err
+        assert not (tmp_path / "sub/d.json").exists()
+
+    @pytest.mark.parametrize("paths", [("--out", "h.csv"), ("--out", "h.json", "--csv", "./h.json")])
+    def test_csv_that_is_out_exits_2(self, tmp_path, capsys, paths):
+        # the JSON would overwrite the CSV it names in values_csv
+        assert run(tmp_path, "haar-survey", "--seeds", "1", "--dim", "8", *paths) == 2
+        assert f"--csv {paths[-1]} is also the --out path" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     def test_alpha_above_nmr_scale_runs(self, tmp_path):
         args = ("haar-survey", "--seeds", "1", "--dim", "8", "--alpha", "1e-3")

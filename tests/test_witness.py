@@ -260,8 +260,10 @@ class TestMonteCarloSvd:
 
     @pytest.mark.parametrize("bin_width", [0.0, -0.1, float("nan"), float("inf")])
     def test_rejects_bad_bin_width(self, bin_width):
+        # the Monte Carlo takes no width; its distribution's histograms check it
+        dist = monte_carlo_svd(eq3_fixture(), 10, seed=0)
         with pytest.raises(ValueError, match="bin_width"):
-            monte_carlo_svd(eq3_fixture(), 10, seed=0, bin_width=bin_width)
+            dist.histograms(bin_width)
 
     def test_scalar_folded_normal(self):
         corr = CorrelationMatrix(("X",), ("X",), np.array([[1.0]]), np.array([[0.1]]))
@@ -271,7 +273,7 @@ class TestMonteCarloSvd:
         assert dist.samples.std() == pytest.approx(0.1, abs=0.01)
 
     def test_eq3_distribution_shape(self):
-        dist = monte_carlo_svd(eq3_fixture(), 10000, seed=1, bin_width=0.005)
+        dist = monte_carlo_svd(eq3_fixture(), 10000, seed=1)
         q01 = dist.quantile(0.01)
         med = dist.medians()
         assert q01[2] > 0.2  # third singular value bounded away from zero
@@ -395,7 +397,7 @@ class TestRankCheckQuantiles:
         fold = wit._GramFold(len(corr.row_labels), 1000, seed=5)
         for j, label in enumerate(corr.col_labels):
             fold.add(label, corr.values[:, j], corr.sigmas[:, j])
-            current = fold.distribution(0.005).samples.T
+            current = fold.distribution().samples.T
             assert np.all(fold._lower_bounds() <= current)
             fold.quantiles(0.01)
 
@@ -410,7 +412,7 @@ class TestRankCheckQuantiles:
         subset = full[:, rng.permutation(np.unique(low))]
         for lowest in (full, subset):
             assert wit._quantile_of_lowest(lowest, q, n).tobytes() == want.tobytes()
-        got = SingularValueDistribution(full.T, 0.005).quantile(q)
+        got = SingularValueDistribution(full.T).quantile(q)
         assert got.tobytes() == want.tobytes()
 
 
@@ -420,8 +422,8 @@ class TestSingularValueDistribution:
     def test_histogram_invariants(self, seed):
         rng = np.random.default_rng(seed)
         samples = np.sort(np.abs(rng.standard_normal((200, 3))), axis=1)[:, ::-1]
-        dist = SingularValueDistribution(samples, 0.05)
-        for h in dist.histograms:
+        dist = SingularValueDistribution(samples)
+        for h in dist.histograms(0.05):
             assert h.relative_occurrence.sum() * 0.05 == pytest.approx(1.0, abs=1e-6)
             assert np.all(np.diff(h.cumulative) >= 0)
             assert h.cumulative[-1] == pytest.approx(1.0, abs=1e-9)
@@ -429,39 +431,49 @@ class TestSingularValueDistribution:
     @pytest.mark.parametrize("bin_width", [0.0, -0.1, float("nan"), float("inf")])
     def test_rejects_bad_bin_width(self, bin_width):
         with pytest.raises(ValueError, match="bin_width"):
-            SingularValueDistribution(np.ones((10, 2)), bin_width)
+            SingularValueDistribution(np.ones((10, 2))).histograms(bin_width)
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
     def test_rejects_non_finite_samples(self, bad):
         samples = np.ones((10, 2))
         samples[3, 1] = bad
         with pytest.raises(ValueError, match="non-finite"):
-            SingularValueDistribution(samples, 0.005)
+            SingularValueDistribution(samples)
+
+    def test_rejects_negative_samples(self):
+        # a histogram from 0 up would miss them and integrate to less than 1
+        samples = np.ones((10, 2))
+        samples[[2, 5], 1] = [-1.0, -0.5]
+        with pytest.raises(ValueError, match=r"2 singular-value samples are negative \(smallest -1\)"):
+            SingularValueDistribution(samples)
 
     def test_rejects_bin_count_over_cap(self):
         # 1.0 / 1e-7 asks for 10^7 bins; refused before any allocation
-        with pytest.raises(ValueError, match="histogram bins"):
-            SingularValueDistribution(np.ones((10, 2)), 1e-7)
+        with pytest.raises(wit.HistogramBinsError, match="histogram bins for singular values up to 1$"):
+            SingularValueDistribution(np.ones((10, 2))).histograms(1e-7)
 
     def test_distinguishable_count(self):
         # the rank rule: singular values whose low quantile exceeds tau
         samples = np.tile([1.0, 0.3, 0.01], (100, 1))
-        low = SingularValueDistribution(samples, 0.005).quantile(0.01)
+        low = SingularValueDistribution(samples).quantile(0.01)
         np.testing.assert_array_equal(low, [1.0, 0.3, 0.01])
         assert int((low > 0.05).sum()) == 2
 
     @pytest.mark.parametrize("q", [1.5, -0.1, float("nan")])
     def test_quantile_outside_unit_interval_refused(self, q):
-        dist = SingularValueDistribution(np.ones((10, 2)), 0.005)
+        dist = SingularValueDistribution(np.ones((10, 2)))
         with pytest.raises(ValueError, match="quantile"):
             dist.quantile(q)
 
 
 class TestColumnCombinationScan:
     @pytest.mark.parametrize("bin_width", [0.0, -0.1, float("nan"), float("inf")])
-    def test_rejects_bad_bin_width(self, bin_width):
+    def test_rejects_bad_bin_width(self, bin_width, tmp_path):
+        # the scan takes no width; writing its histograms checks it
+        dist = column_combination_scan(eq3_fixture(), 10, 10, seed=0)
         with pytest.raises(ValueError, match="bin_width"):
-            column_combination_scan(eq3_fixture(), 10, 10, seed=0, bin_width=bin_width)
+            write_histogram_csvs(dist, tmp_path / "s", bin_width)
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("n_combos, resamples", [(0, 10), (10, 0), (-1, 10)])
     def test_rejects_empty_scan(self, n_combos, resamples):
@@ -604,14 +616,28 @@ class TestWitnessProcedure:
         verdict = witness_procedure(corr, n_samples=300, seed=1)
         assert len(verdict.columns_used) == 64
         assert calls == []
-        write_histogram_csvs(verdict.distribution, tmp_path / "h")
-        write_histogram_csvs(verdict.distribution, tmp_path / "h")
+        write_histogram_csvs(verdict.distribution, tmp_path / "h", 0.005)
         assert calls == [300] * 4
+        write_histogram_csvs(verdict.distribution, tmp_path / "h", 0.005)
+        assert calls == [300] * 8
 
     @pytest.mark.parametrize("confidence", [1.5, 0.0, -0.1, float("nan")])
     def test_rejects_confidence_outside_unit_interval(self, confidence):
         with pytest.raises(ValueError, match="confidence"):
             witness_procedure(eq3_fixture(), confidence=confidence)
+
+    @pytest.mark.parametrize("bin_width", [0.0, -0.1, float("nan"), float("inf")])
+    def test_rejects_bad_bin_width_before_fetching(self, bin_width, monkeypatch, tmp_path):
+        # the procedure takes no width; writing its histograms refuses a bad one
+        # before any histogram fetches the samples or any file is written
+        corr = correlation_matrix(named_state("initial-dqc1")).with_uniform_sigmas(0.05)
+        verdict = witness_procedure(corr, n_samples=100, seed=0)
+        calls = []
+        monkeypatch.setattr(wit, "_histogram", lambda *args: calls.append(args))
+        with pytest.raises(ValueError, match="bin_width"):
+            write_histogram_csvs(verdict.distribution, tmp_path / "h", bin_width)
+        assert calls == []
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("tau", [0.0, -1.0, float("nan"), float("inf")])
     def test_rejects_tau_not_positive_and_finite(self, tau):
@@ -619,12 +645,6 @@ class TestWitnessProcedure:
         corr = correlation_matrix(named_state("initial-dqc1")).with_uniform_sigmas(0.05)
         with pytest.raises(ValueError, match="tau"):
             witness_procedure(corr, tau=tau, n_samples=100)
-
-    @pytest.mark.parametrize("bin_width", [0.0, -0.1, float("nan"), float("inf")])
-    def test_rejects_bad_bin_width_before_fetching(self, bin_width, fetched):
-        with pytest.raises(ValueError, match="bin_width"):
-            witness_procedure(eq3_fixture(), bin_width=bin_width)
-        assert fetched == []
 
     def test_rank_checks_decompose_a_minority_of_samples(self):
         corr = correlation_matrix(named_state("initial-dqc1")).with_uniform_sigmas(0.05)
@@ -682,31 +702,28 @@ class TestWitnessProcedure:
         b = witness_procedure(eq3_fixture(), seed=3)
         np.testing.assert_array_equal(a.distribution.samples, b.distribution.samples)
 
-    @pytest.mark.parametrize("sigma", [0.05, 100.0, 1000.0])
-    def test_bin_bound_never_exceeds_the_final_samples(self, sigma):
-        # the early bin refusal rests on sqrt(tr(G) / rows) at any check being
-        # at most the largest singular value of the final samples
-        corr = correlation_matrix(named_state("initial-dqc1")).with_uniform_sigmas(sigma)
-        fold = wit._GramFold(len(corr.row_labels), 200, seed=7)
-        bounds = []
-        for j, label in enumerate(corr.col_labels):
-            fold.add(label, corr.values[:, j], corr.sigmas[:, j])
-            bounds.append(np.sqrt(fold.trace().max() / len(corr.row_labels)))
-        top = np.sqrt(fold._eigenvalues(slice(None))[:, 0].max())
-        assert max(bounds) == bounds[-1] <= top
-
     def test_noise_just_within_the_bins_runs(self):
-        # the last samples need 9.7e5 of the 10^6 bins: no early refusal
+        # the last samples need 9.7e5 of the 10^6 bins of 0.005
         corr = correlation_matrix(named_state("initial-dqc1")).with_uniform_sigmas(430.0)
         verdict = witness_procedure(corr, n_samples=200, seed=7)
         top_bins = verdict.distribution.samples.max() / 0.005
         assert 0.95 * wit.MAX_HISTOGRAM_BINS < top_bins < wit.MAX_HISTOGRAM_BINS
 
-    def test_bins_refused_at_the_first_check_that_needs_them(self, fetched):
+    def test_noise_beyond_the_bins_still_gives_a_verdict(self, fetched):
+        # the rank checks read quantiles, never histograms: no bin width can
+        # stop the procedure, however wide the noise
         corr = correlation_matrix(named_state("initial-dqc1")).with_uniform_sigmas(1000.0)
+        verdict = witness_procedure(corr, n_samples=100, seed=0)
+        assert verdict.outcome == OUTCOME_INCONCLUSIVE
+        assert tuple(fetched) == verdict.columns_used == z_sector_first_order(corr.col_labels)
+        assert verdict.distribution.samples.max() / 0.005 >= wit.MAX_HISTOGRAM_BINS
+
+    def test_bins_refused_at_the_first_check_that_needs_them(self):
+        # the first check that needs the bins is the one that builds histograms
+        corr = correlation_matrix(named_state("initial-dqc1")).with_uniform_sigmas(1000.0)
+        verdict = witness_procedure(corr, n_samples=100, seed=0)
         with pytest.raises(wit.HistogramBinsError, match="histogram bins"):
-            witness_procedure(corr, n_samples=100, seed=0)
-        assert len(fetched) < 64  # refused before the last column
+            verdict.distribution.histograms(0.005)
 
 
 class TestScaleInvariance:
@@ -732,8 +749,8 @@ class TestScaleInvariance:
 
 class TestHistogramCsv:
     def test_csv_format_and_normalization(self, tmp_path):
-        dist = monte_carlo_svd(eq3_fixture(), 500, seed=2, bin_width=0.01)
-        paths = write_histogram_csvs(dist, tmp_path / "hist")
+        dist = monte_carlo_svd(eq3_fixture(), 500, seed=2)
+        paths = write_histogram_csvs(dist, tmp_path / "hist", 0.01)
         assert len(paths) == 4
         for path in paths:
             lines = path.read_text().strip().splitlines()
@@ -744,6 +761,13 @@ class TestHistogramCsv:
             assert all(len(cell.split(".")[1]) == 6 for cell in lines[1].split(","))
             assert body[:, 1].sum() * 0.01 == pytest.approx(1.0, abs=2e-3)
             assert abs(body[-1, 2] - 1.0) < 1e-6
+
+    def test_bins_refused_before_any_file_is_written(self, tmp_path):
+        corr = correlation_matrix(named_state("initial-dqc1")).with_uniform_sigmas(1000.0)
+        verdict = witness_procedure(corr, n_samples=100, seed=0)
+        with pytest.raises(wit.HistogramBinsError, match="bin_width 0.005 needs more than"):
+            write_histogram_csvs(verdict.distribution, tmp_path / "h", 0.005)
+        assert list(tmp_path.iterdir()) == []
 
 
 def calls_by_scope(path: Path) -> list[tuple[str, str]]:

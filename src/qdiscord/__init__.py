@@ -13,7 +13,6 @@ from .dqc1 import (
     haar_random_unitary,
     input_state,
     jones_unitary,
-    load_unitary_json,
     output_state,
     trace_estimate,
 )
@@ -54,7 +53,7 @@ __version__ = "0.1.0"
 __all__ = [
     "DensityMatrix", "PauliLabel", "pauli_labels", "pauli_realize", "tensor",
     "Dqc1Instance", "haar_random_unitary", "input_state", "jones_unitary",
-    "load_unitary_json", "output_state", "trace_estimate",
+    "output_state", "trace_estimate",
     "DiscordResult", "MeasurementBasis", "ScalingFit",
     "ScalingFitError", "discord", "dqc1_discord",
     "fit_polarization_scaling", "haar_discord_survey", "is_zero_discord", "mutual_information",

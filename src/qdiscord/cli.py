@@ -13,6 +13,7 @@ import argparse
 import json
 import math
 import os
+import re
 import sys
 from dataclasses import asdict
 from pathlib import Path
@@ -43,24 +44,23 @@ EXIT_INPUT = 2
 EXIT_NUMERICAL = 3
 
 
-def _resolve(spec: str, builtins: dict, load, what: str):
-    """The builtin named ``spec``, else ``load`` of that file; ``what`` names it in refusals."""
+def _resolve(spec: str, what: str, parse):
+    """The builtin ``what`` named ``spec`` in ``states.BUILTINS``, else ``parse``
+    of the JSON document at that path: the one reader of a user's document."""
+    builtins = states.BUILTINS.get(what, {})
     if spec in builtins:
         return builtins[spec]()
     if not Path(spec).exists():
         raise ValueError(f"unknown {what} {spec!r}: not a builtin and no such file")
-    return load(Path(spec))
-
-
-_UNITARY = ({"jones": dqc1.jones_unitary, "identity8": lambda: np.eye(8, dtype=complex)},
-            dqc1.load_unitary_json, "unitary")
-_MATRIX = ({states.EQ3_FIXTURE_NAME: states.eq3_fixture}, CorrelationMatrix.load, "matrix")
+    with open(spec) as fh:
+        return parse(json.load(fh))
 
 
 def _resolve_state(args) -> DensityMatrix:
     if args.state is not None:
         return states.named_state(args.state)
-    return nmr.load_ensemble(args.ensemble)
+    # read off the module on each call, where perfbench's tracer wraps it
+    return _resolve(args.ensemble, "ensemble", nmr.load_ensemble)
 
 
 def _write_json(args, payload: dict) -> Path:
@@ -73,7 +73,7 @@ def _write_json(args, payload: dict) -> Path:
 
 
 def cmd_simulate(args) -> int:
-    u = _resolve(args.unitary, *_UNITARY)
+    u = _resolve(args.unitary, "unitary", dqc1.unitary_from_dict)
     inst = dqc1.Dqc1Instance(args.epsilon, u)
     estimate = dqc1.trace_estimate(inst)
     exact = complex(np.trace(u)) / u.shape[0]
@@ -96,7 +96,8 @@ def cmd_discord(args) -> int:
     if args.extrapolate:
         if args.alpha is None:
             raise ValueError("--extrapolate requires --alpha")
-        fit = fit_polarization_scaling(_resolve(args.dqc1, *_UNITARY), alpha=args.alpha)
+        u = _resolve(args.dqc1, "unitary", dqc1.unitary_from_dict)
+        fit = fit_polarization_scaling(u, alpha=args.alpha)
         payload = {
             "discord": fit.value,
             "direct": fit.direct,
@@ -111,7 +112,8 @@ def cmd_discord(args) -> int:
         return EXIT_OK
     zero_payload = {}
     if args.dqc1 is not None:
-        inst = dqc1.Dqc1Instance(args.epsilon, _resolve(args.dqc1, *_UNITARY))
+        u = _resolve(args.dqc1, "unitary", dqc1.unitary_from_dict)
+        inst = dqc1.Dqc1Instance(args.epsilon, u)
         result = dqc1_discord(inst.eigphases, inst.epsilon)
     else:
         rho = _resolve_state(args)
@@ -139,7 +141,7 @@ def cmd_discord(args) -> int:
 
 def _witness_input(args) -> CorrelationMatrix:
     if args.matrix is not None:
-        return _resolve(args.matrix, *_MATRIX)
+        return _resolve(args.matrix, "matrix", CorrelationMatrix.from_dict)
     rho = _resolve_state(args)
     if args.measure_seed is not None:
         return nmr.measured_correlation_matrix(rho, args.sigma, args.measure_seed)
@@ -176,9 +178,10 @@ def cmd_witness(args) -> int:
     try:
         csv_paths = write_histogram_csvs(csv_dist, prefix, args.bin)
     except wit.HistogramBinsError as exc:
+        # a matrix document carries its own sigmas, and --sigma is refused with it
+        noise = "smaller sigmas in the --matrix document" if args.matrix else "a smaller --sigma"
         raise ValueError(
-            f"--bin {args.bin} is too fine for the noise; use a coarser --bin "
-            f"or a smaller --sigma ({exc})"
+            f"--bin {args.bin} is too fine for the noise; use a coarser --bin or {noise} ({exc})"
         ) from None
     payload = {
         "outcome": verdict.outcome,
@@ -258,7 +261,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("witness", help="iterative correlation-matrix rank witness")
     src = p.add_mutually_exclusive_group(required=True)
-    src.add_argument("--matrix", help=f"correlation-matrix JSON file or '{states.EQ3_FIXTURE_NAME}'")
+    src.add_argument("--matrix", help="correlation-matrix JSON file or 'rtrunc_eq3'")
     src.add_argument("--state", help="named state: " + ", ".join(sorted(states.NAMED_STATES)))
     src.add_argument("--ensemble", help="ensemble JSON {alpha, pps}")
     p.add_argument("--sigma", type=float, default=None,
@@ -331,10 +334,12 @@ FLAG_RANGES = {
 
 def _check_flags(args) -> None:
     """Before any work: refuse a flag given outside its modes, resolve its
-    default inside them, refuse an output path in a missing directory or an
-    output file that is a directory (a CSV prefix is never opened itself, and
-    haar-survey's CSV defaults to ``--out`` with a .csv suffix and may not be
-    ``--out``), and last refuse a numeric flag outside its range in ``FLAG_RANGES``."""
+    default inside them, refuse an empty output path, one in a missing
+    directory or an output file that is a directory (a CSV prefix is never
+    opened itself, haar-survey's CSV defaults to ``--out`` with a .csv suffix
+    and may not be ``--out``, and witness's ``--out`` may not be one of its
+    histogram CSVs), and last refuse a numeric flag outside its range in
+    ``FLAG_RANGES``."""
     for dest, modes, applies, default in SCOPED_FLAGS.get(args.command, ()):
         value = getattr(args, dest)
         if not applies(args):
@@ -345,6 +350,8 @@ def _check_flags(args) -> None:
     for dest in ("out", "csv", "csv_prefix"):
         path = getattr(args, dest, None)
         flag = "--" + dest.replace("_", "-")
+        if path == "":
+            raise ValueError(f"{flag} must name a file")
         if path is not None and not os.path.isdir(os.path.dirname(path) or "."):
             raise ValueError(f"{flag} {path}: directory {os.path.dirname(path)} does not exist")
         if dest != "csv_prefix" and path is not None and Path(path).is_dir():
@@ -353,6 +360,10 @@ def _check_flags(args) -> None:
             args.csv = str(Path(path).with_suffix(".csv"))
         if dest == "csv" and path is not None and os.path.abspath(path) == os.path.abspath(args.out):
             raise ValueError(f"{flag} {path} is also the --out path")
+        if dest == "csv_prefix" and path is not None and re.fullmatch(
+            re.escape(os.path.abspath(path + "_sv")) + r"[1-9]\d*\.csv", os.path.abspath(args.out)
+        ):
+            raise ValueError(f"--out {args.out} is also a histogram CSV of {flag} {path}")
     for dest, in_range, refusal in FLAG_RANGES.get(args.command, ()):
         value = getattr(args, dest)
         if value is not None and not in_range(value):

@@ -8,9 +8,7 @@ epsilon * Tr(U) / 2^n.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -133,8 +131,3 @@ def unitary_from_dict(data: dict) -> np.ndarray:
     if u.shape != (d, d):
         raise ValueError(f"re/im shape {u.shape} does not match dim {d}")
     return u
-
-
-def load_unitary_json(path: str | Path) -> np.ndarray:
-    with open(path) as fh:
-        return unitary_from_dict(json.load(fh))

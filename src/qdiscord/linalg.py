@@ -37,14 +37,13 @@ def _readonly(a: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class DensityMatrix:
-    """Hermitian, unit-trace, positive-semidefinite operator on a qubit register.
-
-    ``qubit_partition`` records how the register splits into subsystems
-    (qubit counts per block); it defaults to one block per qubit.
+    """Hermitian, unit-trace, positive-semidefinite operator on a qubit register
+    split into the two subsystems A|B that discord and the correlation matrix
+    read: ``qubit_partition`` is (qubits of A, qubits of B).
     """
 
     entries: np.ndarray
-    qubit_partition: tuple[int, ...] | None = None
+    qubit_partition: tuple[int, int]
 
     def __post_init__(self):
         entries = np.array(self.entries, dtype=complex)
@@ -56,10 +55,12 @@ class DensityMatrix:
         n = dim.bit_length() - 1
         if dim < 2 or 2**n != dim:
             raise ValueError(f"dimension {dim} is not a power of 2")
-        part = self.qubit_partition
-        part = (1,) * n if part is None else tuple(int(k) for k in part)
-        if any(k <= 0 for k in part) or sum(part) != n:
-            raise ValueError(f"qubit partition {part} inconsistent with {n} qubits")
+        part = tuple(int(k) for k in self.qubit_partition)
+        if len(part) != 2 or min(part) < 1 or sum(part) != n:
+            raise ValueError(
+                f"qubit partition {part} does not split the {n}-qubit register "
+                "into two blocks A|B"
+            )
         dev = np.abs(entries - entries.conj().T).max()
         if dev > HERMITICITY_TOL:
             raise ValueError(f"not Hermitian: max deviation {dev:.3e}")
@@ -81,17 +82,10 @@ class DensityMatrix:
         return sum(self.qubit_partition)
 
     @property
-    def subsystem_dims(self) -> tuple[int, ...]:
-        return tuple(2**k for k in self.qubit_partition)
-
-    @property
     def bipartite_dims(self) -> tuple[int, int]:
-        """(d_A, d_B) of the A|B split that discord and the correlation
-        matrix use; only a state with exactly two blocks has one."""
-        if len(self.qubit_partition) != 2:
-            raise ValueError("state has no bipartite split")
-        da, db = self.subsystem_dims
-        return da, db
+        """(d_A, d_B) of the A|B split."""
+        na, nb = self.qubit_partition
+        return 2**na, 2**nb
 
 
 def complex_from_parts(spec: dict, what: str) -> np.ndarray:

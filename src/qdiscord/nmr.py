@@ -9,9 +9,7 @@ component untouched; the tests check rather than assume this.
 
 from __future__ import annotations
 
-import json
 import zlib
-from pathlib import Path
 
 import numpy as np
 
@@ -72,13 +70,11 @@ def measured_correlation_matrix(rho: DensityMatrix, sigma: float, seed: int):
     return CorrelationMatrix(rows, cols, values, exact.sigmas)
 
 
-def load_ensemble(data: dict | str | Path) -> DensityMatrix:
-    """The physical state :func:`embed` (pps, alpha) of an ensemble spec
-    {"alpha": a, "pps": <name or {"re", "im"[, "qubit_partition"]}>};
-    a pps name is one of the package's named fixtures."""
-    if not isinstance(data, dict):
-        with open(data) as fh:
-            data = json.load(fh)
+def load_ensemble(data: dict) -> DensityMatrix:
+    """The physical state :func:`embed` (pps, alpha) of a parsed ensemble
+    document {"alpha": a, "pps": <name or {"re", "im"[, "qubit_partition"]}>};
+    a pps name is one of the package's named fixtures, and an inline pps
+    without a partition has its first qubit as A."""
     try:
         alpha = float(data["alpha"])
         pps_spec = data["pps"]
@@ -91,9 +87,8 @@ def load_ensemble(data: dict | str | Path) -> DensityMatrix:
             entries = complex_from_parts(pps_spec, "density matrix")
             part = pps_spec.get("qubit_partition")
             if part is None:
-                n = entries.shape[0].bit_length() - 1
-                part = (1, n - 1) if n > 1 else (1,)
-            pps = DensityMatrix(entries, tuple(part))
+                part = (1, entries.shape[0].bit_length() - 2)
+            pps = DensityMatrix(entries, part)
         except (KeyError, TypeError, IndexError, OverflowError) as exc:
             raise ValueError(f"malformed pps spec: {exc}") from exc
     return embed(pps, alpha)

@@ -1,4 +1,5 @@
-"""Named fixture states and the measured truncated-matrix fixture.
+"""Named fixture states, the measured truncated-matrix fixture, and every
+builtin name the command line accepts in place of a JSON document.
 
 The two DQC1 fixtures are the pseudopure parts of the experiment: the initial
 state |0><0| (+) I/8 and the circuit output for the Jones unitary at full
@@ -16,8 +17,6 @@ import numpy as np
 from . import dqc1
 from .linalg import DensityMatrix, PAULI_1Q, tensor
 from .witness import CorrelationMatrix
-
-EQ3_FIXTURE_NAME = "rtrunc_eq3"
 
 
 def bell_state() -> DensityMatrix:
@@ -43,11 +42,24 @@ def final_dqc1() -> DensityMatrix:
     return dqc1.output_state(dqc1.Dqc1Instance(1.0, dqc1.jones_unitary()))
 
 
+def eq3_fixture() -> CorrelationMatrix:
+    """The published truncated correlation matrix with its uncertainties."""
+    ref = resources.files("qdiscord") / "fixtures" / "rtrunc_eq3.json"
+    return CorrelationMatrix.from_dict(json.loads(ref.read_text()))
+
+
 NAMED_STATES = {
     "bell": bell_state,
     "product-fixture": product_fixture,
     "initial-dqc1": initial_dqc1,
     "final-dqc1": final_dqc1,
+}
+
+# Builtin inputs by kind, each name mapped to its constructor; any other name
+# is the path of a JSON document.
+BUILTINS = {
+    "unitary": {"jones": dqc1.jones_unitary, "identity8": lambda: np.eye(8, dtype=complex)},
+    "matrix": {"rtrunc_eq3": eq3_fixture},
 }
 
 
@@ -58,9 +70,3 @@ def named_state(name: str) -> DensityMatrix:
         raise ValueError(
             f"unknown state {name!r}; known: {sorted(NAMED_STATES)}"
         ) from None
-
-
-def eq3_fixture() -> CorrelationMatrix:
-    """The published truncated correlation matrix with its uncertainties."""
-    ref = resources.files("qdiscord") / "fixtures" / "rtrunc_eq3.json"
-    return CorrelationMatrix.from_dict(json.loads(ref.read_text()))

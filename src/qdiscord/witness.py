@@ -17,7 +17,6 @@ decomposes them all.
 
 from __future__ import annotations
 
-import json
 import math
 import zlib
 from dataclasses import dataclass, field
@@ -140,11 +139,6 @@ class CorrelationMatrix:
                 "uncertainties (use zero sigmas for exact columns)"
             )
         return corr
-
-    @classmethod
-    def load(cls, path: str | Path) -> "CorrelationMatrix":
-        with open(path) as fh:
-            return cls.from_dict(json.load(fh))
 
 
 def correlation_matrix(rho: DensityMatrix) -> CorrelationMatrix:

@@ -42,16 +42,19 @@ def verdict_polarization_invariance(pps: DensityMatrix, alphas: list[float]) -> 
     return all(is_zero_discord(embed(pps, a)).is_zero == reference for a in alphas)
 
 
-def random_density_matrix(qubit_partition: Sequence[int], seed: int) -> DensityMatrix:
+def random_state(n_qubits: int, seed: int) -> np.ndarray:
     """Ginibre-induced random state: G G† normalized, G complex Gaussian."""
-    part = tuple(int(k) for k in qubit_partition)
-    dim = 2 ** sum(part)
+    dim = 2**n_qubits
     rng = np.random.default_rng(seed)
     g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     rho = g @ g.conj().T
     rho /= np.trace(rho).real
-    rho = (rho + rho.conj().T) / 2
-    return DensityMatrix(rho, part)
+    return (rho + rho.conj().T) / 2
+
+
+def random_density_matrix(qubit_partition: Sequence[int], seed: int) -> DensityMatrix:
+    """:func:`random_state` on the A|B split ``qubit_partition``."""
+    return DensityMatrix(random_state(sum(qubit_partition), seed), qubit_partition)
 
 
 def extract_columns(corr: CorrelationMatrix, labels: Sequence[PauliLabel]) -> CorrelationMatrix:
@@ -64,7 +67,7 @@ def extract_columns(corr: CorrelationMatrix, labels: Sequence[PauliLabel]) -> Co
 
 
 def matrix_document(corr: CorrelationMatrix) -> dict:
-    """The JSON object ``CorrelationMatrix.load`` reads back as ``corr``."""
+    """The JSON object ``CorrelationMatrix.from_dict`` reads back as ``corr``."""
     return {
         "rows": list(corr.row_labels),
         "cols": list(corr.col_labels),
@@ -95,15 +98,15 @@ def random_classical_quantum_state(n_b_qubits: int, seed: int) -> DensityMatrix:
     for k in range(2):
         vec = ua[:, k]
         proj = np.outer(vec, vec.conj())
-        sigma = random_density_matrix((n_b_qubits,), seed=10_000 + 7 * seed + k).entries
+        sigma = random_state(n_b_qubits, seed=10_000 + 7 * seed + k)
         rho += q[k] * np.kron(proj, sigma)
     rho = (rho + rho.conj().T) / 2
     return DensityMatrix(rho, (1, n_b_qubits))
 
 
 def random_product_state(n_b_qubits: int, seed: int) -> DensityMatrix:
-    a = random_density_matrix((1,), seed=seed).entries
-    b = random_density_matrix((n_b_qubits,), seed=seed + 500_000).entries
+    a = random_state(1, seed=seed)
+    b = random_state(n_b_qubits, seed=seed + 500_000)
     return DensityMatrix(np.kron(a, b), (1, n_b_qubits))
 
 

@@ -226,6 +226,27 @@ class TestDiscordCommand:
         assert exc.value.code == 2
         assert "--grid" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "document, message",
+        [
+            (None, "unknown ensemble 'ens.json': not a builtin and no such file"),
+            (
+                {"alpha": 0.5, "pps": {"re": (np.eye(8) / 8).tolist(),
+                                       "im": np.zeros((8, 8)).tolist(),
+                                       "qubit_partition": [1, 1, 1]}},
+                "qubit partition (1, 1, 1) does not split the 3-qubit register into two blocks A|B",
+            ),
+        ],
+        ids=["missing", "three-block"],
+    )
+    @pytest.mark.parametrize("command", ["discord", "witness"])
+    def test_ensemble_refused_when_loaded(self, tmp_path, capsys, command, document, message):
+        if document is not None:
+            (tmp_path / "ens.json").write_text(json.dumps(document))
+        assert run(tmp_path, command, "--ensemble", "ens.json") == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / f"{command}.json").exists()
+
     def test_ensemble_input(self, tmp_path):
         ens = tmp_path / "ens.json"
         ens.write_text(json.dumps({"alpha": 0.5, "pps": "bell"}))
@@ -478,6 +499,33 @@ class TestWitnessCommand:
             )
             assert list(tmp_path.iterdir()) == []
 
+    def test_noise_of_a_matrix_document_names_its_sigmas(self, tmp_path, capsys):
+        # --sigma is refused with --matrix, so the advice names the document's sigmas
+        corr = eq3_fixture()
+        document = {**matrix_document(corr), "sigmas": (corr.sigmas * 40_000).tolist()}
+        (tmp_path / "big.json").write_text(json.dumps(document))
+        assert run(tmp_path, "witness", "--matrix", "big.json", "--samples", "100") == 2
+        assert capsys.readouterr().err.startswith(
+            "error: --bin 0.005 is too fine for the noise; use a coarser --bin or smaller "
+            "sigmas in the --matrix document (bin_width 0.005 needs more than 1000000 "
+            "histogram bins for singular values up to "
+        )
+        assert [p.name for p in tmp_path.iterdir()] == ["big.json"]
+
+    def test_out_that_is_a_histogram_csv_exits_2(self, tmp_path, capsys, monkeypatch):
+        calls = count_calls(monkeypatch, "qdiscord.cli.witness_procedure")
+        args = ("witness", "--matrix", "rtrunc_eq3", "--samples", "100")
+        (tmp_path / "d").mkdir()
+        for out, prefix in (("w_sv1.csv", "w"), ("./w_sv12.csv", "w"), ("d/_sv2.csv", "d/")):
+            assert run(tmp_path, *args, "--out", out, "--csv-prefix", prefix) == 2
+            assert capsys.readouterr().err == (
+                f"error: --out {out} is also a histogram CSV of --csv-prefix {prefix}\n"
+            )
+        assert calls == []
+        assert [p.name for p in tmp_path.rglob("*")] == ["d"]
+        # sv0 is no histogram's name
+        assert run(tmp_path, *args, "--out", "w_sv0.csv", "--csv-prefix", "w") == 0
+
     def test_only_the_written_histograms_must_fit_the_bins(self, tmp_path):
         # at sigma 650 the procedure's samples need 1.4e6 bins of 0.005, but
         # only the scan's, at 5.9e5, are written
@@ -605,6 +653,26 @@ def test_missing_output_directory_exits_2_before_any_work(
     )
     assert run(tmp_path, *args) == 2
     assert f"{flag} nodir/" in capsys.readouterr().err
+    assert calls == []
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "args, flag",
+    [
+        (("simulate", "--unitary", "jones"), "--out"),
+        (("haar-survey", "--seeds", "1", "--dim", "8"), "--csv"),
+        (("witness", "--state", "bell", "--samples", "100"), "--csv-prefix"),
+    ],
+    ids=["out", "csv", "csv-prefix"],
+)
+def test_empty_output_path_exits_2_before_any_work(tmp_path, capsys, monkeypatch, args, flag):
+    calls = count_calls(
+        monkeypatch, "qdiscord.dqc1.trace_estimate", "qdiscord.cli.witness_procedure",
+        "qdiscord.cli.haar_discord_survey",
+    )
+    assert run(tmp_path, *args, flag, "") == 2
+    assert capsys.readouterr().err == f"error: {flag} must name a file\n"
     assert calls == []
     assert list(tmp_path.iterdir()) == []
 

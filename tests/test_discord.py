@@ -96,10 +96,6 @@ class TestMutualInformation:
         assert mutual_information(rho) == pytest.approx(oracle, abs=1e-12)
         assert oracle == pytest.approx(1.0, abs=1e-12)
 
-    def test_rejects_state_without_bipartite_split(self):
-        with pytest.raises(ValueError, match="no bipartite split"):
-            mutual_information(random_density_matrix((1, 1, 1), seed=0))
-
 
 class TestDiscord:
     def test_product_state_zero(self):

@@ -10,7 +10,7 @@ from qdiscord import (
 )
 from qdiscord.linalg import PAULI_1Q, entropy_from_eigenvalues
 
-from .conftest import random_density_matrix
+from .conftest import random_density_matrix, random_state
 
 I2 = PAULI_1Q["I"]
 X = PAULI_1Q["X"]
@@ -32,36 +32,31 @@ class TestTensor:
 
 class TestDensityMatrix:
     def test_rejects_non_hermitian(self):
-        m = np.eye(2, dtype=complex)
+        m = np.eye(4, dtype=complex)
         m[0, 1] = 1e-6
         with pytest.raises(ValueError, match="Hermitian"):
-            DensityMatrix(m / np.trace(m))
+            DensityMatrix(m / np.trace(m), (1, 1))
 
     def test_rejects_bad_trace(self):
         with pytest.raises(ValueError, match="trace"):
-            DensityMatrix(np.eye(2))
+            DensityMatrix(np.eye(4), (1, 1))
 
     def test_rejects_negative_eigenvalue(self):
         with pytest.raises(ValueError, match="semidefinite"):
-            DensityMatrix(np.diag([1.5, -0.5]))
+            DensityMatrix(np.diag([1.5, -0.5, 0.0, 0.0]), (1, 1))
 
     def test_rejects_non_finite_entries(self):
-        m = np.eye(2, dtype=complex) / 2
+        m = np.eye(4, dtype=complex) / 4
         m[1, 1] = np.nan
         with pytest.raises(ValueError, match="non-finite"):
-            DensityMatrix(m)
+            DensityMatrix(m, (1, 1))
 
     def test_rejects_bad_partition(self):
         with pytest.raises(ValueError, match="partition"):
             DensityMatrix(np.eye(4) / 4, (1, 2))
 
-    def test_default_partition_per_qubit(self):
-        rho = DensityMatrix(np.eye(8) / 8)
-        assert rho.qubit_partition == (1, 1, 1)
-        assert rho.subsystem_dims == (2, 2, 2)
-
     def test_entries_read_only(self):
-        rho = DensityMatrix(np.eye(2) / 2)
+        rho = DensityMatrix(np.eye(4) / 4, (1, 1))
         with pytest.raises(ValueError):
             rho.entries[0, 0] = 0.3
 
@@ -71,9 +66,9 @@ class TestDensityMatrix:
 
     @pytest.mark.parametrize("part", [(2,), (1, 1, 1)])
     def test_bipartite_dims_need_two_blocks(self, part):
-        rho = random_density_matrix(part, seed=0)
-        with pytest.raises(ValueError, match="no bipartite split"):
-            rho.bipartite_dims
+        # a state is refused at construction unless its partition is an A|B split
+        with pytest.raises(ValueError, match=r"qubit partition \(.*\) does not split"):
+            random_density_matrix(part, seed=0)
 
 
 class TestPartialTrace:
@@ -111,7 +106,7 @@ class TestEntropy:
 
     def test_additive_on_product_states(self):
         for seed in range(100):
-            a = random_density_matrix((1,), seed=seed).entries
+            a = random_state(1, seed=seed)
             b = random_density_matrix((1, 1), seed=seed + 1000).entries
             assert abs(entropy(tensor(a, b)) - (entropy(a) + entropy(b))) < 1e-9
 

@@ -1,5 +1,3 @@
-import json
-
 import numpy as np
 import pytest
 
@@ -184,10 +182,8 @@ class TestWitnessEmbeddingCommutation:
 
 
 class TestEnsembleIo:
-    def test_named_pps(self, tmp_path):
-        path = tmp_path / "ens.json"
-        path.write_text(json.dumps({"alpha": 0.25, "pps": "bell"}))
-        state = load_ensemble(path)
+    def test_named_pps(self):
+        state = load_ensemble({"alpha": 0.25, "pps": "bell"})
         expected = embed(named_state("bell"), 0.25)
         assert np.array_equal(state.entries, expected.entries)
         assert state.qubit_partition == expected.qubit_partition
@@ -216,6 +212,19 @@ class TestEnsembleIo:
                 load_ensemble({"alpha": 0.1, "pps": pps})
         with pytest.raises(ValueError, match="malformed"):
             load_ensemble({"alpha": 10**400, "pps": "bell"})
+
+    @pytest.mark.parametrize(
+        "dim, part, shown",
+        [(8, [1, 1, 1], "(1, 1, 1)"), (8, [3], "(3,)"), (2, None, "(1, 0)")],
+        ids=["three-block", "one-block", "one-qubit"],
+    )
+    def test_rejects_pps_without_an_a_b_split(self, dim, part, shown):
+        # a pps without a partition splits off its first qubit as A
+        re = (np.eye(dim) / dim).tolist()
+        pps = {"re": re, "im": np.zeros((dim, dim)).tolist(), "qubit_partition": part}
+        with pytest.raises(ValueError) as err:
+            load_ensemble({"alpha": 0.5, "pps": pps})
+        assert str(err.value).startswith(f"qubit partition {shown} does not split")
 
     def test_ensemble_alpha_validated(self):
         with pytest.raises(ValueError, match=r"alpha 1\.5 outside \(0, 1\]"):

@@ -47,16 +47,38 @@ largest at phi* = arg(tau_2 - tau_1^2) / 2 (mod pi), and
     D(eps) = c2 eps^2 + O(eps^4),  c2 = (1 - |tau_1|^2 - |tau_2 - tau_1^2|) / (4 ln 2).
 
 :func:`fit_polarization_scaling` returns c2 alpha^2 and checks it against
-:func:`dqc1_discord` at alpha. For Haar-random U, E|tau_1|^2 = E|Tr U|^2 / d^2
+the discord evaluated at alpha. For Haar-random U, E|tau_1|^2 = E|Tr U|^2 / d^2
 = 1/d^2 and Tr U^2 is nearly complex Gaussian with E|Tr U^2|^2 = 2, so
 E|tau_2 - tau_1^2| is about sqrt(pi/2) / d: both vanish as d grows, and c2
 tends to 1 / (4 ln 2), the alpha^2 / (4 ln 2) asymptote of the ensemble mean.
+
+That check needs no eigenphases either. With a_n = 1 / (2n (2n - 1) ln 2),
+g(x) = sum_n a_n x^(2n) for |x| < 1. Write m(phi) = Re(tau_1 e^{-i phi}) and
+
+    M_2n(phi) = mean_k c_k^(2n)
+              = 4^-n [C(2n, n) + 2 sum_{j=1..n} C(2n, n-j) Re(tau_2j e^{-2ij phi})],
+
+so that
+
+    D(eps) = sum_n a_n eps^(2n) (1 - |tau_1|^(2n))
+             + min_phi sum_n a_n eps^(2n) [m(phi)^(2n) - M_2n(phi)],
+
+which reads U only through Tr U and the traces of U^2, U^4, ... Each bracket
+[...] lies in [-1, 2], so the terms past n = N add at most
+2 eps^(2N+2) / ((2N+2)(2N+1) ln 2 (1 - eps^2)). The fit sums the fewest
+terms N that keep this bound within 2^-53 DEGENERATE_DISCORD eps^2, below
+the rounding of any c2 it does not count as 0: N = 3 at alpha = 1.4e-5, 10
+at 0.05 and 64 at about 0.64. Past ``MAX_SERIES_TERMS`` (64) terms, and at
+alpha = 1 where the series never converges, it takes the eigenphases of U
+and :func:`dqc1_discord` instead.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache, partial
 from typing import NamedTuple
 
 import numpy as np
@@ -76,6 +98,8 @@ EXTRAPOLATION_RTOL = 1e-3
 GRID = 64
 ANGLE_TOL = 1e-8
 MAX_ITER = 400
+# Most Taylor terms of g the small-polarization fit sums (module docstring).
+MAX_SERIES_TERMS = 64
 
 
 class ScalingFitError(RuntimeError):
@@ -307,23 +331,26 @@ def _bracket_point(lam: np.ndarray, eps: float, phi: float) -> tuple[float, floa
 
 
 @np.errstate(divide="ignore", invalid="ignore")  # atanh(1) of a pure block at eps = 1
-def _newton_polish(
-    lam: np.ndarray, eps: float, lo: float, x: float, hi: float, fx: float
-) -> tuple[float, float, int, bool]:
-    """Safeguarded Newton search for a minimum of the bracket between ``lo``
-    and ``hi``, starting at ``x`` with bracket value ``fx``.
+def _newton_polish(point, vals: np.ndarray) -> tuple[float, float, int, bool]:
+    """Safeguarded Newton search for a minimum of a bracket f of period pi,
+    given its values ``vals`` on the grid phi_i = i pi / len(vals); ``point(phi)``
+    returns f(phi), f'(phi) and f''(phi), the derivatives in any one unit.
 
-    x is always the lowest point seen and neither end lies below it (at the
-    start the ends are the grid neighbours of the grid minimum), so a local
-    minimum no higher than the start stays inside [lo, hi]. Each step
+    The search starts at the grid minimum x, between its grid neighbours lo
+    and hi. x is always the lowest point seen and neither end lies below it,
+    so a local minimum no higher than the start stays inside [lo, hi]. Each step
     moves to the side of x where the bracket falls (the sign of f'): by the
     Newton step -f'/f'' if f'' is positive and finite and the step stays on
-    that side, else to that side's midpoint. One :func:`_bracket_point`
-    call gives a trial point's value and derivatives; a lower point becomes
-    x, a higher one the end on its side. Returns the angle, its value, the
-    step count, and whether a step fell to ``ANGLE_TOL`` within ``MAX_ITER``.
+    that side, else to that side's midpoint. One ``point`` call gives a
+    trial point's value and derivatives; a lower point becomes x, a higher
+    one the end on its side. Returns the angle, its value, the step count,
+    and whether a step fell to ``ANGLE_TOL`` within ``MAX_ITER``.
     """
-    _, d1, d2 = _bracket_point(lam, eps, x)
+    h = np.pi / vals.size
+    i0 = int(np.argmin(vals))
+    x, fx = i0 * h, float(vals[i0])
+    lo, hi = x - h, x + h
+    _, d1, d2 = point(x)
     for step in range(1, MAX_ITER + 1):
         if d1 == 0:
             return x, fx, step, True
@@ -331,7 +358,7 @@ def _newton_polish(
         u = x - d1 / d2 if 0 < d2 < math.inf else math.nan
         if not (u - x) * (far - u) > 0:  # no Newton step, or it leaves the side
             u = (x + far) / 2
-        fu, e1, e2 = _bracket_point(lam, eps, u)
+        fu, e1, e2 = point(u)
         if abs(u - x) <= ANGLE_TOL:
             return (u, fu, step, True) if fu <= fx else (x, fx, step, True)
         if fu <= fx:
@@ -362,16 +389,11 @@ def dqc1_discord(eigphases: np.ndarray, eps: float) -> DiscordResult:
     """
     lam = np.asarray(eigphases, dtype=float).ravel()
     log_d = math.log2(lam.size)
-    h = np.pi / GRID
-    phis = np.arange(GRID) * h
-    vals = _bracket(lam, eps, phis)
-    i0 = int(np.argmin(vals))
-    phi, best, steps, converged = _newton_polish(
-        lam, eps, phis[i0] - h, float(phis[i0]), phis[i0] + h, float(vals[i0])
-    )
+    vals = _bracket(lam, eps, np.arange(GRID) * (np.pi / GRID))
+    phi, best, steps, converged = _newton_polish(partial(_bracket_point, lam, eps), vals)
     tau = abs(np.exp(1j * lam).mean())
     mi = float(_bias_information(eps) - _bias_information(eps * tau))
-    grid_min = log_d + float(vals[i0])
+    grid_min = log_d + float(vals.min())
     return DiscordResult(
         argmin_basis=MeasurementBasis(np.pi / 2, phi),
         mutual_information=mi,
@@ -393,22 +415,109 @@ def is_zero_discord(rho: DensityMatrix) -> ZeroDiscordResult:
 
     The smallest Frobenius distance ||rho - Pi_n(rho)||_F over bases and the
     basis that attains it come in closed form from the top eigenpair of
-    G_ij = Re Tr(Gamma_i Gamma_j) (module docstring); the state is zero
-    discord when that distance falls below ``DEFAULT_ZERO_DISCORD_TOL``.
+    G_ij = Re Tr(Gamma_i Gamma_j) (module docstring). Since
+    ||rho||_F^2 = (||rho_B||_F^2 + tr G) / 2, the squared distance is
+    (tr G - lambda_max(G)) / 2: G alone, with the identity part of rho, which
+    dephasing keeps, never subtracted. The state is zero discord when that
+    distance falls below ``DEFAULT_ZERO_DISCORD_TOL``.
     """
-    rho_b, gammas = _bloch_blocks(rho)
-    w, v = np.linalg.eigh(np.einsum("ibc,jcb->ij", gammas, gammas).real)
-    kept = (np.linalg.norm(rho_b) ** 2 + w[-1]) / 2
-    dist = math.sqrt(max(np.linalg.norm(rho.entries) ** 2 - kept, 0.0))
+    _, gammas = _bloch_blocks(rho)
+    g = np.einsum("ibc,jcb->ij", gammas, gammas).real
+    w, v = np.linalg.eigh(g)
+    dist = math.sqrt(max((np.trace(g) - w[-1]) / 2, 0.0))
     return ZeroDiscordResult(_measurement_basis(v[:, -1]), dist)
+
+
+def _series_terms(eps: float) -> int:
+    """Fewest Taylor terms N of g whose remainder bound
+    2 eps^(2N+2) / ((2N+2)(2N+1) ln 2 (1 - eps^2)) is at most
+    2^-53 DEGENERATE_DISCORD eps^2 (module docstring), or
+    ``MAX_SERIES_TERMS + 1`` when no N up to that limit is."""
+    x = eps * eps
+    tol = 2.0**-53 * DEGENERATE_DISCORD * math.log(2) * (1 - x) / 2
+    for n in range(1, MAX_SERIES_TERMS + 1):
+        if x**n <= tol * (2 * n + 2) * (2 * n + 1):
+            return n
+    return MAX_SERIES_TERMS + 1
+
+
+def _even_power_traces(u: np.ndarray, n: int) -> np.ndarray:
+    """[tau_2, tau_4, ..., tau_2n], tau_m = Tr(U^m) / d, from ceil(n/2) matrix
+    products: with V = U^2 and h = ceil(n/2), Tr V^(h+j) = sum(V^h * (V^j)^T)."""
+    h = (n + 1) // 2
+    powers = [u @ u]
+    for _ in range(h - 1):
+        powers.append(powers[-1] @ powers[0])
+    top = powers[-1]
+    traces = [np.trace(v) for v in powers] + [np.sum(top * v.T) for v in powers[: n - h]]
+    return np.array(traces) / u.shape[0]
+
+
+@lru_cache(maxsize=MAX_SERIES_TERMS)
+def _cos_power_weights(n: int) -> np.ndarray:
+    """Read-only (n, n + 1) table of C(2k, k - j) / 4^k for k = 1..n (rows)
+    and j = 0..n (columns; 0 for j > k), the weights of M_2k (module docstring)."""
+    w = np.array([[math.comb(2 * k, k - j) / 4**k if j <= k else 0.0 for j in range(n + 1)]
+                  for k in range(1, n + 1)])
+    w.setflags(write=False)
+    return w
+
+
+def _series_discord(tau1: complex, even: np.ndarray, eps: float) -> float:
+    """Discord of the circuit output at bias ``eps`` from the Taylor series
+    of g (module docstring), given tau_1 and ``even`` = [tau_2, tau_4, ...]
+    with at least :func:`_series_terms` (eps) entries.
+
+    With b_n = a_n eps^(2n) the bracket is Q(m(phi)) - P(phi) less a
+    constant: Q(m) = sum_n b_n m^(2n) and P(phi) = sum_j Re(c_j e^{-2ij phi}),
+    c_j = 2 tau_2j sum_n b_n C(2n, n-j) / 4^n. Its minimum is found as in
+    :func:`dqc1_discord`: a ``GRID`` scan of [0, pi), then
+    :func:`_newton_polish` on the exact phi-derivatives of Q and P.
+    """
+    n = _series_terms(eps)
+    k = np.arange(1, n + 1)
+    b = eps ** (2.0 * k) / (2 * k * (2 * k - 1) * math.log(2))
+    w = _cos_power_weights(n)
+    const = float(b @ (1 - abs(tau1) ** (2 * k) - w[:, 0]))
+    c = 2 * (b @ w[:, 1:]) * even[:n]
+    phis = np.arange(GRID) * (np.pi / GRID)
+    m = tau1.real * np.cos(phis) + tau1.imag * np.sin(phis)
+    s, q = m * m, 0.0
+    for bn in b[::-1]:
+        q = (q + bn) * s
+    vals = q - (np.exp(-2j * np.outer(phis, k)) @ c).real
+    b, c = b.tolist(), c.tolist()
+
+    def point(phi):
+        z = tau1 * cmath.exp(-1j * phi)
+        m, dm = z.real, z.imag  # m' = Im(tau_1 e^{-i phi}), m'' = -m
+        s = m * m
+        # Q(s) = s sum_n b_n s^(n-1) and its s-derivatives, by Horner's rule
+        q, q1, q2 = b[-1], 0.0, 0.0
+        for bn in reversed([0.0] + b[:-1]):
+            q2, q1, q = q2 * s + q1, q1 * s + q, q * s + bn
+        s1, s2 = 2 * m * dm, 2 * (dm * dm - m * m)
+        w = cmath.exp(-2j * phi)
+        t, p, p1, p2 = 1.0, 0.0, 0.0, 0.0
+        for j, cj in enumerate(c, 1):
+            t *= w
+            ct = cj * t
+            p, p1, p2 = p + ct.real, p1 + 2 * j * ct.imag, p2 - 4 * j * j * ct.real
+        return q - p, q1 * s1 - p1, 2 * q2 * s1 * s1 + q1 * s2 - p2
+
+    _, best, _, _ = _newton_polish(point, vals)
+    return max(const + best, 0.0)
 
 
 @dataclass(frozen=True)
 class ScalingFit:
-    """Small-polarization discord c2 * alpha^2 from the eigenphase closed
-    form, with the checks made on it: ``exponent`` is the measured
-    log2(D(alpha) / D(alpha/2)) and ``direct`` the discord evaluated at
-    alpha. A degenerate (zero) coefficient reports exponent 2 unmeasured."""
+    """Small-polarization discord c2 * alpha^2 from the closed form in
+    tau_1 and tau_2, with the checks made on it: ``exponent`` is the
+    measured log2(D(alpha) / D(alpha/2)) and ``direct`` the discord
+    evaluated at alpha, both from the Taylor series of g up to
+    ``MAX_SERIES_TERMS`` terms and from :func:`dqc1_discord` beyond
+    (module docstring). A degenerate (zero) coefficient reports exponent 2
+    unmeasured."""
 
     exponent: float
     coefficient: float
@@ -425,12 +534,18 @@ def fit_polarization_scaling(unitary: np.ndarray, alpha: float = 1.4e-5) -> Scal
     """Quadratic small-bias discord c2 * alpha^2 of the circuit output,
     checked against the discord evaluated directly at ``alpha``.
 
-    c2 comes from the eigenphases of U (module docstring); ``alpha`` must lie
-    in (0, 1]. A c2 at or below ``DEGENERATE_DISCORD`` counts as 0 (e.g.
+    c2 comes from tau_1 = Tr U / d and tau_2 = Tr U^2 / d (module docstring);
+    ``alpha`` must lie in (0, 1]. D(alpha) and D(alpha/2) come from the
+    Taylor series of g, which needs Tr U^2, Tr U^4, ..., Tr U^2N for the N
+    of :func:`_series_terms` at alpha (at alpha = 1.4e-5, N = 3: two matrix
+    products and no eigendecomposition). Past ``MAX_SERIES_TERMS`` terms (alpha above
+    about 0.64) they come from :func:`dqc1_discord` on the eigenphases of U,
+    the only route that serves those alphas.
+    A c2 at or below ``DEGENERATE_DISCORD`` counts as 0 (e.g.
     U = I or a Pauli product), and D(alpha) must then lie within
     ``DEGENERATE_DISCORD`` of 0. Otherwise ``ValueError`` is raised when
     D(alpha) or D(alpha/2) falls below the smallest normal double (for the
-    Jones unitary, alpha below about 1e-161), and :class:`ScalingFitError`
+    Jones unitary, alpha below about 5e-154), and :class:`ScalingFitError`
     when the measured exponent log2(D(alpha) / D(alpha/2)) has |p - 2| >= 0.02,
     or when c2 * alpha^2 differs from D(alpha) by more than
     ``EXTRAPOLATION_RTOL`` relative.
@@ -438,16 +553,27 @@ def fit_polarization_scaling(unitary: np.ndarray, alpha: float = 1.4e-5) -> Scal
     if not 0.0 < alpha <= 1.0:
         raise ValueError(f"alpha {alpha} outside (0, 1]")
     inst = dqc1.Dqc1Instance(alpha, unitary)
-    lam = inst.eigphases
-    tau1, tau2 = np.exp(1j * lam).mean(), np.exp(2j * lam).mean()
-    c2 = (1.0 - abs(tau1) ** 2 - abs(tau2 - tau1**2)) / (4 * math.log(2))
+    u, eps = inst.unitary, inst.epsilon
+    terms = _series_terms(eps)
+    series = terms <= MAX_SERIES_TERMS
+    even = _even_power_traces(u, terms if series else 1)
+    tau1 = complex(np.trace(u)) / u.shape[0]
+    c2 = (1.0 - abs(tau1) ** 2 - abs(even[0] - tau1**2)) / (4 * math.log(2))
     degenerate = c2 <= DEGENERATE_DISCORD
     coefficient = 0.0 if degenerate else float(c2)
-    direct = dqc1_discord(lam, inst.epsilon).discord
+    if series:
+        discord_at = partial(_series_discord, tau1, even)
+    else:
+        lam = inst.eigphases
+
+        def discord_at(e):
+            return dqc1_discord(lam, e).discord
+
+    direct = discord_at(eps)
     if degenerate:
         exponent, tol = 2.0, DEGENERATE_DISCORD
     else:
-        half = dqc1_discord(lam, inst.epsilon / 2).discord
+        half = discord_at(eps / 2)
         tiny = np.finfo(float).tiny
         if min(direct, half) < tiny:
             raise ValueError(
@@ -463,7 +589,7 @@ def fit_polarization_scaling(unitary: np.ndarray, alpha: float = 1.4e-5) -> Scal
                 "invalid, attempt direct computation"
             )
         tol = EXTRAPOLATION_RTOL * direct
-    fit = ScalingFit(exponent, coefficient, inst.epsilon, direct)
+    fit = ScalingFit(exponent, coefficient, eps, direct)
     if abs(fit.value - direct) > tol:
         raise ScalingFitError(
             f"extrapolated discord {fit.value:.6e} and direct value {direct:.6e} at "

@@ -56,7 +56,10 @@ class Dqc1Instance:
 
     @property
     def eigphases(self) -> np.ndarray:
-        """Eigenphases of U in (-pi, pi], the input of the discord closed form."""
+        """Eigenphases of U in (-pi, pi], the input of :func:`dqc1_discord`.
+
+        The small-polarization fit reads traces of powers of U instead, and
+        decomposes U only above the series limit of its module docstring."""
         return np.angle(np.linalg.eigvals(self.unitary))
 
 

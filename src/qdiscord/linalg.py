@@ -9,6 +9,7 @@ top qubit of the circuit diagrams).
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -35,6 +36,19 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _block_size(k, partition) -> int:
+    """A partition entry as an int; a float, string or bool is refused, not
+    truncated or read as 1."""
+    try:
+        if isinstance(k, bool):
+            raise TypeError
+        return operator.index(k)
+    except TypeError:
+        raise ValueError(
+            f"malformed qubit partition {partition!r}: entry {k!r} is not an integer"
+        ) from None
+
+
 @dataclass(frozen=True)
 class DensityMatrix:
     """Hermitian, unit-trace, positive-semidefinite operator on a qubit register
@@ -55,7 +69,7 @@ class DensityMatrix:
         n = dim.bit_length() - 1
         if dim < 2 or 2**n != dim:
             raise ValueError(f"dimension {dim} is not a power of 2")
-        part = tuple(int(k) for k in self.qubit_partition)
+        part = tuple(_block_size(k, self.qubit_partition) for k in self.qubit_partition)
         if len(part) != 2 or min(part) < 1 or sum(part) != n:
             raise ValueError(
                 f"qubit partition {part} does not split the {n}-qubit register "

@@ -7,7 +7,6 @@ import math
 import os
 import subprocess
 import sys
-import types
 from pathlib import Path
 
 import numpy as np
@@ -200,14 +199,15 @@ class TestDiscordCommand:
     def test_extrapolation_disagreeing_with_direct_value_exits_3(
         self, tmp_path, monkeypatch, capsys
     ):
+        # at this alpha the fit takes D(alpha) and D(alpha/2) from the series
         disc = importlib.import_module("qdiscord.discord")
-        exact = disc.dqc1_discord
+        exact = disc._series_discord
 
-        def doubled_at_alpha(eigphases, eps):
-            value = exact(eigphases, eps).discord
-            return types.SimpleNamespace(discord=2 * value if eps < 1e-4 else value)
+        def doubled_at_alpha(tau1, even, eps):
+            value = exact(tau1, even, eps)
+            return 2 * value if eps < 1e-4 else value
 
-        monkeypatch.setattr(disc, "dqc1_discord", doubled_at_alpha)
+        monkeypatch.setattr(disc, "_series_discord", doubled_at_alpha)
         code = run(
             tmp_path, "discord", "--dqc1", "jones", "--alpha", "1.4e-5", "--extrapolate"
         )
@@ -236,8 +236,14 @@ class TestDiscordCommand:
                                        "qubit_partition": [1, 1, 1]}},
                 "qubit partition (1, 1, 1) does not split the 3-qubit register into two blocks A|B",
             ),
+            (
+                {"alpha": 0.5, "pps": {"re": (np.eye(4) / 4).tolist(),
+                                       "im": np.zeros((4, 4)).tolist(),
+                                       "qubit_partition": [1.9, 1.2]}},
+                "malformed qubit partition [1.9, 1.2]: entry 1.9 is not an integer",
+            ),
         ],
-        ids=["missing", "three-block"],
+        ids=["missing", "three-block", "non-integer"],
     )
     @pytest.mark.parametrize("command", ["discord", "witness"])
     def test_ensemble_refused_when_loaded(self, tmp_path, capsys, command, document, message):

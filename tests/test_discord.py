@@ -25,7 +25,15 @@ from qdiscord import (
     pauli_realize,
     tensor,
 )
-from qdiscord.discord import _avg_conditional_entropy, _bloch_blocks, _bracket
+from qdiscord.discord import (
+    MAX_SERIES_TERMS,
+    _avg_conditional_entropy,
+    _bloch_blocks,
+    _bracket,
+    _even_power_traces,
+    _series_discord,
+    _series_terms,
+)
 from qdiscord.linalg import PAULI_1Q, entropy_from_eigenvalues
 
 from .conftest import random_density_matrix
@@ -524,3 +532,103 @@ class TestSmallPolarization:
         # far outside the quadratic regime the measured exponent drifts past 2.02
         with pytest.raises(ScalingFitError, match="exponent"):
             fit_polarization_scaling(jones_unitary(), alpha=0.9)
+
+
+# Both sides of the series limit: alpha up to about 0.64 takes the series, above it the eigenphases.
+FIT_ALPHAS = (1e-150, 1.4e-5, 1e-3, 0.05, 0.3, 0.6, 0.7, 0.9)
+
+
+def eigphase_c2(lam: np.ndarray) -> float:
+    tau1, tau2 = np.exp(1j * lam).mean(), np.exp(2j * lam).mean()
+    return (1 - abs(tau1) ** 2 - abs(tau2 - tau1**2)) / (4 * math.log(2))
+
+
+class TestSeriesFit:
+    """The fit's D(alpha), D(alpha/2) and c2 from Tr U, Tr U^2m and the
+    Taylor series of g, against dqc1_discord on the eigenphases."""
+
+    @pytest.mark.parametrize(
+        "alpha, terms", [(1e-150, 1), (1.4e-5, 3), (0.05, 10), (0.64, 64), (0.7, 65), (1.0, 65)]
+    )
+    def test_term_count(self, alpha, terms):
+        # the fewest terms whose remainder bound, over eps^2, is within 2^-53 DEGENERATE_DISCORD
+        def within(n):
+            remainder = 2 * alpha ** (2 * n)
+            return remainder <= 2.0**-53 * 1e-12 * (2 * n + 2) * (2 * n + 1) * math.log(2) * (
+                1 - alpha**2
+            )
+
+        assert _series_terms(alpha) == terms
+        assert within(terms) == (terms <= MAX_SERIES_TERMS)
+        assert not within(terms - 1)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 7])
+    @pytest.mark.parametrize("name", list(SMALL_POLARIZATION_UNITARIES))
+    def test_even_power_traces_match_eigenphases(self, name, n):
+        u = SMALL_POLARIZATION_UNITARIES[name]
+        lam = eigphases_of(u)
+        taus = [np.exp(2j * m * lam).mean() for m in range(1, n + 1)]
+        np.testing.assert_allclose(_even_power_traces(u, n), taus, rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("alpha", [a for a in FIT_ALPHAS if _series_terms(a) <= 64])
+    @pytest.mark.parametrize("name", list(SMALL_POLARIZATION_UNITARIES))
+    def test_series_matches_eigenphase_engine(self, name, alpha):
+        u = SMALL_POLARIZATION_UNITARIES[name]
+        lam = eigphases_of(u)
+        even = _even_power_traces(u, _series_terms(alpha))
+        tau1 = complex(np.trace(u)) / u.shape[0]
+        for eps in (alpha, alpha / 2):
+            oracle = dqc1_discord(lam, eps).discord
+            value = _series_discord(tau1, even, eps)
+            assert value == pytest.approx(oracle, rel=1e-12, abs=1e-15 * eps**2)
+
+    @pytest.mark.parametrize("alpha", FIT_ALPHAS)
+    @pytest.mark.parametrize("name", list(SMALL_POLARIZATION_UNITARIES))
+    def test_direct_and_exponent_match_eigenphase_engine(self, name, alpha):
+        u = SMALL_POLARIZATION_UNITARIES[name]
+        lam = eigphases_of(u)
+        direct, half = (dqc1_discord(lam, eps).discord for eps in (alpha, alpha / 2))
+        if eigphase_c2(lam) <= 1e-12:  # the zero-discord family: exponent 2, unmeasured
+            fit = fit_polarization_scaling(u, alpha=alpha)
+            assert fit.coefficient == 0.0 and fit.exponent == 2.0
+            assert fit.direct == pytest.approx(direct, abs=1e-15 * alpha**2)
+            return
+        exponent = math.log2(direct / half)
+        if not abs(exponent - 2) < 0.02:
+            # the fit refuses where the eigenphase engine's exponent leaves [1.98, 2.02]
+            with pytest.raises(ScalingFitError, match=f"= {exponent:.4f} outside"):
+                fit_polarization_scaling(u, alpha=alpha)
+            return
+        fit = fit_polarization_scaling(u, alpha=alpha)
+        assert fit.direct == pytest.approx(direct, rel=1e-12)
+        assert fit.exponent == pytest.approx(exponent, rel=1e-12)
+
+    @pytest.mark.parametrize("name", list(SMALL_POLARIZATION_UNITARIES))
+    def test_coefficient_matches_eigenphase_c2(self, name):
+        u = SMALL_POLARIZATION_UNITARIES[name]
+        c2 = eigphase_c2(eigphases_of(u))
+        fit = fit_polarization_scaling(u, alpha=1.4e-5)
+        if c2 <= 1e-12:
+            assert fit.coefficient == 0.0
+        else:
+            assert fit.coefficient == pytest.approx(c2, rel=4e-16, abs=0)
+
+    @pytest.mark.parametrize("name", ["jones", "haar32"])
+    def test_nmr_scale_fit_takes_no_eigendecomposition(self, monkeypatch, name):
+        def refused(*args, **kwargs):
+            raise AssertionError("eigvals called")
+
+        monkeypatch.setattr(np.linalg, "eigvals", refused)
+        fit = fit_polarization_scaling(SMALL_POLARIZATION_UNITARIES[name], alpha=1.4e-5)
+        assert 1.98 < fit.exponent < 2.02
+
+    def test_eigenphases_serve_alpha_past_the_series_limit(self, monkeypatch):
+        eigvals, calls = np.linalg.eigvals, []
+
+        def counted(a):
+            calls.append(a.shape)
+            return eigvals(a)
+
+        monkeypatch.setattr(np.linalg, "eigvals", counted)
+        fit_polarization_scaling(np.eye(8), alpha=0.7)
+        assert calls == [(8, 8)]

@@ -226,6 +226,23 @@ class TestEnsembleIo:
             load_ensemble({"alpha": 0.5, "pps": pps})
         assert str(err.value).startswith(f"qubit partition {shown} does not split")
 
+    @pytest.mark.parametrize(
+        "part, shown",
+        [
+            ([1.9, 1.2], "[1.9, 1.2]: entry 1.9"),
+            ([True, True], "[True, True]: entry True"),
+            ("11", "'11': entry '1'"),
+        ],
+        ids=["floats", "bools", "string"],
+    )
+    def test_rejects_non_integer_partition(self, part, shown):
+        # read with int() each of these would load as (1, 1)
+        pps = {"re": (np.eye(4) / 4).tolist(), "im": np.zeros((4, 4)).tolist()}
+        pps["qubit_partition"] = part
+        with pytest.raises(ValueError) as err:
+            load_ensemble({"alpha": 0.5, "pps": pps})
+        assert str(err.value) == f"malformed qubit partition {shown} is not an integer"
+
     def test_ensemble_alpha_validated(self):
         with pytest.raises(ValueError, match=r"alpha 1\.5 outside \(0, 1\]"):
             load_ensemble({"alpha": 1.5, "pps": "bell"})

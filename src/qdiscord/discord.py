@@ -53,24 +53,26 @@ E|tau_2 - tau_1^2| is about sqrt(pi/2) / d: both vanish as d grows, and c2
 tends to 1 / (4 ln 2), the alpha^2 / (4 ln 2) asymptote of the ensemble mean.
 
 That check needs no eigenphases either. With a_n = 1 / (2n (2n - 1) ln 2),
-g(x) = sum_n a_n x^(2n) for |x| < 1. Write m(phi) = Re(tau_1 e^{-i phi}) and
+g(x) = sum_n a_n x^(2n) for |x| < 1. Write b_n = a_n eps^(2n) and
+tau_1 = r e^{i theta_1}, so that m(phi) = mean_k c_k = r cos(phi - theta_1) and
 
-    M_2n(phi) = mean_k c_k^(2n)
-              = 4^-n [C(2n, n) + 2 sum_{j=1..n} C(2n, n-j) Re(tau_2j e^{-2ij phi})],
+    D(eps) = min_phi sum_n b_n [1 - r^(2n) + m(phi)^(2n) - mean_k c_k^(2n)].
 
-so that
+Both even powers of a cosine expand in the same harmonics: with
+w_nj = C(2n, n-j) / 4^n, cos^(2n) x = w_n0 + 2 sum_{j=1..n} w_nj cos(2jx). So
 
-    D(eps) = sum_n a_n eps^(2n) (1 - |tau_1|^(2n))
-             + min_phi sum_n a_n eps^(2n) [m(phi)^(2n) - M_2n(phi)],
+    D(eps) = sum_n b_n (1 - r^(2n)) (1 - w_n0) + min_phi sum_j Re(d_j e^{-2ij phi}),
+    d_j = 2 [(sum_n b_n w_nj r^(2n)) e^{2ij theta_1} - (sum_n b_n w_nj) tau_2j],
 
-which reads U only through Tr U and the traces of U^2, U^4, ... Each bracket
-[...] lies in [-1, 2], so the terms past n = N add at most
-2 eps^(2N+2) / ((2N+2)(2N+1) ln 2 (1 - eps^2)). The fit sums the fewest
-terms N that keep this bound within 2^-53 DEGENERATE_DISCORD eps^2, below
-the rounding of any c2 it does not count as 0: N = 3 at alpha = 1.4e-5, 10
-at 0.05 and 64 at about 0.64. Past ``MAX_SERIES_TERMS`` (64) terms, and at
-alpha = 1 where the series never converges, it takes the eigenphases of U
-and :func:`dqc1_discord` instead.
+a trigonometric polynomial in phi that reads U only through Tr U and the
+traces of U^2, U^4, ... Each bracket [...] lies in [-1, 2], so the terms
+past n = N add at most 2 eps^(2N+2) / ((2N+2)(2N+1) ln 2 (1 - eps^2)).
+The fit sums the fewest terms N that keep this bound within
+2^-53 DEGENERATE_DISCORD eps^2, below the rounding of any c2 it does not
+count as 0: N = 3 at alpha = 1.4e-5, 10 at 0.05 and 64 at about 0.64.
+Past ``MAX_SERIES_TERMS`` (64) terms, and at alpha = 1 where the series
+never converges, it takes the eigenphases of U and :func:`dqc1_discord`
+instead.
 """
 
 from __future__ import annotations
@@ -293,19 +295,13 @@ def _bias_information(x, pure: bool = True, at=None) -> np.ndarray:
     return (2 * x * at + np.log1p(-x * x)) / (2 * math.log(2))
 
 
-def _bracket(lam: np.ndarray, eps: float, phis) -> np.ndarray:
+def _bracket_point(lam: np.ndarray, eps: float, phi):
     """The bracket f(phi) = g(eps m) - mean_k g(eps c_k) of the module
-    docstring at each angle of ``phis``: the conditional entropy, less
-    log2 d, of the equatorial measurement at phi."""
-    c = np.cos(lam - np.asarray(phis, dtype=float)[..., None])
-    g_m = _bias_information(eps * (c.sum(axis=-1) / lam.size), eps >= 1)
-    return g_m - _bias_information(eps * c, eps >= 1).sum(axis=-1) / lam.size
-
-
-def _bracket_point(lam: np.ndarray, eps: float, phi: float) -> tuple[float, float, float]:
-    """f(phi), f'(phi) and f''(phi) of the bracket, the derivatives in units
-    of eps / ln 2, from one cos, sin and atanh of the eigenphases. With
-    s_k = sin(lambda_k - phi), S = mean_k s_k and g'(x) = atanh(x) / ln 2,
+    docstring (the conditional entropy, less log2 d, of the equatorial
+    measurement at phi), f'(phi) and f''(phi), the derivatives in units of
+    eps / ln 2, at ``phi`` or at each angle of an array ``phi``, from one cos,
+    sin and atanh of the eigenphases. With s_k = sin(lambda_k - phi),
+    S = mean_k s_k and g'(x) = atanh(x) / ln 2,
 
         f'  ~ atanh(eps m) S - mean_k atanh(eps c_k) s_k,
         f'' ~ eps S^2 / (1 - eps^2 m^2) - m atanh(eps m)
@@ -315,8 +311,9 @@ def _bracket_point(lam: np.ndarray, eps: float, phi: float) -> tuple[float, floa
     its limit 0, so f' stays finite, and f'' is infinite or NaN.
     """
     n = lam.size
-    c, s = np.cos(lam - phi), np.sin(lam - phi)
-    m, sm = c.sum() / n, s.sum() / n
+    arg = lam - np.asarray(phi, dtype=float)[..., None]
+    c, s = np.cos(arg), np.sin(arg)
+    m, sm = c.sum(axis=-1) / n, s.sum(axis=-1) / n
     x, xm = eps * c, eps * m
     pure = eps >= 1
     at, at_m = np.arctanh(x), np.arctanh(xm)
@@ -325,12 +322,12 @@ def _bracket_point(lam: np.ndarray, eps: float, phi: float) -> tuple[float, floa
         t, t_m = np.where(np.isfinite(t), t, 0.0), np.where(np.isfinite(t_m), t_m, 0.0)
     # 1 - eps^2 c^2 = (1 - eps^2) + eps^2 s^2 keeps its precision as |eps c| -> 1
     d2 = eps * sm * sm / (1 - xm**2) - m * at_m
-    d2 = d2 - eps * (s * s / ((1 - eps * eps) + (eps * s) ** 2)).sum() / n + (c * at).sum() / n
-    f = _bias_information(xm, pure, at_m) - _bias_information(x, pure, at).sum() / n
-    return float(f), float(t_m - t.sum() / n), float(d2)
+    d2 = d2 - eps * (s * s / ((1 - eps * eps) + (eps * s) ** 2)).sum(axis=-1) / n
+    d2 = d2 + (c * at).sum(axis=-1) / n
+    f = _bias_information(xm, pure, at_m) - _bias_information(x, pure, at).sum(axis=-1) / n
+    return f, t_m - t.sum(axis=-1) / n, d2
 
 
-@np.errstate(divide="ignore", invalid="ignore")  # atanh(1) of a pure block at eps = 1
 def _newton_polish(point, vals: np.ndarray) -> tuple[float, float, int, bool]:
     """Safeguarded Newton search for a minimum of a bracket f of period pi,
     given its values ``vals`` on the grid phi_i = i pi / len(vals); ``point(phi)``
@@ -340,25 +337,27 @@ def _newton_polish(point, vals: np.ndarray) -> tuple[float, float, int, bool]:
     and hi. x is always the lowest point seen and neither end lies below it,
     so a local minimum no higher than the start stays inside [lo, hi]. Each step
     moves to the side of x where the bracket falls (the sign of f'): by the
-    Newton step -f'/f'' if f'' is positive and finite and the step stays on
-    that side, else to that side's midpoint. One ``point`` call gives a
-    trial point's value and derivatives; a lower point becomes x, a higher
-    one the end on its side. Returns the angle, its value, the step count,
-    and whether a step fell to ``ANGLE_TOL`` within ``MAX_ITER``.
+    Newton step -f'/f'' if f'' is positive and finite and the step either
+    stays on that side or moves by at most ``ANGLE_TOL``, else to that side's
+    midpoint. One ``point`` call gives a trial point's value and derivatives;
+    a trial within ``ANGLE_TOL`` of x ends the search at the lower of the
+    two, a lower point becomes x, a higher one the end on its side. Returns
+    the angle, its value, the step count, and whether a step fell to
+    ``ANGLE_TOL`` within ``MAX_ITER``.
     """
     h = np.pi / vals.size
     i0 = int(np.argmin(vals))
     x, fx = i0 * h, float(vals[i0])
     lo, hi = x - h, x + h
-    _, d1, d2 = point(x)
+    _, d1, d2 = map(float, point(x))
     for step in range(1, MAX_ITER + 1):
         if d1 == 0:
             return x, fx, step, True
         far = hi if d1 < 0 else lo
         u = x - d1 / d2 if 0 < d2 < math.inf else math.nan
-        if not (u - x) * (far - u) > 0:  # no Newton step, or it leaves the side
-            u = (x + far) / 2
-        fu, e1, e2 = point(u)
+        if not (abs(u - x) <= ANGLE_TOL or (u - x) * (far - u) > 0):
+            u = (x + far) / 2  # no Newton step, or it leaves the side
+        fu, e1, e2 = map(float, point(u))
         if abs(u - x) <= ANGLE_TOL:
             return (u, fu, step, True) if fu <= fx else (x, fx, step, True)
         if fu <= fx:
@@ -371,6 +370,7 @@ def _newton_polish(point, vals: np.ndarray) -> tuple[float, float, int, bool]:
     return x, fx, MAX_ITER, False
 
 
+@np.errstate(divide="ignore", invalid="ignore")  # atanh(1) of a pure block at eps = 1
 def dqc1_discord(eigphases: np.ndarray, eps: float) -> DiscordResult:
     """Discord of the circuit output for bias ``eps`` and a unitary with the
     given eigenphases, from the closed form in the module docstring.
@@ -389,8 +389,9 @@ def dqc1_discord(eigphases: np.ndarray, eps: float) -> DiscordResult:
     """
     lam = np.asarray(eigphases, dtype=float).ravel()
     log_d = math.log2(lam.size)
-    vals = _bracket(lam, eps, np.arange(GRID) * (np.pi / GRID))
-    phi, best, steps, converged = _newton_polish(partial(_bracket_point, lam, eps), vals)
+    point = partial(_bracket_point, lam, eps)
+    vals = point(np.arange(GRID) * (np.pi / GRID))[0]
+    phi, best, steps, converged = _newton_polish(point, vals)
     tau = abs(np.exp(1j * lam).mean())
     mi = float(_bias_information(eps) - _bias_information(eps * tau))
     grid_min = log_d + float(vals.min())
@@ -455,8 +456,9 @@ def _even_power_traces(u: np.ndarray, n: int) -> np.ndarray:
 
 @lru_cache(maxsize=MAX_SERIES_TERMS)
 def _cos_power_weights(n: int) -> np.ndarray:
-    """Read-only (n, n + 1) table of C(2k, k - j) / 4^k for k = 1..n (rows)
-    and j = 0..n (columns; 0 for j > k), the weights of M_2k (module docstring)."""
+    """Read-only (n, n + 1) table of w_kj = C(2k, k - j) / 4^k for k = 1..n
+    (rows) and j = 0..n (columns; 0 for j > k), the weights of cos^(2k)
+    (module docstring)."""
     w = np.array([[math.comb(2 * k, k - j) / 4**k if j <= k else 0.0 for j in range(n + 1)]
                   for k in range(1, n + 1)])
     w.setflags(write=False)
@@ -468,42 +470,31 @@ def _series_discord(tau1: complex, even: np.ndarray, eps: float) -> float:
     of g (module docstring), given tau_1 and ``even`` = [tau_2, tau_4, ...]
     with at least :func:`_series_terms` (eps) entries.
 
-    With b_n = a_n eps^(2n) the bracket is Q(m(phi)) - P(phi) less a
-    constant: Q(m) = sum_n b_n m^(2n) and P(phi) = sum_j Re(c_j e^{-2ij phi}),
-    c_j = 2 tau_2j sum_n b_n C(2n, n-j) / 4^n. Its minimum is found as in
+    The bracket is the trigonometric polynomial sum_j Re(d_j e^{-2ij phi})
+    of the module docstring, built once. Its minimum is found as in
     :func:`dqc1_discord`: a ``GRID`` scan of [0, pi), then
-    :func:`_newton_polish` on the exact phi-derivatives of Q and P.
+    :func:`_newton_polish` on its exact phi-derivatives, evaluated in plain
+    Python.
     """
     n = _series_terms(eps)
     k = np.arange(1, n + 1)
     b = eps ** (2.0 * k) / (2 * k * (2 * k - 1) * math.log(2))
     w = _cos_power_weights(n)
-    const = float(b @ (1 - abs(tau1) ** (2 * k) - w[:, 0]))
-    c = 2 * (b @ w[:, 1:]) * even[:n]
+    r2n = abs(tau1) ** (2 * k)
+    const = float(b @ ((1 - r2n) * (1 - w[:, 0])))
+    d = 2 * ((b * r2n) @ w[:, 1:] * np.exp(2j * cmath.phase(tau1) * k) - (b @ w[:, 1:]) * even[:n])
     phis = np.arange(GRID) * (np.pi / GRID)
-    m = tau1.real * np.cos(phis) + tau1.imag * np.sin(phis)
-    s, q = m * m, 0.0
-    for bn in b[::-1]:
-        q = (q + bn) * s
-    vals = q - (np.exp(-2j * np.outer(phis, k)) @ c).real
-    b, c = b.tolist(), c.tolist()
+    vals = (np.exp(-2j * np.outer(phis, k)) @ d).real
+    d = d.tolist()
 
     def point(phi):
-        z = tau1 * cmath.exp(-1j * phi)
-        m, dm = z.real, z.imag  # m' = Im(tau_1 e^{-i phi}), m'' = -m
-        s = m * m
-        # Q(s) = s sum_n b_n s^(n-1) and its s-derivatives, by Horner's rule
-        q, q1, q2 = b[-1], 0.0, 0.0
-        for bn in reversed([0.0] + b[:-1]):
-            q2, q1, q = q2 * s + q1, q1 * s + q, q * s + bn
-        s1, s2 = 2 * m * dm, 2 * (dm * dm - m * m)
-        w = cmath.exp(-2j * phi)
-        t, p, p1, p2 = 1.0, 0.0, 0.0, 0.0
-        for j, cj in enumerate(c, 1):
-            t *= w
-            ct = cj * t
-            p, p1, p2 = p + ct.real, p1 + 2 * j * ct.imag, p2 - 4 * j * j * ct.real
-        return q - p, q1 * s1 - p1, 2 * q2 * s1 * s1 + q1 * s2 - p2
+        e, t = cmath.exp(-2j * phi), 1.0
+        f, f1, f2 = 0.0, 0.0, 0.0
+        for j, dj in enumerate(d, 1):
+            t *= e
+            z = dj * t
+            f, f1, f2 = f + z.real, f1 + 2 * j * z.imag, f2 - 4 * j * j * z.real
+        return f, f1, f2
 
     _, best, _, _ = _newton_polish(point, vals)
     return max(const + best, 0.0)

@@ -29,7 +29,7 @@ from qdiscord.discord import (
     MAX_SERIES_TERMS,
     _avg_conditional_entropy,
     _bloch_blocks,
-    _bracket,
+    _bracket_point,
     _even_power_traces,
     _series_discord,
     _series_terms,
@@ -392,8 +392,11 @@ class TestNewtonPolish:
             assert res.diagnostics["converged"]
             assert res.diagnostics["polish_gain"] >= 0
             phi = res.argmin_basis.phi
-            here = _bracket(lam, eps, phi)
-            near = _bracket(lam, eps, [phi - 1e-6, phi + 1e-6])
+            # the engine's own bracket: the oracle's (1 + x) ln(1 + x) form
+            # rounds to about 1e-21 at |x| ~ 1e-5, above this tolerance
+            with np.errstate(divide="ignore", invalid="ignore"):  # pure blocks at eps = 1
+                here = _bracket_point(lam, eps, phi)[0]
+                near = _bracket_point(lam, eps, [phi - 1e-6, phi + 1e-6])[0]
             assert np.all(near >= here - 1e-12 * abs(here)), (eps, near - here)
 
     @pytest.mark.parametrize("grid", [1, 2, 3])
@@ -417,7 +420,8 @@ class TestNewtonPolish:
     @pytest.mark.parametrize("eps", [1.4e-5, 0.5, 1.0])
     @pytest.mark.parametrize("name", ["jones", "haar32"])
     def test_one_bracket_evaluation_per_step(self, monkeypatch, name, eps):
-        # one at the grid minimum, then one per Newton step at its trial point
+        # one on the grid, one at the grid minimum, then one per Newton step
+        # at its trial point
         module = importlib.import_module("qdiscord.discord")
         point, calls = module._bracket_point, []
 
@@ -428,7 +432,29 @@ class TestNewtonPolish:
         monkeypatch.setattr(module, "_bracket_point", counted)
         lam = np.angle(np.linalg.eigvals(POLISH_UNITARIES[name]))
         steps = dqc1_discord(lam, eps).diagnostics["refine_nfev"]
-        assert len(calls) == steps + 1
+        assert len(calls) == steps + 2
+        assert np.shape(calls[0][2]) == (module.GRID,)
+        assert all(np.shape(args[2]) == () for args in calls[1:])
+
+    def test_converged_newton_step_ends_both_searches(self, monkeypatch):
+        # Newton converges here within three steps, and a step that rounds to
+        # no move must end the search rather than bisect toward a cell end
+        module = importlib.import_module("qdiscord.discord")
+        u, eps = haar_random_unitary(32, 2), 1.4e-5
+        assert dqc1_discord(eigphases_of(u), eps).diagnostics["refine_nfev"] <= 5
+        polish, calls = module._newton_polish, []
+
+        def counted(point, vals):
+            def counted_point(phi):
+                calls.append(phi)
+                return point(phi)
+
+            return polish(counted_point, vals)
+
+        monkeypatch.setattr(module, "_newton_polish", counted)
+        even = _even_power_traces(u, _series_terms(eps))
+        _series_discord(complex(np.trace(u)) / u.shape[0], even, eps)
+        assert len(calls) <= 6
 
 
 def test_oracles_use_no_private_qdiscord_names():
@@ -543,6 +569,13 @@ def eigphase_c2(lam: np.ndarray) -> float:
     return (1 - abs(tau1) ** 2 - abs(tau2 - tau1**2)) / (4 * math.log(2))
 
 
+# tau_1 = tau_2 = 0, so the j = 2 harmonic of the series bracket places its minimum
+SERIES_UNITARIES = {
+    **SMALL_POLARIZATION_UNITARIES,
+    "quarter_turns": np.kron(np.diag([1, 1j, -1, -1j]), I2),
+}
+
+
 class TestSeriesFit:
     """The fit's D(alpha), D(alpha/2) and c2 from Tr U, Tr U^2m and the
     Taylor series of g, against dqc1_discord on the eigenphases."""
@@ -571,9 +604,9 @@ class TestSeriesFit:
         np.testing.assert_allclose(_even_power_traces(u, n), taus, rtol=0, atol=1e-14)
 
     @pytest.mark.parametrize("alpha", [a for a in FIT_ALPHAS if _series_terms(a) <= 64])
-    @pytest.mark.parametrize("name", list(SMALL_POLARIZATION_UNITARIES))
+    @pytest.mark.parametrize("name", list(SERIES_UNITARIES))
     def test_series_matches_eigenphase_engine(self, name, alpha):
-        u = SMALL_POLARIZATION_UNITARIES[name]
+        u = SERIES_UNITARIES[name]
         lam = eigphases_of(u)
         even = _even_power_traces(u, _series_terms(alpha))
         tau1 = complex(np.trace(u)) / u.shape[0]

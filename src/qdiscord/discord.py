@@ -81,7 +81,8 @@ import cmath
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
-from typing import NamedTuple
+from operator import mul
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -442,50 +443,75 @@ def _series_terms(eps: float) -> int:
     return MAX_SERIES_TERMS + 1
 
 
-def _even_power_traces(u: np.ndarray, n: int) -> np.ndarray:
+def _even_power_traces(u: np.ndarray, n: int) -> list[complex]:
     """[tau_2, tau_4, ..., tau_2n], tau_m = Tr(U^m) / d, from ceil(n/2) matrix
     products: with V = U^2 and h = ceil(n/2), Tr V^(h+j) = sum(V^h * (V^j)^T)."""
     h = (n + 1) // 2
     powers = [u @ u]
     for _ in range(h - 1):
         powers.append(powers[-1] @ powers[0])
-    top = powers[-1]
-    traces = [np.trace(v) for v in powers] + [np.sum(top * v.T) for v in powers[: n - h]]
-    return np.array(traces) / u.shape[0]
+    top, d = powers[-1], u.shape[0]
+    return [complex(v.trace()) / d for v in powers] + [
+        complex((top * v.T).sum()) / d for v in powers[: n - h]
+    ]
 
 
-@lru_cache(maxsize=MAX_SERIES_TERMS)
-def _cos_power_weights(n: int) -> np.ndarray:
-    """Read-only (n, n + 1) table of w_kj = C(2k, k - j) / 4^k for k = 1..n
-    (rows) and j = 0..n (columns; 0 for j > k), the weights of cos^(2k)
-    (module docstring)."""
-    w = np.array([[math.comb(2 * k, k - j) / 4**k if j <= k else 0.0 for j in range(n + 1)]
-                  for k in range(1, n + 1)])
-    w.setflags(write=False)
-    return w
+class _SeriesTable(NamedTuple):
+    """The parts of the series bracket that depend on neither eps nor U, for
+    k = 1..N: ``powers`` 2k, ``denominators`` 2k (2k - 1) ln 2, ``outer``
+    1 - w_k0, ``weights`` the columns j = 1..N of w_kj = C(2k, k - j) / 4^k,
+    each from k = j (w_kj = 0 below), and ``harmonics`` the read-only
+    (GRID, N) matrix exp(-2ij phi_g) on the grid phi_g = g pi / GRID."""
+
+    powers: tuple[float, ...]
+    denominators: tuple[float, ...]
+    outer: tuple[float, ...]
+    weights: tuple[tuple[float, ...], ...]
+    harmonics: np.ndarray
 
 
-def _series_discord(tau1: complex, even: np.ndarray, eps: float) -> float:
+@lru_cache(maxsize=None)
+def _series_table(n: int, grid: int) -> _SeriesTable:
+    """The :class:`_SeriesTable` of ``n`` terms on a ``grid``-point phi scan,
+    built once per (n, grid)."""
+    k = range(1, n + 1)
+    harmonics = np.exp(-2j * np.outer(np.arange(grid) * (np.pi / grid), k))
+    harmonics.setflags(write=False)
+    return _SeriesTable(
+        powers=tuple(2.0 * i for i in k),
+        denominators=tuple(2 * i * (2 * i - 1) * math.log(2) for i in k),
+        outer=tuple(1 - math.comb(2 * i, i) / 4**i for i in k),
+        weights=tuple(tuple(math.comb(2 * i, i - j) / 4**i for i in range(j, n + 1)) for j in k),
+        harmonics=harmonics,
+    )
+
+
+def _series_discord(tau1: complex, even: Sequence[complex], eps: float) -> float:
     """Discord of the circuit output at bias ``eps`` from the Taylor series
     of g (module docstring), given tau_1 and ``even`` = [tau_2, tau_4, ...]
     with at least :func:`_series_terms` (eps) entries.
 
     The bracket is the trigonometric polynomial sum_j Re(d_j e^{-2ij phi})
-    of the module docstring, built once. Its minimum is found as in
+    of the module docstring. What it needs beyond eps and U, the weights
+    w_kj, the denominators of a_k and the grid's harmonics, comes from
+    :func:`_series_table`, built once per (N, ``GRID``); the N coefficients
+    d_j are summed in plain Python. Its minimum is found as in
     :func:`dqc1_discord`: a ``GRID`` scan of [0, pi), then
     :func:`_newton_polish` on its exact phi-derivatives, evaluated in plain
     Python.
     """
-    n = _series_terms(eps)
-    k = np.arange(1, n + 1)
-    b = eps ** (2.0 * k) / (2 * k * (2 * k - 1) * math.log(2))
-    w = _cos_power_weights(n)
-    r2n = abs(tau1) ** (2 * k)
-    const = float(b @ ((1 - r2n) * (1 - w[:, 0])))
-    d = 2 * ((b * r2n) @ w[:, 1:] * np.exp(2j * cmath.phase(tau1) * k) - (b @ w[:, 1:]) * even[:n])
-    phis = np.arange(GRID) * (np.pi / GRID)
-    vals = (np.exp(-2j * np.outer(phis, k)) @ d).real
-    d = d.tolist()
+    table = _series_table(_series_terms(eps), GRID)
+    r, two_theta = abs(tau1), 2 * cmath.phase(tau1)
+    b = [eps**p / den for p, den in zip(table.powers, table.denominators)]
+    r2n = [r**p for p in table.powers]
+    const = sum(bn * ((1 - rn) * on) for bn, rn, on in zip(b, r2n, table.outer))
+    br = [bn * rn for bn, rn in zip(b, r2n)]
+    d = [
+        2 * (sum(map(mul, br[j - 1:], w)) * cmath.exp(two_theta * j * 1j)
+             - sum(map(mul, b[j - 1:], w)) * even[j - 1])
+        for j, w in enumerate(table.weights, 1)
+    ]
+    vals = (table.harmonics @ np.array(d)).real
 
     def point(phi):
         e, t = cmath.exp(-2j * phi), 1.0
@@ -529,7 +555,9 @@ def fit_polarization_scaling(unitary: np.ndarray, alpha: float = 1.4e-5) -> Scal
     ``alpha`` must lie in (0, 1]. D(alpha) and D(alpha/2) come from the
     Taylor series of g, which needs Tr U^2, Tr U^4, ..., Tr U^2N for the N
     of :func:`_series_terms` at alpha (at alpha = 1.4e-5, N = 3: two matrix
-    products and no eigendecomposition). Past ``MAX_SERIES_TERMS`` terms (alpha above
+    products and no eigendecomposition); the series tables that depend on
+    neither alpha nor U are built once per (N, ``GRID``) and shared by every
+    call (:func:`_series_table`). Past ``MAX_SERIES_TERMS`` terms (alpha above
     about 0.64) they come from :func:`dqc1_discord` on the eigenphases of U,
     the only route that serves those alphas.
     A c2 at or below ``DEGENERATE_DISCORD`` counts as 0 (e.g.
@@ -599,7 +627,12 @@ def haar_discord_survey(
     asymptote 1 / (4 ln 2) by |tau_1|^2 + |tau_2 - tau_1^2|, whose Haar mean
     is about sqrt(pi/2) / d (module docstring): the dimension-32 mean sits
     about 4% below alpha^2 / (4 ln 2), and the dimension-8 mean about 18%.
+    ``n_seeds`` must be at least 1 and ``start_seed`` non-negative.
     """
+    if n_seeds < 1:
+        raise ValueError(f"n_seeds {n_seeds} must be at least 1")
+    if start_seed < 0:
+        raise ValueError(f"start_seed {start_seed} must be non-negative")
     out = np.empty(n_seeds)
     for i in range(n_seeds):
         u = dqc1.haar_random_unitary(dim, start_seed + i)

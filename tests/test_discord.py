@@ -16,6 +16,7 @@ from qdiscord import (
     discord,
     dqc1_discord,
     fit_polarization_scaling,
+    haar_discord_survey,
     haar_random_unitary,
     is_zero_discord,
     jones_unitary,
@@ -29,9 +30,9 @@ from qdiscord.discord import (
     MAX_SERIES_TERMS,
     _avg_conditional_entropy,
     _bloch_blocks,
-    _bracket_point,
     _even_power_traces,
     _series_discord,
+    _series_table,
     _series_terms,
 )
 from qdiscord.linalg import PAULI_1Q, entropy_from_eigenvalues
@@ -40,6 +41,7 @@ from .conftest import random_density_matrix
 from .oracles import (
     bloch_vector,
     bounded_brent_dqc1_discord,
+    dqc1_bracket,
     nelder_mead_discord,
     projective_average,
     projectors,
@@ -392,11 +394,8 @@ class TestNewtonPolish:
             assert res.diagnostics["converged"]
             assert res.diagnostics["polish_gain"] >= 0
             phi = res.argmin_basis.phi
-            # the engine's own bracket: the oracle's (1 + x) ln(1 + x) form
-            # rounds to about 1e-21 at |x| ~ 1e-5, above this tolerance
-            with np.errstate(divide="ignore", invalid="ignore"):  # pure blocks at eps = 1
-                here = _bracket_point(lam, eps, phi)[0]
-                near = _bracket_point(lam, eps, [phi - 1e-6, phi + 1e-6])[0]
+            here = dqc1_bracket(lam, eps, phi)[0]
+            near = dqc1_bracket(lam, eps, [phi - 1e-6, phi + 1e-6])
             assert np.all(near >= here - 1e-12 * abs(here)), (eps, near - here)
 
     @pytest.mark.parametrize("grid", [1, 2, 3])
@@ -665,3 +664,64 @@ class TestSeriesFit:
         monkeypatch.setattr(np.linalg, "eigvals", counted)
         fit_polarization_scaling(np.eye(8), alpha=0.7)
         assert calls == [(8, 8)]
+
+
+class TestSeriesTable:
+    """The series tables are built once per (N, GRID) and shared by every call."""
+
+    @pytest.mark.parametrize("n", [1, 3, 10, MAX_SERIES_TERMS])
+    def test_table_is_read_only(self, n):
+        table = _series_table(n, 64)
+        assert _series_table(n, 64) is table
+        assert table.harmonics.shape == (64, n)
+        assert not table.harmonics.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            table.harmonics[0, 0] = 0.0
+        for column in table[:-1]:
+            assert isinstance(column, tuple) and len(column) == n
+        assert [len(w) for w in table.weights] == list(range(n, 0, -1))
+
+    def test_key_includes_the_grid(self, monkeypatch):
+        module = importlib.import_module("qdiscord.discord")
+        u, eps = SMALL_POLARIZATION_UNITARIES["haar32"], 1.4e-5
+        tau1 = complex(np.trace(u)) / u.shape[0]
+        even = _even_power_traces(u, _series_terms(eps))
+        first = _series_discord(tau1, even, eps)
+        polish, sizes = module._newton_polish, []
+
+        def counted(point, vals):
+            sizes.append(vals.size)
+            return polish(point, vals)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(module, "_newton_polish", counted)
+            patch.setattr(module, "GRID", 8)
+            coarse = _series_discord(tau1, even, eps)
+        assert sizes == [8]
+        assert _series_table(_series_terms(eps), 8).harmonics.shape == (8, 3)
+        assert coarse == pytest.approx(first, rel=1e-12)
+        assert _series_discord(tau1, even, eps) == first
+
+    @pytest.mark.parametrize("name", list(SMALL_POLARIZATION_UNITARIES))
+    def test_cached_table_matches_eigenphase_engine(self, name):
+        u, alpha = SMALL_POLARIZATION_UNITARIES[name], 1.4e-5
+        lam = eigphases_of(u)
+        even = _even_power_traces(u, _series_terms(alpha))
+        tau1 = complex(np.trace(u)) / u.shape[0]
+        _series_table.cache_clear()
+        for eps in (alpha, alpha / 2):
+            fresh = _series_discord(tau1, even, eps)
+            assert _series_discord(tau1, even, eps) == fresh
+            oracle = dqc1_discord(lam, eps).discord
+            assert fresh == pytest.approx(oracle, rel=1e-15, abs=1e-15 * eps**2)
+
+
+class TestHaarSurveyArguments:
+    @pytest.mark.parametrize("n_seeds", [0, -1])
+    def test_refuses_fewer_than_one_seed(self, n_seeds):
+        with pytest.raises(ValueError, match=f"^n_seeds {n_seeds} must be at least 1$"):
+            haar_discord_survey(n_seeds, dim=8)
+
+    def test_refuses_a_negative_start_seed(self):
+        with pytest.raises(ValueError, match="^start_seed -1 must be non-negative$"):
+            haar_discord_survey(1, dim=8, start_seed=-1)

@@ -69,10 +69,12 @@ traces of U^2, U^4, ... Each bracket [...] lies in [-1, 2], so the terms
 past n = N add at most 2 eps^(2N+2) / ((2N+2)(2N+1) ln 2 (1 - eps^2)).
 The fit sums the fewest terms N that keep this bound within
 2^-53 DEGENERATE_DISCORD eps^2, below the rounding of any c2 it does not
-count as 0: N = 3 at alpha = 1.4e-5, 10 at 0.05 and 64 at about 0.64.
-Past ``MAX_SERIES_TERMS`` (64) terms, and at alpha = 1 where the series
-never converges, it takes the eigenphases of U and :func:`dqc1_discord`
-instead.
+count as 0: N = 3 at alpha = 1.4e-5, 10 at 0.05 and 64 at about 0.6445.
+The series is the fit's only route: past ``MAX_SERIES_TERMS`` (64) terms,
+and at alpha = 1 where the series never converges, the fit is refused. The
+quadratic scaling it checks is long gone there: the Jones, quarter-turn
+and Haar (d = 2 to 64) unitaries tried already fail the checks at
+alpha = 0.1, and the zero-discord family (c2 = 0) needs no extrapolation.
 """
 
 from __future__ import annotations
@@ -106,7 +108,7 @@ MAX_SERIES_TERMS = 64
 
 
 class ScalingFitError(RuntimeError):
-    """The small-polarization quadratic-scaling assumption failed."""
+    """The small-polarization quadratic scaling failed, or alpha is past the series limit."""
 
 
 @dataclass(frozen=True)
@@ -433,14 +435,17 @@ def is_zero_discord(rho: DensityMatrix) -> ZeroDiscordResult:
 def _series_terms(eps: float) -> int:
     """Fewest Taylor terms N of g whose remainder bound
     2 eps^(2N+2) / ((2N+2)(2N+1) ln 2 (1 - eps^2)) is at most
-    2^-53 DEGENERATE_DISCORD eps^2 (module docstring), or
-    ``MAX_SERIES_TERMS + 1`` when no N up to that limit is."""
+    2^-53 DEGENERATE_DISCORD eps^2 (module docstring). When no N up to
+    ``MAX_SERIES_TERMS`` is (eps above about 0.6445), :class:`ScalingFitError`."""
     x = eps * eps
     tol = 2.0**-53 * DEGENERATE_DISCORD * math.log(2) * (1 - x) / 2
     for n in range(1, MAX_SERIES_TERMS + 1):
         if x**n <= tol * (2 * n + 2) * (2 * n + 1):
             return n
-    return MAX_SERIES_TERMS + 1
+    raise ScalingFitError(
+        f"alpha {eps:g} is past the {MAX_SERIES_TERMS}-term series limit (alpha above "
+        "about 0.6445): the small-polarization fit does not extrapolate there"
+    )
 
 
 def _even_power_traces(u: np.ndarray, n: int) -> list[complex]:
@@ -531,10 +536,9 @@ class ScalingFit:
     """Small-polarization discord c2 * alpha^2 from the closed form in
     tau_1 and tau_2, with the checks made on it: ``exponent`` is the
     measured log2(D(alpha) / D(alpha/2)) and ``direct`` the discord
-    evaluated at alpha, both from the Taylor series of g up to
-    ``MAX_SERIES_TERMS`` terms and from :func:`dqc1_discord` beyond
-    (module docstring). A degenerate (zero) coefficient reports exponent 2
-    unmeasured."""
+    evaluated at alpha, both from the Taylor series of g in at most
+    ``MAX_SERIES_TERMS`` terms (module docstring). A degenerate (zero)
+    coefficient reports exponent 2 unmeasured."""
 
     exponent: float
     coefficient: float
@@ -558,41 +562,30 @@ def fit_polarization_scaling(unitary: np.ndarray, alpha: float = 1.4e-5) -> Scal
     products and no eigendecomposition); the series tables that depend on
     neither alpha nor U are built once per (N, ``GRID``) and shared by every
     call (:func:`_series_table`). Past ``MAX_SERIES_TERMS`` terms (alpha above
-    about 0.64) they come from :func:`dqc1_discord` on the eigenphases of U,
-    the only route that serves those alphas.
-    A c2 at or below ``DEGENERATE_DISCORD`` counts as 0 (e.g.
-    U = I or a Pauli product), and D(alpha) must then lie within
-    ``DEGENERATE_DISCORD`` of 0. Otherwise ``ValueError`` is raised when
-    D(alpha) or D(alpha/2) falls below the smallest normal double (for the
-    Jones unitary, alpha below about 5e-154), and :class:`ScalingFitError`
-    when the measured exponent log2(D(alpha) / D(alpha/2)) has |p - 2| >= 0.02,
-    or when c2 * alpha^2 differs from D(alpha) by more than
-    ``EXTRAPOLATION_RTOL`` relative.
+    about 0.6445, and alpha = 1) :class:`ScalingFitError` is raised before
+    any matrix product: the fit has no other route. A c2 at or below
+    ``DEGENERATE_DISCORD`` counts as 0 (e.g. U = I or a Pauli product), and
+    D(alpha) must then lie within ``DEGENERATE_DISCORD`` of 0. Otherwise
+    ``ValueError`` is raised when D(alpha) or D(alpha/2) falls below the
+    smallest normal double (for the Jones unitary, alpha below about
+    5e-154), and :class:`ScalingFitError` when the measured exponent
+    log2(D(alpha) / D(alpha/2)) has |p - 2| >= 0.02, or when c2 * alpha^2
+    differs from D(alpha) by more than ``EXTRAPOLATION_RTOL`` relative.
     """
     if not 0.0 < alpha <= 1.0:
         raise ValueError(f"alpha {alpha} outside (0, 1]")
     inst = dqc1.Dqc1Instance(alpha, unitary)
     u, eps = inst.unitary, inst.epsilon
-    terms = _series_terms(eps)
-    series = terms <= MAX_SERIES_TERMS
-    even = _even_power_traces(u, terms if series else 1)
+    even = _even_power_traces(u, _series_terms(eps))
     tau1 = complex(np.trace(u)) / u.shape[0]
     c2 = (1.0 - abs(tau1) ** 2 - abs(even[0] - tau1**2)) / (4 * math.log(2))
     degenerate = c2 <= DEGENERATE_DISCORD
     coefficient = 0.0 if degenerate else float(c2)
-    if series:
-        discord_at = partial(_series_discord, tau1, even)
-    else:
-        lam = inst.eigphases
-
-        def discord_at(e):
-            return dqc1_discord(lam, e).discord
-
-    direct = discord_at(eps)
+    direct = _series_discord(tau1, even, eps)
     if degenerate:
         exponent, tol = 2.0, DEGENERATE_DISCORD
     else:
-        half = discord_at(eps / 2)
+        half = _series_discord(tau1, even, eps / 2)
         tiny = np.finfo(float).tiny
         if min(direct, half) < tiny:
             raise ValueError(

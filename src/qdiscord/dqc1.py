@@ -12,7 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import MAX_QUBITS, DensityMatrix, PAULI_1Q, complex_from_parts, pauli_realize, tensor
+from .linalg import (
+    MAX_QUBITS, DensityMatrix, PAULI_1Q, complex_from_parts, integer_entry, pauli_realize, tensor,
+)
 
 UNITARITY_TOL = 1e-10
 # the circuit adds one clean qubit to the log2(d) mixed ones
@@ -56,10 +58,9 @@ class Dqc1Instance:
 
     @property
     def eigphases(self) -> np.ndarray:
-        """Eigenphases of U in (-pi, pi], the input of :func:`dqc1_discord`.
-
-        The small-polarization fit reads traces of powers of U instead, and
-        decomposes U only above the series limit of its module docstring."""
+        """Eigenphases of U in (-pi, pi], the input of :func:`dqc1_discord`
+        behind ``discord --dqc1``. The small-polarization fit never decomposes
+        U: it reads traces of powers of U instead."""
         return np.angle(np.linalg.eigvals(self.unitary))
 
 
@@ -125,9 +126,9 @@ def haar_random_unitary(d: int, seed: int) -> np.ndarray:
 
 
 def unitary_from_dict(data: dict) -> np.ndarray:
-    """Parse {"dim": d, "re": [[...]], "im": [[...]]}."""
+    """Parse {"dim": d, "re": [[...]], "im": [[...]]}, d an integer (not a bool)."""
     try:
-        d = int(data["dim"])
+        d = integer_entry(data["dim"], "unitary spec: dim")
         u = complex_from_parts(data, "unitary")
     except (KeyError, TypeError, OverflowError) as exc:
         raise ValueError(f"malformed unitary spec: {exc}") from exc

@@ -36,17 +36,15 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _block_size(k, partition) -> int:
-    """A partition entry as an int; a float, string or bool is refused, not
-    truncated or read as 1."""
+def integer_entry(k, where: str) -> int:
+    """A document's entry ``k`` as an int; a float, string or bool is refused
+    with "malformed {where} {k!r} is not an integer", not truncated or read as 1."""
     try:
         if isinstance(k, bool):
             raise TypeError
         return operator.index(k)
     except TypeError:
-        raise ValueError(
-            f"malformed qubit partition {partition!r}: entry {k!r} is not an integer"
-        ) from None
+        raise ValueError(f"malformed {where} {k!r} is not an integer") from None
 
 
 @dataclass(frozen=True)
@@ -69,7 +67,8 @@ class DensityMatrix:
         n = dim.bit_length() - 1
         if dim < 2 or 2**n != dim:
             raise ValueError(f"dimension {dim} is not a power of 2")
-        part = tuple(_block_size(k, self.qubit_partition) for k in self.qubit_partition)
+        where = f"qubit partition {self.qubit_partition!r}: entry"
+        part = tuple(integer_entry(k, where) for k in self.qubit_partition)
         if len(part) != 2 or min(part) < 1 or sum(part) != n:
             raise ValueError(
                 f"qubit partition {part} does not split the {n}-qubit register "

@@ -9,6 +9,7 @@ component untouched; the tests check rather than assume this.
 
 from __future__ import annotations
 
+import numbers
 import zlib
 
 import numpy as np
@@ -74,9 +75,12 @@ def load_ensemble(data: dict) -> DensityMatrix:
     """The physical state :func:`embed` (pps, alpha) of a parsed ensemble
     document {"alpha": a, "pps": <name or {"re", "im"[, "qubit_partition"]}>};
     a pps name is one of the package's named fixtures, and an inline pps
-    without a partition has its first qubit as A."""
+    without a partition has its first qubit as A; alpha is a number, not a bool."""
     try:
-        alpha = float(data["alpha"])
+        alpha = data["alpha"]
+        if isinstance(alpha, bool) or not isinstance(alpha, numbers.Real):
+            raise TypeError(f"alpha {alpha!r} is not a number")
+        alpha = float(alpha)
         pps_spec = data["pps"]
     except (KeyError, TypeError, OverflowError) as exc:
         raise ValueError(f"malformed ensemble spec: {exc}") from exc

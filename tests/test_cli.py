@@ -64,6 +64,16 @@ class TestSimulate:
         assert run(tmp_path, "simulate", "--unitary", str(bad)) == 2
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("dim, shown", [(8.9, "8.9"), ("8", "'8'")], ids=["float", "string"])
+    def test_non_integer_dim_exits_2(self, tmp_path, capsys, dim, shown):
+        bad = tmp_path / "dim.json"
+        bad.write_text(json.dumps({"dim": dim, "re": np.eye(8).tolist(),
+                                   "im": np.zeros((8, 8)).tolist()}))
+        assert run(tmp_path, "simulate", "--unitary", str(bad)) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: malformed unitary spec: dim {shown} is not an integer\n"
+        assert not (tmp_path / "simulate.json").exists()
+
     def test_missing_unitary_file_exits_2(self, tmp_path):
         assert run(tmp_path, "simulate", "--unitary", "nosuch.json") == 2
 
@@ -174,6 +184,22 @@ class TestDiscordCommand:
         )
         assert code == 3
 
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ("discord", "--dqc1", "identity8", "--extrapolate", "--alpha", "0.7"),
+            ("discord", "--dqc1", "jones", "--extrapolate", "--alpha", "0.9"),
+            ("haar-survey", "--seeds", "2", "--dim", "8", "--alpha", "1"),
+        ],
+        ids=["identity8", "jones", "haar-survey"],
+    )
+    def test_alpha_past_the_series_limit_exits_3(self, tmp_path, capsys, command):
+        assert run(tmp_path, *command) == 3
+        err = capsys.readouterr().err
+        alpha = float(command[-1])
+        assert err.startswith(f"error: alpha {alpha:g} is past the 64-term series limit")
+        assert list(tmp_path.iterdir()) == []
+
     def test_underflowing_alpha_exits_2(self, tmp_path, capsys):
         # D(alpha) and D(alpha/2) fall below the smallest normal double
         args = ("discord", "--dqc1", "jones", "--alpha", "1e-170", "--extrapolate")
@@ -242,8 +268,9 @@ class TestDiscordCommand:
                                        "qubit_partition": [1.9, 1.2]}},
                 "malformed qubit partition [1.9, 1.2]: entry 1.9 is not an integer",
             ),
+            ({"alpha": True, "pps": "bell"}, "malformed ensemble spec: alpha True is not a number"),
         ],
-        ids=["missing", "three-block", "non-integer"],
+        ids=["missing", "three-block", "non-integer", "bool-alpha"],
     )
     @pytest.mark.parametrize("command", ["discord", "witness"])
     def test_ensemble_refused_when_loaded(self, tmp_path, capsys, command, document, message):

@@ -554,13 +554,24 @@ class TestSmallPolarization:
         assert fit.exponent != 2.0
 
     def test_scaling_violation_raises(self):
-        # far outside the quadratic regime the measured exponent drifts past 2.02
+        # outside the quadratic regime the measured exponent drifts past 2.02
         with pytest.raises(ScalingFitError, match="exponent"):
-            fit_polarization_scaling(jones_unitary(), alpha=0.9)
+            fit_polarization_scaling(jones_unitary(), alpha=0.3)
 
 
-# Both sides of the series limit: alpha up to about 0.64 takes the series, above it the eigenphases.
+# Both sides of the series limit: alpha up to about 0.6445 takes the series, above it is refused.
 FIT_ALPHAS = (1e-150, 1.4e-5, 1e-3, 0.05, 0.3, 0.6, 0.7, 0.9)
+SERIES_LIMIT = 0.6445
+PAST_SERIES_LIMIT = (0.645, 0.7, 0.9, 1.0)
+SERIES_LIMIT_MESSAGE = f"{MAX_SERIES_TERMS}-term series limit"
+
+
+def remainder_within(alpha: float, n: int) -> bool:
+    """Whether the remainder bound past n terms, over eps^2, is within 2^-53 DEGENERATE_DISCORD."""
+    remainder = 2 * alpha ** (2 * n)
+    return remainder <= 2.0**-53 * 1e-12 * (2 * n + 2) * (2 * n + 1) * math.log(2) * (
+        1 - alpha**2
+    )
 
 
 def eigphase_c2(lam: np.ndarray) -> float:
@@ -579,20 +590,18 @@ class TestSeriesFit:
     """The fit's D(alpha), D(alpha/2) and c2 from Tr U, Tr U^2m and the
     Taylor series of g, against dqc1_discord on the eigenphases."""
 
-    @pytest.mark.parametrize(
-        "alpha, terms", [(1e-150, 1), (1.4e-5, 3), (0.05, 10), (0.64, 64), (0.7, 65), (1.0, 65)]
-    )
+    @pytest.mark.parametrize("alpha, terms", [(1e-150, 1), (1.4e-5, 3), (0.05, 10), (0.64, 64)])
     def test_term_count(self, alpha, terms):
-        # the fewest terms whose remainder bound, over eps^2, is within 2^-53 DEGENERATE_DISCORD
-        def within(n):
-            remainder = 2 * alpha ** (2 * n)
-            return remainder <= 2.0**-53 * 1e-12 * (2 * n + 2) * (2 * n + 1) * math.log(2) * (
-                1 - alpha**2
-            )
-
+        # the fewest terms whose remainder bound is within the tolerance
         assert _series_terms(alpha) == terms
-        assert within(terms) == (terms <= MAX_SERIES_TERMS)
-        assert not within(terms - 1)
+        assert remainder_within(alpha, terms)
+        assert not remainder_within(alpha, terms - 1)
+
+    @pytest.mark.parametrize("alpha", [0.6444551, *PAST_SERIES_LIMIT])
+    def test_term_count_past_the_limit_is_refused(self, alpha):
+        assert not remainder_within(alpha, MAX_SERIES_TERMS)
+        with pytest.raises(ScalingFitError, match=f"alpha {alpha:g} .*{SERIES_LIMIT_MESSAGE}"):
+            _series_terms(alpha)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 7])
     @pytest.mark.parametrize("name", list(SMALL_POLARIZATION_UNITARIES))
@@ -602,7 +611,7 @@ class TestSeriesFit:
         taus = [np.exp(2j * m * lam).mean() for m in range(1, n + 1)]
         np.testing.assert_allclose(_even_power_traces(u, n), taus, rtol=0, atol=1e-14)
 
-    @pytest.mark.parametrize("alpha", [a for a in FIT_ALPHAS if _series_terms(a) <= 64])
+    @pytest.mark.parametrize("alpha", [a for a in FIT_ALPHAS if a < SERIES_LIMIT])
     @pytest.mark.parametrize("name", list(SERIES_UNITARIES))
     def test_series_matches_eigenphase_engine(self, name, alpha):
         u = SERIES_UNITARIES[name]
@@ -618,6 +627,10 @@ class TestSeriesFit:
     @pytest.mark.parametrize("name", list(SMALL_POLARIZATION_UNITARIES))
     def test_direct_and_exponent_match_eigenphase_engine(self, name, alpha):
         u = SMALL_POLARIZATION_UNITARIES[name]
+        if alpha > SERIES_LIMIT:  # the fit has no route there, whatever the engine gives
+            with pytest.raises(ScalingFitError, match=SERIES_LIMIT_MESSAGE):
+                fit_polarization_scaling(u, alpha=alpha)
+            return
         lam = eigphases_of(u)
         direct, half = (dqc1_discord(lam, eps).discord for eps in (alpha, alpha / 2))
         if eigphase_c2(lam) <= 1e-12:  # the zero-discord family: exponent 2, unmeasured
@@ -654,16 +667,23 @@ class TestSeriesFit:
         fit = fit_polarization_scaling(SMALL_POLARIZATION_UNITARIES[name], alpha=1.4e-5)
         assert 1.98 < fit.exponent < 2.02
 
-    def test_eigenphases_serve_alpha_past_the_series_limit(self, monkeypatch):
-        eigvals, calls = np.linalg.eigvals, []
+    @pytest.mark.parametrize("alpha", PAST_SERIES_LIMIT)
+    @pytest.mark.parametrize("name", ["jones", "identity", "ZII"])
+    def test_fit_refused_past_the_series_limit(self, monkeypatch, name, alpha):
+        # refused before any trace of a power of U or eigendecomposition, even
+        # for the zero-discord family, whose discord is 0 at every alpha
+        def refused(*args, **kwargs):
+            raise AssertionError("U decomposed or multiplied")
 
-        def counted(a):
-            calls.append(a.shape)
-            return eigvals(a)
-
-        monkeypatch.setattr(np.linalg, "eigvals", counted)
-        fit_polarization_scaling(np.eye(8), alpha=0.7)
-        assert calls == [(8, 8)]
+        monkeypatch.setattr(np.linalg, "eigvals", refused)
+        monkeypatch.setattr(importlib.import_module("qdiscord.discord"), "_even_power_traces",
+                            refused)
+        with pytest.raises(ScalingFitError) as err:
+            fit_polarization_scaling(SMALL_POLARIZATION_UNITARIES[name], alpha=alpha)
+        assert str(err.value) == (
+            f"alpha {alpha:g} is past the {MAX_SERIES_TERMS}-term series limit (alpha above "
+            "about 0.6445): the small-polarization fit does not extrapolate there"
+        )
 
 
 class TestSeriesTable:

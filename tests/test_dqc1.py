@@ -213,6 +213,20 @@ class TestUnitaryJson:
         with pytest.raises(ValueError, match="malformed"):
             unitary_from_dict({"dim": 1, "re": [[10**400]], "im": [[0]]})
 
+    @pytest.mark.parametrize(
+        "dim, shown", [(8.9, "8.9"), (8.0, "8.0"), ("8", "'8'"), (True, "True"), (None, "None")]
+    )
+    def test_rejects_a_non_integer_dim(self, dim, shown):
+        # read with int() the first three would load as an 8 x 8 unitary
+        document = {"dim": dim, "re": np.eye(8).tolist(), "im": np.zeros((8, 8)).tolist()}
+        with pytest.raises(ValueError) as err:
+            unitary_from_dict(document)
+        assert str(err.value) == f"malformed unitary spec: dim {shown} is not an integer"
+
+    def test_numpy_integer_dim_loads(self):
+        document = {"dim": np.int64(2), "re": np.eye(2).tolist(), "im": np.zeros((2, 2)).tolist()}
+        np.testing.assert_array_equal(unitary_from_dict(document), np.eye(2))
+
     def test_rejects_shape_mismatch(self):
         with pytest.raises(ValueError, match="shape"):
             unitary_from_dict({"dim": 3, "re": [[1, 0], [0, 1]], "im": [[0, 0], [0, 0]]})

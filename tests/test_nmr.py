@@ -243,6 +243,22 @@ class TestEnsembleIo:
             load_ensemble({"alpha": 0.5, "pps": pps})
         assert str(err.value) == f"malformed qubit partition {shown} is not an integer"
 
+    @pytest.mark.parametrize(
+        "alpha, shown",
+        [(True, "True"), ("0.001", "'0.001'"), (None, "None"), ([0.5], "[0.5]")],
+        ids=["bool", "string", "null", "list"],
+    )
+    def test_rejects_a_non_numeric_alpha(self, alpha, shown):
+        # read with float() the first two would load at alpha 1 and 0.001
+        with pytest.raises(ValueError) as err:
+            load_ensemble({"alpha": alpha, "pps": "bell"})
+        assert str(err.value) == f"malformed ensemble spec: alpha {shown} is not a number"
+
+    @pytest.mark.parametrize("alpha", [np.int64(1), np.float32(0.5)])
+    def test_numpy_alpha_loads(self, alpha):
+        state = load_ensemble({"alpha": alpha, "pps": "bell"})
+        assert np.array_equal(state.entries, embed(named_state("bell"), float(alpha)).entries)
+
     def test_ensemble_alpha_validated(self):
         with pytest.raises(ValueError, match=r"alpha 1\.5 outside \(0, 1\]"):
             load_ensemble({"alpha": 1.5, "pps": "bell"})

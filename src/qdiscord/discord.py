@@ -81,7 +81,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache, partial
 from operator import mul
 from typing import NamedTuple, Sequence
@@ -92,7 +92,7 @@ from . import dqc1
 from .linalg import DensityMatrix, entropy_from_eigenvalues
 
 NULL_OUTCOME_P = 1e-14
-DEFAULT_ZERO_DISCORD_TOL = 1e-7
+DEFAULT_ZERO_DISCORD_TOL = 1e-6
 DEGENERATE_DISCORD = 1e-12
 # Largest relative gap between the quadratic extrapolation and the discord
 # evaluated directly at the target polarization.
@@ -133,7 +133,7 @@ class DiscordResult:
     mutual_information: float
     classical_correlations: float
     conditional_term: float
-    diagnostics: dict = field(default_factory=dict)
+    diagnostics: dict
 
     @property
     def discord(self) -> float:
@@ -142,13 +142,19 @@ class DiscordResult:
 
 
 class ZeroDiscordResult(NamedTuple):
+    """The closest dephased state's ``basis`` and Frobenius ``distance``, and
+    the ``scale`` sqrt(tr G / 2) = ||rho - I/2 (+) rho_B||_F it is judged
+    against, the part of rho a measurement on A can change."""
+
     basis: MeasurementBasis
     distance: float
+    scale: float
 
     @property
     def is_zero(self) -> bool:
-        """Whether the distance falls below ``DEFAULT_ZERO_DISCORD_TOL``."""
-        return self.distance < DEFAULT_ZERO_DISCORD_TOL
+        """Whether ``distance`` is at most ``DEFAULT_ZERO_DISCORD_TOL * scale``
+        (:func:`is_zero_discord`); a state with G = 0, as I/d, is zero discord."""
+        return self.distance <= DEFAULT_ZERO_DISCORD_TOL * self.scale
 
 
 def _bloch_blocks(rho: DensityMatrix) -> tuple[np.ndarray, np.ndarray]:
@@ -265,39 +271,34 @@ def discord(rho: DensityMatrix) -> DiscordResult:
     vals = _avg_conditional_entropy(rho_b, gammas, grid)
     i0 = int(np.argmin(vals))
     n, cond, nfev, converged = _sphere_polish(rho_b, gammas, grid[i0], vals[i0])
-    mi = mutual_information(rho)
     cc = entropy_from_eigenvalues(np.linalg.eigvalsh(rho_b)) - cond
-    return DiscordResult(
-        argmin_basis=_measurement_basis(n),
-        mutual_information=mi,
-        classical_correlations=cc,
-        conditional_term=float(cond),
-        diagnostics={
-            "grid": GRID,
-            "grid_min": float(vals[i0]),
-            "refine_nfev": nfev,
-            "converged": converged,
-            "polish_gain": float(vals[i0] - cond),
-        },
-    )
+    basis, mi = _measurement_basis(n), mutual_information(rho)
+    return _search_result(basis, mi, cc, float(cond), float(vals[i0]), nfev, converged)
 
 
-def _bias_information(x, pure: bool = True, at=None) -> np.ndarray:
+def _search_result(basis, mi, cc, cond, grid_min, nfev, converged) -> DiscordResult:
+    """The :class:`DiscordResult` of a grid search polished from ``grid_min``
+    to the conditional term ``cond``, with both engines' ``diagnostics``."""
+    return DiscordResult(basis, mi, cc, cond, {
+        "grid": GRID, "grid_min": grid_min, "refine_nfev": nfev, "converged": converged,
+        "polish_gain": grid_min - cond,
+    })
+
+
+def _bias_information(x, at=None) -> np.ndarray:
     """g(x) = 1 - h2((1 + x)/2) in bits for |x| <= 1.
 
     Written as (2x atanh x + log1p(-x^2)) / (2 ln 2), which keeps full
     relative precision at the |x| ~ 1e-5 of NMR polarizations where the
-    entropy form cancels to nothing. With ``pure`` an |x| = 1 entry is the
-    pure limit 1; callers pass False when |x| < 1 is certain (x = eps c with
-    |c| <= 1 and eps < 1), which skips the mask and may supply ``at`` = atanh(x).
+    entropy form cancels to nothing; an |x| = 1 entry is the pure limit 1.
+    ``at`` may supply atanh(x).
     """
-    if pure:
-        inside = np.abs(x) < 1.0
-        return np.where(inside, _bias_information(np.where(inside, x, 0.0), False), 1.0)
-    at = np.arctanh(x) if at is None else at
-    return (2 * x * at + np.log1p(-x * x)) / (2 * math.log(2))
+    with np.errstate(divide="ignore", invalid="ignore"):  # atanh(+-1) = +-inf
+        at = np.arctanh(x) if at is None else at
+        return np.where(np.abs(x) < 1.0, (2 * x * at + np.log1p(-x * x)) / (2 * math.log(2)), 1.0)
 
 
+@np.errstate(divide="ignore", invalid="ignore")  # atanh(1) of a pure block at eps = 1
 def _bracket_point(lam: np.ndarray, eps: float, phi):
     """The bracket f(phi) = g(eps m) - mean_k g(eps c_k) of the module
     docstring (the conditional entropy, less log2 d, of the equatorial
@@ -318,16 +319,14 @@ def _bracket_point(lam: np.ndarray, eps: float, phi):
     c, s = np.cos(arg), np.sin(arg)
     m, sm = c.sum(axis=-1) / n, s.sum(axis=-1) / n
     x, xm = eps * c, eps * m
-    pure = eps >= 1
     at, at_m = np.arctanh(x), np.arctanh(xm)
     t, t_m = at * s, at_m * sm
-    if pure:
-        t, t_m = np.where(np.isfinite(t), t, 0.0), np.where(np.isfinite(t_m), t_m, 0.0)
+    t, t_m = np.where(np.isfinite(t), t, 0.0), np.where(np.isfinite(t_m), t_m, 0.0)
     # 1 - eps^2 c^2 = (1 - eps^2) + eps^2 s^2 keeps its precision as |eps c| -> 1
     d2 = eps * sm * sm / (1 - xm**2) - m * at_m
     d2 = d2 - eps * (s * s / ((1 - eps * eps) + (eps * s) ** 2)).sum(axis=-1) / n
     d2 = d2 + (c * at).sum(axis=-1) / n
-    f = _bias_information(xm, pure, at_m) - _bias_information(x, pure, at).sum(axis=-1) / n
+    f = _bias_information(xm, at_m) - _bias_information(x, at).sum(axis=-1) / n
     return f, t_m - t.sum(axis=-1) / n, d2
 
 
@@ -373,7 +372,6 @@ def _newton_polish(point, vals: np.ndarray) -> tuple[float, float, int, bool]:
     return x, fx, MAX_ITER, False
 
 
-@np.errstate(divide="ignore", invalid="ignore")  # atanh(1) of a pure block at eps = 1
 def dqc1_discord(eigphases: np.ndarray, eps: float) -> DiscordResult:
     """Discord of the circuit output for bias ``eps`` and a unitary with the
     given eigenphases, from the closed form in the module docstring.
@@ -398,18 +396,8 @@ def dqc1_discord(eigphases: np.ndarray, eps: float) -> DiscordResult:
     tau = abs(np.exp(1j * lam).mean())
     mi = float(_bias_information(eps) - _bias_information(eps * tau))
     grid_min = log_d + float(vals.min())
-    return DiscordResult(
-        argmin_basis=MeasurementBasis(np.pi / 2, phi),
-        mutual_information=mi,
-        classical_correlations=-best,
-        conditional_term=log_d + best,
-        diagnostics={
-            "grid": GRID,
-            "grid_min": grid_min,
-            "refine_nfev": steps,
-            "converged": converged,
-            "polish_gain": grid_min - (log_d + best),
-        },
+    return _search_result(
+        MeasurementBasis(np.pi / 2, phi), mi, -best, log_d + best, grid_min, steps, converged
     )
 
 
@@ -423,13 +411,17 @@ def is_zero_discord(rho: DensityMatrix) -> ZeroDiscordResult:
     ||rho||_F^2 = (||rho_B||_F^2 + tr G) / 2, the squared distance is
     (tr G - lambda_max(G)) / 2: G alone, with the identity part of rho, which
     dephasing keeps, never subtracted. The state is zero discord when that
-    distance falls below ``DEFAULT_ZERO_DISCORD_TOL``.
+    distance is at most ``DEFAULT_ZERO_DISCORD_TOL`` (1e-6) times the
+    ``scale`` sqrt(tr G / 2): the rule is relative, so an embedded state
+    gets one verdict at every polarization alpha down to the embedding's
+    rounding floor near alpha = 1e-9 (:mod:`qdiscord.nmr`).
     """
     _, gammas = _bloch_blocks(rho)
     g = np.einsum("ibc,jcb->ij", gammas, gammas).real
     w, v = np.linalg.eigh(g)
-    dist = math.sqrt(max((np.trace(g) - w[-1]) / 2, 0.0))
-    return ZeroDiscordResult(_measurement_basis(v[:, -1]), dist)
+    trace = np.trace(g)
+    dist = math.sqrt(max((trace - w[-1]) / 2, 0.0))
+    return ZeroDiscordResult(_measurement_basis(v[:, -1]), dist, math.sqrt(max(trace / 2, 0.0)))
 
 
 def _series_terms(eps: float) -> int:

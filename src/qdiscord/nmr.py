@@ -2,9 +2,16 @@
 measurement emulator.
 
 The physical ensemble state is (1 - alpha) I/2^N + alpha rho_pps where
-rho_pps is the unit-trace pseudopure part. Whether the state has zero discord
-does not depend on alpha, because projective dephasing leaves the identity
-component untouched; the tests check rather than assume this.
+rho_pps is the unit-trace pseudopure part. Projective dephasing leaves the
+identity component untouched, so the distance to the closest dephased state
+and its scale sqrt(tr G / 2) are both alpha times those of rho_pps, and the
+zero-discord verdict, their ratio against 1e-6
+(:func:`qdiscord.discord.is_zero_discord`), does not depend on alpha. Its
+floor is the embedding's rounding, about 2^-52 / alpha of rho_pps: below
+alpha of about 1e-9 classical states read discordant (ratio up to 2.8e-6 at
+alpha = 1e-10). The dense discord value fails sooner: 0.0 at alpha = 1e-8 on
+final-dqc1, where c2 alpha^2 = 2.75e-17. The tests check rather than assume
+the invariance.
 """
 
 from __future__ import annotations

@@ -288,6 +288,15 @@ class TestDiscordCommand:
         assert out["discord"] > 0.05
         assert out["zero_discord"]["is_zero"] is False
 
+    def test_ensemble_verdict_at_nmr_polarization(self, tmp_path):
+        # the distance reads only 1.6e-9 here, but it is 0.652 of its scale
+        # sqrt(tr G / 2), as at every alpha
+        ens = tmp_path / "ens.json"
+        ens.write_text(json.dumps({"alpha": 1e-8, "pps": "final-dqc1"}))
+        assert run(tmp_path, "discord", "--ensemble", str(ens)) == 0
+        out = json.loads((tmp_path / "discord.json").read_text())
+        assert out["zero_discord"]["is_zero"] is False
+
 
 class TestWitnessCommand:
     def test_eq3_fixture_builtin(self, tmp_path):

@@ -15,6 +15,7 @@ from qdiscord import (
     ScalingFitError,
     discord,
     dqc1_discord,
+    embed,
     fit_polarization_scaling,
     haar_discord_survey,
     haar_random_unitary,
@@ -29,6 +30,7 @@ from qdiscord import (
 from qdiscord.discord import (
     MAX_SERIES_TERMS,
     _avg_conditional_entropy,
+    _bias_information,
     _bloch_blocks,
     _even_power_traces,
     _series_discord,
@@ -37,7 +39,7 @@ from qdiscord.discord import (
 )
 from qdiscord.linalg import PAULI_1Q, entropy_from_eigenvalues
 
-from .conftest import random_density_matrix
+from .conftest import random_classical_quantum_state, random_density_matrix, random_product_state
 from .oracles import (
     bloch_vector,
     bounded_brent_dqc1_discord,
@@ -52,6 +54,14 @@ X = PAULI_1Q["X"]
 Z = PAULI_1Q["Z"]
 
 Z_BASIS = MeasurementBasis(0.0, 0.0)
+
+DIAGNOSTICS = {"grid", "grid_min", "refine_nfev", "converged", "polish_gain"}
+
+
+def assert_diagnostics(res) -> None:
+    """Both engines report the same five diagnostics, the gain exactly."""
+    assert set(res.diagnostics) == DIAGNOSTICS
+    assert res.diagnostics["polish_gain"] == res.diagnostics["grid_min"] - res.conditional_term
 
 
 def classical_zz_state() -> DensityMatrix:
@@ -112,8 +122,6 @@ class TestDiscord:
         assert discord(named_state("product-fixture")).discord < 1e-9
 
     def test_random_product_states_zero(self):
-        from .conftest import random_product_state
-
         for seed in range(5):
             rho = random_product_state(2, seed)
             assert discord(rho).discord < 1e-9
@@ -236,6 +244,7 @@ class TestDenseSearch:
         oracle = nelder_mead_discord(rho)
         for key, value in oracle.items():
             assert abs(getattr(res, key) - value) <= 1e-12, key
+        assert_diagnostics(res)
         assert res.diagnostics["converged"]
         assert res.diagnostics["polish_gain"] >= 0
 
@@ -289,8 +298,6 @@ class TestIsZeroDiscord:
         assert verdict.distance > 1e-3
 
     def test_consistency_with_discord_and_invariance(self):
-        from .conftest import random_classical_quantum_state, random_product_state
-
         for seed in range(5):
             for rho in (
                 random_classical_quantum_state(2, seed),
@@ -302,6 +309,16 @@ class TestIsZeroDiscord:
                 averaged = projective_average(rho, verdict.basis)
                 assert np.linalg.norm(rho.entries - averaged.entries) < 1e-6
 
+    @pytest.mark.parametrize("alpha", [1e-3, 1.4e-5, 1e-7, 1e-8])
+    def test_verdict_holds_at_nmr_polarization(self, alpha):
+        # the distance and its scale sqrt(tr G / 2) both shrink with alpha,
+        # so their ratio, and the verdict, do not
+        for name in ("final-dqc1", "bell"):
+            assert not is_zero_discord(embed(named_state(name), alpha)).is_zero
+        for n_b in (1, 2, 3):
+            for seed in range(20):
+                for make in (random_classical_quantum_state, random_product_state):
+                    assert is_zero_discord(embed(make(n_b, seed), alpha)).is_zero, (n_b, seed)
 
     @pytest.mark.parametrize("part", [(1, 1), (1, 2), (1, 3)])
     def test_closed_form_distance_is_minimum_over_bases(self, part):
@@ -350,6 +367,15 @@ class TestDqc1Discord:
         for eps in self.EPSILONS:
             assert dqc1_discord(eigphases, eps).discord == 0.0
 
+    def test_bias_information_pure_limit(self):
+        # g(+-1) = 1 with no RuntimeWarning from atanh(+-1), which would fail the test
+        assert _bias_information(np.array([-1.0, 0.0, 1.0])).tolist() == [1.0, 0.0, 1.0]
+
+    @pytest.mark.parametrize("x", [1e-8, 1e-5, 0.3, 0.99])
+    def test_bias_information_takes_its_atanh(self, x):
+        x = np.array([-x, x])
+        assert _bias_information(x).tobytes() == _bias_information(x, np.arctanh(x)).tobytes()
+
 
 POLISH_UNITARIES = {
     "jones": jones_unitary(),
@@ -375,6 +401,7 @@ class TestNewtonPolish:
         lam = np.angle(np.linalg.eigvals(POLISH_UNITARIES[name]))
         for eps in POLISH_EPSILONS:
             res = dqc1_discord(lam, eps)
+            assert_diagnostics(res)
             assert res.diagnostics["grid"] == grid
             oracle = bounded_brent_dqc1_discord(lam, eps, grid)
             np.testing.assert_allclose(res.discord, oracle, rtol=1e-9, atol=1e-13)

@@ -326,8 +326,14 @@ def _bracket_point(lam: np.ndarray, eps: float, phi):
     d2 = eps * sm * sm / (1 - xm**2) - m * at_m
     d2 = d2 - eps * (s * s / ((1 - eps * eps) + (eps * s) ** 2)).sum(axis=-1) / n
     d2 = d2 + (c * at).sum(axis=-1) / n
-    f = _bias_information(xm, at_m) - _bias_information(x, at).sum(axis=-1) / n
-    return f, t_m - t.sum(axis=-1) / n, d2
+    return _bracket_value(x, xm, at, at_m), t_m - t.sum(axis=-1) / n, d2
+
+
+def _bracket_value(x: np.ndarray, xm, at=None, at_m=None):
+    """The bracket f = g(eps m) - mean_k g(eps c_k) of :func:`_bracket_point`
+    from x = eps c_k (k on the last axis) and xm = eps m; ``at`` and ``at_m``
+    may supply their atanh. The phi grid reads this value alone."""
+    return _bias_information(xm, at_m) - _bias_information(x, at).sum(axis=-1) / x.shape[-1]
 
 
 def _newton_polish(point, vals: np.ndarray) -> tuple[float, float, int, bool]:
@@ -391,7 +397,8 @@ def dqc1_discord(eigphases: np.ndarray, eps: float) -> DiscordResult:
     lam = np.asarray(eigphases, dtype=float).ravel()
     log_d = math.log2(lam.size)
     point = partial(_bracket_point, lam, eps)
-    vals = point(np.arange(GRID) * (np.pi / GRID))[0]
+    c = np.cos(lam - (np.arange(GRID) * (np.pi / GRID))[:, None])
+    vals = _bracket_value(eps * c, eps * (c.sum(axis=-1) / lam.size))
     phi, best, steps, converged = _newton_polish(point, vals)
     tau = abs(np.exp(1j * lam).mean())
     mi = float(_bias_information(eps) - _bias_information(eps * tau))

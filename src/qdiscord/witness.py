@@ -10,9 +10,9 @@ as soon as the bound exceeds dim(A) or full tomography is exhausted.
 Monte Carlo samples come from one engine, :class:`_GramFold`, which folds
 each column into per-sample rows x rows Gram matrices. A rank check needs only
 the low quantile of each singular value, and a column only raises the
-eigenvalues, so a check eigendecomposes just the samples whose last
-eigenvalues could still reach that quantile; the returned distribution
-decomposes them all.
+eigenvalues, so a check eigendecomposes just the samples whose stored lower
+bounds could still reach that quantile and whose fresh Jacobi-sweep bounds
+do not rule them out; the returned distribution decomposes them all.
 """
 
 from __future__ import annotations
@@ -284,8 +284,10 @@ class _GramFold:
     (n_samples,) row per entry, so a column costs rows (rows + 1) / 2
     products per sample, and a sample's matrix is unpacked only when it is
     decomposed. :meth:`quantiles` decomposes only the samples that can reach
-    the low quantile (see there); :meth:`distribution` decomposes every
-    sample.
+    the low quantile (see there), keeping per sample a lower bound on each
+    eigenvalue, from its last decomposition or from a Jacobi certificate
+    (:meth:`_jacobi_bounds`) on the packed rows; :meth:`distribution`
+    decomposes every sample.
     """
 
     def __init__(self, n_rows: int, n_samples: int, seed: int):
@@ -296,7 +298,8 @@ class _GramFold:
         self.seed = seed
         self.tril = np.tril_indices(n_rows)
         self.packed = np.zeros((self.tril[0].size, n_samples))
-        # each sample's floored eigenvalues (descending) when last decomposed
+        # lower bounds on each sample's floored eigenvalues (descending): their
+        # values when last decomposed, or a Jacobi bound that cleared a check since
         self.last_eig = np.zeros((n_rows, n_samples))
         self.values: list[np.ndarray] = []
         self.noisy = False
@@ -364,22 +367,69 @@ class _GramFold:
         bound[bound < GRAM_RESOLUTION**2 * trace] = 0.0
         return np.sqrt(bound)
 
+    def _jacobi_bounds(self, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(rows, len(idx)) intervals [lo, hi] on the floored eigenvalues of
+        samples ``idx``, descending, from two cyclic Jacobi sweeps.
+
+        The rotations leave A = diag + E orthogonally similar to G, so by
+        Weyl's inequalities the j-th largest eigenvalue is within ||E||_F of
+        the j-th largest diagonal entry, widened by the rounding margin of
+        :meth:`_lower_bounds`; lo is floored at the resolution as there. On
+        random 4 x 4 Gram stacks the rotations' and eigvalsh's rounding
+        together came to at most 10 eps tr(G) beyond ||E||_F, well inside the
+        margin. A sample whose interval is not finite (as when the sweeps
+        overflow) has lo NaN.
+        """
+        n = self.n_rows
+        key = np.empty((n, n), dtype=int)  # packed row of entry (i, j) and (j, i)
+        key[self.tril] = key[self.tril[::-1]] = np.arange(self.tril[0].size)
+        a = list(self.packed[:, idx])
+        trace = np.sum([a[key[i, i]] for i in range(n)], axis=0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for _ in range(2):
+                for p in range(n):
+                    for q in range(p + 1, n):
+                        pp, qq, pq = key[p, p], key[q, q], key[q, p]
+                        # t = tan of the smaller angle that zeroes a_pq (0 if a_pq is 0)
+                        d, two = a[qq] - a[pp], 2 * a[pq]
+                        den = d + np.copysign(np.hypot(d, two), d)
+                        t = np.divide(two, den, out=np.zeros_like(d), where=den != 0)
+                        c = 1 / np.hypot(1.0, t)
+                        s = t * c
+                        tpq = t * a[pq]
+                        a[pp], a[qq], a[pq] = a[pp] - tpq, a[qq] + tpq, np.zeros_like(d)
+                        for r in range(n):
+                            if r != p and r != q:
+                                rp, rq = a[key[r, p]], a[key[r, q]]
+                                a[key[r, p]], a[key[r, q]] = c * rp - s * rq, s * rp + c * rq
+            mid = np.sort([a[key[i, i]] for i in range(n)], axis=0)[::-1]
+            off = np.sqrt(2 * sum(a[key[i, j]] ** 2 for i, j in zip(*self.tril) if i != j))
+            width = off + (64 + len(self.values)) * np.finfo(float).eps * trace
+            lo, hi = mid - width, mid + width
+        lo[lo < GRAM_RESOLUTION**2 * trace] = 0.0
+        lo[:, ~np.isfinite(hi).all(axis=0)] = np.nan
+        return lo, hi
+
     def quantiles(self, q: float) -> tuple[np.ndarray, int]:
         """The q-quantile of each singular value over the samples, equal to
         ``distribution().quantile(q)``, and the number of samples decomposed.
 
         G only gains c c^T, so by Weyl's inequalities every eigenvalue of a
-        sample is at least its value when last decomposed. That value, less a
-        rounding margin of (64 + columns) eps tr(G) (eigvalsh's error and one
-        eps tr(G) per Gram addition since), is a lower bound; it is kept only
-        while it clears the resolution floor at tr(G) >= lambda_max, else the
-        bound is 0. The quantile reads only the order statistics at floor(h)
-        and floor(h) + 1, h = q (n - 1), so only the ``need`` smallest values
-        of each singular value must be exact. The samples holding the 2 x
-        ``need`` smallest bounds are decomposed first; the need-th smallest of
-        their exact values is at or above the true one, so after decomposing
-        every sample bounded at or below it, no bound is below the need-th
-        smallest value, and the decomposed samples alone give the quantile.
+        sample is at least any lower bound it had at an earlier check. A
+        stored value, less a rounding margin of (64 + columns) eps tr(G)
+        (eigvalsh's error and one eps tr(G) per Gram addition since), is a
+        lower bound; it is kept only while it clears the resolution floor at
+        tr(G) >= lambda_max, else the bound is 0. The quantile reads only the
+        order statistics at floor(h) and floor(h) + 1, h = q (n - 1), so only
+        the ``need`` smallest values of each singular value must be exact.
+        The samples holding the 2 x ``need`` smallest bounds are decomposed
+        first; the need-th smallest of their exact values, ``top``, is at or
+        above the true one, so no sample whose values all exceed ``top`` can
+        reach the quantile. Every other sample bounded at or below ``top`` is
+        a candidate: :meth:`_jacobi_bounds` bounds it afresh, and it is
+        decomposed unless that bound clears ``top`` for every singular value.
+        A cleared bound is stored, so the sample stays out of the next check
+        too; the decomposed samples alone give the quantile.
         """
         if not self.noisy:
             return self._exact_sv(), 0
@@ -397,7 +447,13 @@ class _GramFold:
         top = np.partition(sv[:, first], need - 1, axis=1)[:, need - 1, None]
         more = (sv <= top).any(axis=0)
         more[first] = False
-        rest = np.flatnonzero(more)
+        candidates = np.flatnonzero(more)
+        lo, _ = self._jacobi_bounds(candidates)
+        # NaN (no finite interval) never clears top, so that sample is decomposed
+        below = (~(np.sqrt(lo[: self.n_singular_values]) > top)).any(axis=0)
+        kept, rest = candidates[~below], candidates[below]
+        self.last_eig[:, kept] = np.maximum(self.last_eig[:, kept], lo[:, ~below])
+        more[kept] = False
         more[first] = True  # every decomposed sample
         sv[:, rest] = self._decompose(rest)
         return _quantile_of_lowest(sv[:, more], q, n), first.size + rest.size

@@ -446,21 +446,41 @@ class TestNewtonPolish:
     @pytest.mark.parametrize("eps", [1.4e-5, 0.5, 1.0])
     @pytest.mark.parametrize("name", ["jones", "haar32"])
     def test_one_bracket_evaluation_per_step(self, monkeypatch, name, eps):
-        # one on the grid, one at the grid minimum, then one per Newton step
-        # at its trial point
+        # the grid reads the bracket's value alone; derivatives come from one
+        # point at the grid minimum, then one per Newton step at its trial point
         module = importlib.import_module("qdiscord.discord")
-        point, calls = module._bracket_point, []
+        point, value, calls, values = module._bracket_point, module._bracket_value, [], []
 
         def counted(*args):
             calls.append(args)
             return point(*args)
 
+        def counted_value(*args):
+            values.append(args)
+            return value(*args)
+
         monkeypatch.setattr(module, "_bracket_point", counted)
+        monkeypatch.setattr(module, "_bracket_value", counted_value)
         lam = np.angle(np.linalg.eigvals(POLISH_UNITARIES[name]))
         steps = dqc1_discord(lam, eps).diagnostics["refine_nfev"]
-        assert len(calls) == steps + 2
-        assert np.shape(calls[0][2]) == (module.GRID,)
-        assert all(np.shape(args[2]) == () for args in calls[1:])
+        assert len(calls) == steps + 1
+        assert all(np.shape(args[2]) == () for args in calls)
+        assert len(values) == len(calls) + 1
+        assert np.shape(values[0][0]) == (module.GRID, lam.size)
+
+    @pytest.mark.parametrize("eps", [0.5, 1.0])
+    def test_grid_values_equal_the_bracket_points(self, eps):
+        # the grid's value-only path and the polish's point share one f, bit
+        # for bit, also at eps = 1, where both take g's pure limit
+        module = importlib.import_module("qdiscord.discord")
+        lam = eigphases_of(haar_random_unitary(32, 2))
+        phis = np.arange(module.GRID) * (np.pi / module.GRID)
+        want = module._bracket_point(lam, eps, phis)[0]
+        grid_min = dqc1_discord(lam, eps).diagnostics["grid_min"]
+        assert grid_min == math.log2(lam.size) + float(want.min())
+        c = np.cos(lam - phis[:, None])
+        got = module._bracket_value(eps * c, eps * (c.sum(axis=-1) / lam.size))
+        assert got.tobytes() == want.tobytes()
 
     def test_converged_newton_step_ends_both_searches(self, monkeypatch):
         # Newton converges here within three steps, and a step that rounds to

@@ -93,9 +93,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_discord(args) -> int:
-    if args.extrapolate:
-        if args.alpha is None:
-            raise ValueError("--extrapolate requires --alpha")
+    if args.alpha is not None:
         u = _resolve(args.dqc1, "unitary", dqc1.unitary_from_dict)
         fit = fit_polarization_scaling(u, alpha=args.alpha)
         payload = {
@@ -253,9 +251,9 @@ def build_parser() -> argparse.ArgumentParser:
     src.add_argument("--dqc1", help="circuit output for this unitary (jones | identity8 | file)")
     src.add_argument("--ensemble", help="ensemble JSON {alpha, pps}")
     p.add_argument("--epsilon", type=float, default=None,
-                   help="bias for --dqc1 without --extrapolate (default 1)")
-    p.add_argument("--alpha", type=float, help="target polarization for --extrapolate")
-    p.add_argument("--extrapolate", action="store_true", help="quadratic-scaling extrapolation")
+                   help="bias for --dqc1 without --alpha (default 1)")
+    p.add_argument("--alpha", type=float,
+                   help="polarization for --dqc1: extrapolate by quadratic scaling")
     p.add_argument("--out", default="discord.json")
     p.set_defaults(func=cmd_discord)
 
@@ -301,10 +299,9 @@ def build_parser() -> argparse.ArgumentParser:
 # is refused rather than ignored.
 SCOPED_FLAGS = {
     "discord": (
-        ("extrapolate", "--dqc1", lambda a: a.dqc1 is not None, None),
-        ("alpha", "--extrapolate", lambda a: a.extrapolate, None),
-        ("epsilon", "--dqc1 without --extrapolate",
-         lambda a: a.dqc1 is not None and not a.extrapolate, 1.0),
+        ("alpha", "--dqc1", lambda a: a.dqc1 is not None, None),
+        ("epsilon", "--dqc1 without --alpha",
+         lambda a: a.dqc1 is not None and a.alpha is None, 1.0),
     ),
     "witness": (
         ("sigma", "--state or --ensemble", lambda a: a.matrix is None, 0.05),
@@ -343,7 +340,7 @@ def _check_flags(args) -> None:
     for dest, modes, applies, default in SCOPED_FLAGS.get(args.command, ()):
         value = getattr(args, dest)
         if not applies(args):
-            if value is not None and value is not False:  # 0 is a given value
+            if value is not None:  # 0 is a given value
                 raise ValueError(f"--{dest.replace('_', '-')} only applies to {modes}")
         elif value is None:
             setattr(args, dest, default)

@@ -11,7 +11,6 @@ from __future__ import annotations
 import itertools
 import operator
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -29,11 +28,6 @@ PAULI_1Q = {
     "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
     "Z": np.array([[1, 0], [0, -1]], dtype=complex),
 }
-
-
-def _readonly(a: np.ndarray) -> np.ndarray:
-    a.setflags(write=False)
-    return a
 
 
 def integer_entry(k, where: str) -> int:
@@ -65,7 +59,9 @@ class DensityMatrix:
             raise ValueError("density matrix has non-finite (NaN or inf) entries")
         dim = entries.shape[0]
         n = dim.bit_length() - 1
-        if dim < 2 or 2**n != dim:
+        if dim == 1:
+            raise ValueError("dimension 1 holds no qubit, and an A|B state needs at least two")
+        if 2**n != dim:
             raise ValueError(f"dimension {dim} is not a power of 2")
         where = f"qubit partition {self.qubit_partition!r}: entry"
         part = tuple(integer_entry(k, where) for k in self.qubit_partition)
@@ -83,7 +79,8 @@ class DensityMatrix:
         wmin = float(np.linalg.eigvalsh(entries)[0])
         if wmin < -PSD_TOL:
             raise ValueError(f"not positive semidefinite: min eigenvalue {wmin:.3e}")
-        object.__setattr__(self, "entries", _readonly(entries))
+        entries.setflags(write=False)
+        object.__setattr__(self, "entries", entries)
         object.__setattr__(self, "qubit_partition", part)
 
     @property
@@ -131,19 +128,9 @@ def entropy_from_eigenvalues(w: np.ndarray) -> float:
     return float(-(nz * np.log2(nz)).sum())
 
 
-@lru_cache(maxsize=4096)
-def _pauli_realize_cached(label: str) -> np.ndarray:
-    m = np.array([[1.0 + 0j]])
-    for ch in label:
-        m = np.kron(m, PAULI_1Q[ch])
-    return _readonly(m)
-
-
 def pauli_realize(label: PauliLabel) -> np.ndarray:
-    """Matrix form of a Pauli string, leftmost symbol most significant.
-
-    Returns a cached read-only array; copy before mutating.
-    """
+    """Matrix form of a Pauli string, leftmost symbol most significant, as a
+    new array on each call."""
     if not label:
         raise ValueError("empty Pauli label")
     if len(label) > MAX_QUBITS:
@@ -151,7 +138,10 @@ def pauli_realize(label: PauliLabel) -> np.ndarray:
     for ch in label:
         if ch not in PAULI_1Q:
             raise ValueError(f"illegal Pauli symbol {ch!r} in {label!r}")
-    return _pauli_realize_cached(label)
+    m = np.array([[1.0 + 0j]])
+    for ch in label:
+        m = np.kron(m, PAULI_1Q[ch])
+    return m
 
 
 def pauli_labels(n_qubits: int) -> list[PauliLabel]:

@@ -448,6 +448,8 @@ class _GramFold:
         more = (sv <= top).any(axis=0)
         more[first] = False
         candidates = np.flatnonzero(more)
+        if candidates.size == 0:
+            return _quantile_of_lowest(sv[:, first], q, n), first.size
         lo, _ = self._jacobi_bounds(candidates)
         # NaN (no finite interval) never clears top, so that sample is decomposed
         below = (~(np.sqrt(lo[: self.n_singular_values]) > top)).any(axis=0)

@@ -75,9 +75,7 @@ def test_criterion_02_polarization():
 
 def test_criterion_03_discord_endpoint(tmp_path):
     t0 = time.monotonic()
-    out = run_cli(
-        tmp_path, "discord", "--dqc1", "jones", "--alpha", "1.4e-5", "--extrapolate"
-    )
+    out = run_cli(tmp_path, "discord", "--dqc1", "jones", "--alpha", "1.4e-5")
     elapsed = time.monotonic() - t0
     value = out["discord"]
     exponent = out["scaling"]["exponent"]

@@ -19,6 +19,7 @@ from qdiscord import (
     Dqc1Instance,
     discord,
     eq3_fixture,
+    fit_polarization_scaling,
     jones_unitary,
     output_state,
 )
@@ -81,7 +82,7 @@ class TestSimulate:
         "command",
         [
             ("simulate", "--unitary"),
-            ("discord", "--alpha", "1.4e-5", "--extrapolate", "--dqc1"),
+            ("discord", "--alpha", "1.4e-5", "--dqc1"),
             ("discord", "--dqc1"),
         ],
     )
@@ -129,12 +130,9 @@ class TestDiscordCommand:
     def test_unknown_state_exits_2(self, tmp_path):
         assert run(tmp_path, "discord", "--state", "nope") == 2
 
-    def test_alpha_without_extrapolate_exits_2(self, tmp_path):
-        assert run(tmp_path, "discord", "--dqc1", "jones", "--alpha", "1e-5") == 2
-
     @pytest.mark.parametrize("alpha", ["2", "0"])
     def test_alpha_outside_unit_interval_exits_2(self, tmp_path, capsys, alpha):
-        args = ("discord", "--dqc1", "jones", "--alpha", alpha, "--extrapolate")
+        args = ("discord", "--dqc1", "jones", "--alpha", alpha)
         assert run(tmp_path, *args) == 2
         assert "alpha" in capsys.readouterr().err
 
@@ -162,14 +160,15 @@ class TestDiscordCommand:
         [
             ("--state", "bell"),
             ("--ensemble", "ens.json"),
-            ("--dqc1", "jones", "--alpha", "1.4e-5", "--extrapolate"),
+            ("--dqc1", "jones", "--alpha", "1.4e-5"),
         ],
         ids=["state", "ensemble", "extrapolate"],
     )
     def test_ignored_epsilon_exits_2(self, tmp_path, capsys, source):
         (tmp_path / "ens.json").write_text(json.dumps({"alpha": 0.5, "pps": "bell"}))
         assert run(tmp_path, "discord", *source, "--epsilon", "0.3") == 2
-        assert "--epsilon" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err == "error: --epsilon only applies to --dqc1 without --alpha\n"
         assert not (tmp_path / "discord.json").exists()
 
     def test_scaling_failure_exits_3(self, tmp_path, monkeypatch):
@@ -179,16 +178,14 @@ class TestDiscordCommand:
             raise ScalingFitError("exponent out of range")
 
         monkeypatch.setattr("qdiscord.cli.fit_polarization_scaling", boom)
-        code = run(
-            tmp_path, "discord", "--dqc1", "jones", "--alpha", "1.4e-5", "--extrapolate"
-        )
+        code = run(tmp_path, "discord", "--dqc1", "jones", "--alpha", "1.4e-5")
         assert code == 3
 
     @pytest.mark.parametrize(
         "command",
         [
-            ("discord", "--dqc1", "identity8", "--extrapolate", "--alpha", "0.7"),
-            ("discord", "--dqc1", "jones", "--extrapolate", "--alpha", "0.9"),
+            ("discord", "--dqc1", "identity8", "--alpha", "0.7"),
+            ("discord", "--dqc1", "jones", "--alpha", "0.9"),
             ("haar-survey", "--seeds", "2", "--dim", "8", "--alpha", "1"),
         ],
         ids=["identity8", "jones", "haar-survey"],
@@ -202,25 +199,42 @@ class TestDiscordCommand:
 
     def test_underflowing_alpha_exits_2(self, tmp_path, capsys):
         # D(alpha) and D(alpha/2) fall below the smallest normal double
-        args = ("discord", "--dqc1", "jones", "--alpha", "1e-170", "--extrapolate")
+        args = ("discord", "--dqc1", "jones", "--alpha", "1e-170")
         assert run(tmp_path, *args) == 2
         err = capsys.readouterr().err
         assert "alpha" in err and "underflow" in err
         assert not (tmp_path / "discord.json").exists()
 
     def test_tiny_alpha_in_double_range_runs(self, tmp_path):
-        args = ("discord", "--dqc1", "jones", "--alpha", "1e-150", "--extrapolate")
+        args = ("discord", "--dqc1", "jones", "--alpha", "1e-150")
         assert run(tmp_path, *args) == 0
         out = json.loads((tmp_path / "discord.json").read_text())
         assert 1.98 <= out["scaling"]["exponent"] <= 2.02
 
     def test_extrapolate_reports_direct_value(self, tmp_path):
-        args = ("discord", "--dqc1", "jones", "--alpha", "1.4e-5", "--extrapolate")
+        args = ("discord", "--dqc1", "jones", "--alpha", "1.4e-5")
         assert run(tmp_path, *args) == 0
         out = json.loads((tmp_path / "discord.json").read_text())
         assert out["direct"] == pytest.approx(out["discord"], rel=1e-9)
         assert set(out["scaling"]) == {"exponent", "coefficient"}
         assert 1.98 <= out["scaling"]["exponent"] <= 2.02
+
+    @pytest.mark.parametrize("alpha", ["1.4e-5", "0.05"])
+    def test_alpha_writes_the_scaling_fit(self, tmp_path, alpha):
+        # --alpha alone selects the extrapolation; 0.05 sums 10 series terms
+        assert run(tmp_path, "discord", "--dqc1", "jones", "--alpha", alpha) == 0
+        out = json.loads((tmp_path / "discord.json").read_text())
+        fit = fit_polarization_scaling(jones_unitary(), alpha=float(alpha))
+        assert (out["discord"], out["direct"]) == (fit.value, fit.direct)
+        assert out["scaling"] == {"exponent": fit.exponent, "coefficient": fit.coefficient}
+        assert "extrapolate" not in out["config"]
+
+    def test_extrapolate_is_not_a_flag(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(tmp_path, "discord", "--dqc1", "jones", "--extrapolate", "--alpha", "1.4e-5")
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --extrapolate" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     def test_extrapolation_disagreeing_with_direct_value_exits_3(
         self, tmp_path, monkeypatch, capsys
@@ -234,9 +248,7 @@ class TestDiscordCommand:
             return 2 * value if eps < 1e-4 else value
 
         monkeypatch.setattr(disc, "_series_discord", doubled_at_alpha)
-        code = run(
-            tmp_path, "discord", "--dqc1", "jones", "--alpha", "1.4e-5", "--extrapolate"
-        )
+        code = run(tmp_path, "discord", "--dqc1", "jones", "--alpha", "1.4e-5")
         assert code == 3
         assert "direct value" in capsys.readouterr().err
 
@@ -269,8 +281,12 @@ class TestDiscordCommand:
                 "malformed qubit partition [1.9, 1.2]: entry 1.9 is not an integer",
             ),
             ({"alpha": True, "pps": "bell"}, "malformed ensemble spec: alpha True is not a number"),
+            (
+                {"alpha": 0.5, "pps": {"re": [[1]], "im": [[0]]}},
+                "dimension 1 holds no qubit, and an A|B state needs at least two",
+            ),
         ],
-        ids=["missing", "three-block", "non-integer", "bool-alpha"],
+        ids=["missing", "three-block", "non-integer", "bool-alpha", "one-by-one"],
     )
     @pytest.mark.parametrize("command", ["discord", "witness"])
     def test_ensemble_refused_when_loaded(self, tmp_path, capsys, command, document, message):
@@ -839,7 +855,7 @@ SOURCE_MODES = {
         ("--state", "bell"),
         ("--ensemble", "ens.json"),
         ("--dqc1", "jones"),
-        ("--dqc1", "jones", "--extrapolate", "--alpha", "1.4e-5"),
+        ("--dqc1", "jones", "--alpha", "1.4e-5"),
     ],
     "witness": [
         ("--matrix", "rtrunc_eq3", "--samples", "50"),
@@ -854,7 +870,6 @@ SOURCE_MODES = {
 FLAG_VALUES = {
     "--epsilon": ("0.5",),
     "--alpha": ("2.8e-5",),
-    "--extrapolate": ("--alpha", "2.8e-5"),
     "--sigma": ("0.02",),
     "--measure-seed": ("0",),  # 0 is a given value, not an absent one
     "--samples": ("60",),
@@ -914,7 +929,7 @@ def test_every_optional_flag_acts_or_is_refused(tmp_path, capsys, command, sourc
     "args, resolved",
     [
         (("simulate", "--unitary", "jones"), {"epsilon": 1.0}),
-        (("discord", "--dqc1", "jones"), {"epsilon": 1.0, "alpha": None, "extrapolate": False}),
+        (("discord", "--dqc1", "jones"), {"epsilon": 1.0, "alpha": None}),
         (("discord", "--state", "bell"), {"epsilon": None}),
         (("witness", "--matrix", "rtrunc_eq3", "--samples", "50"),
          {"sigma": None, "measure_seed": None, "resamples": None, "csv_prefix": None}),

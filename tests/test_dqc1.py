@@ -123,7 +123,7 @@ class TestTraceEstimate:
         assert est == pytest.approx(1.0 + 0.0j, abs=1e-12)
 
     def test_traceless_unitary(self):
-        u = pauli_realize("ZII").copy()
+        u = pauli_realize("ZII")
         est = trace_estimate(Dqc1Instance(1.0, u))
         assert abs(est) < 1e-12
 

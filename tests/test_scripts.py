@@ -13,12 +13,6 @@ def load_script(name):
     return module
 
 
-def test_haar_survey_script(tmp_path):
-    assert load_script("haar_survey").run(tmp_path, 3, 8, 1.4e-5) == 0
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["haar_survey.csv", "haar_survey.json"]
-    assert len((tmp_path / "haar_survey.csv").read_text().splitlines()) == 1 + 3
-
-
 def test_reproduce_witness_figures_script(tmp_path):
     assert load_script("reproduce_witness_figures").run(tmp_path, 1) == 0
     expected = {

@@ -444,6 +444,30 @@ class TestRankCheckQuantiles:
             checks += 1
         assert checks == 61
 
+    def test_no_jacobi_certificate_without_candidates(self, monkeypatch):
+        # the CLI run `witness --state initial-dqc1 --samples 100` (seed 0):
+        # 18 of its checks hand the certificate no candidate
+        corr = correlation_matrix(named_state("initial-dqc1")).with_uniform_sigmas(0.05)
+        corr = extract_columns(corr, z_sector_first_order(corr.col_labels))
+        sizes = []
+        jacobi = wit._GramFold._jacobi_bounds
+
+        def counted_jacobi(self, idx):
+            sizes.append(idx.size)
+            return jacobi(self, idx)
+
+        monkeypatch.setattr(wit._GramFold, "_jacobi_bounds", counted_jacobi)
+        q, n = 1.0 - 0.99, 100
+        fold = wit._GramFold(len(corr.row_labels), n, seed=0)
+        for j, label in enumerate(corr.col_labels):
+            fold.add(label, corr.values[:, j], corr.sigmas[:, j])
+            if j + 1 < wit.INITIAL_BLOCK:
+                continue
+            got, _ = fold.quantiles(q)
+            want = full_quantiles(outer_product_gram(corr, n, 0, j + 1), fold.n_singular_values, q)
+            assert got.tobytes() == want.tobytes(), label
+        assert sizes and min(sizes) > 0  # 42 calls with numpy 2.4.6 and OpenBLAS 0.3.31
+
     @pytest.mark.parametrize(
         "corr",
         [

@@ -3,8 +3,7 @@
 Discord here is the gap between the two mutual-information formulations,
 D(A:B) = H(rho_A) - H(rho) + min over rank-1 projective measurements on the
 qubit A of the average conditional entropy of B; all entropies are in bits.
-A and B are the two blocks of the state's qubit partition
-(:attr:`DensityMatrix.bipartite_dims`), and A must be a single qubit.
+A is the state's first qubit and B the other qubits (:class:`DensityMatrix`).
 
 Everything works from one decomposition of the state, rho_B and
 Gamma_i = Tr_A[(sigma_i (+) I) rho]: measuring A along the Bloch vector n
@@ -164,9 +163,7 @@ def _bloch_blocks(rho: DensityMatrix) -> tuple[np.ndarray, np.ndarray]:
     conditional B operators (rho_B +- n.Gamma)/2, whose traces are the
     outcome probabilities.
     """
-    da, db = rho.bipartite_dims
-    if da != 2:
-        raise ValueError("measurements on A require a 2-dimensional A side")
+    db = rho.dim // 2
     r = rho.entries.reshape(2, db, 2, db)
     r00, r01, r10, r11 = r[0, :, 0], r[0, :, 1], r[1, :, 0], r[1, :, 1]
     return r00 + r11, np.stack([r01 + r10, 1j * (r01 - r10), r00 - r11])
@@ -242,8 +239,8 @@ def _sphere_polish(rho_b: np.ndarray, gammas: np.ndarray, n0: np.ndarray, f0: fl
 
 def mutual_information(rho: DensityMatrix) -> float:
     """I(A:B) = H(A) + H(B) - H(A,B) in bits."""
-    da, db = rho.bipartite_dims
-    r4 = rho.entries.reshape(da, db, da, db)
+    db = rho.dim // 2
+    r4 = rho.entries.reshape(2, db, 2, db)
     rho_a = np.einsum("ibjb->ij", r4)
     rho_b = np.einsum("ibic->bc", r4)
     ha = entropy_from_eigenvalues(np.linalg.eigvalsh(rho_a))
@@ -253,7 +250,7 @@ def mutual_information(rho: DensityMatrix) -> float:
 
 
 def discord(rho: DensityMatrix) -> DiscordResult:
-    """Quantum discord D(A:B) across the state's two-block split, A a qubit.
+    """Quantum discord D(A:B) of the state's first qubit A and the rest B.
 
     The conditional term is minimized over all rank-1 projective measurements
     on A: n and -n are one measurement, so a grid of ``4 * GRID`` Fibonacci

@@ -8,13 +8,12 @@ epsilon * Tr(U) / 2^n.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import (
-    MAX_QUBITS, DensityMatrix, PAULI_1Q, complex_from_parts, integer_entry, pauli_realize, tensor,
-)
+from .linalg import MAX_QUBITS, DensityMatrix, PAULI_1Q, complex_from_parts, pauli_realize, tensor
 
 UNITARITY_TOL = 1e-10
 # the circuit adds one clean qubit to the log2(d) mixed ones
@@ -81,7 +80,7 @@ def input_state(inst: Dqc1Instance) -> DensityMatrix:
     """((I + eps Z)/2) (+) I/2^n."""
     top = (PAULI_1Q["I"] + inst.epsilon * PAULI_1Q["Z"]) / 2
     db = inst.unitary.shape[0]
-    return DensityMatrix(tensor(top, np.eye(db) / db), (1, inst.n))
+    return DensityMatrix(tensor(top, np.eye(db) / db))
 
 
 def output_state(inst: Dqc1Instance) -> DensityMatrix:
@@ -91,7 +90,7 @@ def output_state(inst: Dqc1Instance) -> DensityMatrix:
     db = inst.unitary.shape[0]
     circuit = controlled(inst.unitary) @ tensor(hadamard(), np.eye(db))
     rho = circuit @ input_state(inst).entries @ circuit.conj().T
-    return DensityMatrix(rho, (1, inst.n))
+    return DensityMatrix(rho)
 
 
 def trace_estimate(inst: Dqc1Instance) -> complex:
@@ -126,9 +125,12 @@ def haar_random_unitary(d: int, seed: int) -> np.ndarray:
 
 
 def unitary_from_dict(data: dict) -> np.ndarray:
-    """Parse {"dim": d, "re": [[...]], "im": [[...]]}, d an integer (not a bool)."""
+    """Parse {"dim": d, "re": [[...]], "im": [[...]]}, d an integer: a float,
+    string or bool is refused, not truncated or read as 1."""
     try:
-        d = integer_entry(data["dim"], "unitary spec: dim")
+        d = data["dim"]
+        if isinstance(d, bool) or not isinstance(d, numbers.Integral):
+            raise ValueError(f"malformed unitary spec: dim {d!r} is not an integer")
         u = complex_from_parts(data, "unitary")
     except (KeyError, TypeError, OverflowError) as exc:
         raise ValueError(f"malformed unitary spec: {exc}") from exc

@@ -9,7 +9,6 @@ top qubit of the circuit diagrams).
 from __future__ import annotations
 
 import itertools
-import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,26 +29,14 @@ PAULI_1Q = {
 }
 
 
-def integer_entry(k, where: str) -> int:
-    """A document's entry ``k`` as an int; a float, string or bool is refused
-    with "malformed {where} {k!r} is not an integer", not truncated or read as 1."""
-    try:
-        if isinstance(k, bool):
-            raise TypeError
-        return operator.index(k)
-    except TypeError:
-        raise ValueError(f"malformed {where} {k!r} is not an integer") from None
-
-
 @dataclass(frozen=True)
 class DensityMatrix:
-    """Hermitian, unit-trace, positive-semidefinite operator on a qubit register
-    split into the two subsystems A|B that discord and the correlation matrix
-    read: ``qubit_partition`` is (qubits of A, qubits of B).
+    """Hermitian, unit-trace, positive-semidefinite operator on n >= 2 qubits,
+    split into the two subsystems that discord and the correlation matrix
+    read: qubit A, the first (most significant) qubit, and B, the other n - 1.
     """
 
     entries: np.ndarray
-    qubit_partition: tuple[int, int]
 
     def __post_init__(self):
         entries = np.array(self.entries, dtype=complex)
@@ -59,17 +46,11 @@ class DensityMatrix:
             raise ValueError("density matrix has non-finite (NaN or inf) entries")
         dim = entries.shape[0]
         n = dim.bit_length() - 1
-        if dim == 1:
-            raise ValueError("dimension 1 holds no qubit, and an A|B state needs at least two")
         if 2**n != dim:
             raise ValueError(f"dimension {dim} is not a power of 2")
-        where = f"qubit partition {self.qubit_partition!r}: entry"
-        part = tuple(integer_entry(k, where) for k in self.qubit_partition)
-        if len(part) != 2 or min(part) < 1 or sum(part) != n:
-            raise ValueError(
-                f"qubit partition {part} does not split the {n}-qubit register "
-                "into two blocks A|B"
-            )
+        if n < 2:
+            held = "no qubit" if n == 0 else "one qubit"
+            raise ValueError(f"dimension {dim} holds {held}, and an A|B state needs at least two")
         dev = np.abs(entries - entries.conj().T).max()
         if dev > HERMITICITY_TOL:
             raise ValueError(f"not Hermitian: max deviation {dev:.3e}")
@@ -81,7 +62,6 @@ class DensityMatrix:
             raise ValueError(f"not positive semidefinite: min eigenvalue {wmin:.3e}")
         entries.setflags(write=False)
         object.__setattr__(self, "entries", entries)
-        object.__setattr__(self, "qubit_partition", part)
 
     @property
     def dim(self) -> int:
@@ -89,13 +69,7 @@ class DensityMatrix:
 
     @property
     def n_qubits(self) -> int:
-        return sum(self.qubit_partition)
-
-    @property
-    def bipartite_dims(self) -> tuple[int, int]:
-        """(d_A, d_B) of the A|B split."""
-        na, nb = self.qubit_partition
-        return 2**na, 2**nb
+        return self.dim.bit_length() - 1
 
 
 def complex_from_parts(spec: dict, what: str) -> np.ndarray:

@@ -31,7 +31,7 @@ def embed(pps: DensityMatrix, alpha: float) -> DensityMatrix:
         raise ValueError(f"alpha {alpha} outside (0, 1]")
     dim = pps.dim
     mixed = (1.0 - alpha) * np.eye(dim) / dim + alpha * pps.entries
-    return DensityMatrix(mixed, pps.qubit_partition)
+    return DensityMatrix(mixed)
 
 
 def _measurement_noise(observable: PauliLabel, sigma: float, seed: int) -> float:
@@ -80,9 +80,9 @@ def measured_correlation_matrix(rho: DensityMatrix, sigma: float, seed: int):
 
 def load_ensemble(data: dict) -> DensityMatrix:
     """The physical state :func:`embed` (pps, alpha) of a parsed ensemble
-    document {"alpha": a, "pps": <name or {"re", "im"[, "qubit_partition"]}>};
-    a pps name is one of the package's named fixtures, and an inline pps
-    without a partition has its first qubit as A; alpha is a number, not a bool."""
+    document {"alpha": a, "pps": <name or {"re", "im"}>}; a pps name is one of
+    the package's named fixtures, an inline pps has no key but "re" and "im"
+    (its first qubit is A, the rest B), and alpha is a number, not a bool."""
     try:
         alpha = data["alpha"]
         if isinstance(alpha, bool) or not isinstance(alpha, numbers.Real):
@@ -96,10 +96,13 @@ def load_ensemble(data: dict) -> DensityMatrix:
     else:
         try:
             entries = complex_from_parts(pps_spec, "density matrix")
-            part = pps_spec.get("qubit_partition")
-            if part is None:
-                part = (1, entries.shape[0].bit_length() - 2)
-            pps = DensityMatrix(entries, part)
-        except (KeyError, TypeError, IndexError, OverflowError) as exc:
+        except (KeyError, TypeError, OverflowError) as exc:
             raise ValueError(f"malformed pps spec: {exc}") from exc
+        extra = sorted(set(pps_spec) - {"re", "im"})
+        if extra:
+            raise ValueError(
+                f"malformed pps spec: key {extra[0]!r} is not read; an inline pps is "
+                '{"re", "im"} alone, with qubit A its first qubit'
+            )
+        pps = DensityMatrix(entries)
     return embed(pps, alpha)

@@ -22,14 +22,14 @@ from .witness import CorrelationMatrix
 def bell_state() -> DensityMatrix:
     """|Phi+><Phi+| on two qubits."""
     psi = np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2)
-    return DensityMatrix(np.outer(psi, psi.conj()), (1, 1))
+    return DensityMatrix(np.outer(psi, psi.conj()))
 
 
 def product_fixture() -> DensityMatrix:
     """A fixed two-qubit product state (zero discord by construction)."""
     rho_a = np.diag([0.8, 0.2]).astype(complex)
     rho_b = (PAULI_1Q["I"] + 0.4 * PAULI_1Q["X"]) / 2
-    return DensityMatrix(tensor(rho_a, rho_b), (1, 1))
+    return DensityMatrix(tensor(rho_a, rho_b))
 
 
 def initial_dqc1() -> DensityMatrix:

@@ -1,7 +1,9 @@
 """State-independent non-zero-discord witness via the correlation-matrix rank.
 
-A bipartite state expands as rho = 2^-N sum_nm r_nm A_n (+) B_m over Pauli
-string bases; discord D(A:B) is non-zero whenever rank(r_nm) exceeds dim(A).
+A state of qubit A (the first qubit) and B (the rest) expands as
+rho = 2^-N sum_nm r_nm A_n (+) B_m, A_n over the Pauli matrices I, X, Y, Z
+and B_m over Pauli strings; discord D(A:B) is non-zero whenever rank(r_nm)
+exceeds dim(A) = 2.
 The witness reads the columns of one validated matrix one at a time,
 lower-bounds the rank by counting singular values statistically
 distinguishable from zero under Gaussian measurement uncertainty, and stops
@@ -28,6 +30,8 @@ import numpy as np
 
 from .linalg import PAULI_1Q, DensityMatrix, PauliLabel, pauli_labels, pauli_realize
 
+# dim(A): A is one qubit
+DIM_A = 2
 TAU_FLOOR = 1e-7
 IDENTITY_VALUE_TOL = 1e-9
 HISTOGRAM_NORM_TOL = 1e-6
@@ -60,7 +64,9 @@ def _is_identity_label(label: PauliLabel) -> bool:
 @dataclass(frozen=True)
 class CorrelationMatrix:
     """Expansion coefficients r_nm = Tr(rho (A_n (+) B_m)) with per-element
-    Gaussian uncertainties; omitted sigmas are zeros, an exact matrix."""
+    Gaussian uncertainties; omitted sigmas are zeros, an exact matrix. A row
+    label is one Pauli symbol, since A is one qubit; a column label is a
+    Pauli string of B."""
 
     row_labels: tuple[PauliLabel, ...]
     col_labels: tuple[PauliLabel, ...]
@@ -78,6 +84,8 @@ class CorrelationMatrix:
                 raise ValueError(f"{side} label {bad[0]!r} is not a Pauli string over IXYZ")
             if len(set(labels)) != len(labels):
                 raise ValueError(f"duplicate {side} labels in {labels}")
+        if len(rows[0]) != 1:
+            raise ValueError(f"row label {rows[0]!r} is not one symbol: A is one qubit")
         values = np.array(self.values, dtype=float)
         if values.shape != (len(rows), len(cols)):
             raise ValueError(f"values shape {values.shape} != {len(rows)}x{len(cols)}")
@@ -142,18 +150,16 @@ class CorrelationMatrix:
 
 
 def correlation_matrix(rho: DensityMatrix) -> CorrelationMatrix:
-    """Full Pauli correlation matrix of a bipartite state (exact: zero sigmas).
+    """Full Pauli correlation matrix of a state (exact: zero sigmas).
 
-    Row labels run over the A-side Pauli strings, columns over the B side;
-    the reconstruction 2^-N sum r_nm A_n (+) B_m recovers the state.
+    Rows run over I, X, Y and Z of qubit A, columns over the Pauli strings of
+    B; the reconstruction 2^-N sum r_nm A_n (+) B_m recovers the state.
     """
-    da, db = rho.bipartite_dims
-    na, nb = rho.qubit_partition
-    r4 = rho.entries.reshape(da, db, da, db)
-    a_stack, b_stack = _pauli_stack(na), _pauli_stack(nb)
-    contracted = np.einsum("ibjc,rji->rbc", r4, a_stack, optimize=True)
-    values = np.einsum("rbc,scb->rs", contracted, b_stack, optimize=True).real
-    return CorrelationMatrix(tuple(pauli_labels(na)), tuple(pauli_labels(nb)), values)
+    nb = rho.n_qubits - 1
+    r4 = rho.entries.reshape(2, 2**nb, 2, 2**nb)
+    contracted = np.einsum("ibjc,rji->rbc", r4, _pauli_stack(1), optimize=True)
+    values = np.einsum("rbc,scb->rs", contracted, _pauli_stack(nb), optimize=True).real
+    return CorrelationMatrix(tuple(pauli_labels(1)), tuple(pauli_labels(nb)), values)
 
 
 def default_tau(sigmas: np.ndarray, n_cols: int | None = None) -> float:
@@ -377,8 +383,10 @@ class _GramFold:
         :meth:`_lower_bounds`; lo is floored at the resolution as there. On
         random 4 x 4 Gram stacks the rotations' and eigvalsh's rounding
         together came to at most 10 eps tr(G) beyond ||E||_F, well inside the
-        margin. A sample whose interval is not finite (as when the sweeps
-        overflow) has lo NaN.
+        margin. ||E||_F is taken of E divided by a power of 2 near tr(G),
+        which bounds every |a_ij|: the scaling is exact, and the squares
+        neither underflow at tiny Gram matrices nor overflow at huge ones. A
+        sample whose interval is not finite (as when tr(G) overflows) has lo NaN.
         """
         n = self.n_rows
         key = np.empty((n, n), dtype=int)  # packed row of entry (i, j) and (j, i)
@@ -393,7 +401,7 @@ class _GramFold:
                         # t = tan of the smaller angle that zeroes a_pq (0 if a_pq is 0)
                         d, two = a[qq] - a[pp], 2 * a[pq]
                         den = d + np.copysign(np.hypot(d, two), d)
-                        t = np.divide(two, den, out=np.zeros_like(d), where=den != 0)
+                        t = two / np.where(den == 0, 1.0, den)  # den is 0 only where two is
                         c = 1 / np.hypot(1.0, t)
                         s = t * c
                         tpq = t * a[pq]
@@ -402,8 +410,10 @@ class _GramFold:
                             if r != p and r != q:
                                 rp, rq = a[key[r, p]], a[key[r, q]]
                                 a[key[r, p]], a[key[r, q]] = c * rp - s * rq, s * rp + c * rq
-            mid = np.sort([a[key[i, i]] for i in range(n)], axis=0)[::-1]
-            off = np.sqrt(2 * sum(a[key[i, j]] ** 2 for i, j in zip(*self.tril) if i != j))
+            mid = np.sort(np.stack([a[key[i, i]] for i in range(n)], axis=1), axis=1)[:, ::-1].T
+            _, e = np.frexp(trace)  # tr(G) = m 2^e, 1/2 <= m < 1
+            scaled = (np.ldexp(a[key[i, j]], 1 - e) for i, j in zip(*self.tril) if i != j)
+            off = np.ldexp(np.sqrt(2 * sum(x * x for x in scaled)), e - 1)
             width = off + (64 + len(self.values)) * np.finfo(float).eps * trace
             lo, hi = mid - width, mid + width
         lo[lo < GRAM_RESOLUTION**2 * trace] = 0.0
@@ -545,9 +555,12 @@ class WitnessVerdict:
 
     columns_used: tuple[PauliLabel, ...]
     confidence: float
-    dim_a: int
     distribution: SingularValueDistribution = field(repr=False)
     trajectory: tuple[RankCheck, ...] = field(repr=False)
+
+    @property
+    def dim_a(self) -> int:
+        return DIM_A
 
     @property
     def rank_lower_bound(self) -> int:
@@ -577,8 +590,8 @@ def witness_procedure(
 
     Acquires the columns of ``corr``, each once, in
     :func:`z_sector_first_order`: ``INITIAL_BLOCK`` of them before the first
-    rank check, then one at a time; dim(A) is 2 to the row-label length, and
-    zero-sigma entries are exact in every sample.
+    rank check, then one at a time; dim(A) is 2, as every row label is one
+    symbol of qubit A, and zero-sigma entries are exact in every sample.
     After each acquisition a Monte Carlo rank bound is computed on the
     submatrix measured so far: a singular value counts as nonzero when its
     empirical (1 - confidence) quantile exceeds tau
@@ -592,7 +605,6 @@ def witness_procedure(
     _check_confidence(confidence)
     if tau is not None:
         _check_tau(tau)
-    dim_a = 2 ** len(corr.row_labels[0])
     order = z_sector_first_order(corr.col_labels)
     index = [corr.col_labels.index(label) for label in order]
     fold = _GramFold(len(corr.row_labels), n_samples, seed)
@@ -607,9 +619,9 @@ def witness_procedure(
         low, decomposed = fold.quantiles(1.0 - confidence)
         rank = int((low > tau_step).sum())
         trajectory.append(RankCheck(label, tau_step, rank, tuple(low.tolist()), decomposed))
-        if rank > dim_a:
+        if rank > DIM_A:
             break
-    return WitnessVerdict(order[:k], confidence, dim_a, fold.distribution(), tuple(trajectory))
+    return WitnessVerdict(order[:k], confidence, fold.distribution(), tuple(trajectory))
 
 
 def write_histogram_csvs(

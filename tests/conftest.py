@@ -52,9 +52,9 @@ def random_state(n_qubits: int, seed: int) -> np.ndarray:
     return (rho + rho.conj().T) / 2
 
 
-def random_density_matrix(qubit_partition: Sequence[int], seed: int) -> DensityMatrix:
-    """:func:`random_state` on the A|B split ``qubit_partition``."""
-    return DensityMatrix(random_state(sum(qubit_partition), seed), qubit_partition)
+def random_density_matrix(n_qubits: int, seed: int) -> DensityMatrix:
+    """:func:`random_state` as a :class:`DensityMatrix`: qubit A and n - 1 qubits B."""
+    return DensityMatrix(random_state(n_qubits, seed))
 
 
 def extract_columns(corr: CorrelationMatrix, labels: Sequence[PauliLabel]) -> CorrelationMatrix:
@@ -101,13 +101,13 @@ def random_classical_quantum_state(n_b_qubits: int, seed: int) -> DensityMatrix:
         sigma = random_state(n_b_qubits, seed=10_000 + 7 * seed + k)
         rho += q[k] * np.kron(proj, sigma)
     rho = (rho + rho.conj().T) / 2
-    return DensityMatrix(rho, (1, n_b_qubits))
+    return DensityMatrix(rho)
 
 
 def random_product_state(n_b_qubits: int, seed: int) -> DensityMatrix:
     a = random_state(1, seed=seed)
     b = random_state(n_b_qubits, seed=seed + 500_000)
-    return DensityMatrix(np.kron(a, b), (1, n_b_qubits))
+    return DensityMatrix(np.kron(a, b))
 
 
 @pytest.fixture

@@ -26,16 +26,14 @@ def projectors(basis: MeasurementBasis) -> tuple[np.ndarray, np.ndarray]:
 def projective_average(rho: DensityMatrix, basis: MeasurementBasis) -> DensityMatrix:
     """sum_k (E_k (+) I) rho (E_k (+) I): dephasing of the qubit A in the given
     basis, with the projectors built as explicit matrices."""
-    da, db = rho.bipartite_dims
-    if da != 2:
-        raise ValueError("projective average acts on a single-qubit A side")
+    db = rho.dim // 2
     out = np.zeros_like(rho.entries)
     eye = np.eye(db)
     for e in projectors(basis):
         ei = np.kron(e, eye)
         out = out + ei @ rho.entries @ ei
     out = (out + out.conj().T) / 2
-    return DensityMatrix(out, rho.qubit_partition)
+    return DensityMatrix(out)
 
 
 def _entropy_bits(m: np.ndarray) -> float:
@@ -168,13 +166,13 @@ def bounded_brent_dqc1_discord(eigphases: np.ndarray, eps: float, grid: int = 64
 def reconstruct_state(corr: CorrelationMatrix) -> np.ndarray:
     """Pauli resummation 2^-N sum r_nm A_n (+) B_m of a full correlation
     matrix, the inverse of ``correlation_matrix``."""
-    na, nb = len(corr.row_labels[0]), len(corr.col_labels[0])
-    if len(corr.row_labels) != 4**na or len(corr.col_labels) != 4**nb:
+    nb = len(corr.col_labels[0])  # a row label is one symbol, of qubit A
+    if len(corr.row_labels) != 4 or len(corr.col_labels) != 4**nb:
         raise ValueError("reconstruction needs the full Pauli bases on both sides")
     a_stack = np.stack([pauli_realize(lab) for lab in corr.row_labels])
     b_stack = np.stack([pauli_realize(lab) for lab in corr.col_labels])
     out = np.einsum("rs,rij,sbc->ibjc", corr.values, a_stack, b_stack, optimize=True)
-    d = 2 ** (na + nb)
+    d = 2 ** (1 + nb)
     return out.reshape(d, d) / d
 
 

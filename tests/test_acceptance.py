@@ -154,7 +154,7 @@ def test_criterion_07_witness_soundness_and_completeness():
     found = 0
     seed = 0
     while found < 100:
-        rho = random_density_matrix((1, 2), seed=1000 + seed)
+        rho = random_density_matrix(3, seed=1000 + seed)
         seed += 1
         if discord(rho).discord <= 0.01:
             continue
@@ -194,7 +194,7 @@ def test_criterion_07_witness_under_measurement_noise(sigma, detection_floor):
     found = 0
     seed = 0
     while found < 60:
-        rho = random_density_matrix((1, 2), seed=1000 + seed)
+        rho = random_density_matrix(3, seed=1000 + seed)
         seed += 1
         if discord(rho).discord <= 0.01:
             continue
@@ -235,7 +235,7 @@ def test_criterion_07_fixed_tau_false_positives(sigma, pinned, earliest):
 def test_criterion_08_zero_discord_consistency():
     disagreements = 0
     for seed in range(200):
-        rho = random_density_matrix((1, 2), seed=seed)
+        rho = random_density_matrix(3, seed=seed)
         zero = is_zero_discord(rho).is_zero
         small = discord(rho).discord < 1e-6
         if zero != small:
@@ -256,7 +256,7 @@ def test_criterion_09_polarization_invariance():
 def test_criterion_10_reconstruction_round_trip():
     worst = 0.0
     for seed in range(50):
-        rho = random_density_matrix((1, 3), seed=seed)
+        rho = random_density_matrix(4, seed=seed)
         corr = correlation_matrix(rho)
         worst = max(worst, float(np.linalg.norm(reconstruct_state(corr) - rho.entries)))
     check(10, worst < 1e-10, f"max Frobenius reconstruction error {worst:.2e} < 1e-10")

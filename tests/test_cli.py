@@ -272,21 +272,27 @@ class TestDiscordCommand:
                 {"alpha": 0.5, "pps": {"re": (np.eye(8) / 8).tolist(),
                                        "im": np.zeros((8, 8)).tolist(),
                                        "qubit_partition": [1, 1, 1]}},
-                "qubit partition (1, 1, 1) does not split the 3-qubit register into two blocks A|B",
+                "malformed pps spec: key 'qubit_partition' is not read; an inline pps is "
+                '{"re", "im"} alone, with qubit A its first qubit',
             ),
             (
                 {"alpha": 0.5, "pps": {"re": (np.eye(4) / 4).tolist(),
                                        "im": np.zeros((4, 4)).tolist(),
                                        "qubit_partition": [1.9, 1.2]}},
-                "malformed qubit partition [1.9, 1.2]: entry 1.9 is not an integer",
+                "malformed pps spec: key 'qubit_partition' is not read; an inline pps is "
+                '{"re", "im"} alone, with qubit A its first qubit',
             ),
             ({"alpha": True, "pps": "bell"}, "malformed ensemble spec: alpha True is not a number"),
             (
                 {"alpha": 0.5, "pps": {"re": [[1]], "im": [[0]]}},
                 "dimension 1 holds no qubit, and an A|B state needs at least two",
             ),
+            (
+                {"alpha": 0.5, "pps": {"re": (np.eye(2) / 2).tolist(), "im": np.zeros((2, 2)).tolist()}},
+                "dimension 2 holds one qubit, and an A|B state needs at least two",
+            ),
         ],
-        ids=["missing", "three-block", "non-integer", "bool-alpha", "one-by-one"],
+        ids=["missing", "three-block", "non-integer", "bool-alpha", "one-by-one", "one-qubit"],
     )
     @pytest.mark.parametrize("command", ["discord", "witness"])
     def test_ensemble_refused_when_loaded(self, tmp_path, capsys, command, document, message):
@@ -375,8 +381,9 @@ class TestWitnessCommand:
             ({"rows": ["I", "XX", "Y", "Z"]}, "one length"),
             ({"cols": ["III", "IZI", "III", "IZZ"]}, "duplicate"),
             ({"sigmas": [[0.0] + [1e308] * 3] + [[1e308] * 4] * 3}, "non-finite"),
+            ({"rows": ["II", "XI", "YI", "ZI"]}, "error: row label 'II' is not one symbol: A is one qubit\n"),
         ],
-        ids=["symbol", "integer", "mixed-length", "duplicate", "overflow"],
+        ids=["symbol", "integer", "mixed-length", "duplicate", "overflow", "two-symbol"],
     )
     def test_malformed_matrix_exits_2(self, tmp_path, capsys, change, message):
         path = tmp_path / "m.json"
@@ -1089,14 +1096,6 @@ VALID_INPUTS = {
     "ensemble": (
         lambda path: ["discord", "--ensemble", path],
         {"alpha": 0.5, "pps": {"re": (np.eye(4) / 4).tolist(), "im": np.zeros((4, 4)).tolist()}},
-    ),
-    "partitioned-ensemble": (
-        lambda path: ["discord", "--ensemble", path],
-        {
-            "alpha": 0.5,
-            "pps": {"re": (np.eye(4) / 4).tolist(), "im": np.zeros((4, 4)).tolist(),
-                    "qubit_partition": [1, 1]},
-        },
     ),
     "matrix": (
         lambda path: ["witness", "--matrix", path, "--samples", "20"],

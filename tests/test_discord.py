@@ -65,7 +65,7 @@ def assert_diagnostics(res) -> None:
 
 
 def classical_zz_state() -> DensityMatrix:
-    return DensityMatrix((np.eye(4) + tensor(Z, Z)) / 4, (1, 1))
+    return DensityMatrix((np.eye(4) + tensor(Z, Z)) / 4)
 
 
 class TestMeasurementBasis:
@@ -89,7 +89,7 @@ class TestConditionalState:
     @pytest.mark.parametrize("part", [(1, 1), (1, 2), (1, 3)])
     def test_matches_projector_blocks(self, part):
         # oracle: Tr_A[(E_+- (+) I) rho] with E_+- built explicitly from the basis
-        rho = random_density_matrix(part, seed=31)
+        rho = random_density_matrix(sum(part), seed=31)
         db = rho.dim // 2
         rho_b, gammas = _bloch_blocks(rho)
         for basis in (Z_BASIS, MeasurementBasis(1.1, 2.2), MeasurementBasis(2.7, 5.9)):
@@ -139,31 +139,26 @@ class TestDiscord:
         assert min(res.argmin_basis.theta, np.pi - res.argmin_basis.theta) < 1e-3
 
     def test_decomposition_consistent(self):
-        rho = random_density_matrix((1, 2), seed=17)
+        rho = random_density_matrix(3, seed=17)
         res = discord(rho)
         gap = res.mutual_information - res.classical_correlations
         assert res.discord == pytest.approx(gap, abs=1e-9)
 
-    def test_rejects_non_qubit_a_side(self):
-        rho = random_density_matrix((2, 1), seed=1)
-        with pytest.raises(ValueError, match="A side"):
-            discord(rho)
-
     def test_nonnegative_on_random_states(self):
         # 200 states across two-to-four total qubits
-        sizes = [(1, 1)] * 80 + [(1, 2)] * 80 + [(1, 3)] * 40
-        for seed, part in enumerate(sizes):
-            rho = random_density_matrix(part, seed=seed)
+        sizes = [2] * 80 + [3] * 80 + [4] * 40
+        for seed, n_qubits in enumerate(sizes):
+            rho = random_density_matrix(n_qubits, seed=seed)
             assert discord(rho).discord >= -1e-9
 
     def test_local_unitary_invariance(self):
-        rho = random_density_matrix((1, 2), seed=11)
+        rho = random_density_matrix(3, seed=11)
         d0 = discord(rho).discord
         for seed in range(20):
             ua = haar_random_unitary(2, 100 + seed)
             ub = haar_random_unitary(4, 200 + seed)
             u = np.kron(ua, ub)
-            rotated = DensityMatrix(u @ rho.entries @ u.conj().T, (1, 2))
+            rotated = DensityMatrix(u @ rho.entries @ u.conj().T)
             assert abs(discord(rotated).discord - d0) < 1e-7
 
     def test_monotone_in_bias_for_jones(self):
@@ -188,12 +183,12 @@ class TestDiscord:
 
 
 def _werner(p: float) -> DensityMatrix:
-    return DensityMatrix(p * named_state("bell").entries + (1 - p) * np.eye(4) / 4, (1, 1))
+    return DensityMatrix(p * named_state("bell").entries + (1 - p) * np.eye(4) / 4)
 
 
 def _pure_product(a: np.ndarray, b: np.ndarray) -> DensityMatrix:
     v = np.kron(a, b).astype(complex)
-    return DensityMatrix(np.outer(v, v.conj()), (1, 1))
+    return DensityMatrix(np.outer(v, v.conj()))
 
 
 # Named fixtures, flat objectives (every direction a minimum) and null
@@ -209,7 +204,7 @@ DENSE_CASES = {
     "classical-zz": classical_zz_state,
     **{f"jones-eps{eps}": (lambda eps=eps: output_state(Dqc1Instance(eps, jones_unitary())))
        for eps in (0.1, 0.5, 1.0)},
-    **{f"random-1+{nb}-seed{seed}": (lambda nb=nb, seed=seed: random_density_matrix((1, nb), seed))
+    **{f"random-1+{nb}-seed{seed}": (lambda nb=nb, seed=seed: random_density_matrix(1 + nb, seed))
        for nb in (1, 2, 3) for seed in range(20)},
 }
 
@@ -224,7 +219,7 @@ class TestDenseSearch:
         rng = np.random.default_rng(5)
         step = 1e-6
         for seed in range(5):
-            rho_b, gammas = _bloch_blocks(random_density_matrix(part, seed=seed))
+            rho_b, gammas = _bloch_blocks(random_density_matrix(sum(part), seed=seed))
             n = rng.standard_normal(3)
             n /= np.linalg.norm(n)
             _, grad = _avg_conditional_entropy(rho_b, gammas, n[None], grad=True)
@@ -250,7 +245,7 @@ class TestDenseSearch:
 
     def test_nonconvergence_is_reported(self, monkeypatch):
         monkeypatch.setattr(importlib.import_module("qdiscord.discord"), "MAX_ITER", 1)
-        diag = discord(random_density_matrix((1, 2), seed=3)).diagnostics
+        diag = discord(random_density_matrix(3, seed=3)).diagnostics
         assert diag["converged"] is False
         assert diag["refine_nfev"] >= 2 and diag["polish_gain"] >= 0
 
@@ -268,12 +263,12 @@ class TestProjectiveAverage:
         np.testing.assert_allclose(out.entries, expected, atol=1e-14)
 
     def test_erases_x_coherence(self):
-        rho = DensityMatrix(tensor((I2 + X) / 2, I2 / 2), (1, 1))
+        rho = DensityMatrix(tensor((I2 + X) / 2, I2 / 2))
         out = projective_average(rho, Z_BASIS)
         np.testing.assert_allclose(out.entries, np.eye(4) / 4, atol=1e-14)
 
     def test_idempotent(self):
-        rho = random_density_matrix((1, 2), seed=23)
+        rho = random_density_matrix(3, seed=23)
         b = MeasurementBasis(0.9, 4.0)
         once = projective_average(rho, b)
         twice = projective_average(once, b)
@@ -327,7 +322,7 @@ class TestIsZeroDiscord:
         thetas = np.linspace(0.0, np.pi, 25)
         phis = np.linspace(0.0, 2 * np.pi, 48, endpoint=False)
         for seed in range(2):
-            rho = random_density_matrix(part, seed=seed)
+            rho = random_density_matrix(sum(part), seed=seed)
 
             def distance(basis):
                 return np.linalg.norm(rho.entries - projective_average(rho, basis).entries)

@@ -35,40 +35,32 @@ class TestDensityMatrix:
         m = np.eye(4, dtype=complex)
         m[0, 1] = 1e-6
         with pytest.raises(ValueError, match="Hermitian"):
-            DensityMatrix(m / np.trace(m), (1, 1))
+            DensityMatrix(m / np.trace(m))
 
     def test_rejects_bad_trace(self):
         with pytest.raises(ValueError, match="trace"):
-            DensityMatrix(np.eye(4), (1, 1))
+            DensityMatrix(np.eye(4))
 
     def test_rejects_negative_eigenvalue(self):
         with pytest.raises(ValueError, match="semidefinite"):
-            DensityMatrix(np.diag([1.5, -0.5, 0.0, 0.0]), (1, 1))
+            DensityMatrix(np.diag([1.5, -0.5, 0.0, 0.0]))
 
     def test_rejects_non_finite_entries(self):
         m = np.eye(4, dtype=complex) / 4
         m[1, 1] = np.nan
         with pytest.raises(ValueError, match="non-finite"):
-            DensityMatrix(m, (1, 1))
+            DensityMatrix(m)
 
     def test_rejects_bad_partition(self):
-        with pytest.raises(ValueError, match="partition"):
-            DensityMatrix(np.eye(4) / 4, (1, 2))
+        # qubit A is the first qubit, so a one-qubit register leaves B empty
+        with pytest.raises(ValueError) as err:
+            DensityMatrix(np.eye(2) / 2)
+        assert str(err.value) == "dimension 2 holds one qubit, and an A|B state needs at least two"
 
     def test_entries_read_only(self):
-        rho = DensityMatrix(np.eye(4) / 4, (1, 1))
+        rho = DensityMatrix(np.eye(4) / 4)
         with pytest.raises(ValueError):
             rho.entries[0, 0] = 0.3
-
-    @pytest.mark.parametrize("part, dims", [((1, 1), (2, 2)), ((1, 3), (2, 8)), ((2, 1), (4, 2))])
-    def test_bipartite_dims_of_two_blocks(self, part, dims):
-        assert random_density_matrix(part, seed=0).bipartite_dims == dims
-
-    @pytest.mark.parametrize("part", [(2,), (1, 1, 1)])
-    def test_bipartite_dims_need_two_blocks(self, part):
-        # a state is refused at construction unless its partition is an A|B split
-        with pytest.raises(ValueError, match=r"qubit partition \(.*\) does not split"):
-            random_density_matrix(part, seed=0)
 
 
 class TestPartialTrace:
@@ -107,11 +99,11 @@ class TestEntropy:
     def test_additive_on_product_states(self):
         for seed in range(100):
             a = random_state(1, seed=seed)
-            b = random_density_matrix((1, 1), seed=seed + 1000).entries
+            b = random_density_matrix(2, seed=seed + 1000).entries
             assert abs(entropy(tensor(a, b)) - (entropy(a) + entropy(b))) < 1e-9
 
     def test_bounds(self):
-        h = entropy(random_density_matrix((1, 1), seed=9).entries)
+        h = entropy(random_density_matrix(2, seed=9).entries)
         assert 0 <= h <= 2
 
     def test_rejects_negative_eigenvalue(self):
@@ -164,6 +156,6 @@ def test_pauli_labels_product_order():
 
 
 def test_random_density_matrix_deterministic():
-    a = random_density_matrix((1, 1), seed=42)
-    b = random_density_matrix((1, 1), seed=42)
+    a = random_density_matrix(2, seed=42)
+    b = random_density_matrix(2, seed=42)
     np.testing.assert_array_equal(a.entries, b.entries)

@@ -56,12 +56,12 @@ class TestEmbed:
         np.testing.assert_allclose(embed(pps, 1.0).entries, pps.entries, atol=1e-15)
 
     def test_maximally_mixed_fixed_point(self):
-        pps = DensityMatrix(np.eye(8) / 8, (1, 2))
+        pps = DensityMatrix(np.eye(8) / 8)
         out = embed(pps, 0.37)
         np.testing.assert_allclose(out.entries, np.eye(8) / 8, atol=1e-15)
 
     def test_correlation_entries_scale_by_alpha(self):
-        pps = random_density_matrix((1, 2), seed=6)
+        pps = random_density_matrix(3, seed=6)
         alpha = 0.0123
         base = correlation_matrix(pps)
         mixed = correlation_matrix(embed(pps, alpha))
@@ -91,7 +91,7 @@ class TestVerdictPolarizationInvariance:
         from qdiscord.linalg import PAULI_1Q
 
         z = PAULI_1Q["Z"]
-        pps = DensityMatrix((np.eye(4) + tensor(z, z)) / 4, (1, 1))
+        pps = DensityMatrix((np.eye(4) + tensor(z, z)) / 4)
         assert verdict_polarization_invariance(pps, [0.05, 0.4, 1.0])
 
     def test_bell_extreme_alphas(self):
@@ -108,7 +108,7 @@ class TestSimulateMeasurement:
         assert value == pytest.approx(expected, abs=1e-12)
 
     def test_maximally_mixed_traceless(self):
-        rho = DensityMatrix(np.eye(16) / 16, (1, 3))
+        rho = DensityMatrix(np.eye(16) / 16)
         value, _ = simulate_measurement(rho, "XIZY", 0.0, seed=0)
         assert abs(value) < 1e-14
 
@@ -174,7 +174,7 @@ class TestWitnessEmbeddingCommutation:
     def test_rank_commutes_with_embedding(self):
         tau = 1e-7
         for seed in range(50):
-            pps = random_density_matrix((1, 2), seed=seed)
+            pps = random_density_matrix(3, seed=seed)
             base = rank_lower_bound(correlation_matrix(pps), tau)
             for alpha in (1e-4, 1e-2, 0.5):
                 mixed = correlation_matrix(embed(pps, alpha))
@@ -186,7 +186,6 @@ class TestEnsembleIo:
         state = load_ensemble({"alpha": 0.25, "pps": "bell"})
         expected = embed(named_state("bell"), 0.25)
         assert np.array_equal(state.entries, expected.entries)
-        assert state.qubit_partition == expected.qubit_partition
         assert abs(np.trace(state.entries) - 1) < 1e-12
 
     def test_inline_matrix_pps(self):
@@ -198,7 +197,6 @@ class TestEnsembleIo:
             }
         )
         assert np.array_equal(state.entries, embed(pps, 0.5).entries)
-        assert state.qubit_partition == (1, 1)
 
     def test_rejects_malformed(self):
         with pytest.raises(ValueError, match="malformed"):
@@ -206,42 +204,44 @@ class TestEnsembleIo:
         with pytest.raises(ValueError, match="malformed"):
             load_ensemble({"alpha": 0.1, "pps": {"re": [[1]]}})
         inline = {"re": [[1, 0], [0, 0]], "im": [[0, 0], [0, 0]]}
-        for pps in ({**inline, "qubit_partition": 1}, {**inline, "qubit_partition": [[1]]},
-                    {"re": 1, "im": 0}):
+        for pps in ({**inline, "qubit_partition": 1}, {**inline, "qubit_partition": [[1]]}):
             with pytest.raises(ValueError, match="malformed"):
                 load_ensemble({"alpha": 0.1, "pps": pps})
+        with pytest.raises(ValueError, match="square 2-d array"):
+            load_ensemble({"alpha": 0.1, "pps": {"re": 1, "im": 0}})
         with pytest.raises(ValueError, match="malformed"):
             load_ensemble({"alpha": 10**400, "pps": "bell"})
 
     @pytest.mark.parametrize(
-        "dim, part, shown",
-        [(8, [1, 1, 1], "(1, 1, 1)"), (8, [3], "(3,)"), (2, None, "(1, 0)")],
+        "dim, part, message",
+        [
+            (8, [1, 1, 1], "malformed pps spec: key 'qubit_partition' is not read"),
+            (8, [3], "malformed pps spec: key 'qubit_partition' is not read"),
+            (2, None, "dimension 2 holds one qubit, and an A|B state needs at least two"),
+        ],
         ids=["three-block", "one-block", "one-qubit"],
     )
-    def test_rejects_pps_without_an_a_b_split(self, dim, part, shown):
-        # a pps without a partition splits off its first qubit as A
-        re = (np.eye(dim) / dim).tolist()
-        pps = {"re": re, "im": np.zeros((dim, dim)).tolist(), "qubit_partition": part}
+    def test_rejects_pps_without_an_a_b_split(self, dim, part, message):
+        # qubit A is the pps's first qubit and B the rest: a pps that states
+        # another split is refused, as is one with no qubit left for B
+        pps = {"re": (np.eye(dim) / dim).tolist(), "im": np.zeros((dim, dim)).tolist()}
+        if part is not None:
+            pps["qubit_partition"] = part
         with pytest.raises(ValueError) as err:
             load_ensemble({"alpha": 0.5, "pps": pps})
-        assert str(err.value).startswith(f"qubit partition {shown} does not split")
+        assert str(err.value).startswith(message)
 
-    @pytest.mark.parametrize(
-        "part, shown",
-        [
-            ([1.9, 1.2], "[1.9, 1.2]: entry 1.9"),
-            ([True, True], "[True, True]: entry True"),
-            ("11", "'11': entry '1'"),
-        ],
-        ids=["floats", "bools", "string"],
-    )
-    def test_rejects_non_integer_partition(self, part, shown):
-        # read with int() each of these would load as (1, 1)
+    @pytest.mark.parametrize("part", [[1.9, 1.2], [True, True], "11"], ids=["floats", "bools", "string"])
+    def test_rejects_non_integer_partition(self, part):
+        # read with int() each of these would load as (1, 1); no partition is read at all
         pps = {"re": (np.eye(4) / 4).tolist(), "im": np.zeros((4, 4)).tolist()}
         pps["qubit_partition"] = part
         with pytest.raises(ValueError) as err:
             load_ensemble({"alpha": 0.5, "pps": pps})
-        assert str(err.value) == f"malformed qubit partition {shown} is not an integer"
+        assert str(err.value) == (
+            "malformed pps spec: key 'qubit_partition' is not read; an inline pps is "
+            '{"re", "im"} alone, with qubit A its first qubit'
+        )
 
     @pytest.mark.parametrize(
         "alpha, shown",

@@ -129,9 +129,32 @@ def rank_deficient_matrix() -> CorrelationMatrix:
     return CorrelationMatrix(corr.row_labels, corr.col_labels, corr.values, sigmas)
 
 
+def tiny_matrix(scale: float) -> CorrelationMatrix:
+    """The X, Y and Z rows of final-dqc1 over the 12 columns after III, times
+    ``scale``, with sigmas of a tenth of it: below about 1e-77 the squares of
+    the Gram entries underflow."""
+    corr = correlation_matrix(named_state("final-dqc1"))
+    values = corr.values[1:, 1:13] * scale
+    return CorrelationMatrix(
+        corr.row_labels[1:], corr.col_labels[1:13], values, np.full(values.shape, scale / 10)
+    )
+
+
+def overflowing_trace_matrix() -> CorrelationMatrix:
+    """Four rows, each with one entry of sqrt(max float / 4) in its own column
+    of the first four, then four columns of zeros, and noise of 1e-3 that much
+    on every entry: each Gram entry stays finite, but once the four large
+    entries are in, tr(G) overflows in about half the samples."""
+    big = math.sqrt(np.finfo(float).max / 4)
+    values = np.hstack([np.eye(4) * big, np.zeros((4, 4))])
+    return CorrelationMatrix(
+        ("I", "X", "Y", "Z"), pauli_labels(2)[1:9], values, np.full((4, 8), 1e-3 * big)
+    )
+
+
 RANK_CHECK_MATRICES = {
     "exact-and-zero-columns": with_exact_columns(
-        correlation_matrix(random_density_matrix((1, 2), seed=3)).with_uniform_sigmas(0.05)
+        correlation_matrix(random_density_matrix(3, seed=3)).with_uniform_sigmas(0.05)
     ),
     "sigma-1e-12": extract_columns(
         correlation_matrix(named_state("initial-dqc1")).with_uniform_sigmas(1e-12),
@@ -148,7 +171,7 @@ RANK_CHECK_MATRICES = {
 
 class TestCorrelationMatrix:
     def test_maximally_mixed_rank_one(self):
-        rho = DensityMatrix(np.eye(4) / 4, (1, 1))
+        rho = DensityMatrix(np.eye(4) / 4)
         corr = correlation_matrix(rho)
         expected = np.zeros((4, 4))
         expected[0, 0] = 1.0
@@ -171,7 +194,7 @@ class TestCorrelationMatrix:
             assert corr.values[2, j] == pytest.approx(tr.imag / 8, abs=1e-12)
 
     def test_identity_entry_snaps_to_one(self):
-        corr = correlation_matrix(random_density_matrix((1, 2), seed=3))
+        corr = correlation_matrix(random_density_matrix(3, seed=3))
         assert corr.values[0, 0] == 1.0
 
     def test_rejects_identity_entry_far_from_one(self):
@@ -207,7 +230,7 @@ class TestCorrelationMatrix:
 
     def test_round_trip_reconstruction(self):
         for seed in range(10):
-            rho = random_density_matrix((1, 3), seed=seed)
+            rho = random_density_matrix(4, seed=seed)
             corr = correlation_matrix(rho)
             back = reconstruct_state(corr)
             assert np.linalg.norm(back - rho.entries) < 1e-10
@@ -333,7 +356,7 @@ class TestMonteCarloSvd:
         [
             eq3_fixture(),
             correlation_matrix(named_state("initial-dqc1")).with_uniform_sigmas(0.05),
-            correlation_matrix(random_density_matrix((1, 2), seed=3)).with_uniform_sigmas(0.05),
+            correlation_matrix(random_density_matrix(3, seed=3)).with_uniform_sigmas(0.05),
         ],
         ids=["rtrunc_eq3", "initial-dqc1", "random-1+2"],
     )
@@ -475,8 +498,13 @@ class TestRankCheckQuantiles:
             repeated_eigenvalues_matrix(),
             rank_deficient_matrix(),
             correlation_matrix(named_state("initial-dqc1")).with_uniform_sigmas(1e-12),
+            tiny_matrix(1e-78),
+            tiny_matrix(1e-100),
         ],
-        ids=[*RANK_CHECK_MATRICES.keys(), "repeated", "rank-deficient", "full-sigma-1e-12"],
+        ids=[
+            *RANK_CHECK_MATRICES.keys(), "repeated", "rank-deficient", "full-sigma-1e-12",
+            "tiny-1e-78", "tiny-1e-100",
+        ],
     )
     def test_jacobi_intervals_hold_the_floored_eigenvalues(self, corr):
         n = 200
@@ -489,23 +517,44 @@ class TestRankCheckQuantiles:
             assert np.all(lo <= lam) and np.all(lam <= hi), label
             assert np.all(lo >= 0)
 
-    def test_non_finite_intervals_are_decomposed(self, monkeypatch):
-        # sigma 1e150 keeps the Gram entries finite (about 1e300), but the
-        # sweeps square them: no interval is finite, so every candidate is
-        # decomposed, and the quantiles stay those of a full decomposition
+    def test_huge_gram_intervals_hold_the_floored_eigenvalues(self):
+        # sigma 1e150 puts the Gram entries near 1e300, whose squares overflow:
+        # the sweeps zero a_pq, so t must stay exact there, and every finite
+        # interval must still hold its floored eigenvalue on 4 to 12 columns
         corr = extract_columns(
             correlation_matrix(named_state("initial-dqc1")).with_uniform_sigmas(1e150),
             pauli_labels(3)[:12],
         )
         n, q = 1000, 0.01
+        fold = wit._GramFold(len(corr.row_labels), n, seed=2)
+        for j, label in enumerate(corr.col_labels):
+            fold.add(label, corr.values[:, j], corr.sigmas[:, j])
+            if j + 1 < wit.INITIAL_BLOCK:
+                continue
+            gram = outer_product_gram(corr, n, 2, j + 1)
+            lam = floored_eigenvalues(gram).T
+            lo, hi = fold._jacobi_bounds(np.arange(n))
+            finite = np.isfinite(lo).all(axis=0) & np.isfinite(hi).all(axis=0)
+            assert np.all(lo[:, finite] <= lam[:, finite]), label
+            assert np.all(lam[:, finite] <= hi[:, finite]), label
+            got, _ = fold.quantiles(q)
+            want = full_quantiles(gram, fold.n_singular_values, q)
+            assert got.tobytes() == want.tobytes(), label
+
+    def test_non_finite_intervals_are_decomposed(self, monkeypatch):
+        # every Gram entry of this input is finite, but tr(G) overflows in about
+        # half the samples: their intervals are not finite, their stored bounds
+        # read 0, and so every check decomposes them without a certificate,
+        # which bounds only the others; the quantiles stay those of a full
+        # decomposition
+        corr = overflowing_trace_matrix()
+        n, q = 1000, 0.01
         bounded, decomposed = [], []
         jacobi, decompose = wit._GramFold._jacobi_bounds, wit._GramFold._decompose
 
         def counted_jacobi(self, idx):
-            lo, hi = jacobi(self, idx)
-            assert np.isnan(lo).all() and not np.isfinite(hi).all(axis=0).any()
             bounded.extend(idx.tolist())
-            return lo, hi
+            return jacobi(self, idx)
 
         def counted_decompose(self, idx):
             decomposed.extend(idx.tolist())
@@ -514,18 +563,25 @@ class TestRankCheckQuantiles:
         monkeypatch.setattr(wit._GramFold, "_jacobi_bounds", counted_jacobi)
         monkeypatch.setattr(wit._GramFold, "_decompose", counted_decompose)
         fold = wit._GramFold(len(corr.row_labels), n, seed=2)
-        candidates = 0
-        for j, label in enumerate(corr.col_labels):
-            fold.add(label, corr.values[:, j], corr.sigmas[:, j])
-            bounded.clear()
-            decomposed.clear()
-            got, count = fold.quantiles(q)
-            assert set(bounded) <= set(decomposed)
-            assert count == len(decomposed)
-            want = full_quantiles(outer_product_gram(corr, n, 2, j + 1), fold.n_singular_values, q)
-            assert got.tobytes() == want.tobytes()
-            candidates += len(bounded)
-        assert candidates > 0
+        candidates = overflowing = 0
+        with np.errstate(over="ignore"):  # tr(G) of the overflowing samples
+            for j, label in enumerate(corr.col_labels):
+                fold.add(label, corr.values[:, j], corr.sigmas[:, j])
+                bounded.clear()
+                decomposed.clear()
+                got, count = fold.quantiles(q)
+                trace = fold.packed[fold.tril[0] == fold.tril[1]].sum(axis=0)
+                overflow = np.flatnonzero(~np.isfinite(trace))
+                assert set(overflow) <= set(decomposed) and set(overflow).isdisjoint(bounded)
+                assert count == len(decomposed)
+                want = full_quantiles(outer_product_gram(corr, n, 2, j + 1), fold.n_singular_values, q)
+                assert got.tobytes() == want.tobytes()
+                if overflow.size:
+                    lo, hi = jacobi(fold, overflow)
+                    assert np.isnan(lo).all() and not np.isfinite(hi).all(axis=0).any()
+                candidates += len(bounded)
+                overflowing += overflow.size
+        assert candidates > 0 and overflowing > 0
 
     @pytest.mark.parametrize("q", [0.0, 1e-5, 0.01, 0.5, 0.99])
     @pytest.mark.parametrize("n", [1, 2, 7, 100, 10000])
@@ -855,7 +911,7 @@ class TestWitnessProcedure:
 class TestScaleInvariance:
     def test_exact_matrices_full_kappa_range(self):
         for seed in range(50):
-            corr = correlation_matrix(random_density_matrix((1, 2), seed=seed))
+            corr = correlation_matrix(random_density_matrix(3, seed=seed))
             base = rank_lower_bound(corr, TAU_FLOOR)
             for kappa in (0.1, 0.5, 2.0, 10.0):
                 scaled = scaled_non_identity(corr, kappa)

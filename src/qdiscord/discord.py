@@ -6,12 +6,13 @@ qubit A of the average conditional entropy of B; all entropies are in bits.
 A is the state's first qubit and B the other qubits (:class:`DensityMatrix`).
 
 Everything works from one decomposition of the state, rho_B and
-Gamma_i = Tr_A[(sigma_i (+) I) rho]: measuring A along the Bloch vector n
-leaves the unnormalised conditional B operators (rho_B +- n.Gamma)/2. For an
-arbitrary state :func:`discord` minimizes the conditional entropy of these
-blocks with a deterministic grid over the Bloch hemisphere (n and -n are the
-same measurement) followed by a BFGS polish on the closed-form gradient. The
-zero-discord test needs no search: with G_ij = Re Tr(Gamma_i Gamma_j),
+Gamma_i = Tr_A[(sigma_i (+) I) rho] of :func:`qdiscord.linalg.bloch_blocks`:
+measuring A along the Bloch vector n leaves the unnormalised conditional B
+operators (rho_B +- n.Gamma)/2. For an arbitrary state :func:`discord`
+minimizes the conditional entropy of these blocks with a deterministic grid
+over the Bloch hemisphere (n and -n are the same measurement) followed by a
+BFGS polish on the closed-form gradient. The zero-discord test needs no
+search: with G_ij = Re Tr(Gamma_i Gamma_j),
 
     ||rho - Pi_n(rho)||_F^2 = ||rho||_F^2 - (||rho_B||_F^2 + n.G.n)/2,
 
@@ -88,7 +89,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from . import dqc1
-from .linalg import DensityMatrix, entropy_from_eigenvalues
+from .linalg import DensityMatrix, bloch_blocks, entropy_from_eigenvalues
 
 NULL_OUTCOME_P = 1e-14
 DEFAULT_ZERO_DISCORD_TOL = 1e-6
@@ -154,19 +155,6 @@ class ZeroDiscordResult(NamedTuple):
         """Whether ``distance`` is at most ``DEFAULT_ZERO_DISCORD_TOL * scale``
         (:func:`is_zero_discord`); a state with G = 0, as I/d, is zero discord."""
         return self.distance <= DEFAULT_ZERO_DISCORD_TOL * self.scale
-
-
-def _bloch_blocks(rho: DensityMatrix) -> tuple[np.ndarray, np.ndarray]:
-    """rho_B and the (3, dB, dB) stack Gamma_i = Tr_A[(sigma_i (+) I) rho].
-
-    Measuring the qubit A along the Bloch vector n leaves the unnormalised
-    conditional B operators (rho_B +- n.Gamma)/2, whose traces are the
-    outcome probabilities.
-    """
-    db = rho.dim // 2
-    r = rho.entries.reshape(2, db, 2, db)
-    r00, r01, r10, r11 = r[0, :, 0], r[0, :, 1], r[1, :, 0], r[1, :, 1]
-    return r00 + r11, np.stack([r01 + r10, 1j * (r01 - r10), r00 - r11])
 
 
 def _measurement_basis(n: np.ndarray) -> MeasurementBasis:
@@ -240,9 +228,8 @@ def _sphere_polish(rho_b: np.ndarray, gammas: np.ndarray, n0: np.ndarray, f0: fl
 def mutual_information(rho: DensityMatrix) -> float:
     """I(A:B) = H(A) + H(B) - H(A,B) in bits."""
     db = rho.dim // 2
-    r4 = rho.entries.reshape(2, db, 2, db)
-    rho_a = np.einsum("ibjb->ij", r4)
-    rho_b = np.einsum("ibic->bc", r4)
+    rho_a = np.einsum("ibjb->ij", rho.entries.reshape(2, db, 2, db))
+    rho_b, _ = bloch_blocks(rho)
     ha = entropy_from_eigenvalues(np.linalg.eigvalsh(rho_a))
     hb = entropy_from_eigenvalues(np.linalg.eigvalsh(rho_b))
     hab = entropy_from_eigenvalues(np.linalg.eigvalsh(rho.entries))
@@ -261,7 +248,7 @@ def discord(rho: DensityMatrix) -> DiscordResult:
     ``ANGLE_TOL`` within ``MAX_ITER`` steps) and ``polish_gain`` (grid minimum
     less the conditional term).
     """
-    rho_b, gammas = _bloch_blocks(rho)
+    rho_b, gammas = bloch_blocks(rho)
     k = np.arange(4 * GRID) + 0.5
     z, phi = 1 - k / (4 * GRID), k * np.pi * (3 - math.sqrt(5))
     grid = np.stack([np.sqrt(1 - z * z) * np.cos(phi), np.sqrt(1 - z * z) * np.sin(phi), z], -1)
@@ -420,7 +407,7 @@ def is_zero_discord(rho: DensityMatrix) -> ZeroDiscordResult:
     gets one verdict at every polarization alpha down to the embedding's
     rounding floor near alpha = 1e-9 (:mod:`qdiscord.nmr`).
     """
-    _, gammas = _bloch_blocks(rho)
+    _, gammas = bloch_blocks(rho)
     g = np.einsum("ibc,jcb->ij", gammas, gammas).real
     w, v = np.linalg.eigh(g)
     trace = np.trace(g)

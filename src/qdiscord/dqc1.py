@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import MAX_QUBITS, DensityMatrix, PAULI_1Q, complex_from_parts, pauli_realize, tensor
+from .linalg import MAX_QUBITS, DensityMatrix, PAULI_1Q, bloch_blocks, complex_from_parts, tensor
 
 UNITARITY_TOL = 1e-10
 # the circuit adds one clean qubit to the log2(d) mixed ones
@@ -94,14 +94,11 @@ def output_state(inst: Dqc1Instance) -> DensityMatrix:
 
 
 def trace_estimate(inst: Dqc1Instance) -> complex:
-    """<X(+)I..I> + i <Y(+)I..I> on the output state; equals eps Tr(U)/2^n."""
-    rho = output_state(inst).entries
-    n = inst.n
-    x = pauli_realize("X" + "I" * n)
-    y = pauli_realize("Y" + "I" * n)
-    re = np.einsum("ij,ji->", rho, x).real
-    im = np.einsum("ij,ji->", rho, y).real
-    return complex(re + 1j * im)
+    """<X(+)I..I> + i <Y(+)I..I> on the output state, Tr Gamma_x + i Tr Gamma_y
+    of :func:`qdiscord.linalg.bloch_blocks`; equals eps Tr(U)/2^n."""
+    _, gammas = bloch_blocks(output_state(inst))
+    re, im = np.trace(gammas[:2], axis1=1, axis2=2).real
+    return complex(re, im)
 
 
 def jones_unitary() -> np.ndarray:

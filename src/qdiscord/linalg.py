@@ -72,6 +72,20 @@ class DensityMatrix:
         return self.dim.bit_length() - 1
 
 
+def bloch_blocks(rho: DensityMatrix) -> tuple[np.ndarray, np.ndarray]:
+    """rho_B and the (3, dB, dB) stack Gamma_i = Tr_A[(sigma_i (+) I) rho]:
+    the one place a state is split into qubit A and the rest B.
+
+    Measuring the qubit A along the Bloch vector n leaves the unnormalised
+    conditional B operators (rho_B +- n.Gamma)/2, whose traces are the
+    outcome probabilities; Tr(Gamma_i B) = Tr(rho sigma_i (+) B).
+    """
+    db = rho.dim // 2
+    r = rho.entries.reshape(2, db, 2, db)
+    r00, r01, r10, r11 = r[0, :, 0], r[0, :, 1], r[1, :, 0], r[1, :, 1]
+    return r00 + r11, np.stack([r01 + r10, 1j * (r01 - r10), r00 - r11])
+
+
 def complex_from_parts(spec: dict, what: str) -> np.ndarray:
     """re + 1j im of a JSON {"re", "im"} pair, formed only once both parts are
     finite arrays of one shape (``what`` names the matrix in the refusal)."""

@@ -22,13 +22,12 @@ from __future__ import annotations
 import math
 import zlib
 from dataclasses import dataclass, field
-from functools import lru_cache
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
-from .linalg import PAULI_1Q, DensityMatrix, PauliLabel, pauli_labels, pauli_realize
+from .linalg import PAULI_1Q, DensityMatrix, PauliLabel, bloch_blocks, pauli_labels
 
 # dim(A): A is one qubit
 DIM_A = 2
@@ -49,12 +48,6 @@ NON_FINITE_SAMPLES = (
 
 OUTCOME_WITNESSED = "DiscordWitnessed"
 OUTCOME_INCONCLUSIVE = "Inconclusive"
-
-
-@lru_cache(maxsize=16)
-def _pauli_stack(n_qubits: int) -> np.ndarray:
-    labels = pauli_labels(n_qubits)
-    return np.stack([pauli_realize(lab) for lab in labels])
 
 
 def _is_identity_label(label: PauliLabel) -> bool:
@@ -153,13 +146,20 @@ def correlation_matrix(rho: DensityMatrix) -> CorrelationMatrix:
     """Full Pauli correlation matrix of a state (exact: zero sigmas).
 
     Rows run over I, X, Y and Z of qubit A, columns over the Pauli strings of
-    B; the reconstruction 2^-N sum r_nm A_n (+) B_m recovers the state.
+    B; the reconstruction 2^-N sum r_nm A_n (+) B_m recovers the state. Row n
+    is r_nm = Tr(Gamma_n B_m), Gamma_I = rho_B, of the split that
+    :func:`qdiscord.linalg.bloch_blocks` makes, with B expanded one qubit at a
+    time, leftmost first: each step replaces every operator M by its partial
+    traces Tr_1[(P (+) I) M], P in I, X, Y, Z. That is O(N 4^N) work in
+    O(4^N) memory, up to ``MAX_QUBITS``.
     """
     nb = rho.n_qubits - 1
-    r4 = rho.entries.reshape(2, 2**nb, 2, 2**nb)
-    contracted = np.einsum("ibjc,rji->rbc", r4, _pauli_stack(1), optimize=True)
-    values = np.einsum("rbc,scb->rs", contracted, _pauli_stack(nb), optimize=True).real
-    return CorrelationMatrix(tuple(pauli_labels(1)), tuple(pauli_labels(nb)), values)
+    rho_b, gammas = bloch_blocks(rho)
+    paulis = np.stack([PAULI_1Q[s] for s in "IXYZ"])
+    terms = np.concatenate([rho_b[None], gammas])
+    for k in reversed(range(nb)):  # 2^k: the dimension of the qubits after the one expanded
+        terms = np.einsum("aibjc,sji->asbc", terms.reshape(-1, 2, 2**k, 2, 2**k), paulis)
+    return CorrelationMatrix(tuple(pauli_labels(1)), tuple(pauli_labels(nb)), terms.reshape(4, -1).real)
 
 
 def default_tau(sigmas: np.ndarray, n_cols: int | None = None) -> float:
@@ -367,7 +367,8 @@ class _GramFold:
 
     def _lower_bounds(self) -> np.ndarray:
         """(n_sv, n_samples) lower bounds on the current singular values."""
-        trace = self.packed[self.tril[0] == self.tril[1]].sum(axis=0)  # tr(G)
+        with np.errstate(over="ignore"):  # where tr(G) overflows, the bound is 0
+            trace = self.packed[self.tril[0] == self.tril[1]].sum(axis=0)
         bound = self.last_eig[: self.n_singular_values]
         bound = bound - (64 + len(self.values)) * np.finfo(float).eps * trace
         bound[bound < GRAM_RESOLUTION**2 * trace] = 0.0
@@ -392,8 +393,8 @@ class _GramFold:
         key = np.empty((n, n), dtype=int)  # packed row of entry (i, j) and (j, i)
         key[self.tril] = key[self.tril[::-1]] = np.arange(self.tril[0].size)
         a = list(self.packed[:, idx])
-        trace = np.sum([a[key[i, i]] for i in range(n)], axis=0)
         with np.errstate(over="ignore", invalid="ignore"):
+            trace = np.sum([a[key[i, i]] for i in range(n)], axis=0)
             for _ in range(2):
                 for p in range(n):
                     for q in range(p + 1, n):

@@ -1,6 +1,6 @@
 """Test helpers: random states, the Boltzmann bias, column selection, the
-JSON form of a correlation matrix and the full Monte Carlo distribution of
-one."""
+JSON form of a correlation matrix, one whose Gram trace overflows, and the
+full Monte Carlo distribution of one."""
 
 from typing import Sequence
 
@@ -15,6 +15,7 @@ from qdiscord import (
     embed,
     haar_random_unitary,
     is_zero_discord,
+    pauli_labels,
 )
 from qdiscord.witness import _GramFold
 
@@ -74,6 +75,18 @@ def matrix_document(corr: CorrelationMatrix) -> dict:
         "values": corr.values.tolist(),
         "sigmas": corr.sigmas.tolist(),
     }
+
+
+def overflowing_trace_matrix() -> CorrelationMatrix:
+    """Four rows, each with one entry of sqrt(max float / 4) in its own column
+    of the first four, then four columns of zeros, and noise of 1e-3 that much
+    on every entry: each Gram entry stays finite, but once the four large
+    entries are in, tr(G) overflows in about half the samples."""
+    big = np.sqrt(np.finfo(float).max / 4)
+    values = np.hstack([np.eye(4) * big, np.zeros((4, 4))])
+    return CorrelationMatrix(
+        ("I", "X", "Y", "Z"), pauli_labels(2)[1:9], values, np.full((4, 8), 1e-3 * big)
+    )
 
 
 def monte_carlo_svd(corr: CorrelationMatrix, n_samples: int, seed: int) -> SingularValueDistribution:

@@ -24,7 +24,7 @@ from qdiscord import (
     output_state,
 )
 
-from .conftest import matrix_document
+from .conftest import matrix_document, overflowing_trace_matrix
 
 
 def run(tmp_path, *args) -> int:
@@ -358,6 +358,14 @@ class TestWitnessCommand:
         assert run(tmp_path, "witness", "--matrix", str(path), "--seed", "1") == 0
         out = json.loads((tmp_path / "witness.json").read_text())
         assert out["rank_lower_bound"] == 3
+
+    def test_overflowing_gram_trace_runs_without_warning(self, tmp_path, capsys):
+        # every Gram entry is finite but tr(G) overflows in about half the
+        # samples: their bounds read 0 and they are decomposed, silently
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps(matrix_document(overflowing_trace_matrix())))
+        code = run(tmp_path, "witness", "--matrix", str(path), "--samples", "1000", "--bin", "1e150")
+        assert (code, capsys.readouterr().err) == (0, "")
 
     def test_rank_one_zero_sigma_matrix_inconclusive(self, tmp_path):
         corr = CorrelationMatrix(

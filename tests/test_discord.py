@@ -31,13 +31,12 @@ from qdiscord.discord import (
     MAX_SERIES_TERMS,
     _avg_conditional_entropy,
     _bias_information,
-    _bloch_blocks,
     _even_power_traces,
     _series_discord,
     _series_table,
     _series_terms,
 )
-from qdiscord.linalg import PAULI_1Q, entropy_from_eigenvalues
+from qdiscord.linalg import PAULI_1Q, bloch_blocks, entropy_from_eigenvalues
 
 from .conftest import random_classical_quantum_state, random_density_matrix, random_product_state
 from .oracles import (
@@ -91,7 +90,7 @@ class TestConditionalState:
         # oracle: Tr_A[(E_+- (+) I) rho] with E_+- built explicitly from the basis
         rho = random_density_matrix(sum(part), seed=31)
         db = rho.dim // 2
-        rho_b, gammas = _bloch_blocks(rho)
+        rho_b, gammas = bloch_blocks(rho)
         for basis in (Z_BASIS, MeasurementBasis(1.1, 2.2), MeasurementBasis(2.7, 5.9)):
             n_gamma = np.einsum("i,ibc->bc", bloch_vector(basis), gammas)
             for sign, e in zip((1, -1), projectors(basis)):
@@ -219,7 +218,7 @@ class TestDenseSearch:
         rng = np.random.default_rng(5)
         step = 1e-6
         for seed in range(5):
-            rho_b, gammas = _bloch_blocks(random_density_matrix(sum(part), seed=seed))
+            rho_b, gammas = bloch_blocks(random_density_matrix(sum(part), seed=seed))
             n = rng.standard_normal(3)
             n /= np.linalg.norm(n)
             _, grad = _avg_conditional_entropy(rho_b, gammas, n[None], grad=True)

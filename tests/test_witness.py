@@ -1,4 +1,5 @@
 import ast
+import functools
 import json
 import math
 import zlib
@@ -29,6 +30,7 @@ from qdiscord import (
     z_sector_first_order,
 )
 from qdiscord import witness as wit
+from qdiscord.linalg import MAX_QUBITS, PAULI_1Q
 from qdiscord.witness import (
     GRAM_RESOLUTION,
     OUTCOME_INCONCLUSIVE,
@@ -41,6 +43,7 @@ from .conftest import (
     extract_columns,
     matrix_document,
     monte_carlo_svd,
+    overflowing_trace_matrix,
     random_classical_quantum_state,
     random_density_matrix,
 )
@@ -140,18 +143,6 @@ def tiny_matrix(scale: float) -> CorrelationMatrix:
     )
 
 
-def overflowing_trace_matrix() -> CorrelationMatrix:
-    """Four rows, each with one entry of sqrt(max float / 4) in its own column
-    of the first four, then four columns of zeros, and noise of 1e-3 that much
-    on every entry: each Gram entry stays finite, but once the four large
-    entries are in, tr(G) overflows in about half the samples."""
-    big = math.sqrt(np.finfo(float).max / 4)
-    values = np.hstack([np.eye(4) * big, np.zeros((4, 4))])
-    return CorrelationMatrix(
-        ("I", "X", "Y", "Z"), pauli_labels(2)[1:9], values, np.full((4, 8), 1e-3 * big)
-    )
-
-
 RANK_CHECK_MATRICES = {
     "exact-and-zero-columns": with_exact_columns(
         correlation_matrix(random_density_matrix(3, seed=3)).with_uniform_sigmas(0.05)
@@ -228,12 +219,25 @@ class TestCorrelationMatrix:
         with pytest.raises(ValueError, match=message):
             CorrelationMatrix(rows, cols, np.eye(2))
 
-    def test_round_trip_reconstruction(self):
+    @pytest.mark.parametrize("n_qubits", [2, 3, 4, 5])
+    def test_round_trip_reconstruction(self, n_qubits):
         for seed in range(10):
-            rho = random_density_matrix(4, seed=seed)
+            rho = random_density_matrix(n_qubits, seed=seed)
             corr = correlation_matrix(rho)
             back = reconstruct_state(corr)
             assert np.linalg.norm(back - rho.entries) < 1e-10
+
+    def test_product_state_at_the_qubit_cap(self):
+        # oracle: the correlation matrix of a product of (I + r.sigma)/2 is the
+        # Kronecker product of the factors' Pauli coefficients (1, x, y, z)
+        rng = np.random.default_rng(8)
+        r = rng.uniform(-0.5, 0.5, (MAX_QUBITS, 3))
+        factors = [(PAULI_1Q["I"] + sum(c * PAULI_1Q[s] for c, s in zip(v, "XYZ"))) / 2 for v in r]
+        corr = correlation_matrix(DensityMatrix(functools.reduce(np.kron, factors)))
+        coeffs = np.hstack([np.ones((MAX_QUBITS, 1)), r])
+        want = np.outer(coeffs[0], functools.reduce(np.kron, coeffs[1:]))
+        assert corr.values.shape == (4, 4 ** (MAX_QUBITS - 1))
+        np.testing.assert_allclose(corr.values, want, rtol=0, atol=1e-15)
 
     @pytest.mark.parametrize("change, message", [
         ({}, "matrix carries no sigmas; Monte Carlo rank bounds need per-element "
@@ -564,23 +568,23 @@ class TestRankCheckQuantiles:
         monkeypatch.setattr(wit._GramFold, "_decompose", counted_decompose)
         fold = wit._GramFold(len(corr.row_labels), n, seed=2)
         candidates = overflowing = 0
-        with np.errstate(over="ignore"):  # tr(G) of the overflowing samples
-            for j, label in enumerate(corr.col_labels):
-                fold.add(label, corr.values[:, j], corr.sigmas[:, j])
-                bounded.clear()
-                decomposed.clear()
-                got, count = fold.quantiles(q)
+        for j, label in enumerate(corr.col_labels):
+            fold.add(label, corr.values[:, j], corr.sigmas[:, j])
+            bounded.clear()
+            decomposed.clear()
+            got, count = fold.quantiles(q)
+            with np.errstate(over="ignore"):  # tr(G) of the overflowing samples
                 trace = fold.packed[fold.tril[0] == fold.tril[1]].sum(axis=0)
-                overflow = np.flatnonzero(~np.isfinite(trace))
-                assert set(overflow) <= set(decomposed) and set(overflow).isdisjoint(bounded)
-                assert count == len(decomposed)
-                want = full_quantiles(outer_product_gram(corr, n, 2, j + 1), fold.n_singular_values, q)
-                assert got.tobytes() == want.tobytes()
-                if overflow.size:
-                    lo, hi = jacobi(fold, overflow)
-                    assert np.isnan(lo).all() and not np.isfinite(hi).all(axis=0).any()
-                candidates += len(bounded)
-                overflowing += overflow.size
+            overflow = np.flatnonzero(~np.isfinite(trace))
+            assert set(overflow) <= set(decomposed) and set(overflow).isdisjoint(bounded)
+            assert count == len(decomposed)
+            want = full_quantiles(outer_product_gram(corr, n, 2, j + 1), fold.n_singular_values, q)
+            assert got.tobytes() == want.tobytes()
+            if overflow.size:
+                lo, hi = jacobi(fold, overflow)
+                assert np.isnan(lo).all() and not np.isfinite(hi).all(axis=0).any()
+            candidates += len(bounded)
+            overflowing += overflow.size
         assert candidates > 0 and overflowing > 0
 
     @pytest.mark.parametrize("q", [0.0, 1e-5, 0.01, 0.5, 0.99])

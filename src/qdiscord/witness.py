@@ -11,10 +11,11 @@ as soon as the bound exceeds dim(A) or full tomography is exhausted.
 
 Monte Carlo samples come from one engine, :class:`_GramFold`, which folds
 each column into per-sample rows x rows Gram matrices. A rank check needs only
-the low quantile of each singular value, and a column only raises the
-eigenvalues, so a check eigendecomposes just the samples whose stored lower
-bounds could still reach that quantile and whose fresh Jacobi-sweep bounds
-do not rule them out; the returned distribution decomposes them all.
+two order statistics of each singular value, so it places most samples by
+eigenvalue intervals, a lower bound kept since an earlier check (a column
+only raises the eigenvalues) or a closed-form Schur-complement certificate,
+and eigendecomposes just the samples whose interval meets the range the two
+order statistics can span; the returned distribution decomposes them all.
 """
 
 from __future__ import annotations
@@ -275,6 +276,63 @@ class SingularValueDistribution:
         return self.quantile(0.5)
 
 
+# Packed lower triangles: _KEY4[i, j] is the packed row of a 4 x 4 Gram
+# matrix's entries (i, j) and (j, i); _DIAG4 its diagonal, and _B_OF_4 and
+# _H_OF_4 its first column below the diagonal (b) and its trailing 3 x 3 block
+# (H), itself packed.
+_TRIL3, _TRIL4 = np.tril_indices(3), np.tril_indices(4)
+_KEY4 = np.zeros((4, 4), dtype=int)
+_KEY4[_TRIL4] = _KEY4[_TRIL4[::-1]] = np.arange(10)
+_DIAG4, _B_OF_4, _H_OF_4 = _KEY4.diagonal(), _KEY4[1:, 0], _KEY4[1:, 1:][_TRIL3]
+# offsets of the trigonometric roots, in descending order of the eigenvalues
+_ROOT_OFFSETS = np.array([0.0, 4 * math.pi / 3, 2 * math.pi / 3])[:, None]
+# _eigvalsh3's error from the arccos, per unit of sqrt(p (p + |q|)): r =
+# cos(3 phi) is good to delta = 64 eps (1 + |q| / p), and an error delta in r
+# moves an eigenvalue by at most (2/3) p |arccos x - arccos y| <=
+# (2/3) p sqrt(5 delta) on [-1, 1]
+_ARCCOS_ERROR = (2 / 3) * math.sqrt(5 * 64 * np.finfo(float).eps)
+# tr(G) below which a Gram matrix gets no certificate: under the smallest
+# normal float its rounding margin and resolution floor lose their precision
+_CERTIFIED_TRACE_MIN = np.finfo(float).tiny
+# samples per certificate block: larger blocks' temporaries outgrow the cache
+# and the allocator's reuse, and cost more per sample
+_CERTIFICATE_BLOCK = 2048
+# fewer samples than this are decomposed, not certified: the certificate's
+# fixed cost of about 0.15 ms buys eigvalsh of about 128 Gram matrices
+_CERTIFICATE_MIN = 128
+
+
+def _eigvalsh3(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues of symmetric 3 x 3 matrices, from their packed lower
+    triangles ``a`` (a00, a10, a11, a20, a21, a22; one row of m each): a (3, m)
+    array, descending, and an (m,) bound on the error the arccos adds.
+
+    The trigonometric solution of the characteristic cubic (O. K. Smith,
+    CACM 4, 168, 1961): with q = tr(A) / 3, p^2 = ||A - qI||_F^2 / 6 and
+    r = det((A - qI) / p) / 2 = cos(3 phi), the eigenvalues are
+    q + 2p cos(phi + 2 pi k / 3). The matrix is divided by p before the
+    determinant, and r is good to a few tens of eps plus the rounding of the
+    shift q, eps |q| / p, at any scale. Near a double root (|r| near 1) the
+    arccos turns that into about sqrt(eps p (p + |q|)): the returned bound,
+    ``_ARCCOS_ERROR`` sqrt(p (p + |q|)), holds for every r. The other
+    rounding is a few eps (|q| + p). p = 0 (a scalar matrix) reads r = 1 and
+    gives every eigenvalue q. The entries should be scaled near 1, so that
+    their squares neither overflow nor underflow.
+    """
+    q = (a[0] + a[2] + a[5]) / 3
+    d = a[[0, 2, 5]] - q
+    off = a[[1, 3, 4]]
+    p = np.sqrt(((d * d).sum(axis=0) + 2 * (off * off).sum(axis=0)) / 6)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        d /= p
+        off /= p
+        det = d[0] * d[1] * d[2] + 2 * off[0] * off[1] * off[2]
+        det -= (d * (off * off)[::-1]).sum(axis=0)  # d_i times the other pair's a_jk^2
+    r = np.fmax(np.fmin(det / 2, 1.0), -1.0)  # NaN (p = 0) reads 1
+    lam = q + 2 * p * np.cos(np.arccos(r) / 3 + _ROOT_OFFSETS)
+    return lam, _ARCCOS_ERROR * np.sqrt(p * (p + np.abs(q)))
+
+
 class _GramFold:
     """Monte Carlo samples of a correlation matrix that grows one column at a time.
 
@@ -289,11 +347,11 @@ class _GramFold:
     Only G's lower triangle, the part eigvalsh reads, is kept: packed as one
     (n_samples,) row per entry, so a column costs rows (rows + 1) / 2
     products per sample, and a sample's matrix is unpacked only when it is
-    decomposed. :meth:`quantiles` decomposes only the samples that can reach
-    the low quantile (see there), keeping per sample a lower bound on each
-    eigenvalue, from its last decomposition or from a Jacobi certificate
-    (:meth:`_jacobi_bounds`) on the packed rows; :meth:`distribution`
-    decomposes every sample.
+    decomposed. :meth:`quantiles` decomposes only the samples whose value
+    can be the quantile's (see there): every other sample is placed by an
+    interval on its eigenvalues, from a closed-form certificate on its packed
+    rows (:meth:`_intervals`) or from a lower bound kept since an earlier
+    check; :meth:`distribution` decomposes every sample.
     """
 
     def __init__(self, n_rows: int, n_samples: int, seed: int):
@@ -305,7 +363,7 @@ class _GramFold:
         self.tril = np.tril_indices(n_rows)
         self.packed = np.zeros((self.tril[0].size, n_samples))
         # lower bounds on each sample's floored eigenvalues (descending): their
-        # values when last decomposed, or a Jacobi bound that cleared a check since
+        # values when last decomposed, or the certificate's since
         self.last_eig = np.zeros((n_rows, n_samples))
         self.values: list[np.ndarray] = []
         self.noisy = False
@@ -359,117 +417,173 @@ class _GramFold:
         return SingularValueDistribution(np.sqrt(lam))
 
     def _decompose(self, idx: np.ndarray) -> np.ndarray:
-        """Decompose samples ``idx``, keep their eigenvalues as bounds, and
-        return their singular values as an (n_sv, len(idx)) array."""
+        """Floored eigenvalues of samples ``idx`` as a (rows, len(idx)) array,
+        kept as their bounds."""
         lam = self._eigenvalues(idx).T
         self.last_eig[:, idx] = lam
-        return np.sqrt(lam[: self.n_singular_values])
+        return lam
+
+    def _margin(self, trace: np.ndarray) -> np.ndarray:
+        """Rounding margin on a bound: eigvalsh's error and one eps tr(G) per
+        Gram addition, (64 + columns) eps tr(G)."""
+        return (64 + len(self.values)) * np.finfo(float).eps * trace
 
     def _lower_bounds(self) -> np.ndarray:
-        """(n_sv, n_samples) lower bounds on the current singular values."""
-        with np.errstate(over="ignore"):  # where tr(G) overflows, the bound is 0
-            trace = self.packed[self.tril[0] == self.tril[1]].sum(axis=0)
-        bound = self.last_eig[: self.n_singular_values]
-        bound = bound - (64 + len(self.values)) * np.finfo(float).eps * trace
-        bound[bound < GRAM_RESOLUTION**2 * trace] = 0.0
-        return np.sqrt(bound)
-
-    def _jacobi_bounds(self, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(rows, len(idx)) intervals [lo, hi] on the floored eigenvalues of
-        samples ``idx``, descending, from two cyclic Jacobi sweeps.
-
-        The rotations leave A = diag + E orthogonally similar to G, so by
-        Weyl's inequalities the j-th largest eigenvalue is within ||E||_F of
-        the j-th largest diagonal entry, widened by the rounding margin of
-        :meth:`_lower_bounds`; lo is floored at the resolution as there. On
-        random 4 x 4 Gram stacks the rotations' and eigvalsh's rounding
-        together came to at most 10 eps tr(G) beyond ||E||_F, well inside the
-        margin. ||E||_F is taken of E divided by a power of 2 near tr(G),
-        which bounds every |a_ij|: the scaling is exact, and the squares
-        neither underflow at tiny Gram matrices nor overflow at huge ones. A
-        sample whose interval is not finite (as when tr(G) overflows) has lo NaN.
-        """
-        n = self.n_rows
-        key = np.empty((n, n), dtype=int)  # packed row of entry (i, j) and (j, i)
-        key[self.tril] = key[self.tril[::-1]] = np.arange(self.tril[0].size)
-        a = list(self.packed[:, idx])
+        """(rows, n_samples) lower bounds on the current floored eigenvalues:
+        the stored ones less the rounding margin, and 0 where that is under
+        the resolution floor at tr(G) >= lambda_max (or tr(G) overflows)."""
         with np.errstate(over="ignore", invalid="ignore"):
-            trace = np.sum([a[key[i, i]] for i in range(n)], axis=0)
-            for _ in range(2):
-                for p in range(n):
-                    for q in range(p + 1, n):
-                        pp, qq, pq = key[p, p], key[q, q], key[q, p]
-                        # t = tan of the smaller angle that zeroes a_pq (0 if a_pq is 0)
-                        d, two = a[qq] - a[pp], 2 * a[pq]
-                        den = d + np.copysign(np.hypot(d, two), d)
-                        t = two / np.where(den == 0, 1.0, den)  # den is 0 only where two is
-                        c = 1 / np.hypot(1.0, t)
-                        s = t * c
-                        tpq = t * a[pq]
-                        a[pp], a[qq], a[pq] = a[pp] - tpq, a[qq] + tpq, np.zeros_like(d)
-                        for r in range(n):
-                            if r != p and r != q:
-                                rp, rq = a[key[r, p]], a[key[r, q]]
-                                a[key[r, p]], a[key[r, q]] = c * rp - s * rq, s * rp + c * rq
-            mid = np.sort(np.stack([a[key[i, i]] for i in range(n)], axis=1), axis=1)[:, ::-1].T
-            _, e = np.frexp(trace)  # tr(G) = m 2^e, 1/2 <= m < 1
-            scaled = (np.ldexp(a[key[i, j]], 1 - e) for i, j in zip(*self.tril) if i != j)
-            off = np.ldexp(np.sqrt(2 * sum(x * x for x in scaled)), e - 1)
-            width = off + (64 + len(self.values)) * np.finfo(float).eps * trace
-            lo, hi = mid - width, mid + width
-        lo[lo < GRAM_RESOLUTION**2 * trace] = 0.0
-        lo[:, ~np.isfinite(hi).all(axis=0)] = np.nan
-        return lo, hi
+            trace = self.packed[self.tril[0] == self.tril[1]].sum(axis=0)
+            bound = self.last_eig - self._margin(trace)
+            bound[~(bound >= GRAM_RESOLUTION**2 * trace)] = 0.0
+        return bound
+
+    def _intervals(self, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(rows, len(idx)) intervals [lo, hi] on the floored eigenvalues of
+        samples ``idx``, descending, from :meth:`_certificate` in blocks of
+        ``_CERTIFICATE_BLOCK``; a sample with no certificate, as every sample
+        of fewer than 4 rows or of fewer than ``_CERTIFICATE_MIN`` samples,
+        has lo 0 and hi inf."""
+        if self.n_rows != 4 or idx.size < _CERTIFICATE_MIN:
+            return np.zeros((self.n_rows, idx.size)), np.full((self.n_rows, idx.size), np.inf)
+        blocks = [
+            self._certificate(self.packed[:, idx[start : start + _CERTIFICATE_BLOCK]])
+            for start in range(0, idx.size, _CERTIFICATE_BLOCK)
+        ]
+        return blocks[0] if len(blocks) == 1 else tuple(np.hstack(part) for part in zip(*blocks))
+
+    def _certificate(self, packed: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Intervals [lo, hi] on the floored eigenvalues of 4 x 4 Gram
+        matrices from their packed rows (10, m): lo 0 and hi inf where there
+        is no certificate.
+
+        One Householder reflection P maps G (G e_k) onto e_0, e_k the axis
+        of G's largest diagonal entry, so P G P = [[g, b^T], [b, H]] with b
+        small when G has a dominant direction. For lambda < g the Schur
+        complement S(lambda) = H - b b^T / (g - lambda) falls with lambda,
+        and by Haynsworth's inertia G has 1 + #{k: mu_k(S(lambda)) > lambda}
+        eigenvalues above lambda. With u = mu_1(S(0)) widened, that count at
+        lambda = u is 1, so u bounds lambda_2; if u < g, lambda_{k+1} =
+        mu_k(S(lambda_{k+1})) lies in [mu_k(S(u)), mu_k(S(0))], and
+        mu_k(S(u)) >= mu_k(S(0)) - |b|^2 u / (g (g - u)) by Weyl. S(0)'s
+        eigenvalues come from :func:`_eigvalsh3`, widened by its arccos bound
+        and by the rounding margin of :meth:`_lower_bounds`; lambda_1 =
+        tr(G) - (lambda_2 + lambda_3 + lambda_4) takes its bounds from
+        theirs, whose three margins also cover the trace's rounding.
+
+        A value whose upper bound is under the resolution of lambda_1's lower
+        bound is floored, so its interval is [0, 0]; a lower bound under the
+        resolution of lambda_1's upper bound is 0. The work is done on G over
+        a power of 2 near tr(G), which is exact and bounds every |g_ij| by 2.
+        There is no certificate where u >= g (as when lambda_1 = lambda_2)
+        or where tr(G) is not finite or is under ``_CERTIFIED_TRACE_MIN``.
+        """
+        floor = GRAM_RESOLUTION**2
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            trace = packed[_DIAG4].sum(axis=0)
+            _, e = np.frexp(trace)  # tr(G) = f 2^e, 1/2 <= f < 1
+            a = np.ldexp(packed, 1 - e)
+            t = np.ldexp(trace, 1 - e)
+            gram = a[_KEY4]
+            start = gram[:, a[_DIAG4].argmax(axis=0), np.arange(a.shape[1])]  # G e_k
+            w = np.einsum("ijm,jm->im", gram, start)  # G (G e_k), then the reflector
+            w[0] += np.copysign(np.sqrt((w * w).sum(axis=0)), w[0])
+            beta = 2 / (w * w).sum(axis=0)
+            y = np.einsum("ijm,jm->im", gram, w)
+            z = beta * (y - (beta / 2) * (w * y).sum(axis=0) * w)
+            rot = a - (w[_TRIL4[0]] * z[_TRIL4[1]] + z[_TRIL4[0]] * w[_TRIL4[1]])  # P G P
+            g, b, h = rot[0], rot[_B_OF_4], rot[_H_OF_4]
+            bb = b[_TRIL3[0]] * b[_TRIL3[1]]
+            margin = self._margin(t)
+            mu, err = _eigvalsh3(h - bb / g)
+            up = mu + (err + margin)
+            gap = g - up[0]
+            width = (bb[0] + bb[2] + bb[5]) * up[0] / (g * gap)
+            down = mu - (err + margin * (1 + width / t) + width)
+            lo = np.concatenate([(t - up.sum(axis=0))[None], down])
+            hi = np.concatenate([(t - down.sum(axis=0))[None], up])
+            np.maximum(lo, 0.0, out=lo)
+            np.maximum(hi, 0.0, out=hi)
+            lo[1:][lo[1:] < floor * hi[0]] = 0.0
+            hi[1:][hi[1:] < floor * lo[0]] = 0.0
+            ok = (gap > 0) & (trace >= _CERTIFIED_TRACE_MIN) & np.isfinite(hi).all(axis=0)
+            return np.where(ok, np.ldexp(lo, e - 1), 0.0), np.where(ok, np.ldexp(hi, e - 1), np.inf)
+
+    def _bound(self, idx: np.ndarray, bounds: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
+        """Intervals [lo, hi] of samples ``idx``: their stored lower bounds
+        ``bounds[:, idx]`` narrowed by a fresh certificate, and kept. The
+        samples it cannot bound are decomposed, their interval their value;
+        also returns how many."""
+        lo, hi = self._intervals(idx)
+        np.maximum(lo, bounds[:, idx], out=lo)
+        self.last_eig[:, idx] = lo
+        bare = np.flatnonzero(np.isinf(hi).any(axis=0))
+        if bare.size:
+            lo[:, bare] = hi[:, bare] = self._decompose(idx[bare])
+        return lo, hi, bare.size
 
     def quantiles(self, q: float) -> tuple[np.ndarray, int]:
         """The q-quantile of each singular value over the samples, equal to
         ``distribution().quantile(q)``, and the number of samples decomposed.
 
-        G only gains c c^T, so by Weyl's inequalities every eigenvalue of a
-        sample is at least any lower bound it had at an earlier check. A
-        stored value, less a rounding margin of (64 + columns) eps tr(G)
-        (eigvalsh's error and one eps tr(G) per Gram addition since), is a
-        lower bound; it is kept only while it clears the resolution floor at
-        tr(G) >= lambda_max, else the bound is 0. The quantile reads only the
-        order statistics at floor(h) and floor(h) + 1, h = q (n - 1), so only
-        the ``need`` smallest values of each singular value must be exact.
-        The samples holding the 2 x ``need`` smallest bounds are decomposed
-        first; the need-th smallest of their exact values, ``top``, is at or
-        above the true one, so no sample whose values all exceed ``top`` can
-        reach the quantile. Every other sample bounded at or below ``top`` is
-        a candidate: :meth:`_jacobi_bounds` bounds it afresh, and it is
-        decomposed unless that bound clears ``top`` for every singular value.
-        A cleared bound is stored, so the sample stays out of the next check
-        too; the decomposed samples alone give the quantile.
+        The quantile reads only the order statistics i = floor(h) and
+        j = i + 1, h = q (n - 1), of each value. Every sample has the lower
+        bound :meth:`_lower_bounds` keeps (G only gains c c^T, so by Weyl no
+        eigenvalue falls). The samples with the 2 (j + 1) lowest bounds of
+        some value get an interval (:meth:`_bound`); the (j + 1)-th smallest
+        of their upper bounds, U, is at or above the j-th order statistic, so
+        every other sample bounded at or below U for some value gets one too,
+        and the rest lie above both order statistics. Then, for each value,
+        with A the i-th smallest lower bound and B the j-th smallest upper
+        bound of the samples with intervals (A <= the i-th and B >= the j-th
+        order statistic), the c samples whose upper bound is below A precede
+        both order statistics and those whose lower bound is above B follow
+        them. Only the samples whose interval meets [A, B] and is not a point
+        are decomposed, and the order statistics are the (i - c)-th and
+        (j - c)-th of the values in [A, B], so the quantile is exactly a full
+        decomposition's.
         """
         if not self.noisy:
             return self._exact_sv(), 0
         self._check_finite()
-        n = self.n_samples
-        need = min(math.ceil(q * (n - 1)) + 2, n)  # one more covers rounding in h
-        sv = self._lower_bounds()  # (n_sv, n): exact where decomposed, else a bound
-        # twice `need` lowest bounds bring the need-th exact value near the true one
-        lowest = min(2 * need, n) - 1
-        kth = np.partition(sv, lowest, axis=1)[:, lowest, None]
-        first = np.flatnonzero((sv <= kth).any(axis=0))
-        sv[:, first] = self._decompose(first)
-        if first.size == n:  # as at confidence <= 0.5: nothing is left to bound
-            return _quantile_of_lowest(sv, q, n), n
-        top = np.partition(sv[:, first], need - 1, axis=1)[:, need - 1, None]
-        more = (sv <= top).any(axis=0)
-        more[first] = False
-        candidates = np.flatnonzero(more)
-        if candidates.size == 0:
-            return _quantile_of_lowest(sv[:, first], q, n), first.size
-        lo, _ = self._jacobi_bounds(candidates)
-        # NaN (no finite interval) never clears top, so that sample is decomposed
-        below = (~(np.sqrt(lo[: self.n_singular_values]) > top)).any(axis=0)
-        kept, rest = candidates[~below], candidates[below]
-        self.last_eig[:, kept] = np.maximum(self.last_eig[:, kept], lo[:, ~below])
-        more[kept] = False
-        more[first] = True  # every decomposed sample
-        sv[:, rest] = self._decompose(rest)
-        return _quantile_of_lowest(sv[:, more], q, n), first.size + rest.size
+        n, k = self.n_samples, self.n_singular_values
+        h, i, j = _order_indices(q, n)
+        bounds = self._lower_bounds()
+        low = min(2 * j + 2, n) - 1
+        first = (bounds[:k] <= np.partition(bounds[:k], low, axis=1)[:, low, None]).any(axis=0)
+        idx = np.flatnonzero(first)
+        lo, hi, decomposed = self._bound(idx, bounds)
+        if idx.size < n:
+            top = np.partition(hi[:k], j, axis=1)[:, j, None]
+            more = np.flatnonzero(~first & (bounds[:k] <= top).any(axis=0))
+            if more.size:
+                lo_more, hi_more, bare = self._bound(more, bounds)
+                idx = np.concatenate([idx, more])
+                lo, hi = np.hstack([lo, lo_more]), np.hstack([hi, hi_more])
+                decomposed += bare
+        lo, hi = lo[:k], hi[:k]
+        below = hi < np.partition(lo, i, axis=1)[:, i, None]
+        reach = ~below & ~(lo > np.partition(hi, j, axis=1)[:, j, None])
+        exact = np.flatnonzero((reach & (lo < hi)).any(axis=0))
+        lo[:, exact] = self._decompose(idx[exact])[:k]  # lo now holds each reaching value
+        stats = [
+            np.partition(lo[s, reach[s]], (i - c, j - c))[[i - c, j - c]]
+            for s, c in enumerate(below.sum(axis=1))
+        ]
+        a, b = np.sqrt(stats).T
+        return _lerp(a, b, h - i), decomposed + exact.size
+
+
+def _order_indices(q: float, n: int) -> tuple[float, int, int]:
+    """h = q (n - 1) and the order statistics floor(h) and floor(h) + 1
+    (capped at n - 1) that numpy's linear quantile rule reads."""
+    h = (n - 1) * q
+    return h, min(math.floor(h), n - 1), min(math.floor(h) + 1, n - 1)
+
+
+def _lerp(a: np.ndarray, b: np.ndarray, t: float) -> np.ndarray:
+    """numpy's linear quantile interpolation between order statistics a and b."""
+    return b - (b - a) * (1 - t) if t >= 0.5 else a + (b - a) * t
 
 
 def _quantile_of_lowest(lowest: np.ndarray, q: float, n: int) -> np.ndarray:
@@ -477,11 +591,9 @@ def _quantile_of_lowest(lowest: np.ndarray, q: float, n: int) -> np.ndarray:
     from the columns ``lowest`` of it that hold each row's floor(h) + 2
     smallest values (or all n), h = q (n - 1): numpy's linear rule reads only
     the order statistics a and b at floor(h) and floor(h) + 1."""
-    h = (n - 1) * q
-    i, j = min(math.floor(h), n - 1), min(math.floor(h) + 1, n - 1)
+    h, i, j = _order_indices(q, n)
     a, b = np.partition(lowest, (i, j), axis=1)[:, [i, j]].T
-    t = h - i
-    return b - (b - a) * (1 - t) if t >= 0.5 else a + (b - a) * t
+    return _lerp(a, b, h - i)
 
 
 def column_combination_scan(
@@ -535,8 +647,10 @@ def z_sector_first_order(col_labels: Sequence[PauliLabel]) -> tuple[PauliLabel, 
 class RankCheck:
     """One rank check of the procedure: the column just acquired, the
     threshold, the rank bound, each singular value's (1 - confidence)
-    quantile, and how many samples were eigendecomposed to get it (0 for an
-    exact matrix, whose one SVD serves every sample)."""
+    quantile, and how many samples were eigendecomposed to get it: those
+    whose eigenvalue interval could hold an order statistic the quantile
+    reads, and those the certificate could not bound (0 for an exact matrix,
+    whose one SVD serves every sample)."""
 
     column: PauliLabel
     tau: float

@@ -112,7 +112,7 @@ def cmd_discord(args) -> int:
     if args.dqc1 is not None:
         u = _resolve(args.dqc1, "unitary", dqc1.unitary_from_dict)
         inst = dqc1.Dqc1Instance(args.epsilon, u)
-        result = dqc1_discord(inst.eigphases, inst.epsilon)
+        result = dqc1_discord(np.angle(np.linalg.eigvals(inst.unitary)), inst.epsilon)
     else:
         rho = _resolve_state(args)
         result = discord(rho)

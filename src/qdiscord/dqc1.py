@@ -55,13 +55,6 @@ class Dqc1Instance:
         """Number of maximally mixed qubits."""
         return self.unitary.shape[0].bit_length() - 1
 
-    @property
-    def eigphases(self) -> np.ndarray:
-        """Eigenphases of U in (-pi, pi], the input of :func:`dqc1_discord`
-        behind ``discord --dqc1``. The small-polarization fit never decomposes
-        U: it reads traces of powers of U instead."""
-        return np.angle(np.linalg.eigvals(self.unitary))
-
 
 def hadamard() -> np.ndarray:
     return (PAULI_1Q["X"] + PAULI_1Q["Z"]) / np.sqrt(2)

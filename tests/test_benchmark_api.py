@@ -20,6 +20,9 @@ def traced_names() -> list[tuple[str, str]]:
 
 
 def test_traced_functions_resolve():
+    # Tracer.install raises AttributeError on every --trace 1 run when a name is
+    # gone, so linalg.tensor, linalg.pauli_realize and nmr.simulate_measurement
+    # stay in the package until the benchmark drops their traces
     names = traced_names()
     assert names
     missing = [

@@ -13,7 +13,6 @@ import argparse
 import json
 import math
 import os
-import re
 import sys
 from dataclasses import asdict
 from pathlib import Path
@@ -172,9 +171,8 @@ def cmd_witness(args) -> int:
             "medians": scan_dist.medians().tolist(),
         }
         csv_dist = scan_dist
-    prefix = args.csv_prefix if args.csv_prefix is not None else Path(args.out).with_suffix("")
     try:
-        csv_paths = write_histogram_csvs(csv_dist, prefix, args.bin)
+        csv_paths = write_histogram_csvs(csv_dist, Path(args.out).with_suffix(""), args.bin)
     except wit.HistogramBinsError as exc:
         # a matrix document carries its own sigmas, and --sigma is refused with it
         noise = "smaller sigmas in the --matrix document" if args.matrix else "a smaller --sigma"
@@ -212,7 +210,7 @@ def cmd_haar_survey(args) -> int:
     )
     mean = float(values.mean())
     stderr = float(values.std(ddof=1) / np.sqrt(len(values))) if len(values) > 1 else 0.0
-    csv_path = Path(args.csv)
+    csv_path = Path(args.out).with_suffix(".csv")
     lines = ["seed,discord"] + [f"{args.start_seed + i},{v:.8e}" for i, v in enumerate(values)]
     csv_path.write_text("\n".join(lines) + "\n")
     payload = {
@@ -279,7 +277,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="noise resamples per combination of --scan-combos (default 10)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default="witness.json")
-    p.add_argument("--csv-prefix", default=None, help="histogram CSV prefix (default: out stem)")
     p.set_defaults(func=cmd_witness)
 
     p = sub.add_parser("haar-survey", help="extrapolated discord over Haar-random unitaries")
@@ -288,7 +285,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=float, default=1.4e-5)
     p.add_argument("--start-seed", type=int, default=0)
     p.add_argument("--out", default="haar_survey.json")
-    p.add_argument("--csv", default=None, help="per-seed values CSV (default: --out with .csv)")
     p.set_defaults(func=cmd_haar_survey)
 
     return parser
@@ -330,12 +326,12 @@ FLAG_RANGES = {
 
 
 def _check_flags(args) -> None:
-    """Before any work: refuse a flag given outside its modes, resolve its
-    default inside them, refuse an empty output path, one in a missing
-    directory or an output file that is a directory (a CSV prefix is never
-    opened itself, haar-survey's CSV defaults to ``--out`` with a .csv suffix
-    and may not be ``--out``, and witness's ``--out`` may not be one of its
-    histogram CSVs), and last refuse a numeric flag outside its range in
+    """Before any work: refuse a flag given outside its modes and resolve its
+    default inside them; refuse an empty ``--out``, one in a missing
+    directory, and an existing directory at ``--out`` or at a file named from
+    it (witness's histogram CSVs ``<--out stem>_sv1.csv`` to ``_sv4.csv``,
+    one per row of A; haar-survey's ``--out`` with a .csv suffix, which may
+    not be ``--out`` itself); last refuse a numeric flag outside its range in
     ``FLAG_RANGES``."""
     for dest, modes, applies, default in SCOPED_FLAGS.get(args.command, ()):
         value = getattr(args, dest)
@@ -344,23 +340,20 @@ def _check_flags(args) -> None:
                 raise ValueError(f"--{dest.replace('_', '-')} only applies to {modes}")
         elif value is None:
             setattr(args, dest, default)
-    for dest in ("out", "csv", "csv_prefix"):
-        path = getattr(args, dest, None)
-        flag = "--" + dest.replace("_", "-")
-        if path == "":
-            raise ValueError(f"{flag} must name a file")
-        if path is not None and not os.path.isdir(os.path.dirname(path) or "."):
-            raise ValueError(f"{flag} {path}: directory {os.path.dirname(path)} does not exist")
-        if dest != "csv_prefix" and path is not None and Path(path).is_dir():
-            raise ValueError(f"{flag} {path} is a directory, not a file")
-        if dest == "out" and getattr(args, "csv", "") is None:
-            args.csv = str(Path(path).with_suffix(".csv"))
-        if dest == "csv" and path is not None and os.path.abspath(path) == os.path.abspath(args.out):
-            raise ValueError(f"{flag} {path} is also the --out path")
-        if dest == "csv_prefix" and path is not None and re.fullmatch(
-            re.escape(os.path.abspath(path + "_sv")) + r"[1-9]\d*\.csv", os.path.abspath(args.out)
-        ):
-            raise ValueError(f"--out {args.out} is also a histogram CSV of {flag} {path}")
+    out = args.out
+    if out == "":
+        raise ValueError("--out must name a file")
+    if not os.path.isdir(os.path.dirname(out) or "."):
+        raise ValueError(f"--out {out}: directory {os.path.dirname(out)} does not exist")
+    if os.path.isdir(out):
+        raise ValueError(f"--out {out} is a directory, not a file")
+    if args.command == "haar-survey" and Path(out).suffix == ".csv":
+        raise ValueError(f"--out {out} is also its values CSV; give --out another suffix")
+    stem = Path(out).with_suffix("")
+    named = {"witness": [f"{stem}_sv{k}.csv" for k in range(1, 5)], "haar-survey": [f"{stem}.csv"]}
+    for path in named.get(args.command, ()):
+        if os.path.isdir(path):
+            raise ValueError(f"--out {out} writes {path}, which is a directory")
     for dest, in_range, refusal in FLAG_RANGES.get(args.command, ()):
         value = getattr(args, dest)
         if value is not None and not in_range(value):

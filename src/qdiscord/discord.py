@@ -459,11 +459,11 @@ class _SeriesTable(NamedTuple):
 
 
 @lru_cache(maxsize=None)
-def _series_table(n: int, grid: int) -> _SeriesTable:
-    """The :class:`_SeriesTable` of ``n`` terms on a ``grid``-point phi scan,
-    built once per (n, grid)."""
+def _series_table(n: int) -> _SeriesTable:
+    """The :class:`_SeriesTable` of ``n`` terms on the ``GRID``-point phi
+    scan, built once per n (a changed ``GRID`` needs ``cache_clear()``)."""
     k = range(1, n + 1)
-    harmonics = np.exp(-2j * np.outer(np.arange(grid) * (np.pi / grid), k))
+    harmonics = np.exp(-2j * np.outer(np.arange(GRID) * (np.pi / GRID), k))
     harmonics.setflags(write=False)
     return _SeriesTable(
         powers=tuple(2.0 * i for i in k),
@@ -482,13 +482,13 @@ def _series_discord(tau1: complex, even: Sequence[complex], eps: float) -> float
     The bracket is the trigonometric polynomial sum_j Re(d_j e^{-2ij phi})
     of the module docstring. What it needs beyond eps and U, the weights
     w_kj, the denominators of a_k and the grid's harmonics, comes from
-    :func:`_series_table`, built once per (N, ``GRID``); the N coefficients
+    :func:`_series_table`, built once per N; the N coefficients
     d_j are summed in plain Python. Its minimum is found as in
     :func:`dqc1_discord`: a ``GRID`` scan of [0, pi), then
     :func:`_newton_polish` on its exact phi-derivatives, evaluated in plain
     Python.
     """
-    table = _series_table(_series_terms(eps), GRID)
+    table = _series_table(_series_terms(eps))
     r, two_theta = abs(tau1), 2 * cmath.phase(tau1)
     b = [eps**p / den for p, den in zip(table.powers, table.denominators)]
     r2n = [r**p for p in table.powers]

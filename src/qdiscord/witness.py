@@ -172,7 +172,7 @@ def default_tau(sigmas: np.ndarray, n_cols: int | None = None) -> float:
     if nz.size == 0:
         return TAU_FLOOR
     cols = sigmas.shape[1] if n_cols is None else int(n_cols)
-    return 2.0 * float(_quantile_of_lowest(nz[None], 0.5, nz.size)[0]) * math.sqrt(cols)
+    return 2.0 * float(_quantile(nz[None], 0.5)[0]) * math.sqrt(cols)
 
 
 @dataclass(frozen=True)
@@ -270,7 +270,7 @@ class SingularValueDistribution:
         """Per-singular-value empirical quantile (numpy's linear rule)."""
         if not 0.0 <= q <= 1.0:
             raise ValueError(f"quantile {q} outside [0, 1]")
-        return _quantile_of_lowest(self.samples.T, q, self.n_samples)
+        return _quantile(self.samples.T, q)
 
     def medians(self) -> np.ndarray:
         return self.quantile(0.5)
@@ -586,13 +586,12 @@ def _lerp(a: np.ndarray, b: np.ndarray, t: float) -> np.ndarray:
     return b - (b - a) * (1 - t) if t >= 0.5 else a + (b - a) * t
 
 
-def _quantile_of_lowest(lowest: np.ndarray, q: float, n: int) -> np.ndarray:
-    """``np.quantile(full, q, axis=1)`` of an (rows, n) array, bit for bit,
-    from the columns ``lowest`` of it that hold each row's floor(h) + 2
-    smallest values (or all n), h = q (n - 1): numpy's linear rule reads only
-    the order statistics a and b at floor(h) and floor(h) + 1."""
-    h, i, j = _order_indices(q, n)
-    a, b = np.partition(lowest, (i, j), axis=1)[:, [i, j]].T
+def _quantile(rows: np.ndarray, q: float) -> np.ndarray:
+    """``np.quantile(rows, q, axis=1)``, bit for bit, from the order
+    statistics at floor(h) and floor(h) + 1, h = q (n - 1), that numpy's
+    linear rule reads (np.quantile itself would import numpy.ma)."""
+    h, i, j = _order_indices(q, rows.shape[1])
+    a, b = np.partition(rows, (i, j), axis=1)[:, [i, j]].T
     return _lerp(a, b, h - i)
 
 

@@ -585,20 +585,6 @@ class TestWitnessCommand:
         )
         assert [p.name for p in tmp_path.iterdir()] == ["big.json"]
 
-    def test_out_that_is_a_histogram_csv_exits_2(self, tmp_path, capsys, monkeypatch):
-        calls = count_calls(monkeypatch, "qdiscord.cli.witness_procedure")
-        args = ("witness", "--matrix", "rtrunc_eq3", "--samples", "100")
-        (tmp_path / "d").mkdir()
-        for out, prefix in (("w_sv1.csv", "w"), ("./w_sv12.csv", "w"), ("d/_sv2.csv", "d/")):
-            assert run(tmp_path, *args, "--out", out, "--csv-prefix", prefix) == 2
-            assert capsys.readouterr().err == (
-                f"error: --out {out} is also a histogram CSV of --csv-prefix {prefix}\n"
-            )
-        assert calls == []
-        assert [p.name for p in tmp_path.rglob("*")] == ["d"]
-        # sv0 is no histogram's name
-        assert run(tmp_path, *args, "--out", "w_sv0.csv", "--csv-prefix", "w") == 0
-
     def test_only_the_written_histograms_must_fit_the_bins(self, tmp_path):
         # at sigma 650 the procedure's samples need 1.4e6 bins of 0.005, but
         # only the scan's, at 5.9e5, are written
@@ -708,14 +694,9 @@ def count_calls(monkeypatch, *targets) -> list:
         (("simulate", "--unitary", "jones", "--out", "nodir/s.json"), "--out"),
         (("discord", "--dqc1", "jones", "--out", "nodir/d.json"), "--out"),
         (("witness", "--state", "initial-dqc1", "--out", "nodir/w.json"), "--out"),
-        (("witness", "--state", "initial-dqc1", "--out", "nodir/w.json", "--csv-prefix", "ok"),
-         "--out"),
-        (("witness", "--state", "initial-dqc1", "--csv-prefix", "nodir/ok"), "--csv-prefix"),
         (("haar-survey", "--seeds", "5", "--out", "nodir/h.json"), "--out"),
-        (("haar-survey", "--seeds", "5", "--csv", "nodir/h.csv"), "--csv"),
     ],
-    ids=["simulate-out", "discord-out", "witness-out", "witness-out-with-prefix",
-         "witness-csv-prefix", "haar-survey-out", "haar-survey-csv"],
+    ids=["simulate-out", "discord-out", "witness-out", "haar-survey-out"],
 )
 def test_missing_output_directory_exits_2_before_any_work(
     tmp_path, capsys, monkeypatch, args, flag
@@ -731,21 +712,21 @@ def test_missing_output_directory_exits_2_before_any_work(
 
 
 @pytest.mark.parametrize(
-    "args, flag",
+    "args",
     [
-        (("simulate", "--unitary", "jones"), "--out"),
-        (("haar-survey", "--seeds", "1", "--dim", "8"), "--csv"),
-        (("witness", "--state", "bell", "--samples", "100"), "--csv-prefix"),
+        ("simulate", "--unitary", "jones"),
+        ("haar-survey", "--seeds", "1", "--dim", "8"),
+        ("witness", "--state", "bell", "--samples", "100"),
     ],
-    ids=["out", "csv", "csv-prefix"],
+    ids=["out", "haar-survey-out", "witness-out"],
 )
-def test_empty_output_path_exits_2_before_any_work(tmp_path, capsys, monkeypatch, args, flag):
+def test_empty_output_path_exits_2_before_any_work(tmp_path, capsys, monkeypatch, args):
     calls = count_calls(
         monkeypatch, "qdiscord.dqc1.trace_estimate", "qdiscord.cli.witness_procedure",
         "qdiscord.cli.haar_discord_survey",
     )
-    assert run(tmp_path, *args, flag, "") == 2
-    assert capsys.readouterr().err == f"error: {flag} must name a file\n"
+    assert run(tmp_path, *args, "--out", "") == 2
+    assert capsys.readouterr().err == "error: --out must name a file\n"
     assert calls == []
     assert list(tmp_path.iterdir()) == []
 
@@ -754,11 +735,10 @@ def test_empty_output_path_exits_2_before_any_work(tmp_path, capsys, monkeypatch
     "args, flag",
     [
         (("haar-survey", "--seeds", "1", "--dim", "8", "--out", "d"), "--out"),
-        (("haar-survey", "--seeds", "1", "--dim", "8", "--csv", "d"), "--csv"),
         (("witness", "--state", "bell", "--samples", "100", "--out", "d"), "--out"),
         (("simulate", "--unitary", "jones", "--out", "."), "--out"),
     ],
-    ids=["haar-survey-out", "haar-survey-csv", "witness-out", "simulate-out-cwd"],
+    ids=["haar-survey-out", "witness-out", "simulate-out-cwd"],
 )
 def test_output_path_naming_a_directory_exits_2_before_any_work(
     tmp_path, capsys, monkeypatch, args, flag
@@ -831,22 +811,59 @@ def test_infinite_imaginary_part_is_refused_before_numpy_warns(tmp_path, command
 
 
 @pytest.mark.parametrize(
-    "args, json_name, csv_stem",
+    "args, derived",
     [
-        (("--csv-prefix", "d"), "witness.json", "d"),
-        (("--out", "d.json"), "d.json", "d"),
-        (("--csv-prefix", "d/"), "witness.json", "d/"),
+        (("witness", "--state", "bell", "--samples", "100"), "wd_sv2.csv"),
+        (("haar-survey", "--seeds", "1", "--dim", "8"), "wd.csv"),
     ],
-    ids=["csv-prefix", "out-stem", "csv-prefix-in-dir"],
+    ids=["witness-csv", "haar-survey-csv"],
 )
-def test_csv_prefix_naming_a_directory_writes_its_files(tmp_path, args, json_name, csv_stem):
-    # a prefix is never opened itself: "d" writes d_sv1.csv beside the
-    # directory d, and "d/" writes d/_sv1.csv inside it
-    (tmp_path / "d").mkdir()
-    assert run(tmp_path, "witness", "--state", "bell", "--samples", "100", *args) == 0
-    assert (tmp_path / json_name).is_file()
-    for i in range(1, 5):
-        assert (tmp_path / f"{csv_stem}_sv{i}.csv").is_file()
+def test_derived_path_naming_a_directory_exits_2_before_any_work(
+    tmp_path, capsys, monkeypatch, args, derived
+):
+    # refused before the Monte Carlo, not after it with the first CSVs written
+    def refused(*a, **k):
+        raise AssertionError("ran past the output-path check")
+
+    monkeypatch.setattr("qdiscord.cli.witness_procedure", refused)
+    monkeypatch.setattr("qdiscord.cli.haar_discord_survey", refused)
+    (tmp_path / derived).mkdir()
+    assert run(tmp_path, *args, "--out", "wd.json") == 2
+    assert capsys.readouterr().err == (
+        f"error: --out wd.json writes {derived}, which is a directory\n"
+    )
+    assert [p.name for p in tmp_path.rglob("*")] == [derived]
+
+
+@pytest.mark.parametrize(
+    "out, stem",
+    [("sub/w.json", "sub/w"), ("w", "w"), ("w_sv1.csv", "w_sv1")],
+    ids=["in-subdirectory", "no-suffix", "out-named-like-a-csv"],
+)
+def test_witness_csv_names_follow_out(tmp_path, out, stem):
+    # the CSVs are <--out without suffix>_sv<k>.csv; a directory at that stem
+    # (sub/w) is never opened itself
+    (tmp_path / "sub/w").mkdir(parents=True)
+    assert run(tmp_path, "witness", "--state", "bell", "--samples", "100", "--out", out) == 0
+    csvs = [f"{stem}_sv{k}.csv" for k in range(1, 5)]
+    assert json.loads((tmp_path / out).read_text())["csv_files"] == csvs
+    files = sorted(str(p.relative_to(tmp_path)) for p in tmp_path.rglob("*") if p.is_file())
+    assert files == sorted([out, *csvs])
+
+
+@pytest.mark.parametrize(
+    "command, flag",
+    [(("witness", "--state", "bell"), "--csv-prefix"),
+     (("haar-survey", "--seeds", "1", "--dim", "8"), "--csv")],
+    ids=["witness-csv-prefix", "haar-survey-csv"],
+)
+def test_csv_path_is_not_a_flag(tmp_path, capsys, command, flag):
+    # every file a command writes is named from --out
+    with pytest.raises(SystemExit) as exc:
+        run(tmp_path, *command, flag, "alt")
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag} alt" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def subparsers() -> dict[str, argparse.ArgumentParser]:
@@ -898,10 +915,8 @@ FLAG_VALUES = {
     "--dim": ("4",),
     "--start-seed": ("3",),
     "--out": ("alt.json",),
-    "--csv": ("alt.csv",),
-    "--csv-prefix": ("alt",),
 }
-OUTPUT_FLAGS = {"--out", "--csv", "--csv-prefix"}
+OUTPUT_FLAGS = {"--out"}
 
 
 @pytest.mark.parametrize(
@@ -947,10 +962,10 @@ def test_every_optional_flag_acts_or_is_refused(tmp_path, capsys, command, sourc
         (("discord", "--dqc1", "jones"), {"epsilon": 1.0, "alpha": None}),
         (("discord", "--state", "bell"), {"epsilon": None}),
         (("witness", "--matrix", "rtrunc_eq3", "--samples", "50"),
-         {"sigma": None, "measure_seed": None, "resamples": None, "csv_prefix": None}),
+         {"sigma": None, "measure_seed": None, "resamples": None}),
         (("witness", "--state", "initial-dqc1", "--samples", "50", "--scan-combos", "3"),
          {"sigma": 0.05, "resamples": 10}),
-        (("haar-survey", "--seeds", "1", "--dim", "8"), {"seeds": 1, "csv": "o.csv"}),
+        (("haar-survey", "--seeds", "1", "--dim", "8"), {"seeds": 1}),
     ],
     ids=["simulate", "discord-dqc1", "discord-state", "witness-matrix", "witness-scan",
          "haar-survey"],
@@ -1062,14 +1077,16 @@ class TestHaarSurveyCommand:
         # a derived path that is a directory is refused before any work
         (tmp_path / "sub/d.csv").mkdir()
         assert run(tmp_path, *args[:-1], "sub/d.json") == 2
-        assert "--csv sub/d.csv is a directory" in capsys.readouterr().err
+        assert "--out sub/d.json writes sub/d.csv, which is a directory" in capsys.readouterr().err
         assert not (tmp_path / "sub/d.json").exists()
 
-    @pytest.mark.parametrize("paths", [("--out", "h.csv"), ("--out", "h.json", "--csv", "./h.json")])
+    @pytest.mark.parametrize("paths", [("--out", "h.csv")])
     def test_csv_that_is_out_exits_2(self, tmp_path, capsys, paths):
         # the JSON would overwrite the CSV it names in values_csv
         assert run(tmp_path, "haar-survey", "--seeds", "1", "--dim", "8", *paths) == 2
-        assert f"--csv {paths[-1]} is also the --out path" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            "error: --out h.csv is also its values CSV; give --out another suffix\n"
+        )
         assert list(tmp_path.iterdir()) == []
 
     def test_alpha_above_nmr_scale_runs(self, tmp_path):
@@ -1083,7 +1100,7 @@ class TestHaarSurveyCommand:
         for alpha in ("1.4e-5", "2.8e-5"):
             assert run(
                 tmp_path, "haar-survey", "--seeds", "2", "--dim", "8",
-                "--alpha", alpha, "--out", f"s{alpha}.json", "--csv", f"s{alpha}.csv",
+                "--alpha", alpha, "--out", f"s{alpha}.json",
             ) == 0
             means[alpha] = json.loads((tmp_path / f"s{alpha}.json").read_text())["mean"]
         ratio = means["2.8e-5"] / means["1.4e-5"]

@@ -28,6 +28,7 @@ from qdiscord import (
     tensor,
 )
 from qdiscord.discord import (
+    GRID,
     MAX_SERIES_TERMS,
     _avg_conditional_entropy,
     _bias_information,
@@ -728,13 +729,13 @@ class TestSeriesFit:
 
 
 class TestSeriesTable:
-    """The series tables are built once per (N, GRID) and shared by every call."""
+    """The series tables are built once per N and shared by every call."""
 
     @pytest.mark.parametrize("n", [1, 3, 10, MAX_SERIES_TERMS])
     def test_table_is_read_only(self, n):
-        table = _series_table(n, 64)
-        assert _series_table(n, 64) is table
-        assert table.harmonics.shape == (64, n)
+        table = _series_table(n)
+        assert _series_table(n) is table
+        assert table.harmonics.shape == (GRID, n)
         assert not table.harmonics.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             table.harmonics[0, 0] = 0.0
@@ -754,12 +755,15 @@ class TestSeriesTable:
             sizes.append(vals.size)
             return polish(point, vals)
 
+        # the table is cached per N alone, so a patched GRID needs a fresh one
+        _series_table.cache_clear()
         with monkeypatch.context() as patch:
             patch.setattr(module, "_newton_polish", counted)
             patch.setattr(module, "GRID", 8)
             coarse = _series_discord(tau1, even, eps)
+            assert _series_table(_series_terms(eps)).harmonics.shape == (8, 3)
+        _series_table.cache_clear()
         assert sizes == [8]
-        assert _series_table(_series_terms(eps), 8).harmonics.shape == (8, 3)
         assert coarse == pytest.approx(first, rel=1e-12)
         assert _series_discord(tau1, even, eps) == first
 

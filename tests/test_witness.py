@@ -1,7 +1,6 @@
 import ast
 import functools
 import json
-import math
 import zlib
 from pathlib import Path
 
@@ -679,14 +678,11 @@ class TestRankCheckQuantiles:
     @pytest.mark.parametrize("q", [0.0, 1e-5, 0.01, 0.5, 0.99])
     @pytest.mark.parametrize("n", [1, 2, 7, 100, 10000])
     def test_quantile_of_lowest_is_numpy_quantile(self, n, q):
-        # ties (values rounded to 0.1) and the subset of columns the check reads
+        # ties: the last row's values are rounded to 0.1
         rng = np.random.default_rng(n)
         full = np.vstack([np.abs(rng.standard_normal((3, n))), np.round(rng.random(n), 1)])
         want = np.quantile(full, q, axis=1)
-        low = np.argsort(full, axis=1, kind="stable")[:, : min(math.floor(q * (n - 1)) + 2, n)]
-        subset = full[:, rng.permutation(np.unique(low))]
-        for lowest in (full, subset):
-            assert wit._quantile_of_lowest(lowest, q, n).tobytes() == want.tobytes()
+        assert wit._quantile(full, q).tobytes() == want.tobytes()
         got = SingularValueDistribution(full.T).quantile(q)
         assert got.tobytes() == want.tobytes()
 
@@ -1107,7 +1103,7 @@ def calls_by_scope(path: Path) -> list[tuple[str, str]]:
 
 def test_one_monte_carlo_engine_and_one_quantile_rule():
     # the procedure and the scan both fold through _GramFold, whose exact
-    # matrix is the one SVD; every quantile is _quantile_of_lowest's
+    # matrix is the one SVD; every quantile is _quantile's
     src = Path(wit.__file__).parent
     witness_calls = calls_by_scope(src / "witness.py")
     assert [scope for scope, f in witness_calls if f.endswith("svd")] == ["_GramFold._exact_sv"]

@@ -1,10 +1,12 @@
 """Command-line front end: simulate, discord, witness, haar-survey.
 
-Results go to JSON/CSV files (paths in the config) with a one-line summary on
+Results go to JSON/CSV files named from --out with a one-line summary on
 stdout; every JSON embeds the resolved run configuration, including seeds.
+witness derives tau from the sigmas and bins its histograms at
+``witness.HISTOGRAM_BIN``; --scan-combos perturbs each combination 10 times.
 Exit codes: 0 completed (an Inconclusive witness is a result, not a failure),
-2 input error, including a run too large to allocate, 3 numerical-assumption
-failure such as a scaling-fit exponent out of range.
+2 input error, including a run too large to allocate or to histogram, 3
+numerical-assumption failure such as a scaling-fit exponent out of range.
 """
 
 from __future__ import annotations
@@ -147,38 +149,31 @@ def _witness_input(args) -> CorrelationMatrix:
 
 def cmd_witness(args) -> int:
     corr = _witness_input(args)
-    # largest singular value of the unperturbed matrix: noiseless samples all reach it
-    top = float(np.linalg.norm(corr.values, 2))
-    if top / args.bin >= wit.MAX_HISTOGRAM_BINS:
-        raise ValueError(
-            f"--bin {args.bin} needs more than {wit.MAX_HISTOGRAM_BINS} histogram bins "
-            f"for singular values up to {top:.4g}"
-        )
-    verdict = witness_procedure(
-        corr, tau=args.tau, confidence=args.confidence, n_samples=args.samples, seed=args.seed
-    )
     scan_payload = None
-    csv_dist = verdict.distribution
-    if args.scan_combos is not None:
-        scan_dist = column_combination_scan(corr, args.scan_combos, args.resamples, args.seed)
-        scan_tau = args.tau if args.tau is not None else default_tau(corr.sigmas, n_cols=4)
-        low = scan_dist.quantile(1 - args.confidence)
-        scan_payload = {
-            "rank_lower_bound": int((low > scan_tau).sum()),
-            "tau": scan_tau,
-            "n_samples": scan_dist.n_samples,
-            "quantiles_low": low.tolist(),
-            "medians": scan_dist.medians().tolist(),
-        }
-        csv_dist = scan_dist
     try:
-        csv_paths = write_histogram_csvs(csv_dist, Path(args.out).with_suffix(""), args.bin)
+        # largest singular value of the unperturbed matrix: noiseless samples all reach it
+        wit.check_histogram_bins(float(np.linalg.norm(corr.values, 2)), wit.HISTOGRAM_BIN)
+        verdict = witness_procedure(
+            corr, confidence=args.confidence, n_samples=args.samples, seed=args.seed
+        )
+        csv_dist = verdict.distribution
+        if args.scan_combos is not None:
+            # the paper's pool: 10 resamples per combination (1000 x 10)
+            csv_dist = column_combination_scan(corr, args.scan_combos, 10, args.seed)
+            scan_tau = default_tau(corr.sigmas, n_cols=4)
+            low = csv_dist.quantile(1 - args.confidence)
+            scan_payload = {
+                "rank_lower_bound": int((low > scan_tau).sum()),
+                "tau": scan_tau,
+                "n_samples": csv_dist.n_samples,
+                "quantiles_low": low.tolist(),
+                "medians": csv_dist.medians().tolist(),
+            }
+        csv_paths = write_histogram_csvs(csv_dist, Path(args.out).with_suffix(""))
     except wit.HistogramBinsError as exc:
         # a matrix document carries its own sigmas, and --sigma is refused with it
-        noise = "smaller sigmas in the --matrix document" if args.matrix else "a smaller --sigma"
-        raise ValueError(
-            f"--bin {args.bin} is too fine for the noise; use a coarser --bin or {noise} ({exc})"
-        ) from None
+        knob = "the --matrix document's values or sigmas" if args.matrix else "--sigma"
+        raise ValueError(f"too many histogram bins; lower {knob} ({exc})") from None
     payload = {
         "outcome": verdict.outcome,
         "rank_lower_bound": verdict.rank_lower_bound,
@@ -266,15 +261,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--measure-seed", type=int, default=None,
                    help="also sample measurement noise into the values of --state or --ensemble")
     p.add_argument("--samples", type=int, default=10000, help="Monte Carlo samples per check")
-    p.add_argument("--bin", type=float, default=0.005, help="histogram bin width")
-    p.add_argument("--tau", type=float, default=None,
-                   help="singular-value threshold (default: noise-scaled)")
     p.add_argument("--confidence", type=float, default=0.99,
                    help="per-singular-value quantile confidence")
     p.add_argument("--scan-combos", type=int, default=None,
                    help="pool random 4-column combinations (always keeping the identity column)")
-    p.add_argument("--resamples", type=int, default=None,
-                   help="noise resamples per combination of --scan-combos (default 10)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default="witness.json")
     p.set_defaults(func=cmd_witness)
@@ -302,24 +292,21 @@ SCOPED_FLAGS = {
     "witness": (
         ("sigma", "--state or --ensemble", lambda a: a.matrix is None, 0.05),
         ("measure_seed", "--state or --ensemble", lambda a: a.matrix is None, None),
-        ("resamples", "--scan-combos", lambda a: a.scan_combos is not None, 10),
     ),
 }
 
 # Numeric flags' ranges, checked in this order after the scoped flags and output
 # paths: (dest, in-range test, refusal). The library checks --dim and --alpha.
-_POSITIVE = (lambda v: math.isfinite(v) and v > 0, "must be positive and finite")
 _NON_NEGATIVE = (lambda v: v >= 0, "must be non-negative")
 _AT_LEAST_1 = (lambda v: v >= 1, "must be at least 1")
 FLAG_RANGES = {
     "witness": (
         ("confidence", lambda v: 0.0 < v <= 1.0, "outside (0, 1]"),
-        ("tau", *_POSITIVE), ("bin", *_POSITIVE),
         # the Monte Carlo folds squared noisy entries into Gram matrices
         ("sigma", lambda v: v >= 0 and math.isfinite(v * v),
          "must be non-negative with a finite square"),
         ("seed", *_NON_NEGATIVE), ("measure_seed", *_NON_NEGATIVE),
-        ("samples", *_AT_LEAST_1), ("scan_combos", *_AT_LEAST_1), ("resamples", *_AT_LEAST_1),
+        ("samples", *_AT_LEAST_1), ("scan_combos", *_AT_LEAST_1),
     ),
     "haar-survey": (("seeds", *_AT_LEAST_1), ("start_seed", *_NON_NEGATIVE)),
 }
@@ -329,10 +316,9 @@ def _check_flags(args) -> None:
     """Before any work: refuse a flag given outside its modes and resolve its
     default inside them; refuse an empty ``--out``, one in a missing
     directory, and an existing directory at ``--out`` or at a file named from
-    it (witness's histogram CSVs ``<--out stem>_sv1.csv`` to ``_sv4.csv``,
-    one per row of A; haar-survey's ``--out`` with a .csv suffix, which may
-    not be ``--out`` itself); last refuse a numeric flag outside its range in
-    ``FLAG_RANGES``."""
+    it (witness's ``histogram_csv_paths`` of the ``--out`` stem; haar-survey's
+    ``--out`` with a .csv suffix, which may not be ``--out`` itself); last
+    refuse a numeric flag outside its range in ``FLAG_RANGES``."""
     for dest, modes, applies, default in SCOPED_FLAGS.get(args.command, ()):
         value = getattr(args, dest)
         if not applies(args):
@@ -350,7 +336,7 @@ def _check_flags(args) -> None:
     if args.command == "haar-survey" and Path(out).suffix == ".csv":
         raise ValueError(f"--out {out} is also its values CSV; give --out another suffix")
     stem = Path(out).with_suffix("")
-    named = {"witness": [f"{stem}_sv{k}.csv" for k in range(1, 5)], "haar-survey": [f"{stem}.csv"]}
+    named = {"witness": wit.histogram_csv_paths(stem), "haar-survey": [f"{stem}.csv"]}
     for path in named.get(args.command, ()):
         if os.path.isdir(path):
             raise ValueError(f"--out {out} writes {path}, which is a directory")

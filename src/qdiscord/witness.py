@@ -36,6 +36,8 @@ TAU_FLOOR = 1e-7
 IDENTITY_VALUE_TOL = 1e-9
 HISTOGRAM_NORM_TOL = 1e-6
 MAX_HISTOGRAM_BINS = 10**6
+# Bin width of the histogram CSVs; it draws the figure, and no verdict reads it.
+HISTOGRAM_BIN = 0.005
 # Columns acquired before the first rank check: the experiment's I/Z block.
 INITIAL_BLOCK = 4
 # Singular values below this fraction of a sample's largest are reported as 0:
@@ -200,6 +202,25 @@ class HistogramBinsError(ValueError):
     """A histogram would need more than ``MAX_HISTOGRAM_BINS`` bins."""
 
 
+def check_histogram_bins(top: float, bin_width: float) -> None:
+    """Refuse a ``bin_width`` that is not positive and finite, and with
+    :class:`HistogramBinsError` one that needs ``MAX_HISTOGRAM_BINS`` bins or
+    more for singular values up to ``top``."""
+    if not (math.isfinite(bin_width) and bin_width > 0):
+        raise ValueError(f"bin_width {bin_width} must be positive and finite")
+    if top / bin_width >= MAX_HISTOGRAM_BINS:
+        raise HistogramBinsError(
+            f"bin_width {bin_width} needs more than {MAX_HISTOGRAM_BINS} histogram bins "
+            f"for singular values up to {top:.4g}"
+        )
+
+
+def histogram_csv_paths(prefix: str | Path, n: int = DIM_A**2) -> list[Path]:
+    """``<prefix>_sv1.csv`` to ``_sv<n>.csv``, one per singular value; A's
+    four Pauli rows give at most four."""
+    return [Path(f"{prefix}_sv{k}.csv") for k in range(1, n + 1)]
+
+
 def _check_confidence(confidence: float) -> None:
     if not 0.0 < confidence <= 1.0:
         raise ValueError(f"confidence {confidence} outside (0, 1]")
@@ -208,11 +229,6 @@ def _check_confidence(confidence: float) -> None:
 def _check_tau(tau: float) -> None:
     if not (math.isfinite(tau) and tau > 0):
         raise ValueError(f"tau {tau} must be positive and finite")
-
-
-def _check_bin_width(bin_width: float) -> None:
-    if not (math.isfinite(bin_width) and bin_width > 0):
-        raise ValueError(f"bin_width {bin_width} must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -240,13 +256,7 @@ class SingularValueDistribution:
         """One histogram per singular value, count/(n x bin_width) per bin with
         cumulative fractions alongside; :class:`HistogramBinsError` when the
         largest sample needs ``MAX_HISTOGRAM_BINS`` bins or more."""
-        _check_bin_width(bin_width)
-        top = float(self.samples.max(initial=0.0))
-        if top / bin_width >= MAX_HISTOGRAM_BINS:
-            raise HistogramBinsError(
-                f"bin_width {bin_width} needs more than {MAX_HISTOGRAM_BINS} histogram bins "
-                f"for singular values up to {top:.4g}"
-            )
+        check_histogram_bins(float(self.samples.max(initial=0.0)), bin_width)
         hists = tuple(
             _histogram(self.samples[:, j], bin_width) for j in range(self.n_singular_values)
         )
@@ -738,17 +748,15 @@ def witness_procedure(
     return WitnessVerdict(order[:k], confidence, fold.distribution(), tuple(trajectory))
 
 
-def write_histogram_csvs(
-    dist: SingularValueDistribution, prefix: str | Path, bin_width: float
-) -> list[Path]:
-    """Write one CSV per singular value: bin_center,relative_occurrence,cumulative
-    rows at fixed-point 6 decimals. Every histogram is built, and so checked,
+def write_histogram_csvs(dist: SingularValueDistribution, prefix: str | Path) -> list[Path]:
+    """Write one CSV per singular value at :func:`histogram_csv_paths`:
+    bin_center,relative_occurrence,cumulative rows of ``HISTOGRAM_BIN`` bins
+    at fixed-point 6 decimals. Every histogram is built, and so checked,
     before the first file is written. Returns the paths written."""
-    paths = []
-    for i, h in enumerate(dist.histograms(bin_width), start=1):
-        path = Path(f"{prefix}_sv{i}.csv")
+    hists = dist.histograms(HISTOGRAM_BIN)
+    paths = histogram_csv_paths(prefix, len(hists))
+    for path, h in zip(paths, hists):
         rows = zip(h.bin_centers, h.relative_occurrence, h.cumulative)
         body = "".join(f"{c:.6f},{r:.6f},{cu:.6f}\n" for c, r, cu in rows)
         path.write_text("bin_center,relative_occurrence,cumulative\n" + body)
-        paths.append(path)
     return paths

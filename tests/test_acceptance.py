@@ -105,8 +105,7 @@ def test_criterion_04_haar_average():
 
 def test_criterion_05_eq3_witness(tmp_path):
     out = run_cli(
-        tmp_path, "witness", "--matrix", "rtrunc_eq3",
-        "--samples", "10000", "--bin", "0.005", "--seed", "1",
+        tmp_path, "witness", "--matrix", "rtrunc_eq3", "--samples", "10000", "--seed", "1"
     )
     verdict = out["verdict"]
     tau = verdict["tau"]
@@ -129,8 +128,7 @@ def test_criterion_05_eq3_witness(tmp_path):
 
 def test_criterion_06_initial_state(tmp_path):
     out = run_cli(
-        tmp_path, "witness", "--state", "initial-dqc1",
-        "--scan-combos", "1000", "--resamples", "10", "--seed", "1",
+        tmp_path, "witness", "--state", "initial-dqc1", "--scan-combos", "1000", "--seed", "1"
     )
     ok = out["outcome"] == "Inconclusive" and out["rank_lower_bound"] == 1
     check(

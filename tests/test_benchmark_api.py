@@ -1,22 +1,32 @@
-"""The benchmark's tracer wraps qdiscord functions by name; each must exist."""
+"""The benchmark's tracer wraps qdiscord functions by name, and its witness
+check parses the CSVs with the CLI's settings; each must still hold."""
 
 import ast
 import importlib
 from pathlib import Path
 
+from qdiscord import witness
+from qdiscord.cli import build_parser
+
 WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
 
 
-def traced_names() -> list[tuple[str, str]]:
-    """(module, function) of every TRACED entry, read without importing the
-    benchmark (which caps BLAS threads and expects its own sys.path)."""
-    tree = ast.parse(WORKLOADS.read_text())
-    for node in tree.body:
+def workloads_assignment(name: str) -> ast.expr:
+    """The value expression of the module-level ``name = ...`` in the
+    benchmark, read without importing it (it caps BLAS threads and expects
+    its own sys.path)."""
+    for node in ast.parse(WORKLOADS.read_text()).body:
         if isinstance(node, ast.Assign) and any(
-            isinstance(t, ast.Name) and t.id == "TRACED" for t in node.targets
+            isinstance(t, ast.Name) and t.id == name for t in node.targets
         ):
-            return [(entry.elts[0].value, entry.elts[1].value) for entry in node.value.elts]
-    raise AssertionError(f"no TRACED assignment in {WORKLOADS}")
+            return node.value
+    raise AssertionError(f"no {name} assignment in {WORKLOADS}")
+
+
+def traced_names() -> list[tuple[str, str]]:
+    """(module, function) of every TRACED entry."""
+    entries = workloads_assignment("TRACED").elts
+    return [(entry.elts[0].value, entry.elts[1].value) for entry in entries]
 
 
 def test_traced_functions_resolve():
@@ -31,3 +41,11 @@ def test_traced_functions_resolve():
         if not callable(getattr(importlib.import_module(module), function, None))
     ]
     assert missing == []
+
+
+def test_witness_check_reads_the_cli_settings():
+    # the benchmark counts each CSV's samples as relative_occurrence x
+    # N_SAMPLES x BIN: another --samples default or bin width fails its check
+    witness_args = build_parser().parse_args(["witness", "--state", "bell"])
+    assert ast.literal_eval(workloads_assignment("BIN")) == witness.HISTOGRAM_BIN
+    assert ast.literal_eval(workloads_assignment("N_SAMPLES")) == witness_args.samples

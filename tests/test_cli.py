@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qdiscord import witness as wit
 from qdiscord.cli import FLAG_RANGES, build_parser, main
 from qdiscord import (
     CorrelationMatrix,
@@ -323,8 +324,7 @@ class TestDiscordCommand:
 class TestWitnessCommand:
     def test_eq3_fixture_builtin(self, tmp_path):
         code = run(
-            tmp_path, "witness", "--matrix", "rtrunc_eq3",
-            "--samples", "10000", "--bin", "0.005", "--seed", "1",
+            tmp_path, "witness", "--matrix", "rtrunc_eq3", "--samples", "10000", "--seed", "1"
         )
         assert code == 0
         out = json.loads((tmp_path / "witness.json").read_text())
@@ -359,12 +359,14 @@ class TestWitnessCommand:
         out = json.loads((tmp_path / "witness.json").read_text())
         assert out["rank_lower_bound"] == 3
 
-    def test_overflowing_gram_trace_runs_without_warning(self, tmp_path, capsys):
+    def test_overflowing_gram_trace_runs_without_warning(self, tmp_path, capsys, monkeypatch):
         # every Gram entry is finite but tr(G) overflows in about half the
-        # samples: their bounds read 0 and they are decomposed, silently
+        # samples: their bounds read 0 and they are decomposed, silently; bins
+        # of 1e150 hold these singular values
+        monkeypatch.setattr(wit, "HISTOGRAM_BIN", 1e150)
         path = tmp_path / "big.json"
         path.write_text(json.dumps(matrix_document(overflowing_trace_matrix())))
-        code = run(tmp_path, "witness", "--matrix", str(path), "--samples", "1000", "--bin", "1e150")
+        code = run(tmp_path, "witness", "--matrix", str(path), "--samples", "1000")
         assert (code, capsys.readouterr().err) == (0, "")
 
     def test_rank_one_zero_sigma_matrix_inconclusive(self, tmp_path):
@@ -442,7 +444,7 @@ class TestWitnessCommand:
     def test_csv_reparse_normalization(self, tmp_path):
         assert run(tmp_path, "witness", "--matrix", "rtrunc_eq3", "--seed", "1") == 0
         out = json.loads((tmp_path / "witness.json").read_text())
-        bin_width = out["config"]["bin"]
+        bin_width = wit.HISTOGRAM_BIN
         for csv_file in out["csv_files"]:
             lines = (tmp_path / csv_file).read_text().strip().splitlines()
             assert lines[0] == "bin_center,relative_occurrence,cumulative"
@@ -474,27 +476,13 @@ class TestWitnessCommand:
         assert "--confidence" in capsys.readouterr().err
         assert not (tmp_path / "witness.json").exists()
 
-    @pytest.mark.parametrize("tau", ["0", "-1", "nan", "inf"])
-    def test_tau_not_positive_and_finite_exits_2(self, tmp_path, capsys, tau):
-        # tau 0 or -1 used to witness discord in this zero-discord state
-        args = ("witness", "--state", "initial-dqc1", "--samples", "100", "--tau", tau)
-        assert run(tmp_path, *args) == 2
-        assert "--tau" in capsys.readouterr().err
-        assert not (tmp_path / "witness.json").exists()
-
     @pytest.mark.parametrize(
-        "flag, value, extra, message",
-        [
-            ("--bin", "0", (), "--bin"),
-            ("--bin", "nan", (), "--bin"),
-            ("--samples", "0", (), "--samples"),
-            ("--scan-combos", "0", (), "--scan-combos"),
-            ("--resamples", "0", ("--scan-combos", "10"), "--resamples"),
-        ],
-        ids=["bin-0", "bin-nan", "samples-0", "scan-combos-0", "resamples-0"],
+        "flag, value",
+        [("--samples", "0"), ("--scan-combos", "0")],
+        ids=["samples-0", "scan-combos-0"],
     )
     def test_bad_monte_carlo_setting_exits_2_before_fetching(
-        self, tmp_path, capsys, monkeypatch, flag, value, extra, message
+        self, tmp_path, capsys, monkeypatch, flag, value
     ):
         from qdiscord import witness
 
@@ -506,23 +494,22 @@ class TestWitnessCommand:
             return real(self, label, values, sigmas)
 
         monkeypatch.setattr(witness._GramFold, "add", counted)
-        args = ("witness", "--matrix", "rtrunc_eq3", "--samples", "100", flag, value, *extra)
+        args = ("witness", "--matrix", "rtrunc_eq3", "--samples", "100", flag, value)
         assert run(tmp_path, *args) == 2
-        assert message in capsys.readouterr().err
+        assert flag in capsys.readouterr().err
         assert fetched == []
         assert not (tmp_path / "witness.json").exists()
 
     @pytest.mark.parametrize(
         "flag, value",
         [
-            ("--bin", "0"),
             ("--samples", "0"),
             ("--sigma", "-1"),
             ("--sigma", "nan"),
             ("--sigma", "inf"),
             ("--sigma", "1e308"),
         ],
-        ids=["--bin", "--samples", "sigma--1", "sigma-nan", "sigma-inf", "sigma-1e308"],
+        ids=["--samples", "sigma--1", "sigma-nan", "sigma-inf", "sigma-1e308"],
     )
     def test_bad_monte_carlo_setting_exits_2_before_measuring(
         self, tmp_path, capsys, monkeypatch, flag, value
@@ -544,19 +531,24 @@ class TestWitnessCommand:
         assert measured == []
         assert not (tmp_path / "witness.json").exists()
 
-    @pytest.mark.parametrize(
-        "source", [("--state", "initial-dqc1"), ("--matrix", "rtrunc_eq3")], ids=["state", "matrix"]
-    )
     def test_bin_too_fine_for_histogram_exits_2_before_the_procedure(
-        self, tmp_path, capsys, monkeypatch, source
+        self, tmp_path, capsys, monkeypatch
     ):
+        # the exact matrix's top singular value, 5000, already needs 10^6 bins of 0.005
         calls = []
         monkeypatch.setattr("qdiscord.cli.witness_procedure", lambda *a, **k: calls.append(a))
-        assert run(tmp_path, "witness", *source, "--bin", "1e-12") == 2
-        err = capsys.readouterr().err
-        assert "--bin" in err and "histogram bins" in err
+        values = np.zeros((4, 2))
+        values[3, 1] = 5000.0
+        corr = CorrelationMatrix(("I", "X", "Y", "Z"), ("IZ", "ZZ"), values, np.zeros((4, 2)))
+        (tmp_path / "big.json").write_text(json.dumps(matrix_document(corr)))
+        assert run(tmp_path, "witness", "--matrix", "big.json") == 2
+        assert capsys.readouterr().err == (
+            "error: too many histogram bins; lower the --matrix document's values or sigmas "
+            "(bin_width 0.005 needs more than 1000000 histogram bins "
+            "for singular values up to 5000)\n"
+        )
         assert calls == []
-        assert not (tmp_path / "witness.json").exists()
+        assert [p.name for p in tmp_path.iterdir()] == ["big.json"]
 
     def test_noise_too_wide_for_the_bins_exits_2_early(self, tmp_path, capsys):
         # sigma 1000 puts the procedure's singular values past 10^6 bins of
@@ -566,9 +558,8 @@ class TestWitnessCommand:
             assert run(tmp_path, *args) == 2
             err = capsys.readouterr().err
             assert err.startswith(
-                "error: --bin 0.005 is too fine for the noise; use a coarser --bin or a "
-                "smaller --sigma (bin_width 0.005 needs more than 1000000 histogram bins "
-                "for singular values up to "
+                "error: too many histogram bins; lower --sigma (bin_width 0.005 needs more "
+                "than 1000000 histogram bins for singular values up to "
             )
             assert list(tmp_path.iterdir()) == []
 
@@ -579,9 +570,8 @@ class TestWitnessCommand:
         (tmp_path / "big.json").write_text(json.dumps(document))
         assert run(tmp_path, "witness", "--matrix", "big.json", "--samples", "100") == 2
         assert capsys.readouterr().err.startswith(
-            "error: --bin 0.005 is too fine for the noise; use a coarser --bin or smaller "
-            "sigmas in the --matrix document (bin_width 0.005 needs more than 1000000 "
-            "histogram bins for singular values up to "
+            "error: too many histogram bins; lower the --matrix document's values or sigmas "
+            "(bin_width 0.005 needs more than 1000000 histogram bins for singular values up to "
         )
         assert [p.name for p in tmp_path.iterdir()] == ["big.json"]
 
@@ -600,16 +590,13 @@ class TestWitnessCommand:
         config = out["config"]
         assert config["seed"] == 3
         assert config["samples"] == 10000
-        assert config["bin"] == 0.005
         assert config["confidence"] == 0.99
-        assert config["resamples"] is None and config["measure_seed"] is None
+        assert config["measure_seed"] is None
 
-    def test_resamples_default_with_scan_combos(self, tmp_path):
+    def test_scan_pools_10_resamples_per_combination(self, tmp_path):
         args = ("witness", "--matrix", "rtrunc_eq3", "--samples", "100", "--scan-combos", "5")
         assert run(tmp_path, *args) == 0
-        out = json.loads((tmp_path / "witness.json").read_text())
-        assert out["config"]["resamples"] == 10
-        scan = out["scan"]
+        scan = json.loads((tmp_path / "witness.json").read_text())["scan"]
         assert scan["n_samples"] == 5 * 10
         # the scan rank counts the low quantiles the payload reports
         assert scan["rank_lower_bound"] == sum(q > scan["tau"] for q in scan["quantiles_low"])
@@ -646,12 +633,6 @@ class TestWitnessCommand:
         assert json.loads((tmp_path / "witness.json").read_text())["config"]["sigma"] == 0.05
         assert run(tmp_path, "witness", "--matrix", "rtrunc_eq3", "--samples", "50") == 0
         assert json.loads((tmp_path / "witness.json").read_text())["config"]["sigma"] is None
-
-    def test_resamples_without_scan_combos_exits_2(self, tmp_path, capsys):
-        args = ("witness", "--matrix", "rtrunc_eq3", "--samples", "100", "--resamples", "3")
-        assert run(tmp_path, *args) == 2
-        assert "--resamples" in capsys.readouterr().err
-        assert not (tmp_path / "witness.json").exists()
 
 
 @pytest.mark.parametrize(
@@ -852,17 +833,22 @@ def test_witness_csv_names_follow_out(tmp_path, out, stem):
 
 
 @pytest.mark.parametrize(
-    "command, flag",
-    [(("witness", "--state", "bell"), "--csv-prefix"),
-     (("haar-survey", "--seeds", "1", "--dim", "8"), "--csv")],
-    ids=["witness-csv-prefix", "haar-survey-csv"],
+    "command, flag, value",
+    [(("witness", "--state", "bell"), "--csv-prefix", "alt"),
+     (("haar-survey", "--seeds", "1", "--dim", "8"), "--csv", "alt"),
+     (("witness", "--state", "bell"), "--tau", "0.5"),
+     (("witness", "--state", "bell"), "--bin", "0.01"),
+     (("witness", "--state", "bell", "--scan-combos", "5"), "--resamples", "2")],
+    ids=["witness-csv-prefix", "haar-survey-csv", "witness-tau", "witness-bin",
+         "witness-resamples"],
 )
-def test_csv_path_is_not_a_flag(tmp_path, capsys, command, flag):
-    # every file a command writes is named from --out
+def test_csv_path_is_not_a_flag(tmp_path, capsys, command, flag, value):
+    # every file a command writes is named from --out; and witness derives tau
+    # from the sigmas, bins at HISTOGRAM_BIN and pools 10 resamples per combination
     with pytest.raises(SystemExit) as exc:
-        run(tmp_path, *command, flag, "alt")
+        run(tmp_path, *command, flag, value)
     assert exc.value.code == 2
-    assert f"unrecognized arguments: {flag} alt" in capsys.readouterr().err
+    assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
 
 
@@ -905,11 +891,8 @@ FLAG_VALUES = {
     "--sigma": ("0.02",),
     "--measure-seed": ("0",),  # 0 is a given value, not an absent one
     "--samples": ("60",),
-    "--bin": ("0.01",),
-    "--tau": ("0.5",),
     "--confidence": ("0.9",),
     "--scan-combos": ("3",),
-    "--resamples": ("2",),
     "--seed": ("1",),
     "--seeds": ("2",),
     "--dim": ("4",),
@@ -962,9 +945,9 @@ def test_every_optional_flag_acts_or_is_refused(tmp_path, capsys, command, sourc
         (("discord", "--dqc1", "jones"), {"epsilon": 1.0, "alpha": None}),
         (("discord", "--state", "bell"), {"epsilon": None}),
         (("witness", "--matrix", "rtrunc_eq3", "--samples", "50"),
-         {"sigma": None, "measure_seed": None, "resamples": None}),
+         {"sigma": None, "measure_seed": None}),
         (("witness", "--state", "initial-dqc1", "--samples", "50", "--scan-combos", "3"),
-         {"sigma": 0.05, "resamples": 10}),
+         {"sigma": 0.05, "scan_combos": 3}),
         (("haar-survey", "--seeds", "1", "--dim", "8"), {"seeds": 1}),
     ],
     ids=["simulate", "discord-dqc1", "discord-state", "witness-matrix", "witness-scan",
@@ -992,8 +975,8 @@ def test_every_scoped_flag_is_a_flag_of_its_subcommand():
 # One out-of-range value per FLAG_RANGES entry, run in the source mode that
 # puts every scoped witness flag in scope.
 OUT_OF_RANGE = {
-    "confidence": "1.5", "tau": "-1", "bin": "0", "sigma": "1e308", "seed": "-1",
-    "measure_seed": "-3", "samples": "0", "scan_combos": "0", "resamples": "0",
+    "confidence": "1.5", "sigma": "1e308", "seed": "-1",
+    "measure_seed": "-3", "samples": "0", "scan_combos": "0",
     "seeds": "0", "start_seed": "-1",
 }
 RANGE_SOURCES = {

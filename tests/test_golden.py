@@ -22,10 +22,9 @@ DOCUMENTS = {"initial.json": {"alpha": 0.001, "pps": "initial-dqc1"},
 COMMANDS = {
     # the paper's two witness panels: the measured truncated matrix (rank 3)
     # and the initial state's four-column scan (rank 1)
-    "final_state": "witness --matrix rtrunc_eq3 --samples 10000 --bin 0.005 --seed 1 "
-    "--out final_state.json",
-    "initial_state": "witness --state initial-dqc1 --scan-combos 1000 --resamples 10 "
-    "--bin 0.005 --seed 1 --out initial_state.json",
+    "final_state": "witness --matrix rtrunc_eq3 --samples 10000 --seed 1 --out final_state.json",
+    "initial_state": "witness --state initial-dqc1 --scan-combos 1000 --seed 1 "
+    "--out initial_state.json",
     # the README's examples
     "simulate_jones": "simulate --unitary jones --epsilon 1",
     "discord_bell": "discord --state bell",

@@ -773,12 +773,11 @@ class TestSingularValueDistribution:
 
 class TestColumnCombinationScan:
     @pytest.mark.parametrize("bin_width", [0.0, -0.1, float("nan"), float("inf")])
-    def test_rejects_bad_bin_width(self, bin_width, tmp_path):
-        # the scan takes no width; writing its histograms checks it
+    def test_rejects_bad_bin_width(self, bin_width):
+        # the scan takes no width; its distribution's histograms check it
         dist = column_combination_scan(eq3_fixture(), 10, 10, seed=0)
         with pytest.raises(ValueError, match="bin_width"):
-            write_histogram_csvs(dist, tmp_path / "s", bin_width)
-        assert list(tmp_path.iterdir()) == []
+            dist.histograms(bin_width)
 
     @pytest.mark.parametrize("n_combos, resamples", [(0, 10), (10, 0), (-1, 10)])
     def test_rejects_empty_scan(self, n_combos, resamples):
@@ -921,9 +920,9 @@ class TestWitnessProcedure:
         verdict = witness_procedure(corr, n_samples=300, seed=1)
         assert len(verdict.columns_used) == 64
         assert calls == []
-        write_histogram_csvs(verdict.distribution, tmp_path / "h", 0.005)
+        write_histogram_csvs(verdict.distribution, tmp_path / "h")
         assert calls == [300] * 4
-        write_histogram_csvs(verdict.distribution, tmp_path / "h", 0.005)
+        write_histogram_csvs(verdict.distribution, tmp_path / "h")
         assert calls == [300] * 8
 
     @pytest.mark.parametrize("confidence", [1.5, 0.0, -0.1, float("nan")])
@@ -932,17 +931,16 @@ class TestWitnessProcedure:
             witness_procedure(eq3_fixture(), confidence=confidence)
 
     @pytest.mark.parametrize("bin_width", [0.0, -0.1, float("nan"), float("inf")])
-    def test_rejects_bad_bin_width_before_fetching(self, bin_width, monkeypatch, tmp_path):
-        # the procedure takes no width; writing its histograms refuses a bad one
-        # before any histogram fetches the samples or any file is written
+    def test_rejects_bad_bin_width_before_fetching(self, bin_width, monkeypatch):
+        # the procedure takes no width; its distribution's histograms refuse a
+        # bad one before any histogram fetches the samples
         corr = correlation_matrix(named_state("initial-dqc1")).with_uniform_sigmas(0.05)
         verdict = witness_procedure(corr, n_samples=100, seed=0)
         calls = []
         monkeypatch.setattr(wit, "_histogram", lambda *args: calls.append(args))
         with pytest.raises(ValueError, match="bin_width"):
-            write_histogram_csvs(verdict.distribution, tmp_path / "h", bin_width)
+            verdict.distribution.histograms(bin_width)
         assert calls == []
-        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("tau", [0.0, -1.0, float("nan"), float("inf")])
     def test_rejects_tau_not_positive_and_finite(self, tau):
@@ -1064,8 +1062,8 @@ class TestScaleInvariance:
 class TestHistogramCsv:
     def test_csv_format_and_normalization(self, tmp_path):
         dist = monte_carlo_svd(eq3_fixture(), 500, seed=2)
-        paths = write_histogram_csvs(dist, tmp_path / "hist", 0.01)
-        assert len(paths) == 4
+        paths = write_histogram_csvs(dist, tmp_path / "hist")
+        assert paths == wit.histogram_csv_paths(tmp_path / "hist")
         for path in paths:
             lines = path.read_text().strip().splitlines()
             assert lines[0] == "bin_center,relative_occurrence,cumulative"
@@ -1073,14 +1071,14 @@ class TestHistogramCsv:
             assert body.shape[1] == 3
             # fixed-point 6 decimals
             assert all(len(cell.split(".")[1]) == 6 for cell in lines[1].split(","))
-            assert body[:, 1].sum() * 0.01 == pytest.approx(1.0, abs=2e-3)
+            assert body[:, 1].sum() * wit.HISTOGRAM_BIN == pytest.approx(1.0, abs=2e-3)
             assert abs(body[-1, 2] - 1.0) < 1e-6
 
     def test_bins_refused_before_any_file_is_written(self, tmp_path):
         corr = correlation_matrix(named_state("initial-dqc1")).with_uniform_sigmas(1000.0)
         verdict = witness_procedure(corr, n_samples=100, seed=0)
         with pytest.raises(wit.HistogramBinsError, match="bin_width 0.005 needs more than"):
-            write_histogram_csvs(verdict.distribution, tmp_path / "h", 0.005)
+            write_histogram_csvs(verdict.distribution, tmp_path / "h")
         assert list(tmp_path.iterdir()) == []
 
 

@@ -2,8 +2,8 @@
 
 Results go to JSON/CSV files named from --out with a one-line summary on
 stdout; every JSON embeds the resolved run configuration, including seeds.
-witness derives tau from the sigmas and bins its histograms at
-``witness.HISTOGRAM_BIN``; --scan-combos perturbs each combination 10 times.
+witness derives tau from the sigmas; its histogram bin width and its resamples
+per --scan-combos combination are ``witness.HISTOGRAM_BIN`` and ``SCAN_RESAMPLES``.
 Exit codes: 0 completed (an Inconclusive witness is a result, not a failure),
 2 input error, including a run too large to allocate or to histogram, 3
 numerical-assumption failure such as a scaling-fit exponent out of range.
@@ -152,14 +152,13 @@ def cmd_witness(args) -> int:
     scan_payload = None
     try:
         # largest singular value of the unperturbed matrix: noiseless samples all reach it
-        wit.check_histogram_bins(float(np.linalg.norm(corr.values, 2)), wit.HISTOGRAM_BIN)
+        wit.check_histogram_bins(float(np.linalg.norm(corr.values, 2)))
         verdict = witness_procedure(
             corr, confidence=args.confidence, n_samples=args.samples, seed=args.seed
         )
         csv_dist = verdict.distribution
         if args.scan_combos is not None:
-            # the paper's pool: 10 resamples per combination (1000 x 10)
-            csv_dist = column_combination_scan(corr, args.scan_combos, 10, args.seed)
+            csv_dist = column_combination_scan(corr, args.scan_combos, args.seed)
             scan_tau = default_tau(corr.sigmas, n_cols=4)
             low = csv_dist.quantile(1 - args.confidence)
             scan_payload = {

@@ -38,6 +38,8 @@ HISTOGRAM_NORM_TOL = 1e-6
 MAX_HISTOGRAM_BINS = 10**6
 # Bin width of the histogram CSVs; it draws the figure, and no verdict reads it.
 HISTOGRAM_BIN = 0.005
+# Perturbations of each column combination of a scan: the paper's 1000 x 10 pool.
+SCAN_RESAMPLES = 10
 # Columns acquired before the first rank check: the experiment's I/Z block.
 INITIAL_BLOCK = 4
 # Singular values below this fraction of a sample's largest are reported as 0:
@@ -186,13 +188,13 @@ class Histogram:
     cumulative: np.ndarray
 
 
-def _histogram(samples: np.ndarray, bin_width: float) -> Histogram:
+def _histogram(samples: np.ndarray) -> Histogram:
     n = samples.size
     top = float(samples.max())
-    n_bins = int(math.floor(top / bin_width)) + 1
-    edges = np.arange(n_bins + 1) * bin_width
+    n_bins = int(math.floor(top / HISTOGRAM_BIN)) + 1
+    edges = np.arange(n_bins + 1) * HISTOGRAM_BIN
     counts, _ = np.histogram(samples, bins=edges)
-    rel = counts / (n * bin_width)
+    rel = counts / (n * HISTOGRAM_BIN)
     cum = np.cumsum(counts) / n
     centers = (edges[:-1] + edges[1:]) / 2
     return Histogram(centers, rel, cum)
@@ -202,15 +204,12 @@ class HistogramBinsError(ValueError):
     """A histogram would need more than ``MAX_HISTOGRAM_BINS`` bins."""
 
 
-def check_histogram_bins(top: float, bin_width: float) -> None:
-    """Refuse a ``bin_width`` that is not positive and finite, and with
-    :class:`HistogramBinsError` one that needs ``MAX_HISTOGRAM_BINS`` bins or
-    more for singular values up to ``top``."""
-    if not (math.isfinite(bin_width) and bin_width > 0):
-        raise ValueError(f"bin_width {bin_width} must be positive and finite")
-    if top / bin_width >= MAX_HISTOGRAM_BINS:
+def check_histogram_bins(top: float) -> None:
+    """Refuse with :class:`HistogramBinsError` singular values up to ``top``
+    that need ``MAX_HISTOGRAM_BINS`` bins of ``HISTOGRAM_BIN`` or more."""
+    if top / HISTOGRAM_BIN >= MAX_HISTOGRAM_BINS:
         raise HistogramBinsError(
-            f"bin_width {bin_width} needs more than {MAX_HISTOGRAM_BINS} histogram bins "
+            f"bin_width {HISTOGRAM_BIN} needs more than {MAX_HISTOGRAM_BINS} histogram bins "
             f"for singular values up to {top:.4g}"
         )
 
@@ -224,11 +223,6 @@ def histogram_csv_paths(prefix: str | Path, n: int = DIM_A**2) -> list[Path]:
 def _check_confidence(confidence: float) -> None:
     if not 0.0 < confidence <= 1.0:
         raise ValueError(f"confidence {confidence} outside (0, 1]")
-
-
-def _check_tau(tau: float) -> None:
-    if not (math.isfinite(tau) and tau > 0):
-        raise ValueError(f"tau {tau} must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -252,16 +246,14 @@ class SingularValueDistribution:
         samples.setflags(write=False)
         object.__setattr__(self, "samples", samples)
 
-    def histograms(self, bin_width: float) -> tuple[Histogram, ...]:
-        """One histogram per singular value, count/(n x bin_width) per bin with
-        cumulative fractions alongside; :class:`HistogramBinsError` when the
-        largest sample needs ``MAX_HISTOGRAM_BINS`` bins or more."""
-        check_histogram_bins(float(self.samples.max(initial=0.0)), bin_width)
-        hists = tuple(
-            _histogram(self.samples[:, j], bin_width) for j in range(self.n_singular_values)
-        )
+    def histograms(self) -> tuple[Histogram, ...]:
+        """One histogram per singular value, count/(n x ``HISTOGRAM_BIN``) per
+        bin with cumulative fractions alongside; :class:`HistogramBinsError`
+        when the largest sample needs ``MAX_HISTOGRAM_BINS`` bins or more."""
+        check_histogram_bins(float(self.samples.max(initial=0.0)))
+        hists = tuple(_histogram(self.samples[:, j]) for j in range(self.n_singular_values))
         for h in hists:
-            norm = h.relative_occurrence.sum() * bin_width
+            norm = h.relative_occurrence.sum() * HISTOGRAM_BIN
             if abs(norm - 1.0) > HISTOGRAM_NORM_TOL:
                 raise AssertionError(f"histogram integrates to {norm}, not 1")
             if np.any(np.diff(h.cumulative) < 0) or abs(h.cumulative[-1] - 1.0) > 1e-9:
@@ -606,22 +598,18 @@ def _quantile(rows: np.ndarray, q: float) -> np.ndarray:
 
 
 def column_combination_scan(
-    corr: CorrelationMatrix,
-    n_combos: int,
-    resamples_per_combo: int,
-    seed: int,
+    corr: CorrelationMatrix, n_combos: int, seed: int
 ) -> SingularValueDistribution:
     """Pooled singular-value distribution over random 4-column submatrices.
 
     Each combination keeps the identity column, draws three others at random,
-    and is perturbed ``resamples_per_combo`` times; all singular values pool
-    into a single distribution (e.g. 1000 x 10 = 10,000 samples), folded by
-    :class:`_GramFold` with column slot k labelled ``f"combination slot {k}"``.
+    and is perturbed ``SCAN_RESAMPLES`` times; all singular values pool into
+    a single distribution (1000 combinations give the paper's 10,000
+    samples), folded by :class:`_GramFold` with column slot k labelled
+    ``f"combination slot {k}"``.
     """
-    if n_combos < 1 or resamples_per_combo < 1:
-        raise ValueError(
-            f"n_combos {n_combos} and resamples_per_combo {resamples_per_combo} must be at least 1"
-        )
+    if n_combos < 1:
+        raise ValueError(f"n_combos {n_combos} must be at least 1")
     n_cols = len(corr.col_labels)
     if n_cols < 4:
         raise ValueError("need at least 4 columns to scan combinations")
@@ -629,14 +617,14 @@ def column_combination_scan(
     if not identity:
         raise ValueError("no identity column present")
     # allocated first, so a run too large to hold fails before drawing its picks
-    fold = _GramFold(len(corr.row_labels), n_combos * resamples_per_combo, seed)
+    fold = _GramFold(len(corr.row_labels), n_combos * SCAN_RESAMPLES, seed)
     rng = np.random.default_rng(seed)
     others = np.array([j for j in range(n_cols) if j != identity[0]])
     picks = np.stack([
         np.concatenate(([identity[0]], rng.choice(others, size=3, replace=False)))
         for _ in range(n_combos)
     ])
-    picks = np.repeat(picks, resamples_per_combo, axis=0)  # (n_samples, 4)
+    picks = np.repeat(picks, SCAN_RESAMPLES, axis=0)  # (n_samples, 4)
     for k, slot in enumerate(picks.T):
         fold.add(f"combination slot {k}", corr.values[:, slot], corr.sigmas[:, slot])
     return fold.distribution()
@@ -674,7 +662,7 @@ class WitnessVerdict:
 
     ``trajectory`` holds every rank check in order, and ``distribution`` the
     last one's samples; the threshold, rank bound and outcome are those of the
-    last check (the default tau rescales as the submatrix grows).
+    last check (tau rescales as the submatrix grows).
     """
 
     columns_used: tuple[PauliLabel, ...]
@@ -705,7 +693,6 @@ class WitnessVerdict:
 
 def witness_procedure(
     corr: CorrelationMatrix,
-    tau: float | None = None,
     confidence: float = 0.99,
     n_samples: int = 10000,
     seed: int = 0,
@@ -718,31 +705,30 @@ def witness_procedure(
     symbol of qubit A, and zero-sigma entries are exact in every sample.
     After each acquisition a Monte Carlo rank bound is computed on the
     submatrix measured so far: a singular value counts as nonzero when its
-    empirical (1 - confidence) quantile exceeds tau
-    (default: noise-scaled :func:`default_tau` of the current submatrix; a
-    given tau must be positive and finite). The check on the first k columns
+    empirical (1 - confidence) quantile exceeds the noise-scaled
+    :func:`default_tau` of that submatrix. The check on the first k columns
     reads the quantiles over every Monte Carlo sample of those columns, and
     the verdict's distribution holds every sample of all columns used.
     Exhausting all columns without exceeding dim(A) is the Inconclusive
     verdict, not an error.
     """
     _check_confidence(confidence)
-    if tau is not None:
-        _check_tau(tau)
     order = z_sector_first_order(corr.col_labels)
-    index = [corr.col_labels.index(label) for label in order]
+    where = {label: j for j, label in enumerate(corr.col_labels)}
+    index = [where[label] for label in order]
+    values, sigmas = corr.values[:, index], corr.sigmas[:, index]  # columns in order
     fold = _GramFold(len(corr.row_labels), n_samples, seed)
     trajectory: list[RankCheck] = []
     first_check = min(INITIAL_BLOCK, len(order))
 
-    for k, (label, j) in enumerate(zip(order, index), start=1):
-        fold.add(label, corr.values[:, j], corr.sigmas[:, j])
+    for k, label in enumerate(order, start=1):
+        fold.add(label, values[:, k - 1], sigmas[:, k - 1])
         if k < first_check:
             continue
-        tau_step = default_tau(corr.sigmas[:, index[:k]]) if tau is None else tau
+        tau = default_tau(sigmas[:, :k])
         low, decomposed = fold.quantiles(1.0 - confidence)
-        rank = int((low > tau_step).sum())
-        trajectory.append(RankCheck(label, tau_step, rank, tuple(low.tolist()), decomposed))
+        rank = int((low > tau).sum())
+        trajectory.append(RankCheck(label, tau, rank, tuple(low.tolist()), decomposed))
         if rank > DIM_A:
             break
     return WitnessVerdict(order[:k], confidence, fold.distribution(), tuple(trajectory))
@@ -753,7 +739,7 @@ def write_histogram_csvs(dist: SingularValueDistribution, prefix: str | Path) ->
     bin_center,relative_occurrence,cumulative rows of ``HISTOGRAM_BIN`` bins
     at fixed-point 6 decimals. Every histogram is built, and so checked,
     before the first file is written. Returns the paths written."""
-    hists = dist.histograms(HISTOGRAM_BIN)
+    hists = dist.histograms()
     paths = histogram_csv_paths(prefix, len(hists))
     for path, h in zip(paths, hists):
         rows = zip(h.bin_centers, h.relative_occurrence, h.cumulative)

@@ -7,6 +7,7 @@ import numpy as np
 from qdiscord import CorrelationMatrix, DensityMatrix, MeasurementBasis, pauli_realize
 from qdiscord.discord import ANGLE_TOL, MAX_ITER, NULL_OUTCOME_P
 from qdiscord.linalg import PAULI_1Q
+from qdiscord.witness import SCAN_RESAMPLES
 
 
 def bloch_vector(basis: MeasurementBasis) -> np.ndarray:
@@ -183,9 +184,7 @@ def rank_lower_bound(corr: CorrelationMatrix | np.ndarray, tau: float) -> int:
     return int((sv > tau).sum())
 
 
-def svd_combination_scan(
-    corr: CorrelationMatrix, n_combos: int, resamples_per_combo: int, seed: int
-) -> np.ndarray:
+def svd_combination_scan(corr: CorrelationMatrix, n_combos: int, seed: int) -> np.ndarray:
     """``column_combination_scan``'s samples from one batched SVD of the
     perturbed 4-column submatrices: the same combinations from
     ``default_rng(seed)``, and slot k's noise from the stream keyed by
@@ -197,7 +196,7 @@ def svd_combination_scan(
         np.concatenate(([identity], rng.choice(others, size=3, replace=False)))
         for _ in range(n_combos)
     ])
-    picks = np.repeat(picks, resamples_per_combo, axis=0)  # (n_samples, 4)
+    picks = np.repeat(picks, SCAN_RESAMPLES, axis=0)  # (n_samples, 4)
     noise = np.stack([
         np.random.default_rng([seed, zlib.crc32(f"combination slot {k}".encode())])
         .standard_normal((len(picks), len(corr.row_labels)))

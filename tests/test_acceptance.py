@@ -210,14 +210,15 @@ def test_criterion_07_witness_under_measurement_noise(sigma, detection_floor):
 
 
 @pytest.mark.parametrize("sigma, pinned, earliest", [(0.01, 68, 11), (0.05, 65, 11)])
-def test_criterion_07_fixed_tau_false_positives(sigma, pinned, earliest):
+def test_criterion_07_fixed_tau_false_positives(sigma, pinned, earliest, monkeypatch):
     # tau held at its first-check value while the noise floor of the singular
     # values grows as sqrt(columns) and every column is one more look: these
     # false positives are why the default tau grows, not a fault
     looks = []
     for (_, seed), corr in noisy_classical_quantum_matrices(sigma):
         tau = default_tau(corr.sigmas, n_cols=INITIAL_BLOCK)
-        verdict = witness_procedure(corr, tau=tau, n_samples=500, seed=seed)
+        monkeypatch.setattr("qdiscord.witness.default_tau", lambda sigmas: tau)
+        verdict = witness_procedure(corr, n_samples=500, seed=seed)
         if verdict.witnessed:
             looks.append(len(verdict.columns_used))
     ok = len(looks) == pinned and min(looks, default=None) == earliest

@@ -367,13 +367,6 @@ class TestMonteCarloSvd:
         sv = np.linalg.svd(corr.values, compute_uv=False)
         np.testing.assert_array_equal(dist.samples, np.tile(sv, (50, 1)))
 
-    @pytest.mark.parametrize("bin_width", [0.0, -0.1, float("nan"), float("inf")])
-    def test_rejects_bad_bin_width(self, bin_width):
-        # the Monte Carlo takes no width; its distribution's histograms check it
-        dist = monte_carlo_svd(eq3_fixture(), 10, seed=0)
-        with pytest.raises(ValueError, match="bin_width"):
-            dist.histograms(bin_width)
-
     def test_scalar_folded_normal(self):
         corr = CorrelationMatrix(("X",), ("X",), np.array([[1.0]]), np.array([[0.1]]))
         dist = monte_carlo_svd(corr, 20000, seed=5)
@@ -728,15 +721,10 @@ class TestSingularValueDistribution:
         rng = np.random.default_rng(seed)
         samples = np.sort(np.abs(rng.standard_normal((200, 3))), axis=1)[:, ::-1]
         dist = SingularValueDistribution(samples)
-        for h in dist.histograms(0.05):
-            assert h.relative_occurrence.sum() * 0.05 == pytest.approx(1.0, abs=1e-6)
+        for h in dist.histograms():
+            assert h.relative_occurrence.sum() * wit.HISTOGRAM_BIN == pytest.approx(1.0, abs=1e-6)
             assert np.all(np.diff(h.cumulative) >= 0)
             assert h.cumulative[-1] == pytest.approx(1.0, abs=1e-9)
-
-    @pytest.mark.parametrize("bin_width", [0.0, -0.1, float("nan"), float("inf")])
-    def test_rejects_bad_bin_width(self, bin_width):
-        with pytest.raises(ValueError, match="bin_width"):
-            SingularValueDistribution(np.ones((10, 2))).histograms(bin_width)
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
     def test_rejects_non_finite_samples(self, bad):
@@ -753,9 +741,9 @@ class TestSingularValueDistribution:
             SingularValueDistribution(samples)
 
     def test_rejects_bin_count_over_cap(self):
-        # 1.0 / 1e-7 asks for 10^7 bins; refused before any allocation
-        with pytest.raises(wit.HistogramBinsError, match="histogram bins for singular values up to 1$"):
-            SingularValueDistribution(np.ones((10, 2))).histograms(1e-7)
+        # 5000 / 0.005 asks for 10^6 bins; refused before any allocation
+        with pytest.raises(wit.HistogramBinsError, match="histogram bins for singular values up to 5000$"):
+            SingularValueDistribution(np.full((10, 2), 5000.0)).histograms()
 
     def test_distinguishable_count(self):
         # the rank rule: singular values whose low quantile exceeds tau
@@ -772,32 +760,27 @@ class TestSingularValueDistribution:
 
 
 class TestColumnCombinationScan:
-    @pytest.mark.parametrize("bin_width", [0.0, -0.1, float("nan"), float("inf")])
-    def test_rejects_bad_bin_width(self, bin_width):
-        # the scan takes no width; its distribution's histograms check it
-        dist = column_combination_scan(eq3_fixture(), 10, 10, seed=0)
-        with pytest.raises(ValueError, match="bin_width"):
-            dist.histograms(bin_width)
-
-    @pytest.mark.parametrize("n_combos, resamples", [(0, 10), (10, 0), (-1, 10)])
-    def test_rejects_empty_scan(self, n_combos, resamples):
+    @pytest.mark.parametrize("n_combos", [0, -1])
+    def test_rejects_empty_scan(self, n_combos):
         with pytest.raises(ValueError, match="at least 1"):
-            column_combination_scan(eq3_fixture(), n_combos, resamples, seed=0)
+            column_combination_scan(eq3_fixture(), n_combos, seed=0)
 
     def test_pool_size(self):
+        # the paper's pool: 1000 combinations x SCAN_RESAMPLES = 10,000 samples
+        assert wit.SCAN_RESAMPLES == 10
         corr = correlation_matrix(named_state("initial-dqc1")).with_uniform_sigmas(0.05)
-        dist = column_combination_scan(corr, 100, 10, seed=0)
-        assert dist.samples.shape == (1000, 4)
+        dist = column_combination_scan(corr, 100, seed=0)
+        assert dist.samples.shape == (100 * wit.SCAN_RESAMPLES, 4)
 
     def test_rank_one_zero_sigma(self):
         corr = correlation_matrix(named_state("initial-dqc1")).with_uniform_sigmas(0.0)
-        dist = column_combination_scan(corr, 50, 2, seed=0)
+        dist = column_combination_scan(corr, 50, seed=0)
         assert np.all(dist.samples[:, 0] > 0.9)
         assert np.all(dist.samples[:, 1:] < 1e-12)
 
     def test_initial_state_paper_scale(self):
         corr = correlation_matrix(named_state("initial-dqc1")).with_uniform_sigmas(0.05)
-        dist = column_combination_scan(corr, 1000, 10, seed=0)
+        dist = column_combination_scan(corr, 1000, seed=0)
         q01 = dist.quantile(0.01)
         assert q01[0] > 1.0  # one clear nonzero singular value (sqrt(2) central)
         assert np.all(q01[1:] < 0.2)  # three others close to zero
@@ -805,18 +788,18 @@ class TestColumnCombinationScan:
     def test_rejects_too_few_columns(self):
         corr = extract_columns(correlation_matrix(named_state("final-dqc1")), ("III", "IZI"))
         with pytest.raises(ValueError, match="4 columns"):
-            column_combination_scan(corr.with_uniform_sigmas(0.05), 10, 2, seed=0)
+            column_combination_scan(corr.with_uniform_sigmas(0.05), 10, seed=0)
 
     def test_exact_matrix_scans_as_its_zero_sigma_twin(self):
         corr = correlation_matrix(named_state("final-dqc1"))
-        bare = column_combination_scan(corr, 30, 3, seed=4)
-        twin = column_combination_scan(corr.with_uniform_sigmas(0.0), 30, 3, seed=4)
+        bare = column_combination_scan(corr, 30, seed=4)
+        twin = column_combination_scan(corr.with_uniform_sigmas(0.0), 30, seed=4)
         np.testing.assert_array_equal(bare.samples, twin.samples)
 
     def test_deterministic(self):
         corr = correlation_matrix(named_state("initial-dqc1")).with_uniform_sigmas(0.05)
-        a = column_combination_scan(corr, 20, 3, seed=4)
-        b = column_combination_scan(corr, 20, 3, seed=4)
+        a = column_combination_scan(corr, 20, seed=4)
+        b = column_combination_scan(corr, 20, seed=4)
         np.testing.assert_array_equal(a.samples, b.samples)
 
     @pytest.mark.parametrize(
@@ -830,8 +813,8 @@ class TestColumnCombinationScan:
         ids=["initial-dqc1", "final-dqc1", "rtrunc_eq3", "zero-sigma"],
     )
     def test_matches_batched_svd_of_the_same_draws(self, corr):
-        got = column_combination_scan(corr, 300, 10, seed=2).samples
-        ref = svd_combination_scan(corr, 300, 10, seed=2)
+        got = column_combination_scan(corr, 300, seed=2).samples
+        ref = svd_combination_scan(corr, 300, seed=2)
         top = ref[:, :1] * np.ones_like(ref)
         resolved = ref > GRAM_RESOLUTION * top
         # eigvalsh of the Gram matrix is accurate to ~eps x the largest value
@@ -907,13 +890,36 @@ class TestWitnessProcedure:
         last = monte_carlo_svd(extract_columns(corr, used), 300, 4)
         np.testing.assert_array_equal(verdict.distribution.samples, last.samples)
 
+    @pytest.mark.parametrize("n_b", [3, 5])
+    def test_columns_stored_out_of_order_run_as_their_ordered_twin(self, n_b):
+        # the procedure permutes a matrix's columns once into acquisition
+        # order; stored reversed, with per-entry sigmas so that tau depends on
+        # which columns came first, it runs exactly as its reordered twin
+        corr = correlation_matrix(random_classical_quantum_state(n_b, n_b))
+        scale = np.random.default_rng(n_b).uniform(0.2, 2.0, corr.values.shape)
+        sigmas = corr.with_uniform_sigmas(0.05).sigmas * scale
+        stored = CorrelationMatrix(
+            corr.row_labels, corr.col_labels[::-1], corr.values[:, ::-1], sigmas[:, ::-1]
+        )
+        order = z_sector_first_order(stored.col_labels)
+        assert order != stored.col_labels
+        twin = extract_columns(stored, order)
+        got = witness_procedure(stored, n_samples=100, seed=2)
+        want = witness_procedure(twin, n_samples=100, seed=2)
+        assert got.columns_used == want.columns_used
+        assert len(got.trajectory) == len(got.columns_used) - wit.INITIAL_BLOCK + 1 > 1
+        assert got.trajectory == want.trajectory
+        assert got.distribution.samples.tobytes() == want.distribution.samples.tobytes()
+        for k, check in enumerate(got.trajectory, start=wit.INITIAL_BLOCK):
+            assert check.tau == default_tau(twin.sigmas[:, :k])
+
     def test_builds_histograms_for_the_returned_distribution_only(self, monkeypatch, tmp_path):
         calls = []
         real = wit._histogram
 
-        def counted(samples, bin_width):
+        def counted(samples):
             calls.append(samples.size)
-            return real(samples, bin_width)
+            return real(samples)
 
         monkeypatch.setattr(wit, "_histogram", counted)
         corr = correlation_matrix(named_state("initial-dqc1")).with_uniform_sigmas(0.05)
@@ -929,25 +935,6 @@ class TestWitnessProcedure:
     def test_rejects_confidence_outside_unit_interval(self, confidence):
         with pytest.raises(ValueError, match="confidence"):
             witness_procedure(eq3_fixture(), confidence=confidence)
-
-    @pytest.mark.parametrize("bin_width", [0.0, -0.1, float("nan"), float("inf")])
-    def test_rejects_bad_bin_width_before_fetching(self, bin_width, monkeypatch):
-        # the procedure takes no width; its distribution's histograms refuse a
-        # bad one before any histogram fetches the samples
-        corr = correlation_matrix(named_state("initial-dqc1")).with_uniform_sigmas(0.05)
-        verdict = witness_procedure(corr, n_samples=100, seed=0)
-        calls = []
-        monkeypatch.setattr(wit, "_histogram", lambda *args: calls.append(args))
-        with pytest.raises(ValueError, match="bin_width"):
-            verdict.distribution.histograms(bin_width)
-        assert calls == []
-
-    @pytest.mark.parametrize("tau", [0.0, -1.0, float("nan"), float("inf")])
-    def test_rejects_tau_not_positive_and_finite(self, tau):
-        # tau 0 or -1 used to witness discord in this zero-discord state
-        corr = correlation_matrix(named_state("initial-dqc1")).with_uniform_sigmas(0.05)
-        with pytest.raises(ValueError, match="tau"):
-            witness_procedure(corr, tau=tau, n_samples=100)
 
     def test_rank_checks_decompose_a_minority_of_samples(self):
         corr = correlation_matrix(named_state("initial-dqc1")).with_uniform_sigmas(0.05)
@@ -1035,7 +1022,7 @@ class TestWitnessProcedure:
         corr = correlation_matrix(named_state("initial-dqc1")).with_uniform_sigmas(1000.0)
         verdict = witness_procedure(corr, n_samples=100, seed=0)
         with pytest.raises(wit.HistogramBinsError, match="histogram bins"):
-            verdict.distribution.histograms(0.005)
+            verdict.distribution.histograms()
 
 
 class TestScaleInvariance:

@@ -1,7 +1,8 @@
 """Command-line front end: simulate, discord, witness, haar-survey.
 
 Results go to JSON/CSV files named from --out with a one-line summary on
-stdout; every JSON embeds the resolved run configuration, including seeds.
+stdout. Every JSON states each resolved flag, seeds included, only under its
+``config`` key; its other keys hold results, each stated once.
 witness derives tau from the sigmas; its histogram bin width and its resamples
 per --scan-combos combination are ``witness.HISTOGRAM_BIN`` and ``SCAN_RESAMPLES``.
 Exit codes: 0 completed (an Inconclusive witness is a result, not a failure),
@@ -82,7 +83,6 @@ def cmd_simulate(args) -> int:
         "re": estimate.real,
         "im": estimate.imag,
         "exact_trace": {"re": exact.real, "im": exact.imag},
-        "epsilon": inst.epsilon,
         "n": inst.n,
     }
     path = _write_json(args, payload)
@@ -100,7 +100,6 @@ def cmd_discord(args) -> int:
         payload = {
             "discord": fit.value,
             "direct": fit.direct,
-            "alpha": args.alpha,
             "scaling": {"exponent": fit.exponent, "coefficient": fit.coefficient},
         }
         path = _write_json(args, payload)
@@ -149,25 +148,26 @@ def _witness_input(args) -> CorrelationMatrix:
 
 def cmd_witness(args) -> int:
     corr = _witness_input(args)
-    scan_payload = None
+    scan = scan_payload = None
     try:
         # largest singular value of the unperturbed matrix: noiseless samples all reach it
         wit.check_histogram_bins(float(np.linalg.norm(corr.values, 2)))
-        verdict = witness_procedure(
-            corr, confidence=args.confidence, n_samples=args.samples, seed=args.seed
-        )
-        csv_dist = verdict.distribution
         if args.scan_combos is not None:
-            csv_dist = column_combination_scan(corr, args.scan_combos, args.seed)
+            # before the rank checks: a matrix the scan cannot sample is refused at once
+            scan = column_combination_scan(corr, args.scan_combos, args.seed)
             scan_tau = default_tau(corr.sigmas, n_cols=4)
-            low = csv_dist.quantile(1 - args.confidence)
+            low = scan.quantile(1 - args.confidence)
             scan_payload = {
                 "rank_lower_bound": int((low > scan_tau).sum()),
                 "tau": scan_tau,
-                "n_samples": csv_dist.n_samples,
+                "n_samples": scan.n_samples,
                 "quantiles_low": low.tolist(),
-                "medians": csv_dist.medians().tolist(),
+                "medians": scan.medians().tolist(),
             }
+        verdict = witness_procedure(
+            corr, confidence=args.confidence, n_samples=args.samples, seed=args.seed
+        )
+        csv_dist = verdict.distribution if scan is None else scan
         csv_paths = write_histogram_csvs(csv_dist, Path(args.out).with_suffix(""))
     except wit.HistogramBinsError as exc:
         # a matrix document carries its own sigmas, and --sigma is refused with it
@@ -177,12 +177,8 @@ def cmd_witness(args) -> int:
         "outcome": verdict.outcome,
         "rank_lower_bound": verdict.rank_lower_bound,
         "verdict": {
-            "outcome": verdict.outcome,
-            "rank_lower_bound": verdict.rank_lower_bound,
             "columns_used": list(verdict.columns_used),
-            "confidence": verdict.confidence,
-            "dim_a": verdict.dim_a,
-            "tau": verdict.tau,
+            # the last check's, also in trajectory: the benchmark's witness check reads it here
             "quantiles_low": list(verdict.trajectory[-1].quantiles_low),
             "medians": verdict.distribution.medians().tolist(),
             "trajectory": [asdict(check) for check in verdict.trajectory],
@@ -193,7 +189,7 @@ def cmd_witness(args) -> int:
     path = _write_json(args, payload)
     print(
         f"{verdict.outcome}: rank lower bound {verdict.rank_lower_bound} "
-        f"(dim A = {verdict.dim_a}) -> {path}"
+        f"(dim A = {wit.DIM_A}) -> {path}"
     )
     return EXIT_OK
 
@@ -207,15 +203,7 @@ def cmd_haar_survey(args) -> int:
     csv_path = Path(args.out).with_suffix(".csv")
     lines = ["seed,discord"] + [f"{args.start_seed + i},{v:.8e}" for i, v in enumerate(values)]
     csv_path.write_text("\n".join(lines) + "\n")
-    payload = {
-        "mean": mean,
-        "stderr": stderr,
-        "n_seeds": args.seeds,
-        "alpha": args.alpha,
-        "dim": args.dim,
-        "values_csv": str(csv_path),
-    }
-    path = _write_json(args, payload)
+    path = _write_json(args, {"mean": mean, "stderr": stderr, "values_csv": str(csv_path)})
     print(
         f"haar survey: mean discord {mean:.4e} +- {stderr:.1e} bits "
         f"over {args.seeds} seeds at alpha={args.alpha:g} -> {path}"

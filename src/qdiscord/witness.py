@@ -666,25 +666,16 @@ class WitnessVerdict:
     """
 
     columns_used: tuple[PauliLabel, ...]
-    confidence: float
     distribution: SingularValueDistribution = field(repr=False)
     trajectory: tuple[RankCheck, ...] = field(repr=False)
-
-    @property
-    def dim_a(self) -> int:
-        return DIM_A
 
     @property
     def rank_lower_bound(self) -> int:
         return self.trajectory[-1].rank
 
     @property
-    def tau(self) -> float:
-        return self.trajectory[-1].tau
-
-    @property
     def witnessed(self) -> bool:
-        return self.rank_lower_bound > self.dim_a
+        return self.rank_lower_bound > DIM_A
 
     @property
     def outcome(self) -> str:
@@ -731,7 +722,7 @@ def witness_procedure(
         trajectory.append(RankCheck(label, tau, rank, tuple(low.tolist()), decomposed))
         if rank > DIM_A:
             break
-    return WitnessVerdict(order[:k], confidence, fold.distribution(), tuple(trajectory))
+    return WitnessVerdict(order[:k], fold.distribution(), tuple(trajectory))
 
 
 def write_histogram_csvs(dist: SingularValueDistribution, prefix: str | Path) -> list[Path]:

@@ -456,7 +456,8 @@ class TestWitnessCommand:
     def test_trajectory_schema(self, tmp_path):
         args = ("witness", "--state", "initial-dqc1", "--samples", "200", "--seed", "1")
         assert run(tmp_path, *args) == 0
-        verdict = json.loads((tmp_path / "witness.json").read_text())["verdict"]
+        out = json.loads((tmp_path / "witness.json").read_text())
+        verdict = out["verdict"]
         trajectory = verdict["trajectory"]
         assert len(trajectory) == len(verdict["columns_used"]) - 4 + 1 == 61
         for check, column in zip(trajectory, verdict["columns_used"][3:]):
@@ -465,8 +466,9 @@ class TestWitnessCommand:
             assert len(check["quantiles_low"]) == 4
             assert 0 < check["decomposed"] <= 200
         last = trajectory[-1]
-        assert last["rank"] == verdict["rank_lower_bound"]
-        assert last["tau"] == verdict["tau"]
+        assert last["rank"] == out["rank_lower_bound"]
+        # tau of all 64 columns at the uniform --sigma
+        assert last["tau"] == wit.default_tau(np.full((4, 64), 0.05))
         assert last["quantiles_low"] == verdict["quantiles_low"]
 
     @pytest.mark.parametrize("confidence", ["1.5", "0", "-0.1", "nan"])
@@ -601,14 +603,35 @@ class TestWitnessCommand:
         # the scan rank counts the low quantiles the payload reports
         assert scan["rank_lower_bound"] == sum(q > scan["tau"] for q in scan["quantiles_low"])
 
+    @pytest.mark.parametrize(
+        "cols, message",
+        [(["IXI", "IZI", "IIZ", "IZZ"], "no identity column present"),  # III relabelled
+         (["III", "IZI", "IIZ"], "need at least 4 columns to scan combinations")],
+        ids=["no-identity-column", "three-columns"],
+    )
+    def test_scan_refuses_a_matrix_it_cannot_sample_before_any_rank_check(
+        self, tmp_path, capsys, monkeypatch, cols, message
+    ):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a rank check ran before the scan's refusal")
+
+        monkeypatch.setattr("qdiscord.cli.witness_procedure", refuse)
+        document = matrix_document(eq3_fixture())
+        n = len(cols)
+        document.update(cols=cols, values=[row[:n] for row in document["values"]],
+                        sigmas=[row[:n] for row in document["sigmas"]])
+        (tmp_path / "m.json").write_text(json.dumps(document))
+        args = ("witness", "--matrix", "m.json", "--samples", "2000", "--scan-combos", "10")
+        assert run(tmp_path, *args) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["m.json"]
+
     def test_top_level_result_is_the_verdict_with_scan_combos(self, tmp_path, capsys):
         # the scan's own rank, 1 here, stays in "scan"
         args = ("witness", "--state", "final-dqc1", "--samples", "100", "--scan-combos", "20")
         assert run(tmp_path, *args) == 0
         out = json.loads((tmp_path / "witness.json").read_text())
-        verdict = out["verdict"]
-        assert verdict["outcome"] == out["outcome"] == "DiscordWitnessed"
-        assert verdict["rank_lower_bound"] == out["rank_lower_bound"] == 3
+        assert (out["outcome"], out["rank_lower_bound"]) == ("DiscordWitnessed", 3)
         assert out["scan"]["rank_lower_bound"] == 1
         assert capsys.readouterr().out == (
             "DiscordWitnessed: rank lower bound 3 (dim A = 2) -> witness.json\n"
@@ -938,28 +961,45 @@ def test_every_optional_flag_acts_or_is_refused(tmp_path, capsys, command, sourc
     assert unchecked == []
 
 
+# Each row's keys between "command" and "config".
+DISCORD_KEYS = ["discord", "mutual_information", "classical_correlations", "conditional_term",
+                "argmin", "diagnostics"]
+WITNESS_KEYS = ["outcome", "rank_lower_bound", "verdict", "scan", "csv_files"]
+
+
 @pytest.mark.parametrize(
-    "args, resolved",
+    "args, resolved, keys",
     [
-        (("simulate", "--unitary", "jones"), {"epsilon": 1.0}),
-        (("discord", "--dqc1", "jones"), {"epsilon": 1.0, "alpha": None}),
-        (("discord", "--state", "bell"), {"epsilon": None}),
+        (("simulate", "--unitary", "jones"), {"epsilon": 1.0}, ["re", "im", "exact_trace", "n"]),
+        (("discord", "--dqc1", "jones"), {"epsilon": 1.0, "alpha": None}, DISCORD_KEYS),
+        (("discord", "--dqc1", "jones", "--alpha", "1.4e-5"), {"epsilon": None, "alpha": 1.4e-5},
+         ["discord", "direct", "scaling"]),
+        (("discord", "--state", "bell"), {"epsilon": None}, DISCORD_KEYS + ["zero_discord"]),
         (("witness", "--matrix", "rtrunc_eq3", "--samples", "50"),
-         {"sigma": None, "measure_seed": None}),
+         {"sigma": None, "measure_seed": None}, WITNESS_KEYS),
         (("witness", "--state", "initial-dqc1", "--samples", "50", "--scan-combos", "3"),
-         {"sigma": 0.05, "scan_combos": 3}),
-        (("haar-survey", "--seeds", "1", "--dim", "8"), {"seeds": 1}),
+         {"sigma": 0.05, "scan_combos": 3}, WITNESS_KEYS),
+        (("haar-survey", "--seeds", "1", "--dim", "8"), {"seeds": 1},
+         ["mean", "stderr", "values_csv"]),
     ],
-    ids=["simulate", "discord-dqc1", "discord-state", "witness-matrix", "witness-scan",
-         "haar-survey"],
+    ids=["simulate", "discord-dqc1", "discord-alpha", "discord-state", "witness-matrix",
+         "witness-scan", "haar-survey"],
 )
-def test_config_echoes_every_flag(tmp_path, args, resolved):
+def test_config_echoes_every_flag(tmp_path, args, resolved, keys):
+    """Flags are stated under ``config`` alone, and each result once: the key
+    lists pin every payload's schema where the golden files skip."""
     assert run(tmp_path, *args, "--out", "o.json") == 0
-    config = json.loads((tmp_path / "o.json").read_text())["config"]
+    out = json.loads((tmp_path / "o.json").read_text())
+    config = out["config"]
     dests = [a.dest for a in subparsers()[args[0]]._actions if a.dest != "help"]
     assert list(config) == dests
     assert config["out"] == "o.json"
     assert {key: config[key] for key in resolved} == resolved
+    assert list(out) == ["command", *keys, "config"]
+    if args[0] == "witness":
+        # outcome, rank, tau and confidence are read from the top level, the
+        # last trajectory check and config
+        assert list(out["verdict"]) == ["columns_used", "quantiles_low", "medians", "trajectory"]
 
 
 def test_every_scoped_flag_is_a_flag_of_its_subcommand():

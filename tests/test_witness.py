@@ -873,7 +873,7 @@ class TestWitnessProcedure:
         assert verdict.outcome == OUTCOME_WITNESSED
         assert verdict.rank_lower_bound == 3
         assert len(verdict.columns_used) == 4
-        assert verdict.tau == pytest.approx(0.2, abs=1e-12)
+        assert verdict.trajectory[-1].tau == pytest.approx(0.2, abs=1e-12)
 
     def test_each_check_equals_monte_carlo_svd_of_its_columns(self):
         corr = correlation_matrix(named_state("initial-dqc1")).with_uniform_sigmas(0.05)

@@ -24,6 +24,7 @@ from .discord import (
     discord,
     dqc1_discord,
     fit_polarization_scaling,
+    haar_discord_prediction,
     haar_discord_survey,
     is_zero_discord,
     mutual_information,
@@ -56,7 +57,8 @@ __all__ = [
     "output_state", "trace_estimate",
     "DiscordResult", "MeasurementBasis", "ScalingFit",
     "ScalingFitError", "discord", "dqc1_discord",
-    "fit_polarization_scaling", "haar_discord_survey", "is_zero_discord", "mutual_information",
+    "fit_polarization_scaling", "haar_discord_prediction", "haar_discord_survey",
+    "is_zero_discord", "mutual_information",
     "CorrelationMatrix", "RankCheck", "SingularValueDistribution", "WitnessVerdict",
     "column_combination_scan", "correlation_matrix", "default_tau",
     "witness_procedure", "write_histogram_csvs", "z_sector_first_order",

@@ -28,6 +28,7 @@ from .discord import (
     discord,
     dqc1_discord,
     fit_polarization_scaling,
+    haar_discord_prediction,
     haar_discord_survey,
     is_zero_discord,
 )
@@ -203,9 +204,11 @@ def cmd_haar_survey(args) -> int:
     csv_path = Path(args.out).with_suffix(".csv")
     lines = ["seed,discord"] + [f"{args.start_seed + i},{v:.8e}" for i, v in enumerate(values)]
     csv_path.write_text("\n".join(lines) + "\n")
-    path = _write_json(args, {"mean": mean, "stderr": stderr, "values_csv": str(csv_path)})
+    predicted = haar_discord_prediction(args.dim, args.alpha)
+    payload = {"mean": mean, "stderr": stderr, "predicted": predicted, "values_csv": str(csv_path)}
+    path = _write_json(args, payload)
     print(
-        f"haar survey: mean discord {mean:.4e} +- {stderr:.1e} bits "
+        f"haar survey: mean discord {mean:.4e} +- {stderr:.1e} bits (predicted {predicted:.4e}) "
         f"over {args.seeds} seeds at alpha={args.alpha:g} -> {path}"
     )
     return EXIT_OK

@@ -34,7 +34,6 @@ from .linalg import PAULI_1Q, DensityMatrix, PauliLabel, bloch_blocks, pauli_lab
 DIM_A = 2
 TAU_FLOOR = 1e-7
 IDENTITY_VALUE_TOL = 1e-9
-HISTOGRAM_NORM_TOL = 1e-6
 MAX_HISTOGRAM_BINS = 10**6
 # Bin width of the histogram CSVs; it draws the figure, and no verdict reads it.
 HISTOGRAM_BIN = 0.005
@@ -179,38 +178,18 @@ def default_tau(sigmas: np.ndarray, n_cols: int | None = None) -> float:
     return 2.0 * float(_quantile(nz[None], 0.5)[0]) * math.sqrt(cols)
 
 
-@dataclass(frozen=True)
-class Histogram:
-    """Relative-occurrence histogram: count / (n_samples x bin width) per bin."""
-
-    bin_centers: np.ndarray
-    relative_occurrence: np.ndarray
-    cumulative: np.ndarray
-
-
-def _histogram(samples: np.ndarray) -> Histogram:
-    n = samples.size
-    top = float(samples.max())
-    n_bins = int(math.floor(top / HISTOGRAM_BIN)) + 1
-    edges = np.arange(n_bins + 1) * HISTOGRAM_BIN
-    counts, _ = np.histogram(samples, bins=edges)
-    rel = counts / (n * HISTOGRAM_BIN)
-    cum = np.cumsum(counts) / n
-    centers = (edges[:-1] + edges[1:]) / 2
-    return Histogram(centers, rel, cum)
-
-
 class HistogramBinsError(ValueError):
     """A histogram would need more than ``MAX_HISTOGRAM_BINS`` bins."""
 
 
 def check_histogram_bins(top: float) -> None:
     """Refuse with :class:`HistogramBinsError` singular values up to ``top``
-    that need ``MAX_HISTOGRAM_BINS`` bins of ``HISTOGRAM_BIN`` or more."""
+    that need ``MAX_HISTOGRAM_BINS`` bins of ``HISTOGRAM_BIN`` or more: the
+    one rule, run by :func:`write_histogram_csvs` before it bins anything."""
     if top / HISTOGRAM_BIN >= MAX_HISTOGRAM_BINS:
         raise HistogramBinsError(
-            f"bin_width {HISTOGRAM_BIN} needs more than {MAX_HISTOGRAM_BINS} histogram bins "
-            f"for singular values up to {top:.4g}"
+            f"singular values up to {top:.4g} need more than {MAX_HISTOGRAM_BINS} "
+            f"histogram bins of {HISTOGRAM_BIN}"
         )
 
 
@@ -228,7 +207,9 @@ def _check_confidence(confidence: float) -> None:
 @dataclass(frozen=True)
 class SingularValueDistribution:
     """Monte Carlo singular-value samples: ``samples[i, j]`` is the j-th
-    largest singular value of the i-th perturbed matrix."""
+    largest singular value of the i-th perturbed matrix. Finite and
+    non-negative, so every sample lies in some bin of the histograms that
+    :func:`write_histogram_csvs` writes."""
 
     samples: np.ndarray
 
@@ -246,27 +227,9 @@ class SingularValueDistribution:
         samples.setflags(write=False)
         object.__setattr__(self, "samples", samples)
 
-    def histograms(self) -> tuple[Histogram, ...]:
-        """One histogram per singular value, count/(n x ``HISTOGRAM_BIN``) per
-        bin with cumulative fractions alongside; :class:`HistogramBinsError`
-        when the largest sample needs ``MAX_HISTOGRAM_BINS`` bins or more."""
-        check_histogram_bins(float(self.samples.max(initial=0.0)))
-        hists = tuple(_histogram(self.samples[:, j]) for j in range(self.n_singular_values))
-        for h in hists:
-            norm = h.relative_occurrence.sum() * HISTOGRAM_BIN
-            if abs(norm - 1.0) > HISTOGRAM_NORM_TOL:
-                raise AssertionError(f"histogram integrates to {norm}, not 1")
-            if np.any(np.diff(h.cumulative) < 0) or abs(h.cumulative[-1] - 1.0) > 1e-9:
-                raise AssertionError("cumulative distribution malformed")
-        return hists
-
     @property
     def n_samples(self) -> int:
         return self.samples.shape[0]
-
-    @property
-    def n_singular_values(self) -> int:
-        return self.samples.shape[1]
 
     def quantile(self, q: float) -> np.ndarray:
         """Per-singular-value empirical quantile (numpy's linear rule)."""
@@ -726,14 +689,28 @@ def witness_procedure(
 
 
 def write_histogram_csvs(dist: SingularValueDistribution, prefix: str | Path) -> list[Path]:
-    """Write one CSV per singular value at :func:`histogram_csv_paths`:
-    bin_center,relative_occurrence,cumulative rows of ``HISTOGRAM_BIN`` bins
-    at fixed-point 6 decimals. Every histogram is built, and so checked,
-    before the first file is written. Returns the paths written."""
-    hists = dist.histograms()
+    """Write one histogram CSV per singular value at :func:`histogram_csv_paths`:
+    bin_center,relative_occurrence,cumulative rows at fixed-point 6 decimals.
+    Row k is the bin [k, k + 1) x ``HISTOGRAM_BIN``, the last row closed and
+    the one that holds the value's largest sample; relative occurrence is
+    count / (n_samples x ``HISTOGRAM_BIN``), and cumulative the fraction of
+    samples up to the bin's upper edge.
+
+    :func:`check_histogram_bins` refuses first, and every histogram is built
+    and checked to count each sample once before the first file is written,
+    so a refused run writes nothing. Returns the paths written."""
+    n = dist.n_samples
+    check_histogram_bins(float(dist.samples.max(initial=0.0)))
+    hists = []
+    for samples in dist.samples.T:
+        edges = np.arange(math.floor(samples.max() / HISTOGRAM_BIN) + 2) * HISTOGRAM_BIN
+        counts, _ = np.histogram(samples, bins=edges)
+        if counts.sum() != n:
+            raise AssertionError(f"histogram counts {counts.sum()} of {n} samples")
+        hists.append((edges, counts))
     paths = histogram_csv_paths(prefix, len(hists))
-    for path, h in zip(paths, hists):
-        rows = zip(h.bin_centers, h.relative_occurrence, h.cumulative)
+    for path, (edges, counts) in zip(paths, hists):
+        rows = zip((edges[:-1] + edges[1:]) / 2, counts / (n * HISTOGRAM_BIN), np.cumsum(counts) / n)
         body = "".join(f"{c:.6f},{r:.6f},{cu:.6f}\n" for c, r, cu in rows)
         path.write_text("bin_center,relative_occurrence,cumulative\n" + body)
     return paths

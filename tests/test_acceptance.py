@@ -12,6 +12,7 @@ from qdiscord import (
     correlation_matrix,
     default_tau,
     discord,
+    haar_discord_prediction,
     haar_discord_survey,
     haar_random_unitary,
     is_zero_discord,
@@ -95,10 +96,14 @@ def test_criterion_04_haar_average():
     elapsed = time.monotonic() - t0
     mean = values.mean()
     rel = abs(mean - 7.1e-11) / 7.1e-11
+    # the leading-order Haar mean, held to 4 standard errors (d >= 8)
+    predicted = haar_discord_prediction(32, 1.4e-5)
+    z = abs(mean - predicted) / (values.std(ddof=1) / np.sqrt(values.size))
     check(
         4,
-        rel < 0.15 and elapsed < 60.0,
-        f"500-seed mean {mean:.4e} ({100 * rel:.1f}% from 7.1e-11, tol 15%), "
+        rel < 0.15 and z <= 4.0 and elapsed < 60.0,
+        f"500-seed mean {mean:.4e} ({100 * rel:.1f}% from 7.1e-11, tol 15%; "
+        f"{z:.1f} standard errors from the predicted {predicted:.4e}, tol 4), "
         f"runtime {elapsed:.1f}s < 60s",
     )
 

@@ -546,8 +546,7 @@ class TestWitnessCommand:
         assert run(tmp_path, "witness", "--matrix", "big.json") == 2
         assert capsys.readouterr().err == (
             "error: too many histogram bins; lower the --matrix document's values or sigmas "
-            "(bin_width 0.005 needs more than 1000000 histogram bins "
-            "for singular values up to 5000)\n"
+            "(singular values up to 5000 need more than 1000000 histogram bins of 0.005)\n"
         )
         assert calls == []
         assert [p.name for p in tmp_path.iterdir()] == ["big.json"]
@@ -560,9 +559,9 @@ class TestWitnessCommand:
             assert run(tmp_path, *args) == 2
             err = capsys.readouterr().err
             assert err.startswith(
-                "error: too many histogram bins; lower --sigma (bin_width 0.005 needs more "
-                "than 1000000 histogram bins for singular values up to "
+                "error: too many histogram bins; lower --sigma (singular values up to "
             )
+            assert err.endswith(" need more than 1000000 histogram bins of 0.005)\n")
             assert list(tmp_path.iterdir()) == []
 
     def test_noise_of_a_matrix_document_names_its_sigmas(self, tmp_path, capsys):
@@ -571,10 +570,12 @@ class TestWitnessCommand:
         document = {**matrix_document(corr), "sigmas": (corr.sigmas * 40_000).tolist()}
         (tmp_path / "big.json").write_text(json.dumps(document))
         assert run(tmp_path, "witness", "--matrix", "big.json", "--samples", "100") == 2
-        assert capsys.readouterr().err.startswith(
+        err = capsys.readouterr().err
+        assert err.startswith(
             "error: too many histogram bins; lower the --matrix document's values or sigmas "
-            "(bin_width 0.005 needs more than 1000000 histogram bins for singular values up to "
+            "(singular values up to "
         )
+        assert err.endswith(" need more than 1000000 histogram bins of 0.005)\n")
         assert [p.name for p in tmp_path.iterdir()] == ["big.json"]
 
     def test_only_the_written_histograms_must_fit_the_bins(self, tmp_path):
@@ -980,7 +981,7 @@ WITNESS_KEYS = ["outcome", "rank_lower_bound", "verdict", "scan", "csv_files"]
         (("witness", "--state", "initial-dqc1", "--samples", "50", "--scan-combos", "3"),
          {"sigma": 0.05, "scan_combos": 3}, WITNESS_KEYS),
         (("haar-survey", "--seeds", "1", "--dim", "8"), {"seeds": 1},
-         ["mean", "stderr", "values_csv"]),
+         ["mean", "stderr", "predicted", "values_csv"]),
     ],
     ids=["simulate", "discord-dqc1", "discord-alpha", "discord-state", "witness-matrix",
          "witness-scan", "haar-survey"],

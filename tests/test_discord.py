@@ -17,6 +17,7 @@ from qdiscord import (
     dqc1_discord,
     embed,
     fit_polarization_scaling,
+    haar_discord_prediction,
     haar_discord_survey,
     haar_random_unitary,
     is_zero_discord,
@@ -790,3 +791,25 @@ class TestHaarSurveyArguments:
     def test_refuses_a_negative_start_seed(self):
         with pytest.raises(ValueError, match="^start_seed -1 must be non-negative$"):
             haar_discord_survey(1, dim=8, start_seed=-1)
+
+
+class TestHaarPrediction:
+    def test_closed_form(self):
+        assert haar_discord_prediction(32, 1.4e-5) == pytest.approx(6.78543e-11, rel=1e-6)
+        assert haar_discord_prediction(32, 2.8e-5) == pytest.approx(
+            4 * haar_discord_prediction(32, 1.4e-5), rel=1e-15
+        )
+
+    @pytest.mark.parametrize("dim", [8, 16])
+    def test_surveys_from_dimension_8_meet_it_within_4_standard_errors(self, dim):
+        values = haar_discord_survey(2000, dim=dim)
+        stderr = values.std(ddof=1) / np.sqrt(values.size)
+        assert abs(values.mean() - haar_discord_prediction(dim)) <= 4 * stderr
+
+    def test_dimension_2_discord_is_identically_zero(self):
+        # |tau_1|^2 + |tau_2 - tau_1^2| = 1 for every 2 x 2 unitary, so c2 = 0
+        for seed in range(20):
+            lam = np.linalg.eigvals(haar_random_unitary(2, seed))
+            tau1, tau2 = lam.mean(), (lam**2).mean()
+            assert abs(tau1) ** 2 + abs(tau2 - tau1**2) == pytest.approx(1.0, abs=1e-12)
+        assert not haar_discord_survey(20, dim=2).any()

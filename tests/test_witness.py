@@ -1,6 +1,7 @@
 import ast
 import functools
 import json
+import tempfile
 import zlib
 from pathlib import Path
 
@@ -185,6 +186,16 @@ def tied_matrix() -> CorrelationMatrix:
     sigmas = np.zeros(corr.values.shape)
     sigmas[1] = 0.05
     return CorrelationMatrix(corr.row_labels, corr.col_labels, corr.values, sigmas)
+
+
+def csv_histogram(path: Path, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Bin centers, whole counts (relative occurrence x n x bin) and
+    cumulative fractions of a histogram CSV of ``n`` samples."""
+    centers, rel, cum = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2).T
+    counts = rel * n * wit.HISTOGRAM_BIN
+    whole = np.round(counts)
+    np.testing.assert_allclose(counts, whole, rtol=0, atol=1e-3)
+    return centers, whole.astype(int), cum
 
 
 RANK_CHECK_MATRICES = {
@@ -718,13 +729,18 @@ class TestSingularValueDistribution:
     @settings(deadline=None, max_examples=25)
     @given(st.integers(0, 10**6))
     def test_histogram_invariants(self, seed):
+        # each written histogram counts every sample once, and its cumulative
+        # column rises to 1
         rng = np.random.default_rng(seed)
         samples = np.sort(np.abs(rng.standard_normal((200, 3))), axis=1)[:, ::-1]
-        dist = SingularValueDistribution(samples)
-        for h in dist.histograms():
-            assert h.relative_occurrence.sum() * wit.HISTOGRAM_BIN == pytest.approx(1.0, abs=1e-6)
-            assert np.all(np.diff(h.cumulative) >= 0)
-            assert h.cumulative[-1] == pytest.approx(1.0, abs=1e-9)
+        with tempfile.TemporaryDirectory() as tmp:
+            paths = write_histogram_csvs(SingularValueDistribution(samples), Path(tmp) / "h")
+            assert len(paths) == 3
+            for path in paths:
+                _, counts, cum = csv_histogram(path, 200)
+                assert counts.sum() == 200
+                assert np.all(np.diff(cum) >= 0)
+                assert cum[-1] == 1.0
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
     def test_rejects_non_finite_samples(self, bad):
@@ -740,10 +756,15 @@ class TestSingularValueDistribution:
         with pytest.raises(ValueError, match=r"2 singular-value samples are negative \(smallest -1\)"):
             SingularValueDistribution(samples)
 
-    def test_rejects_bin_count_over_cap(self):
+    def test_rejects_bin_count_over_cap(self, tmp_path):
         # 5000 / 0.005 asks for 10^6 bins; refused before any allocation
-        with pytest.raises(wit.HistogramBinsError, match="histogram bins for singular values up to 5000$"):
-            SingularValueDistribution(np.full((10, 2), 5000.0)).histograms()
+        dist = SingularValueDistribution(np.full((10, 2), 5000.0))
+        with pytest.raises(
+            wit.HistogramBinsError,
+            match=r"^singular values up to 5000 need more than 1000000 histogram bins of 0\.005$",
+        ):
+            write_histogram_csvs(dist, tmp_path / "h")
+        assert list(tmp_path.iterdir()) == []
 
     def test_distinguishable_count(self):
         # the rank rule: singular values whose low quantile exceeds tau
@@ -915,13 +936,13 @@ class TestWitnessProcedure:
 
     def test_builds_histograms_for_the_returned_distribution_only(self, monkeypatch, tmp_path):
         calls = []
-        real = wit._histogram
+        real = np.histogram
 
-        def counted(samples):
+        def counted(samples, **kwargs):
             calls.append(samples.size)
-            return real(samples)
+            return real(samples, **kwargs)
 
-        monkeypatch.setattr(wit, "_histogram", counted)
+        monkeypatch.setattr(np, "histogram", counted)
         corr = correlation_matrix(named_state("initial-dqc1")).with_uniform_sigmas(0.05)
         verdict = witness_procedure(corr, n_samples=300, seed=1)
         assert len(verdict.columns_used) == 64
@@ -1017,12 +1038,15 @@ class TestWitnessProcedure:
         assert tuple(fetched) == verdict.columns_used == z_sector_first_order(corr.col_labels)
         assert verdict.distribution.samples.max() / 0.005 >= wit.MAX_HISTOGRAM_BINS
 
-    def test_bins_refused_at_the_first_check_that_needs_them(self):
-        # the first check that needs the bins is the one that builds histograms
+    def test_bins_refused_at_the_first_check_that_needs_them(self, monkeypatch, tmp_path):
+        # the first check that needs the bins is the writer's, before it bins anything
         corr = correlation_matrix(named_state("initial-dqc1")).with_uniform_sigmas(1000.0)
         verdict = witness_procedure(corr, n_samples=100, seed=0)
+        calls = []
+        monkeypatch.setattr(np, "histogram", lambda *a, **k: calls.append(a))
         with pytest.raises(wit.HistogramBinsError, match="histogram bins"):
-            verdict.distribution.histograms()
+            write_histogram_csvs(verdict.distribution, tmp_path / "h")
+        assert calls == []
 
 
 class TestScaleInvariance:
@@ -1064,9 +1088,46 @@ class TestHistogramCsv:
     def test_bins_refused_before_any_file_is_written(self, tmp_path):
         corr = correlation_matrix(named_state("initial-dqc1")).with_uniform_sigmas(1000.0)
         verdict = witness_procedure(corr, n_samples=100, seed=0)
-        with pytest.raises(wit.HistogramBinsError, match="bin_width 0.005 needs more than"):
+        with pytest.raises(
+            wit.HistogramBinsError, match=r"need more than 1000000 histogram bins of 0\.005$"
+        ):
             write_histogram_csvs(verdict.distribution, tmp_path / "h")
         assert list(tmp_path.iterdir()) == []
+
+    # 3 x 0.005 / 0.005 is 3: a largest sample there opens a 4th row. 29 x
+    # 0.005 / 0.005 rounds to 28.999999999999996: a largest sample there, or
+    # one ulp below, closes the 29th row, and one ulp above opens a 30th
+    @pytest.mark.parametrize(
+        "top_m, top_ulps, rows", [(3, 0, 4), (29, -1, 29), (29, 0, 29), (29, 1, 30)]
+    )
+    def test_samples_at_bin_edges_fall_in_the_rows_that_hold_them(
+        self, tmp_path, top_m, top_ulps, rows
+    ):
+        b = wit.HISTOGRAM_BIN
+
+        def nudged(x, ulps):
+            return x if ulps == 0 else float(np.nextafter(x, ulps * np.inf))
+
+        # (sample, row): row r holds [r, r + 1) x bin, the last row closed
+        cases = [(0.0, 0)]
+        for m in (1, 2):
+            cases += [(nudged(m * b, -1), m - 1), (m * b, m), (nudged(m * b, 1), m)]
+        cases.append((nudged(top_m * b, top_ulps), rows - 1))
+        samples, want_rows = np.array(cases).T
+        (path,) = write_histogram_csvs(SingularValueDistribution(samples[:, None]), tmp_path / "h")
+        centers, counts, cum = csv_histogram(path, samples.size)
+        np.testing.assert_allclose(centers, (np.arange(rows) + 0.5) * b, rtol=0, atol=1e-6)
+        np.testing.assert_array_equal(counts, np.bincount(want_rows.astype(int), minlength=rows))
+        assert counts.sum() == samples.size
+        np.testing.assert_allclose(cum, np.cumsum(counts) / samples.size, rtol=0, atol=1e-6)
+
+    def test_an_all_zero_distribution_fills_the_first_bin(self, tmp_path):
+        paths = write_histogram_csvs(SingularValueDistribution(np.zeros((50, 4))), tmp_path / "z")
+        assert len(paths) == 4
+        for path in paths:
+            assert path.read_text() == (
+                "bin_center,relative_occurrence,cumulative\n0.002500,200.000000,1.000000\n"
+            )
 
 
 def calls_by_scope(path: Path) -> list[tuple[str, str]]:
@@ -1099,3 +1160,12 @@ def test_one_monte_carlo_engine_and_one_quantile_rule():
         if f.endswith(("np.quantile", "n_distinguishable"))
     ]
     assert offenders == []
+
+
+def test_the_csv_writer_is_the_one_histogram_builder():
+    src = Path(wit.__file__).parent
+    callers = [
+        (path.name, scope) for path in src.rglob("*.py") for scope, f in calls_by_scope(path)
+        if f.endswith("histogram")
+    ]
+    assert callers == [("witness.py", "write_histogram_csvs")]

@@ -81,6 +81,7 @@ from __future__ import annotations
 
 import cmath
 import math
+from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import lru_cache, partial
 from operator import mul
@@ -269,20 +270,22 @@ def _search_result(basis, mi, cc, cond, grid_min, nfev, converged) -> DiscordRes
     })
 
 
-def _bias_information(x, at=None) -> np.ndarray:
+def _bias_information(x, at=None, pure=True) -> np.ndarray:
     """g(x) = 1 - h2((1 + x)/2) in bits for |x| <= 1.
 
     Written as (2x atanh x + log1p(-x^2)) / (2 ln 2), which keeps full
     relative precision at the |x| ~ 1e-5 of NMR polarizations where the
-    entropy form cancels to nothing; an |x| = 1 entry is the pure limit 1.
-    ``at`` may supply atanh(x).
+    entropy form cancels to nothing. ``at`` may supply atanh(x). With
+    ``pure`` an |x| = 1 entry is the pure limit 1; without it, which the
+    bracket passes at eps < 1, where no |x| is 1, the mask and the silenced
+    atanh(+-1) warnings are skipped.
     """
-    with np.errstate(divide="ignore", invalid="ignore"):  # atanh(+-1) = +-inf
+    with np.errstate(divide="ignore", invalid="ignore") if pure else nullcontext():
         at = np.arctanh(x) if at is None else at
-        return np.where(np.abs(x) < 1.0, (2 * x * at + np.log1p(-x * x)) / (2 * math.log(2)), 1.0)
+        g = (2 * x * at + np.log1p(-x * x)) / (2 * math.log(2))
+        return np.where(np.abs(x) < 1.0, g, 1.0) if pure else g
 
 
-@np.errstate(divide="ignore", invalid="ignore")  # atanh(1) of a pure block at eps = 1
 def _bracket_point(lam: np.ndarray, eps: float, phi):
     """The bracket f(phi) = g(eps m) - mean_k g(eps c_k) of the module
     docstring (the conditional entropy, less log2 d, of the equatorial
@@ -296,28 +299,36 @@ def _bracket_point(lam: np.ndarray, eps: float, phi):
               - eps mean_k s_k^2 / (1 - eps^2 c_k^2) + mean_k c_k atanh(eps c_k).
 
     Only at eps = 1 can a block be pure (|eps c_k| = 1): atanh(x) s is then
-    its limit 0, so f' stays finite, and f'' is infinite or NaN.
+    its limit 0, so f' stays finite, and f'' is infinite or NaN. So only at
+    eps = 1 are those limits masked and atanh(1)'s warnings silenced.
     """
-    n = lam.size
-    arg = lam - np.asarray(phi, dtype=float)[..., None]
-    c, s = np.cos(arg), np.sin(arg)
-    m, sm = c.sum(axis=-1) / n, s.sum(axis=-1) / n
-    x, xm = eps * c, eps * m
-    at, at_m = np.arctanh(x), np.arctanh(xm)
-    t, t_m = at * s, at_m * sm
-    t, t_m = np.where(np.isfinite(t), t, 0.0), np.where(np.isfinite(t_m), t_m, 0.0)
-    # 1 - eps^2 c^2 = (1 - eps^2) + eps^2 s^2 keeps its precision as |eps c| -> 1
-    d2 = eps * sm * sm / (1 - xm**2) - m * at_m
-    d2 = d2 - eps * (s * s / ((1 - eps * eps) + (eps * s) ** 2)).sum(axis=-1) / n
-    d2 = d2 + (c * at).sum(axis=-1) / n
-    return _bracket_value(x, xm, at, at_m), t_m - t.sum(axis=-1) / n, d2
+    pure = eps == 1
+    with np.errstate(divide="ignore", invalid="ignore") if pure else nullcontext():
+        n = lam.size
+        arg = lam - np.asarray(phi, dtype=float)[..., None]
+        c, s = np.cos(arg), np.sin(arg)
+        m, sm = c.sum(axis=-1) / n, s.sum(axis=-1) / n
+        x, xm = eps * c, eps * m
+        at, at_m = np.arctanh(x), np.arctanh(xm)
+        t, t_m = at * s, at_m * sm
+        if pure:
+            t, t_m = np.where(np.isfinite(t), t, 0.0), np.where(np.isfinite(t_m), t_m, 0.0)
+        # 1 - eps^2 c^2 = (1 - eps^2) + eps^2 s^2 keeps its precision as |eps c| -> 1
+        d2 = eps * sm * sm / (1 - xm**2) - m * at_m
+        d2 = d2 - eps * (s * s / ((1 - eps * eps) + (eps * s) ** 2)).sum(axis=-1) / n
+        d2 = d2 + (c * at).sum(axis=-1) / n
+        return _bracket_value(x, xm, pure, at, at_m), t_m - t.sum(axis=-1) / n, d2
 
 
-def _bracket_value(x: np.ndarray, xm, at=None, at_m=None):
+def _bracket_value(x: np.ndarray, xm, pure=True, at=None, at_m=None):
     """The bracket f = g(eps m) - mean_k g(eps c_k) of :func:`_bracket_point`
-    from x = eps c_k (k on the last axis) and xm = eps m; ``at`` and ``at_m``
-    may supply their atanh. The phi grid reads this value alone."""
-    return _bias_information(xm, at_m) - _bias_information(x, at).sum(axis=-1) / x.shape[-1]
+    from x = eps c_k (k on the last axis) and xm = eps m; ``pure`` as
+    :func:`_bias_information` takes it, and ``at`` and ``at_m`` may supply
+    their atanh. The phi grid reads this value alone."""
+    return (
+        _bias_information(xm, at_m, pure)
+        - _bias_information(x, at, pure).sum(axis=-1) / x.shape[-1]
+    )
 
 
 def _newton_polish(point, vals: np.ndarray) -> tuple[float, float, int, bool]:
@@ -382,7 +393,7 @@ def dqc1_discord(eigphases: np.ndarray, eps: float) -> DiscordResult:
     log_d = math.log2(lam.size)
     point = partial(_bracket_point, lam, eps)
     c = np.cos(lam - (np.arange(GRID) * (np.pi / GRID))[:, None])
-    vals = _bracket_value(eps * c, eps * (c.sum(axis=-1) / lam.size))
+    vals = _bracket_value(eps * c, eps * (c.sum(axis=-1) / lam.size), eps == 1)
     phi, best, steps, converged = _newton_polish(point, vals)
     tau = abs(np.exp(1j * lam).mean())
     mi = float(_bias_information(eps) - _bias_information(eps * tau))

@@ -24,11 +24,14 @@ import math
 import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
 from .linalg import PAULI_1Q, DensityMatrix, PauliLabel, bloch_blocks, pauli_labels
+
+if TYPE_CHECKING:
+    from concurrent.futures import Executor, Future
 
 # dim(A): A is one qubit
 DIM_A = 2
@@ -267,6 +270,12 @@ _CERTIFICATE_BLOCK = 2048
 _CERTIFICATE_MIN = 128
 
 
+def _draw_noise(seed: int, label: PauliLabel, out: np.ndarray) -> None:
+    """Fill ``out``, an (n_samples, rows) array, with column ``label``'s
+    standard normals from ``default_rng([seed, crc32(label)])``."""
+    np.random.default_rng([seed, zlib.crc32(label.encode())]).standard_normal(out=out)
+
+
 def _eigvalsh3(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues of symmetric 3 x 3 matrices, from their packed lower
     triangles ``a`` (a00, a10, a11, a20, a21, a22; one row of m each): a (3, m)
@@ -302,12 +311,21 @@ class _GramFold:
     """Monte Carlo samples of a correlation matrix that grows one column at a time.
 
     Column ``label`` is perturbed by one (n_samples, rows) standard-normal
-    block from ``default_rng([seed, crc32(label)])`` times its sigmas (zero
-    sigma pins the element), and each sample's column c is folded into that
-    sample's Gram matrix as G += c c^T; the singular values of the k columns
-    folded so far are the square roots of G's top min(rows, k) eigenvalues.
-    Sample i is therefore one hypothetical experiment at every step. A matrix
-    of shared columns whose sigmas are all zero so far keeps its exact SVD.
+    block from ``default_rng([seed, crc32(label)])`` (:func:`_draw_noise`)
+    times its sigmas (zero sigma pins the element), and each sample's column
+    c is folded into that sample's Gram matrix as G += c c^T; the singular
+    values of the k columns folded so far are the square roots of G's top
+    min(rows, k) eigenvalues. Sample i is therefore one hypothetical
+    experiment at every step. A matrix of shared columns whose sigmas are all
+    zero so far keeps its exact SVD.
+
+    Every block is written into the one (n_samples, rows) noise buffer that
+    the fold owns. :meth:`draw_ahead` fills it with the next column's block
+    on the caller's helper thread while the caller runs its rank check;
+    :meth:`add` uses that block when the look-ahead holds its label, and
+    otherwise waits for any look-ahead and draws inline (the first column,
+    the scan's per-sample slots). Both draw from the same stream, so the
+    samples do not depend on which; the caller owns the helper and joins it.
 
     Only G's lower triangle, the part eigvalsh reads, is kept: packed as one
     (n_samples,) row per entry, so a column costs rows (rows + 1) / 2
@@ -332,6 +350,9 @@ class _GramFold:
         self.last_eig = np.zeros((n_rows, n_samples))
         self.values: list[np.ndarray] = []
         self.noisy = False
+        self.noise = np.empty((n_samples, n_rows))
+        # the label whose block the helper is drawing into ``noise``, and its future
+        self.ahead: tuple[PauliLabel, Future] | None = None
 
     def add(self, label: PauliLabel, values: np.ndarray, sigmas: np.ndarray) -> None:
         """Fold one column: ``values`` and ``sigmas`` are (rows,), shared by
@@ -343,14 +364,30 @@ class _GramFold:
         with np.errstate(over="ignore", invalid="ignore"):
             if np.any(sigmas > 0):
                 self.noisy = True
-                rng = np.random.default_rng([self.seed, zlib.crc32(label.encode())])
-                z = rng.standard_normal((self.n_samples, self.n_rows))
-                col = np.multiply(z.T, sigmas, out=np.empty((self.n_rows, self.n_samples)))
+                if self._settle() != label:
+                    _draw_noise(self.seed, label, self.noise)
+                col = np.multiply(self.noise.T, sigmas, out=np.empty((self.n_rows, self.n_samples)))
                 col += values
             else:
                 col = values
             for k, (i, j) in enumerate(zip(*self.tril)):
                 self.packed[k] += col[i] * col[j]
+
+    def draw_ahead(self, label: PauliLabel, helper: Executor) -> None:
+        """Start drawing column ``label``'s block into the noise buffer on
+        ``helper``, for the next :meth:`add` of ``label`` to use; an
+        :meth:`add` of another label waits for it and draws its own."""
+        self._settle()
+        self.ahead = (label, helper.submit(_draw_noise, self.seed, label, self.noise))
+
+    def _settle(self) -> PauliLabel | None:
+        """Wait until the look-ahead draw, if any, has filled the noise
+        buffer, and return its label."""
+        if self.ahead is None:
+            return None
+        (label, drawn), self.ahead = self.ahead, None
+        drawn.result()
+        return label
 
     @property
     def n_singular_values(self) -> int:
@@ -665,27 +702,42 @@ def witness_procedure(
     the verdict's distribution holds every sample of all columns used.
     Exhausting all columns without exceeding dim(A) is the Inconclusive
     verdict, not an error.
+
+    Once a column is folded, the next one's noise, if it has any, is drawn
+    on one helper thread while this column's check runs
+    (:meth:`_GramFold.draw_ahead`): the same stream, so the result is bit
+    for bit that of inline draws. It costs the fold's one (n_samples, rows)
+    noise buffer and, on a witnessed return, one draw no check reads. The
+    helper starts with the first such draw, so an exact matrix starts none,
+    and it is joined on every exit, a raise included.
     """
+    # imported here, not with the module: its ~10 ms import serves this function alone
+    from concurrent.futures import ThreadPoolExecutor
+
     _check_confidence(confidence)
     order = z_sector_first_order(corr.col_labels)
     where = {label: j for j, label in enumerate(corr.col_labels)}
     index = [where[label] for label in order]
     values, sigmas = corr.values[:, index], corr.sigmas[:, index]  # columns in order
+    noisy = (sigmas > 0).any(axis=0)
     fold = _GramFold(len(corr.row_labels), n_samples, seed)
     trajectory: list[RankCheck] = []
     first_check = min(INITIAL_BLOCK, len(order))
 
-    for k, label in enumerate(order, start=1):
-        fold.add(label, values[:, k - 1], sigmas[:, k - 1])
-        if k < first_check:
-            continue
-        tau = default_tau(sigmas[:, :k])
-        low, decomposed = fold.quantiles(1.0 - confidence)
-        rank = int((low > tau).sum())
-        trajectory.append(RankCheck(label, tau, rank, tuple(low.tolist()), decomposed))
-        if rank > DIM_A:
-            break
-    return WitnessVerdict(order[:k], fold.distribution(), tuple(trajectory))
+    with ThreadPoolExecutor(max_workers=1) as helper:
+        for k, label in enumerate(order, start=1):
+            fold.add(label, values[:, k - 1], sigmas[:, k - 1])
+            if k < len(order) and noisy[k]:
+                fold.draw_ahead(order[k], helper)
+            if k < first_check:
+                continue
+            tau = default_tau(sigmas[:, :k])
+            low, decomposed = fold.quantiles(1.0 - confidence)
+            rank = int((low > tau).sum())
+            trajectory.append(RankCheck(label, tau, rank, tuple(low.tolist()), decomposed))
+            if rank > DIM_A:
+                break
+        return WitnessVerdict(order[:k], fold.distribution(), tuple(trajectory))
 
 
 def write_histogram_csvs(dist: SingularValueDistribution, prefix: str | Path) -> list[Path]:

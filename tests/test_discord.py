@@ -372,6 +372,12 @@ class TestDqc1Discord:
         x = np.array([-x, x])
         assert _bias_information(x).tobytes() == _bias_information(x, np.arctanh(x)).tobytes()
 
+    @pytest.mark.parametrize("x", [1e-8, 1e-5, 0.3, 0.99, 1 - 2**-53])
+    def test_bias_information_unmasked_below_one_is_bit_identical(self, x):
+        # below |x| = 1 (every bias eps < 1) the pure-limit mask changes no bit
+        x = np.array([-x, 0.0, x])
+        assert _bias_information(x, None, False).tobytes() == _bias_information(x).tobytes()
+
 
 POLISH_UNITARIES = {
     "jones": jones_unitary(),

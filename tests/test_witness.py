@@ -2,7 +2,9 @@ import ast
 import functools
 import json
 import tempfile
+import threading
 import zlib
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -866,6 +868,36 @@ def fetched(monkeypatch):
     return labels
 
 
+@pytest.fixture
+def drawn(monkeypatch):
+    """The label of every noise block drawn, in draw order, with whether the
+    draw ran on a thread other than the test's (the look-ahead helper)."""
+    draws = []
+    real = wit._draw_noise
+    caller = threading.get_ident()
+
+    def counted(seed, label, out):
+        draws.append((label, threading.get_ident() != caller))
+        return real(seed, label, out)
+
+    monkeypatch.setattr(wit, "_draw_noise", counted)
+    return draws
+
+
+@pytest.fixture
+def thread_starts(monkeypatch):
+    """Every thread started, by name."""
+    names = []
+    real = threading.Thread.start
+
+    def counted(self):
+        names.append(self.name)
+        return real(self)
+
+    monkeypatch.setattr(threading.Thread, "start", counted)
+    return names
+
+
 class TestWitnessProcedure:
     @pytest.mark.parametrize("name", ["bell", "initial-dqc1"])
     def test_matrix_without_sigmas_runs_as_its_zero_sigma_twin(self, name):
@@ -1049,6 +1081,92 @@ class TestWitnessProcedure:
         assert calls == []
 
 
+def huge_sigma_eq3() -> CorrelationMatrix:
+    corr = eq3_fixture()
+    return CorrelationMatrix(
+        corr.row_labels, corr.col_labels, corr.values, np.where(corr.sigmas > 0, 1e308, 0.0)
+    )
+
+
+class TestLookAhead:
+    """witness_procedure draws the next column's noise on one helper thread
+    while the current check runs; the samples are those of inline draws."""
+
+    @pytest.mark.parametrize(
+        "corr, columns",
+        [
+            (correlation_matrix(named_state("initial-dqc1")).with_uniform_sigmas(0.05), 64),
+            (eq3_fixture(), 4),
+            (huge_sigma_eq3(), None),
+        ],
+        ids=["full-tomography", "eq3-witnessed", "overflow-refused"],
+    )
+    def test_the_helper_is_joined_on_every_exit(self, corr, columns, drawn, thread_starts):
+        before = threading.active_count()
+        if columns is None:
+            with pytest.raises(ValueError, match="non-finite"):
+                witness_procedure(corr, n_samples=100, seed=1)
+        else:
+            verdict = witness_procedure(corr, n_samples=100, seed=1)
+            assert len(verdict.columns_used) == columns
+            assert verdict.witnessed == (columns == 4)
+        assert threading.active_count() == before
+        assert len(thread_starts) == 1  # one helper for the whole call
+        # the first column is drawn inline, every later one on the helper
+        assert [ahead for _, ahead in drawn] == [False] + [True] * (len(drawn) - 1)
+
+    @pytest.mark.parametrize(
+        "run",
+        [
+            lambda: witness_procedure(
+                correlation_matrix(named_state("initial-dqc1")), n_samples=100, seed=1
+            ),
+            lambda: column_combination_scan(eq3_fixture(), 20, seed=1),
+        ],
+        ids=["exact-matrix", "combination-scan"],
+    )
+    def test_an_exact_matrix_and_a_scan_start_no_helper(self, run, drawn, thread_starts):
+        before = threading.active_count()
+        run()
+        assert thread_starts == []
+        assert threading.active_count() == before
+        assert not any(ahead for _, ahead in drawn)
+
+    def test_a_witnessed_run_draws_at_most_one_column_beyond_those_used(self, drawn):
+        corr = correlation_matrix(named_state("final-dqc1")).with_uniform_sigmas(0.05)
+        verdict = witness_procedure(corr, n_samples=300, seed=1)
+        assert verdict.witnessed and len(verdict.columns_used) == 4
+        order = z_sector_first_order(corr.col_labels)
+        labels = tuple(label for label, _ in drawn)
+        assert labels == order[: len(verdict.columns_used) + 1]  # the one draw no check reads
+
+    def test_look_ahead_and_inline_draws_give_identical_runs(self, monkeypatch, drawn):
+        # the witness-tomography op: a measured initial-dqc1 ensemble at
+        # alpha 1e-3, seed 7, 10,000 samples, 61 checks to full tomography
+        rho = load_ensemble({"alpha": 1e-3, "pps": "initial-dqc1"})
+        corr = measured_correlation_matrix(rho, 0.05, 7)
+        ahead = witness_procedure(corr, n_samples=10000, seed=7)
+        assert sum(on_helper for _, on_helper in drawn) == 63
+        del drawn[:]
+        monkeypatch.setattr(wit._GramFold, "draw_ahead", lambda self, label, helper: None)
+        inline = witness_procedure(corr, n_samples=10000, seed=7)
+        assert len(drawn) == 64 and not any(on_helper for _, on_helper in drawn)
+        assert len(ahead.trajectory) == 61
+        assert ahead.trajectory == inline.trajectory
+        assert ahead.distribution.samples.tobytes() == inline.distribution.samples.tobytes()
+
+    def test_an_add_of_another_label_draws_its_own_block(self):
+        # the look-ahead block is used only by the add of its own label
+        corr = eq3_fixture()
+        fold = wit._GramFold(len(corr.row_labels), 200, seed=3)
+        with ThreadPoolExecutor(max_workers=1) as helper:
+            for j, label in enumerate(corr.col_labels):
+                fold.draw_ahead("XX" if j % 2 else label, helper)
+                fold.add(label, corr.values[:, j], corr.sigmas[:, j])
+        want = monte_carlo_svd(corr, 200, seed=3).samples
+        assert fold.distribution().samples.tobytes() == want.tobytes()
+
+
 class TestScaleInvariance:
     def test_exact_matrices_full_kappa_range(self):
         for seed in range(50):
@@ -1153,6 +1271,8 @@ def test_one_monte_carlo_engine_and_one_quantile_rule():
     src = Path(wit.__file__).parent
     witness_calls = calls_by_scope(src / "witness.py")
     assert [scope for scope, f in witness_calls if f.endswith("svd")] == ["_GramFold._exact_sv"]
+    # one draw function, run inline or on the look-ahead helper
+    assert [scope for scope, f in witness_calls if f.endswith("standard_normal")] == ["_draw_noise"]
     assert not [f for scope, f in witness_calls if scope == "column_combination_scan"
                 and "linalg" in f]
     offenders = [

@@ -525,31 +525,46 @@ class TestRankCheckQuantiles:
             checks += 1
         assert checks == 61
 
-    def test_small_batches_are_decomposed_not_certified(self, monkeypatch):
-        # the CLI run `witness --state initial-dqc1 --samples 100` (seed 0):
-        # every batch has fewer than _CERTIFICATE_MIN samples, whose eigvalsh
-        # costs less than the certificate's fixed cost, so no certificate
-        # block is computed, not even an empty one
+    @pytest.mark.parametrize("n", [1, 2, 100, 127])
+    def test_every_batch_is_certified(self, n, monkeypatch):
+        # however few the samples (100 is the CLI warm-up's --samples), every
+        # batch a check bounds goes through the certificate in full (an empty
+        # one in no block), and the quantiles stay those of a full decomposition
         corr = correlation_matrix(named_state("initial-dqc1")).with_uniform_sigmas(0.05)
         corr = extract_columns(corr, z_sector_first_order(corr.col_labels))
-        blocks = []
-        certificate = wit._GramFold._certificate
+        batches, blocks = [], []
+        intervals, certificate = wit._GramFold._intervals, wit._GramFold._certificate
+
+        def counted_intervals(self, idx):
+            batches.append(idx.size)
+            return intervals(self, idx)
 
         def counted_certificate(self, packed):
             blocks.append(packed.shape[1])
             return certificate(self, packed)
 
+        monkeypatch.setattr(wit._GramFold, "_intervals", counted_intervals)
         monkeypatch.setattr(wit._GramFold, "_certificate", counted_certificate)
-        q, n = 1.0 - 0.99, 100
+        q = 1.0 - 0.99
         fold = wit._GramFold(len(corr.row_labels), n, seed=0)
         for j, label in enumerate(corr.col_labels):
             fold.add(label, corr.values[:, j], corr.sigmas[:, j])
             if j + 1 < wit.INITIAL_BLOCK:
                 continue
+            batches.clear()
+            blocks.clear()
             got, _ = fold.quantiles(q)
             want = full_quantiles(outer_product_gram(corr, n, 0, j + 1), fold.n_singular_values, q)
             assert got.tobytes() == want.tobytes(), label
-        assert n < wit._CERTIFICATE_MIN and blocks == []
+            assert batches[0] and blocks == [b for b in batches if b], label
+
+    @pytest.mark.parametrize("rows", ["IXYZ", "XYZ"])
+    def test_empty_batch_has_empty_intervals(self, rows):
+        corr = row_subset(correlation_matrix(named_state("final-dqc1")).with_uniform_sigmas(0.05), rows)
+        fold = wit._GramFold(len(rows), 10, seed=0)
+        fold.add(corr.col_labels[0], corr.values[:, 0], corr.sigmas[:, 0])
+        lo, hi = fold._intervals(np.array([], dtype=int))
+        assert lo.shape == hi.shape == (len(rows), 0)
 
     @pytest.mark.parametrize(
         "corr, bare_from",
@@ -1008,13 +1023,13 @@ class TestWitnessProcedure:
 
     def test_lazy_rank_checks_decomposition_count_is_pinned(self):
         # one op of the witness-tomography benchmark at alpha 1e-3 and seed 7:
-        # 681 Gram matrices over its 61 checks with numpy 2.4.6 and OpenBLAS
-        # 0.3.31; the cap leaves about 80, more than one per check, for
+        # 518 Gram matrices over its 61 checks with numpy 2.4.6 and OpenBLAS
+        # 0.3.31; the cap leaves 62, more than one per check, for
         # another BLAS's or numpy's rounding, and added eigen work fails it
         rho = load_ensemble({"alpha": 1e-3, "pps": "initial-dqc1"})
         verdict = witness_procedure(measured_correlation_matrix(rho, 0.05, 7), seed=7)
         assert len(verdict.trajectory) == 61
-        assert sum(check.decomposed for check in verdict.trajectory) <= 760
+        assert sum(check.decomposed for check in verdict.trajectory) <= 580
 
     def test_initial_state_inconclusive_after_full_tomography(self):
         corr = correlation_matrix(named_state("initial-dqc1")).with_uniform_sigmas(0.05)

@@ -3,8 +3,10 @@
 Results go to JSON/CSV files named from --out with a one-line summary on
 stdout. Every JSON states each resolved flag, seeds included, only under its
 ``config`` key; its other keys hold results, each stated once.
-witness derives tau from the sigmas; its histogram bin width and its resamples
-per --scan-combos combination are ``witness.HISTOGRAM_BIN`` and ``SCAN_RESAMPLES``.
+witness derives tau from the sigmas and reads its quantile level, bin width and
+resamples per --scan-combos combination from ``witness.CONFIDENCE``,
+``HISTOGRAM_BIN`` and ``SCAN_RESAMPLES``; haar-survey runs at
+``discord.NMR_POLARIZATION`` from seed 0.
 Exit codes: 0 completed (an Inconclusive witness is a result, not a failure),
 2 input error, including a run too large to allocate or to histogram, 3
 numerical-assumption failure such as a scaling-fit exponent out of range.
@@ -24,6 +26,7 @@ import numpy as np
 
 from . import dqc1, nmr, states, witness as wit
 from .discord import (
+    NMR_POLARIZATION,
     ScalingFitError,
     discord,
     dqc1_discord,
@@ -157,7 +160,7 @@ def cmd_witness(args) -> int:
             # before the rank checks: a matrix the scan cannot sample is refused at once
             scan = column_combination_scan(corr, args.scan_combos, args.seed)
             scan_tau = default_tau(corr.sigmas, n_cols=4)
-            low = scan.quantile(1 - args.confidence)
+            low = scan.quantile(1 - wit.CONFIDENCE)
             scan_payload = {
                 "rank_lower_bound": int((low > scan_tau).sum()),
                 "tau": scan_tau,
@@ -165,9 +168,7 @@ def cmd_witness(args) -> int:
                 "quantiles_low": low.tolist(),
                 "medians": scan.medians().tolist(),
             }
-        verdict = witness_procedure(
-            corr, confidence=args.confidence, n_samples=args.samples, seed=args.seed
-        )
+        verdict = witness_procedure(corr, n_samples=args.samples, seed=args.seed)
         csv_dist = verdict.distribution if scan is None else scan
         csv_paths = write_histogram_csvs(csv_dist, Path(args.out).with_suffix(""))
     except wit.HistogramBinsError as exc:
@@ -196,20 +197,18 @@ def cmd_witness(args) -> int:
 
 
 def cmd_haar_survey(args) -> int:
-    values = haar_discord_survey(
-        args.seeds, dim=args.dim, alpha=args.alpha, start_seed=args.start_seed
-    )
+    values = haar_discord_survey(args.seeds, dim=args.dim)
     mean = float(values.mean())
     stderr = float(values.std(ddof=1) / np.sqrt(len(values))) if len(values) > 1 else 0.0
     csv_path = Path(args.out).with_suffix(".csv")
-    lines = ["seed,discord"] + [f"{args.start_seed + i},{v:.8e}" for i, v in enumerate(values)]
+    lines = ["seed,discord"] + [f"{i},{v:.8e}" for i, v in enumerate(values)]
     csv_path.write_text("\n".join(lines) + "\n")
-    predicted = haar_discord_prediction(args.dim, args.alpha)
+    predicted = haar_discord_prediction(args.dim)
     payload = {"mean": mean, "stderr": stderr, "predicted": predicted, "values_csv": str(csv_path)}
     path = _write_json(args, payload)
     print(
         f"haar survey: mean discord {mean:.4e} +- {stderr:.1e} bits (predicted {predicted:.4e}) "
-        f"over {args.seeds} seeds at alpha={args.alpha:g} -> {path}"
+        f"over {args.seeds} seeds at alpha={NMR_POLARIZATION:g} -> {path}"
     )
     return EXIT_OK
 
@@ -251,8 +250,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--measure-seed", type=int, default=None,
                    help="also sample measurement noise into the values of --state or --ensemble")
     p.add_argument("--samples", type=int, default=10000, help="Monte Carlo samples per check")
-    p.add_argument("--confidence", type=float, default=0.99,
-                   help="per-singular-value quantile confidence")
     p.add_argument("--scan-combos", type=int, default=None,
                    help="pool random 4-column combinations (always keeping the identity column)")
     p.add_argument("--seed", type=int, default=0)
@@ -262,8 +259,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("haar-survey", help="extrapolated discord over Haar-random unitaries")
     p.add_argument("--seeds", type=int, default=500, help="number of Haar samples")
     p.add_argument("--dim", type=int, default=32, help="unitary dimension")
-    p.add_argument("--alpha", type=float, default=1.4e-5)
-    p.add_argument("--start-seed", type=int, default=0)
     p.add_argument("--out", default="haar_survey.json")
     p.set_defaults(func=cmd_haar_survey)
 
@@ -286,19 +281,18 @@ SCOPED_FLAGS = {
 }
 
 # Numeric flags' ranges, checked in this order after the scoped flags and output
-# paths: (dest, in-range test, refusal). The library checks --dim and --alpha.
+# paths: (dest, in-range test, refusal). The library checks --dim.
 _NON_NEGATIVE = (lambda v: v >= 0, "must be non-negative")
 _AT_LEAST_1 = (lambda v: v >= 1, "must be at least 1")
 FLAG_RANGES = {
     "witness": (
-        ("confidence", lambda v: 0.0 < v <= 1.0, "outside (0, 1]"),
         # the Monte Carlo folds squared noisy entries into Gram matrices
         ("sigma", lambda v: v >= 0 and math.isfinite(v * v),
          "must be non-negative with a finite square"),
         ("seed", *_NON_NEGATIVE), ("measure_seed", *_NON_NEGATIVE),
         ("samples", *_AT_LEAST_1), ("scan_combos", *_AT_LEAST_1),
     ),
-    "haar-survey": (("seeds", *_AT_LEAST_1), ("start_seed", *_NON_NEGATIVE)),
+    "haar-survey": (("seeds", *_AT_LEAST_1),),
 }
 
 

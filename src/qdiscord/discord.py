@@ -106,6 +106,8 @@ ANGLE_TOL = 1e-8
 MAX_ITER = 400
 # Most Taylor terms of g the small-polarization fit sums (module docstring).
 MAX_SERIES_TERMS = 64
+# The experiment's 13C polarization: the fit's default alpha and the survey's.
+NMR_POLARIZATION = 1.4e-5
 
 
 class ScalingFitError(RuntimeError):
@@ -545,7 +547,7 @@ class ScalingFit:
         return self.coefficient * self.alpha**2
 
 
-def fit_polarization_scaling(unitary: np.ndarray, alpha: float = 1.4e-5) -> ScalingFit:
+def fit_polarization_scaling(unitary: np.ndarray, alpha: float = NMR_POLARIZATION) -> ScalingFit:
     """Quadratic small-bias discord c2 * alpha^2 of the circuit output,
     checked against the discord evaluated directly at ``alpha``.
 
@@ -604,7 +606,7 @@ def fit_polarization_scaling(unitary: np.ndarray, alpha: float = 1.4e-5) -> Scal
     return fit
 
 
-def haar_discord_prediction(dim: int = 32, alpha: float = 1.4e-5) -> float:
+def haar_discord_prediction(dim: int = 32, alpha: float = NMR_POLARIZATION) -> float:
     """Haar mean of :func:`haar_discord_survey`'s values to leading order in
     1/d: (1 - 1/d^2 - sqrt(pi/2)/d) alpha^2 / (4 ln 2), 6.78543e-11 at d = 32.
 
@@ -620,12 +622,14 @@ def haar_discord_prediction(dim: int = 32, alpha: float = 1.4e-5) -> float:
 
 
 def haar_discord_survey(
-    n_seeds: int, dim: int = 32, alpha: float = 1.4e-5, start_seed: int = 0
+    n_seeds: int, dim: int = 32, alpha: float = NMR_POLARIZATION, start_seed: int = 0
 ) -> np.ndarray:
-    """Extrapolated discord for Haar-random unitaries, one value per seed.
+    """Extrapolated discord for Haar-random unitaries, one value per seed
+    from ``start_seed`` on; the CLI runs it at ``NMR_POLARIZATION`` from 0.
 
     Each value is :func:`fit_polarization_scaling` at ``alpha``, with its
-    exponent and direct-value checks. c2 falls short of the large-system
+    exponent and direct-value checks: c2 alpha^2, c2 a function of U alone,
+    so ``alpha`` rescales every value alike. c2 falls short of the large-system
     asymptote 1 / (4 ln 2) by |tau_1|^2 + |tau_2 - tau_1^2|, whose Haar mean
     is about sqrt(pi/2) / d (module docstring): the dimension-32 mean sits
     about 4% below alpha^2 / (4 ln 2), and the dimension-8 mean about 18%;

@@ -44,6 +44,8 @@ HISTOGRAM_BIN = 0.005
 SCAN_RESAMPLES = 10
 # Columns acquired before the first rank check: the experiment's I/Z block.
 INITIAL_BLOCK = 4
+# A singular value counts as nonzero when its (1 - CONFIDENCE) quantile exceeds tau.
+CONFIDENCE = 0.99
 # Singular values below this fraction of a sample's largest are reported as 0:
 # eigvalsh of R R^T is accurate to about 10 eps x its largest eigenvalue, so
 # sqrt(eig) of anything smaller is rounding, not signal (0.1% error at the floor).
@@ -202,11 +204,6 @@ def histogram_csv_paths(prefix: str | Path, n: int = DIM_A**2) -> list[Path]:
     return [Path(f"{prefix}_sv{k}.csv") for k in range(1, n + 1)]
 
 
-def _check_confidence(confidence: float) -> None:
-    if not 0.0 < confidence <= 1.0:
-        raise ValueError(f"confidence {confidence} outside (0, 1]")
-
-
 @dataclass(frozen=True)
 class SingularValueDistribution:
     """Monte Carlo singular-value samples: ``samples[i, j]`` is the j-th
@@ -314,7 +311,8 @@ class _GramFold:
     values of the k columns folded so far are the square roots of G's top
     min(rows, k) eigenvalues. Sample i is therefore one hypothetical
     experiment at every step. A matrix of shared columns whose sigmas are all
-    zero so far keeps its exact SVD.
+    zero so far keeps its exact SVD, of its columns written in place into one
+    array that doubles when full.
 
     Every block is written into the one (n_samples, rows) noise buffer that
     the fold owns. :meth:`draw_ahead` fills it with the next column's block
@@ -347,7 +345,9 @@ class _GramFold:
         # lower bounds on each sample's floored eigenvalues (descending): their
         # values when last decomposed, or the certificate's since
         self.last_eig = np.zeros((n_rows, n_samples))
-        self.values: list[np.ndarray] = []
+        self.n_cols = 0
+        # the exact columns while no sample differs: the first n_cols are filled
+        self.exact = np.empty((n_rows, 1))
         self.noisy = False
         self.noise = np.empty((n_samples, n_rows))
         # the label whose block the helper is drawing into ``noise``, and its future
@@ -357,7 +357,7 @@ class _GramFold:
         """Fold one column: ``values`` and ``sigmas`` are (rows,), shared by
         every sample, or (rows, n_samples), one column per sample."""
         values, sigmas = (np.reshape(a, (self.n_rows, -1)) for a in (values, sigmas))
-        self.values.append(values)
+        self.n_cols += 1
         self.noisy |= values.shape[1] > 1
         # overflow from huge sigmas is refused, with a message, at the next check
         with np.errstate(over="ignore", invalid="ignore"):
@@ -371,6 +371,10 @@ class _GramFold:
                 col = values
             for k, (i, j) in enumerate(zip(*self.tril)):
                 self.packed[k] += col[i] * col[j]
+        if not self.noisy:
+            if self.n_cols > self.exact.shape[1]:
+                self.exact = np.concatenate([self.exact, np.empty_like(self.exact)], axis=1)
+            self.exact[:, self.n_cols - 1] = values[:, 0]
 
     def draw_ahead(self, label: PauliLabel, helper: Executor) -> None:
         """Start drawing column ``label``'s block into the noise buffer on
@@ -390,10 +394,10 @@ class _GramFold:
 
     @property
     def n_singular_values(self) -> int:
-        return min(self.n_rows, len(self.values))
+        return min(self.n_rows, self.n_cols)
 
     def _exact_sv(self) -> np.ndarray:
-        return np.linalg.svd(np.column_stack(self.values), compute_uv=False)
+        return np.linalg.svd(self.exact[:, : self.n_cols], compute_uv=False)
 
     def _check_finite(self) -> None:
         if not np.isfinite(self.packed).all():
@@ -427,7 +431,7 @@ class _GramFold:
     def _margin(self, trace: np.ndarray) -> np.ndarray:
         """Rounding margin on a bound: eigvalsh's error and one eps tr(G) per
         Gram addition, (64 + columns) eps tr(G)."""
-        return (64 + len(self.values)) * np.finfo(float).eps * trace
+        return (64 + self.n_cols) * np.finfo(float).eps * trace
 
     def _lower_bounds(self) -> np.ndarray:
         """(rows, n_samples) lower bounds on the current floored eigenvalues:
@@ -637,7 +641,7 @@ def z_sector_first_order(col_labels: Sequence[PauliLabel]) -> tuple[PauliLabel, 
 @dataclass(frozen=True)
 class RankCheck:
     """One rank check of the procedure: the column just acquired, the
-    threshold, the rank bound, each singular value's (1 - confidence)
+    threshold, the rank bound, each singular value's (1 - ``CONFIDENCE``)
     quantile, and how many samples were eigendecomposed to get it: those
     whose eigenvalue interval could hold an order statistic the quantile
     reads, and those the certificate could not bound, in a batch of any size
@@ -678,10 +682,7 @@ class WitnessVerdict:
 
 
 def witness_procedure(
-    corr: CorrelationMatrix,
-    confidence: float = 0.99,
-    n_samples: int = 10000,
-    seed: int = 0,
+    corr: CorrelationMatrix, n_samples: int = 10000, seed: int = 0
 ) -> WitnessVerdict:
     """Iterative column acquisition until rank(R) > dim(A) or exhaustion.
 
@@ -691,7 +692,7 @@ def witness_procedure(
     symbol of qubit A, and zero-sigma entries are exact in every sample.
     After each acquisition a Monte Carlo rank bound is computed on the
     submatrix measured so far: a singular value counts as nonzero when its
-    empirical (1 - confidence) quantile exceeds the noise-scaled
+    empirical (1 - ``CONFIDENCE``) quantile exceeds the noise-scaled
     :func:`default_tau` of that submatrix. The check on the first k columns
     reads the quantiles over every Monte Carlo sample of those columns, and
     the verdict's distribution holds every sample of all columns used.
@@ -709,7 +710,6 @@ def witness_procedure(
     # imported here, not with the module: its ~10 ms import serves this function alone
     from concurrent.futures import ThreadPoolExecutor
 
-    _check_confidence(confidence)
     order = z_sector_first_order(corr.col_labels)
     where = {label: j for j, label in enumerate(corr.col_labels)}
     index = [where[label] for label in order]
@@ -727,7 +727,7 @@ def witness_procedure(
             if k < first_check:
                 continue
             tau = default_tau(sigmas[:, :k])
-            low, decomposed = fold.quantiles(1.0 - confidence)
+            low, decomposed = fold.quantiles(1.0 - CONFIDENCE)
             rank = int((low > tau).sum())
             trajectory.append(RankCheck(label, tau, rank, tuple(low.tolist()), decomposed))
             if rank > DIM_A:

@@ -187,9 +187,8 @@ class TestDiscordCommand:
         [
             ("discord", "--dqc1", "identity8", "--alpha", "0.7"),
             ("discord", "--dqc1", "jones", "--alpha", "0.9"),
-            ("haar-survey", "--seeds", "2", "--dim", "8", "--alpha", "1"),
         ],
-        ids=["identity8", "jones", "haar-survey"],
+        ids=["identity8", "jones"],
     )
     def test_alpha_past_the_series_limit_exits_3(self, tmp_path, capsys, command):
         assert run(tmp_path, *command) == 3
@@ -471,13 +470,6 @@ class TestWitnessCommand:
         assert last["tau"] == wit.default_tau(np.full((4, 64), 0.05))
         assert last["quantiles_low"] == verdict["quantiles_low"]
 
-    @pytest.mark.parametrize("confidence", ["1.5", "0", "-0.1", "nan"])
-    def test_confidence_outside_unit_interval_exits_2(self, tmp_path, capsys, confidence):
-        args = ("witness", "--matrix", "rtrunc_eq3", "--confidence", confidence)
-        assert run(tmp_path, *args) == 2
-        assert "--confidence" in capsys.readouterr().err
-        assert not (tmp_path / "witness.json").exists()
-
     @pytest.mark.parametrize(
         "flag, value",
         [("--samples", "0"), ("--scan-combos", "0")],
@@ -593,7 +585,6 @@ class TestWitnessCommand:
         config = out["config"]
         assert config["seed"] == 3
         assert config["samples"] == 10000
-        assert config["confidence"] == 0.99
         assert config["measure_seed"] is None
 
     def test_scan_pools_10_resamples_per_combination(self, tmp_path):
@@ -664,9 +655,8 @@ class TestWitnessCommand:
     [
         (("witness", "--matrix", "rtrunc_eq3", "--samples", "50", "--seed", "-1"), "--seed -1"),
         (("witness", "--state", "initial-dqc1", "--measure-seed", "-3"), "--measure-seed -3"),
-        (("haar-survey", "--seeds", "1", "--dim", "8", "--start-seed", "-1"), "--start-seed -1"),
     ],
-    ids=["seed", "measure-seed", "start-seed"],
+    ids=["seed", "measure-seed"],
 )
 def test_negative_seed_exits_2_naming_the_flag(tmp_path, capsys, monkeypatch, args, flag):
     calls = []
@@ -862,13 +852,19 @@ def test_witness_csv_names_follow_out(tmp_path, out, stem):
      (("haar-survey", "--seeds", "1", "--dim", "8"), "--csv", "alt"),
      (("witness", "--state", "bell"), "--tau", "0.5"),
      (("witness", "--state", "bell"), "--bin", "0.01"),
-     (("witness", "--state", "bell", "--scan-combos", "5"), "--resamples", "2")],
+     (("witness", "--state", "bell", "--scan-combos", "5"), "--resamples", "2"),
+     (("witness", "--state", "bell"), "--confidence", "0.9"),
+     (("haar-survey", "--seeds", "1", "--dim", "8"), "--alpha", "1e-3"),
+     (("haar-survey", "--seeds", "1", "--dim", "8"), "--start-seed", "3")],
     ids=["witness-csv-prefix", "haar-survey-csv", "witness-tau", "witness-bin",
-         "witness-resamples"],
+         "witness-resamples", "witness-confidence", "haar-survey-alpha",
+         "haar-survey-start-seed"],
 )
 def test_csv_path_is_not_a_flag(tmp_path, capsys, command, flag, value):
-    # every file a command writes is named from --out; and witness derives tau
-    # from the sigmas, bins at HISTOGRAM_BIN and pools 10 resamples per combination
+    # every file a command writes is named from --out; witness derives tau
+    # from the sigmas, bins at HISTOGRAM_BIN, pools 10 resamples per combination
+    # and reads the quantile at CONFIDENCE; haar-survey runs at NMR_POLARIZATION
+    # from seed 0
     with pytest.raises(SystemExit) as exc:
         run(tmp_path, *command, flag, value)
     assert exc.value.code == 2
@@ -915,12 +911,10 @@ FLAG_VALUES = {
     "--sigma": ("0.02",),
     "--measure-seed": ("0",),  # 0 is a given value, not an absent one
     "--samples": ("60",),
-    "--confidence": ("0.9",),
     "--scan-combos": ("3",),
     "--seed": ("1",),
     "--seeds": ("2",),
     "--dim": ("4",),
-    "--start-seed": ("3",),
     "--out": ("alt.json",),
 }
 OUTPUT_FLAGS = {"--out"}
@@ -998,8 +992,8 @@ def test_config_echoes_every_flag(tmp_path, args, resolved, keys):
     assert {key: config[key] for key in resolved} == resolved
     assert list(out) == ["command", *keys, "config"]
     if args[0] == "witness":
-        # outcome, rank, tau and confidence are read from the top level, the
-        # last trajectory check and config
+        # outcome, rank and tau are read from the top level and the last
+        # trajectory check
         assert list(out["verdict"]) == ["columns_used", "quantiles_low", "medians", "trajectory"]
 
 
@@ -1016,9 +1010,9 @@ def test_every_scoped_flag_is_a_flag_of_its_subcommand():
 # One out-of-range value per FLAG_RANGES entry, run in the source mode that
 # puts every scoped witness flag in scope.
 OUT_OF_RANGE = {
-    "confidence": "1.5", "sigma": "1e308", "seed": "-1",
+    "sigma": "1e308", "seed": "-1",
     "measure_seed": "-3", "samples": "0", "scan_combos": "0",
-    "seeds": "0", "start_seed": "-1",
+    "seeds": "0",
 }
 RANGE_SOURCES = {
     "witness": ("--ensemble", "ens.json", "--measure-seed", "3", "--scan-combos", "5",
@@ -1026,7 +1020,7 @@ RANGE_SOURCES = {
     "haar-survey": ("--seeds", "1", "--dim", "8"),
 }
 # Numeric flags the library refuses itself, for API callers as well.
-LIBRARY_CHECKED = {"dim", "alpha"}
+LIBRARY_CHECKED = {"dim"}
 
 
 @pytest.mark.parametrize(
@@ -1071,10 +1065,7 @@ class TestHaarSurveyCommand:
         assert not (tmp_path / "haar_survey.json").exists()
 
     def test_single_seed_deterministic(self, tmp_path):
-        args = (
-            "haar-survey", "--seeds", "1", "--dim", "8",
-            "--alpha", "1.4e-5", "--start-seed", "11",
-        )
+        args = ("haar-survey", "--seeds", "1", "--dim", "8")
         assert run(tmp_path, *args) == 0
         first = json.loads((tmp_path / "haar_survey.json").read_text())
         assert run(tmp_path, *args) == 0
@@ -1082,7 +1073,7 @@ class TestHaarSurveyCommand:
         assert first["mean"] == second["mean"]
         csv_lines = (tmp_path / "haar_survey.csv").read_text().strip().splitlines()
         assert csv_lines[0] == "seed,discord"
-        assert csv_lines[1].startswith("11,")
+        assert csv_lines[1].startswith("0,")
 
     @pytest.mark.parametrize("seeds", ["0", "-1"])
     def test_seeds_below_one_exits_2(self, tmp_path, capsys, seeds):
@@ -1112,23 +1103,6 @@ class TestHaarSurveyCommand:
             "error: --out h.csv is also its values CSV; give --out another suffix\n"
         )
         assert list(tmp_path.iterdir()) == []
-
-    def test_alpha_above_nmr_scale_runs(self, tmp_path):
-        args = ("haar-survey", "--seeds", "1", "--dim", "8", "--alpha", "1e-3")
-        assert run(tmp_path, *args) == 0
-        out = json.loads((tmp_path / "haar_survey.json").read_text())
-        assert out["mean"] == pytest.approx(1e-6 / (4 * np.log(2)), rel=0.3)
-
-    def test_quadratic_alpha_scaling(self, tmp_path):
-        means = {}
-        for alpha in ("1.4e-5", "2.8e-5"):
-            assert run(
-                tmp_path, "haar-survey", "--seeds", "2", "--dim", "8",
-                "--alpha", alpha, "--out", f"s{alpha}.json",
-            ) == 0
-            means[alpha] = json.loads((tmp_path / f"s{alpha}.json").read_text())["mean"]
-        ratio = means["2.8e-5"] / means["1.4e-5"]
-        assert ratio == pytest.approx(4.0, rel=0.02)
 
 
 JSON_VALUES = st.recursive(

@@ -31,6 +31,7 @@ from qdiscord import (
 from qdiscord.discord import (
     GRID,
     MAX_SERIES_TERMS,
+    NMR_POLARIZATION,
     _avg_conditional_entropy,
     _bias_information,
     _even_power_traces,
@@ -797,6 +798,21 @@ class TestHaarSurveyArguments:
     def test_refuses_a_negative_start_seed(self):
         with pytest.raises(ValueError, match="^start_seed -1 must be non-negative$"):
             haar_discord_survey(1, dim=8, start_seed=-1)
+
+    def test_start_seed_draws_that_seed(self):
+        value = fit_polarization_scaling(haar_random_unitary(8, 11)).value
+        assert haar_discord_survey(1, dim=8, start_seed=11)[0] == value
+
+    def test_alpha_only_rescales_the_values(self):
+        # c2 depends on U alone, so the survey's values are c2 alpha^2
+        scale = (1e-3 / NMR_POLARIZATION) ** 2
+        at_nmr = haar_discord_survey(20, dim=32)
+        np.testing.assert_allclose(haar_discord_survey(20, dim=32, alpha=1e-3), scale * at_nmr,
+                                   rtol=1e-15, atol=0)
+
+    def test_alpha_past_the_series_limit_is_refused(self):
+        with pytest.raises(ScalingFitError, match="^alpha 0.9 is past the 64-term series limit"):
+            haar_discord_survey(1, dim=8, alpha=0.9)
 
 
 class TestHaarPrediction:

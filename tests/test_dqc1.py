@@ -52,6 +52,11 @@ class TestInstanceValidation:
         with pytest.raises(ValueError, match="cap"):
             Dqc1Instance(1.0, np.eye(256))
 
+    @pytest.mark.parametrize("shape", [(2, 4), (4,), (2, 2, 2)], ids=["2x4", "1-d", "3-d"])
+    def test_rejects_non_square_unitary(self, shape):
+        with pytest.raises(ValueError, match="^unitary must be square$"):
+            Dqc1Instance(1.0, np.ones(shape))
+
     def test_rejects_scalar_unitary(self):
         with pytest.raises(ValueError, match="dimension 1 leaves no mixed qubit"):
             Dqc1Instance(1.0, np.eye(1))

@@ -1,10 +1,12 @@
 """Each row of ``COMMANDS`` runs in-process in an empty directory and must
-write the files in ``tests/golden/<row>/``. Under the numpy and BLAS that
-``environment.json`` records, every file must equal its copy byte for byte.
-Elsewhere LAPACK and numpy's SIMD loops may round differently in the last
-bits, so each file is compared within the tolerances below instead.
+write the files in ``tests/golden/<row>/``. Under the numpy and BLAS versions,
+numpy SIMD targets and OpenBLAS core that ``environment.json`` records, every
+file must equal its copy byte for byte. Elsewhere LAPACK and numpy's SIMD
+loops may round differently in the last bits, so each file is compared within
+the tolerances below instead.
 ``python tests/test_golden.py`` rewrites the files and ``environment.json``."""
 
+import ctypes
 import json
 import math
 import os
@@ -33,7 +35,7 @@ COMMANDS = {
     "simulate_jones": "simulate --unitary jones --epsilon 1",
     "discord_bell": "discord --state bell",
     "discord_jones_alpha": "discord --dqc1 jones --alpha 1.4e-5",
-    "haar_survey": "haar-survey --seeds 500 --dim 32 --alpha 1.4e-5",
+    "haar_survey": "haar-survey --seeds 500 --dim 32",
     # perfbench's witness-tomography op: the trajectory pins each check's decomposed count
     "witness_ensemble": "witness --ensemble initial.json --measure-seed 7 --seed 7",
     "discord_ensemble_bell": "discord --ensemble bell.json",
@@ -66,9 +68,28 @@ ISOTROPIC = {"discord_bell", "discord_ensemble_bell"}
 ROUNDING_PICKS = {"theta", "phi", "refine_nfev"}
 
 
+def openblas_core() -> str | None:
+    """The core whose kernels OpenBLAS picked at run time (DYNAMIC_ARCH picks
+    by CPU, or by OPENBLAS_CORETYPE), from the ``*get_corename*`` function of
+    the OpenBLAS that numpy bundles in ``numpy.libs``; None where it bundles none."""
+    for path in sorted(Path(np.__file__).parent.with_name("numpy.libs").glob("*openblas*")):
+        data = path.read_bytes()
+        at = data.find(b"get_corename")
+        if at >= 0:
+            name = data[data.rfind(b"\0", 0, at) + 1 : data.find(b"\0", at)].decode()
+            corename = getattr(ctypes.CDLL(str(path)), name)
+            corename.restype = ctypes.c_char_p
+            return corename().decode()
+    return None
+
+
 def environment() -> dict:
-    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
-    return {"numpy": np.__version__, "blas": blas["name"], "blas_version": blas["version"]}
+    """What the bytes depend on: the numpy and BLAS versions, the SIMD targets
+    numpy dispatches to on this CPU and OpenBLAS's core."""
+    config = np.show_config(mode="dicts")
+    blas = config["Build Dependencies"]["blas"]
+    return {"numpy": np.__version__, "blas": blas["name"], "blas_version": blas["version"],
+            "simd": config["SIMD Extensions"]["found"], "openblas_core": openblas_core()}
 
 
 def run(row: str) -> dict[str, bytes]:
@@ -164,11 +185,20 @@ def mismatches(row: str, written: dict[str, bytes], golden: dict[str, bytes]) ->
     return found
 
 
+RECORDED = json.loads((GOLDEN / "environment.json").read_text())
+CURRENT = environment()
+
+
+def test_the_recorded_environment_states_what_this_one_reads():
+    # a key recorded under another name would send every runner to the tolerances
+    assert list(RECORDED) == list(CURRENT)
+
+
 @pytest.mark.parametrize("row", COMMANDS)
 def test_outputs_equal_the_golden_files(row, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     written, golden = run(row), {p.name: p.read_bytes() for p in (GOLDEN / row).iterdir()}
-    if json.loads((GOLDEN / "environment.json").read_text()) == environment():
+    if RECORDED == CURRENT:
         assert sorted(n for n in {*written, *golden} if written.get(n) != golden.get(n)) == []
     else:
         assert mismatches(row, written, golden) == []

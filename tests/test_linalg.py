@@ -51,6 +51,11 @@ class TestDensityMatrix:
         with pytest.raises(ValueError, match="non-finite"):
             DensityMatrix(m)
 
+    @pytest.mark.parametrize("dim", [3, 6, 12])
+    def test_rejects_dimension_not_a_power_of_2(self, dim):
+        with pytest.raises(ValueError, match=f"^dimension {dim} is not a power of 2$"):
+            DensityMatrix(np.eye(dim) / dim)
+
     def test_rejects_bad_partition(self):
         # qubit A is the first qubit, so a one-qubit register leaves B empty
         with pytest.raises(ValueError) as err:
@@ -131,6 +136,10 @@ class TestPauliRealize:
         with pytest.raises(ValueError, match="cap"):
             pauli_realize("I" * 9)
 
+    def test_rejects_empty_label(self):
+        with pytest.raises(ValueError, match="^empty Pauli label$"):
+            pauli_realize("")
+
     @settings(deadline=None, max_examples=40)
     @given(st.text(alphabet="IXYZ", min_size=1, max_size=4))
     def test_unitary_hermitian_involution(self, label):
@@ -153,6 +162,12 @@ def test_pauli_labels_product_order():
     labels = pauli_labels(3)
     assert len(labels) == 64
     assert labels[:5] == ["III", "IIX", "IIY", "IIZ", "IXI"]
+
+
+@pytest.mark.parametrize("n_qubits", [0, 9])
+def test_pauli_labels_outside_one_to_the_qubit_cap_refused(n_qubits):
+    with pytest.raises(ValueError, match=r"^n_qubits must be in \[1, 8\]$"):
+        pauli_labels(n_qubits)
 
 
 def test_random_density_matrix_deterministic():

@@ -264,6 +264,18 @@ class TestCorrelationMatrix:
             CorrelationMatrix(("I", "X"), ("I", "Z"), np.eye(2), sigmas)
 
     @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: CorrelationMatrix(("I", "X"), ("I", "Z"), np.eye(2), np.diag([0.0, -0.1])),
+            lambda: eq3_fixture().with_uniform_sigmas(-0.1),
+        ],
+        ids=["constructor", "with_uniform_sigmas"],
+    )
+    def test_rejects_negative_sigmas(self, build):
+        with pytest.raises(ValueError, match="^sigmas? must be non-negative$"):
+            build()
+
+    @pytest.mark.parametrize(
         "rows, cols, message",
         [
             (("I", "Q"), ("I", "Z"), "Pauli"),
@@ -766,6 +778,11 @@ class TestSingularValueDistribution:
         with pytest.raises(ValueError, match="non-finite"):
             SingularValueDistribution(samples)
 
+    @pytest.mark.parametrize("shape", [(10,), (0, 2), (2, 2, 2)], ids=["1-d", "empty", "3-d"])
+    def test_rejects_samples_not_a_non_empty_matrix(self, shape):
+        with pytest.raises(ValueError, match=r"^samples must be \(n_samples, n_singular_values\)$"):
+            SingularValueDistribution(np.ones(shape))
+
     def test_rejects_negative_samples(self):
         # a histogram from 0 up would miss them and integrate to less than 1
         samples = np.ones((10, 2))
@@ -999,10 +1016,31 @@ class TestWitnessProcedure:
         write_histogram_csvs(verdict.distribution, tmp_path / "h")
         assert calls == [300] * 8
 
-    @pytest.mark.parametrize("confidence", [1.5, 0.0, -0.1, float("nan")])
-    def test_rejects_confidence_outside_unit_interval(self, confidence):
-        with pytest.raises(ValueError, match="confidence"):
-            witness_procedure(eq3_fixture(), confidence=confidence)
+    @pytest.mark.parametrize("n_samples", [0, -1])
+    def test_rejects_fewer_than_one_sample(self, n_samples):
+        with pytest.raises(ValueError, match="^n_samples must be at least 1$"):
+            witness_procedure(eq3_fixture(), n_samples=n_samples)
+
+    def test_exact_full_tomography_restacks_no_columns(self, monkeypatch):
+        # the fold writes each exact column once into one array, and a check
+        # takes the SVD of a slice of it; the 64 columns double it from 1 to 64
+        calls = []
+        column_stack = np.column_stack
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return column_stack(*args, **kwargs)
+
+        monkeypatch.setattr(np, "column_stack", spy)
+        corr = correlation_matrix(named_state("initial-dqc1")).with_uniform_sigmas(0.0)
+        verdict = witness_procedure(corr, n_samples=100, seed=0)
+        assert calls == []
+        assert len(verdict.columns_used) == 64
+        ordered = extract_columns(corr, verdict.columns_used).values
+        for k, check in enumerate(verdict.trajectory, start=wit.INITIAL_BLOCK):
+            want = np.linalg.svd(ordered[:, :k], compute_uv=False)
+            assert check.quantiles_low == tuple(want.tolist())
+            assert check.decomposed == 0
 
     def test_rank_checks_decompose_a_minority_of_samples(self):
         corr = correlation_matrix(named_state("initial-dqc1")).with_uniform_sigmas(0.05)
@@ -1013,11 +1051,12 @@ class TestWitnessProcedure:
         assert sum(decomposed) <= 0.001 * 61 * 10000  # 497 with numpy 2.4.6
 
     @pytest.mark.parametrize("sigma", [1e-6, 1e-4, 0.05])
-    def test_rank_checks_at_confidence_0_9_decompose_few_samples(self, sigma):
+    def test_rank_checks_at_confidence_0_9_decompose_few_samples(self, sigma, monkeypatch):
         # q = 0.1 puts a tenth of the samples below each order statistic; at
         # sigma 1e-6 the three small values sit near the resolution floor
+        monkeypatch.setattr(wit, "CONFIDENCE", 0.9)
         corr = correlation_matrix(named_state("initial-dqc1")).with_uniform_sigmas(sigma)
-        verdict = witness_procedure(corr, n_samples=3000, seed=4, confidence=0.9)
+        verdict = witness_procedure(corr, n_samples=3000, seed=4)
         decomposed = sum(check.decomposed for check in verdict.trajectory)
         assert decomposed <= 0.05 * len(verdict.trajectory) * 3000  # 2.8% at sigma 1e-6
 
@@ -1053,15 +1092,14 @@ class TestWitnessProcedure:
 
     @pytest.mark.parametrize("confidence", [0.99, 0.5])
     @pytest.mark.parametrize("sigma", [1e-12, 1e-9, 1e-6])
-    def test_soundness_at_tiny_sigmas(self, sigma, confidence):
+    def test_soundness_at_tiny_sigmas(self, sigma, confidence, monkeypatch):
         # sqrt(eig(R R^T)) has no precision left near zero: rounding alone
         # would lift the rank-2 null directions above tau = 8 sigma
+        monkeypatch.setattr(wit, "CONFIDENCE", confidence)
         for seed in range(25):
             rho = random_classical_quantum_state(2, seed)
             corr = correlation_matrix(rho).with_uniform_sigmas(sigma)
-            verdict = witness_procedure(
-                corr, n_samples=100, seed=seed, confidence=confidence
-            )
+            verdict = witness_procedure(corr, n_samples=100, seed=seed)
             assert verdict.outcome == OUTCOME_INCONCLUSIVE, (seed, verdict.rank_lower_bound)
 
     def test_deterministic_distributions(self):

@@ -9,6 +9,7 @@ top qubit of the circuit diagrams).
 from __future__ import annotations
 
 import itertools
+import zlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -137,3 +138,9 @@ def pauli_labels(n_qubits: int) -> list[PauliLabel]:
     if not 1 <= n_qubits <= MAX_QUBITS:
         raise ValueError(f"n_qubits must be in [1, {MAX_QUBITS}]")
     return ["".join(p) for p in itertools.product("IXYZ", repeat=n_qubits)]
+
+
+def keyed_rng(seed: int, label: PauliLabel) -> np.random.Generator:
+    """``default_rng([seed, crc32(label)])``: the one stream of ``label``
+    under ``seed``, so a draw does not depend on the order of the others."""
+    return np.random.default_rng([seed, zlib.crc32(label.encode())])

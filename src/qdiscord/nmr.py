@@ -17,11 +17,10 @@ the invariance.
 from __future__ import annotations
 
 import numbers
-import zlib
 
 import numpy as np
 
-from .linalg import DensityMatrix, PauliLabel, complex_from_parts, pauli_realize
+from .linalg import DensityMatrix, PauliLabel, complex_from_parts, keyed_rng, pauli_realize
 from .states import named_state
 from .witness import CorrelationMatrix, correlation_matrix
 
@@ -37,8 +36,7 @@ def embed(pps: DensityMatrix, alpha: float) -> DensityMatrix:
 def _measurement_noise(observable: PauliLabel, sigma: float, seed: int) -> float:
     """Gaussian noise of width sigma from a stream keyed by (seed, observable),
     so a reading does not depend on the order in which readings are taken."""
-    rng = np.random.default_rng([seed, zlib.crc32(observable.encode())])
-    return sigma * rng.standard_normal()
+    return sigma * keyed_rng(seed, observable).standard_normal()
 
 
 def simulate_measurement(

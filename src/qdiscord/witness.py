@@ -21,17 +21,16 @@ order statistics can span; the returned distribution decomposes them all.
 from __future__ import annotations
 
 import math
-import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .linalg import PAULI_1Q, DensityMatrix, PauliLabel, bloch_blocks, pauli_labels
+from .linalg import PAULI_1Q, DensityMatrix, PauliLabel, bloch_blocks, keyed_rng, pauli_labels
 
 if TYPE_CHECKING:
-    from concurrent.futures import Executor, Future
+    from concurrent.futures import Future
 
 # dim(A): A is one qubit
 DIM_A = 2
@@ -266,8 +265,8 @@ _CERTIFICATE_BLOCK = 2048
 
 def _draw_noise(seed: int, label: PauliLabel, out: np.ndarray) -> None:
     """Fill ``out``, an (n_samples, rows) array, with column ``label``'s
-    standard normals from ``default_rng([seed, crc32(label)])``."""
-    np.random.default_rng([seed, zlib.crc32(label.encode())]).standard_normal(out=out)
+    standard normals from ``keyed_rng(seed, label)``."""
+    keyed_rng(seed, label).standard_normal(out=out)
 
 
 def _eigvalsh3(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -305,22 +304,14 @@ class _GramFold:
     """Monte Carlo samples of a correlation matrix that grows one column at a time.
 
     Column ``label`` is perturbed by one (n_samples, rows) standard-normal
-    block from ``default_rng([seed, crc32(label)])`` (:func:`_draw_noise`)
-    times its sigmas (zero sigma pins the element), and each sample's column
-    c is folded into that sample's Gram matrix as G += c c^T; the singular
-    values of the k columns folded so far are the square roots of G's top
+    block from ``keyed_rng(seed, label)`` (:func:`_draw_noise`) times its
+    sigmas (zero sigma pins the element), and each sample's column c is
+    folded into that sample's Gram matrix as G += c c^T; the singular values
+    of the k columns folded so far are the square roots of G's top
     min(rows, k) eigenvalues. Sample i is therefore one hypothetical
-    experiment at every step. A matrix of shared columns whose sigmas are all
-    zero so far keeps its exact SVD, of its columns written in place into one
-    array that doubles when full.
-
-    Every block is written into the one (n_samples, rows) noise buffer that
-    the fold owns. :meth:`draw_ahead` fills it with the next column's block
-    on the caller's helper thread while the caller runs its rank check;
-    :meth:`add` uses that block when the look-ahead holds its label, and
-    otherwise waits for any look-ahead and draws inline (the first column,
-    the scan's per-sample slots). Both draw from the same stream, so the
-    samples do not depend on which; the caller owns the helper and joins it.
+    experiment at every step. Every block is written into the one
+    (n_samples, rows) buffer ``noise``, by :meth:`add` or by a draw the
+    caller ran ahead (see there).
 
     Only G's lower triangle, the part eigvalsh reads, is kept: packed as one
     (n_samples,) row per entry, so a column costs rows (rows + 1) / 2
@@ -346,58 +337,36 @@ class _GramFold:
         # values when last decomposed, or the certificate's since
         self.last_eig = np.zeros((n_rows, n_samples))
         self.n_cols = 0
-        # the exact columns while no sample differs: the first n_cols are filled
-        self.exact = np.empty((n_rows, 1))
-        self.noisy = False
         self.noise = np.empty((n_samples, n_rows))
-        # the label whose block the helper is drawing into ``noise``, and its future
-        self.ahead: tuple[PauliLabel, Future] | None = None
 
-    def add(self, label: PauliLabel, values: np.ndarray, sigmas: np.ndarray) -> None:
+    def add(
+        self, label: PauliLabel, values: np.ndarray, sigmas: np.ndarray, drawn: Future | None = None
+    ) -> None:
         """Fold one column: ``values`` and ``sigmas`` are (rows,), shared by
-        every sample, or (rows, n_samples), one column per sample."""
+        every sample, or (rows, n_samples), one column per sample. A column
+        with noise reads its block from ``noise``: ``drawn`` is the future of
+        the caller's draw of ``label``'s block into it (:func:`_draw_noise`,
+        run ahead on another thread), and None draws it here. Both draw the
+        same stream, so the samples do not depend on which."""
         values, sigmas = (np.reshape(a, (self.n_rows, -1)) for a in (values, sigmas))
         self.n_cols += 1
-        self.noisy |= values.shape[1] > 1
         # overflow from huge sigmas is refused, with a message, at the next check
         with np.errstate(over="ignore", invalid="ignore"):
             if np.any(sigmas > 0):
-                self.noisy = True
-                if self._settle() != label:
+                if drawn is None:
                     _draw_noise(self.seed, label, self.noise)
+                else:
+                    drawn.result()
                 col = np.multiply(self.noise.T, sigmas, out=np.empty((self.n_rows, self.n_samples)))
                 col += values
             else:
                 col = values
             for k, (i, j) in enumerate(zip(*self.tril)):
                 self.packed[k] += col[i] * col[j]
-        if not self.noisy:
-            if self.n_cols > self.exact.shape[1]:
-                self.exact = np.concatenate([self.exact, np.empty_like(self.exact)], axis=1)
-            self.exact[:, self.n_cols - 1] = values[:, 0]
-
-    def draw_ahead(self, label: PauliLabel, helper: Executor) -> None:
-        """Start drawing column ``label``'s block into the noise buffer on
-        ``helper``, for the next :meth:`add` of ``label`` to use; an
-        :meth:`add` of another label waits for it and draws its own."""
-        self._settle()
-        self.ahead = (label, helper.submit(_draw_noise, self.seed, label, self.noise))
-
-    def _settle(self) -> PauliLabel | None:
-        """Wait until the look-ahead draw, if any, has filled the noise
-        buffer, and return its label."""
-        if self.ahead is None:
-            return None
-        (label, drawn), self.ahead = self.ahead, None
-        drawn.result()
-        return label
 
     @property
     def n_singular_values(self) -> int:
         return min(self.n_rows, self.n_cols)
-
-    def _exact_sv(self) -> np.ndarray:
-        return np.linalg.svd(self.exact[:, : self.n_cols], compute_uv=False)
 
     def _check_finite(self) -> None:
         if not np.isfinite(self.packed).all():
@@ -415,8 +384,6 @@ class _GramFold:
 
     def distribution(self) -> SingularValueDistribution:
         """Singular values of every sample of the columns folded so far."""
-        if not self.noisy:
-            return SingularValueDistribution(np.tile(self._exact_sv(), (self.n_samples, 1)))
         self._check_finite()
         lam = self._eigenvalues(slice(None))[:, : self.n_singular_values]
         return SingularValueDistribution(np.sqrt(lam))
@@ -547,8 +514,6 @@ class _GramFold:
         (j - c)-th of the values in [A, B], so the quantile is exactly a full
         decomposition's.
         """
-        if not self.noisy:
-            return self._exact_sv(), 0
         self._check_finite()
         n, k = self.n_samples, self.n_singular_values
         h, i, j = _order_indices(q, n)
@@ -564,14 +529,14 @@ class _GramFold:
         lo, hi = np.hstack([lo, lo_more])[:k], np.hstack([hi, hi_more])[:k]
         below = hi < np.partition(lo, i, axis=1)[:, i, None]
         reach = ~below & ~(lo > np.partition(hi, j, axis=1)[:, j, None])
-        exact = np.flatnonzero((reach & (lo < hi)).any(axis=0))
-        lo[:, exact] = self._decompose(idx[exact])[:k]  # lo now holds each reaching value
+        undecided = np.flatnonzero((reach & (lo < hi)).any(axis=0))
+        lo[:, undecided] = self._decompose(idx[undecided])[:k]  # lo now holds each reaching value
         stats = [
             np.partition(lo[s, reach[s]], (i - c, j - c))[[i - c, j - c]]
             for s, c in enumerate(below.sum(axis=1))
         ]
         a, b = np.sqrt(stats).T
-        return _lerp(a, b, h - i), decomposed + bare + exact.size
+        return _lerp(a, b, h - i), decomposed + bare + undecided.size
 
 
 def _order_indices(q: float, n: int) -> tuple[float, int, int]:
@@ -646,7 +611,8 @@ class RankCheck:
     whose eigenvalue interval could hold an order statistic the quantile
     reads, and those the certificate could not bound, in a batch of any size
     (fewer than 4 rows, no dominant direction, a trace not finite or
-    subnormal); 0 for an exact matrix, whose one SVD serves every sample."""
+    subnormal); 0 while every column so far is exact, as the procedure's
+    one SVD of those columns serves every sample."""
 
     column: PauliLabel
     tau: float
@@ -699,13 +665,17 @@ def witness_procedure(
     Exhausting all columns without exceeding dim(A) is the Inconclusive
     verdict, not an error.
 
+    While every column so far has zero sigmas, each sample is the exact
+    matrix, so a check reads the SVD of the ordered columns, with
+    ``decomposed`` 0, and an all-exact verdict tiles it as its distribution.
+
     Once a column is folded, the next one's noise, if it has any, is drawn
-    on one helper thread while this column's check runs
-    (:meth:`_GramFold.draw_ahead`): the same stream, so the result is bit
-    for bit that of inline draws. It costs the fold's one (n_samples, rows)
-    noise buffer and, on a witnessed return, one draw no check reads. The
-    helper starts with the first such draw, so an exact matrix starts none,
-    and it is joined on every exit, a raise included.
+    into the fold's noise buffer on one helper thread while this column's
+    check runs, and its future goes to that column's :meth:`_GramFold.add`:
+    the same stream, so the result is bit for bit that of inline draws. It
+    costs, on a witnessed return, one draw no check reads. The helper starts
+    with the first such draw, so an exact matrix starts none, and it is
+    joined on every exit, a raise included.
     """
     # imported here, not with the module: its ~10 ms import serves this function alone
     from concurrent.futures import ThreadPoolExecutor
@@ -715,24 +685,33 @@ def witness_procedure(
     index = [where[label] for label in order]
     values, sigmas = corr.values[:, index], corr.sigmas[:, index]  # columns in order
     noisy = (sigmas > 0).any(axis=0)
+    n_exact = int(np.append(noisy, True).argmax())  # leading columns with zero sigmas
     fold = _GramFold(len(corr.row_labels), n_samples, seed)
     trajectory: list[RankCheck] = []
     first_check = min(INITIAL_BLOCK, len(order))
+    drawn = None  # the future of the next column's look-ahead draw
 
     with ThreadPoolExecutor(max_workers=1) as helper:
         for k, label in enumerate(order, start=1):
-            fold.add(label, values[:, k - 1], sigmas[:, k - 1])
-            if k < len(order) and noisy[k]:
-                fold.draw_ahead(order[k], helper)
+            fold.add(label, values[:, k - 1], sigmas[:, k - 1], drawn)
+            ahead = k < len(order) and noisy[k]
+            drawn = helper.submit(_draw_noise, seed, order[k], fold.noise) if ahead else None
             if k < first_check:
                 continue
             tau = default_tau(sigmas[:, :k])
-            low, decomposed = fold.quantiles(1.0 - CONFIDENCE)
+            if k <= n_exact:
+                low, decomposed = np.linalg.svd(values[:, :k], compute_uv=False), 0
+            else:
+                low, decomposed = fold.quantiles(1.0 - CONFIDENCE)
             rank = int((low > tau).sum())
             trajectory.append(RankCheck(label, tau, rank, tuple(low.tolist()), decomposed))
             if rank > DIM_A:
                 break
-        return WitnessVerdict(order[:k], fold.distribution(), tuple(trajectory))
+        if k <= n_exact:
+            dist = SingularValueDistribution(np.tile(low, (n_samples, 1)))
+        else:
+            dist = fold.distribution()
+        return WitnessVerdict(order[:k], dist, tuple(trajectory))
 
 
 def write_histogram_csvs(dist: SingularValueDistribution, prefix: str | Path) -> list[Path]:

@@ -483,9 +483,9 @@ class TestWitnessCommand:
         fetched = []
         real = witness._GramFold.add
 
-        def counted(self, label, values, sigmas):
+        def counted(self, label, values, sigmas, drawn=None):
             fetched.append(label)
-            return real(self, label, values, sigmas)
+            return real(self, label, values, sigmas, drawn)
 
         monkeypatch.setattr(witness._GramFold, "add", counted)
         args = ("witness", "--matrix", "rtrunc_eq3", "--samples", "100", flag, value)

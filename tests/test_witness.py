@@ -484,13 +484,9 @@ class TestRankCheckQuantiles:
         for j, label in enumerate(corr.col_labels):
             fold.add(label, corr.values[:, j], corr.sigmas[:, j])
             got, decomposed = fold.quantiles(q)
-            if fold.noisy:
-                gram = outer_product_gram(corr, n_samples, 2, j + 1)
-                want = full_quantiles(gram, fold.n_singular_values, q)
-                assert 0 < decomposed <= n_samples
-            else:
-                want = np.linalg.svd(corr.values[:, : j + 1], compute_uv=False)
-                assert decomposed == 0
+            gram = outer_product_gram(corr, n_samples, 2, j + 1)
+            want = full_quantiles(gram, fold.n_singular_values, q)
+            assert 0 < decomposed <= n_samples
             np.testing.assert_array_equal(got, want)
 
     @pytest.mark.parametrize(
@@ -645,9 +641,8 @@ class TestRankCheckQuantiles:
             bare.clear()
             decomposed.clear()
             got, _ = fold.quantiles(q)
-            if fold.noisy:
-                assert got.tobytes() == full_quantiles(gram, fold.n_singular_values, q).tobytes()
-                assert set(bare) <= set(decomposed), label
+            assert got.tobytes() == full_quantiles(gram, fold.n_singular_values, q).tobytes()
+            assert set(bare) <= set(decomposed), label
 
     def test_huge_gram_intervals_hold_the_floored_eigenvalues(self):
         # sigma 1e150 puts the Gram entries near 1e300, whose squares overflow:
@@ -892,9 +887,9 @@ def fetched(monkeypatch):
     labels = []
     real = wit._GramFold.add
 
-    def counted(self, label, values, sigmas):
+    def counted(self, label, values, sigmas, drawn=None):
         labels.append(label)
-        return real(self, label, values, sigmas)
+        return real(self, label, values, sigmas, drawn)
 
     monkeypatch.setattr(wit._GramFold, "add", counted)
     return labels
@@ -1022,8 +1017,8 @@ class TestWitnessProcedure:
             witness_procedure(eq3_fixture(), n_samples=n_samples)
 
     def test_exact_full_tomography_restacks_no_columns(self, monkeypatch):
-        # the fold writes each exact column once into one array, and a check
-        # takes the SVD of a slice of it; the 64 columns double it from 1 to 64
+        # the procedure permutes the matrix once into acquisition order, and
+        # an exact check takes the SVD of the first k of those columns
         calls = []
         column_stack = np.column_stack
 
@@ -1041,6 +1036,31 @@ class TestWitnessProcedure:
             want = np.linalg.svd(ordered[:, :k], compute_uv=False)
             assert check.quantiles_low == tuple(want.tolist())
             assert check.decomposed == 0
+
+    def test_checks_read_the_svd_until_the_first_noisy_column(self):
+        # the 8 I/Z-sector columns are exact, so the checks after 4 to 8
+        # columns read the SVD of the ordered columns with no sample
+        # decomposed; from the first noisy column on, each check is the
+        # Gram fold's, equal to a full decomposition of every sample
+        corr = correlation_matrix(named_state("initial-dqc1")).with_uniform_sigmas(0.05)
+        corr = extract_columns(corr, z_sector_first_order(corr.col_labels))
+        order, sigmas = corr.col_labels, np.array(corr.sigmas)
+        sigmas[:, :8] = 0.0
+        corr = CorrelationMatrix(corr.row_labels, order, corr.values, sigmas)
+        n, q = 1000, 1.0 - wit.CONFIDENCE
+        verdict = witness_procedure(corr, n_samples=n, seed=3)
+        assert verdict.outcome == OUTCOME_INCONCLUSIVE
+        assert verdict.columns_used == order and len(order) == 64
+        gram = outer_product_gram(corr, n, 3, wit.INITIAL_BLOCK - 1)
+        for k, check in enumerate(verdict.trajectory, start=wit.INITIAL_BLOCK):
+            gram += outer_product_gram(extract_columns(corr, [order[k - 1]]), n, 3, 1)
+            if k <= 8:
+                want = np.linalg.svd(corr.values[:, :k], compute_uv=False)
+                assert check.decomposed == 0, k
+            else:
+                want = full_quantiles(gram, 4, q)
+                assert 0 < check.decomposed <= n, k
+            assert np.array(check.quantiles_low).tobytes() == want.tobytes(), k
 
     def test_rank_checks_decompose_a_minority_of_samples(self):
         corr = correlation_matrix(named_state("initial-dqc1")).with_uniform_sigmas(0.05)
@@ -1201,23 +1221,13 @@ class TestLookAhead:
         ahead = witness_procedure(corr, n_samples=10000, seed=7)
         assert sum(on_helper for _, on_helper in drawn) == 63
         del drawn[:]
-        monkeypatch.setattr(wit._GramFold, "draw_ahead", lambda self, label, helper: None)
+        # no look-ahead: the helper draws nothing, and every add gets drawn=None
+        monkeypatch.setattr(ThreadPoolExecutor, "submit", lambda self, fn, *args: None)
         inline = witness_procedure(corr, n_samples=10000, seed=7)
         assert len(drawn) == 64 and not any(on_helper for _, on_helper in drawn)
         assert len(ahead.trajectory) == 61
         assert ahead.trajectory == inline.trajectory
         assert ahead.distribution.samples.tobytes() == inline.distribution.samples.tobytes()
-
-    def test_an_add_of_another_label_draws_its_own_block(self):
-        # the look-ahead block is used only by the add of its own label
-        corr = eq3_fixture()
-        fold = wit._GramFold(len(corr.row_labels), 200, seed=3)
-        with ThreadPoolExecutor(max_workers=1) as helper:
-            for j, label in enumerate(corr.col_labels):
-                fold.draw_ahead("XX" if j % 2 else label, helper)
-                fold.add(label, corr.values[:, j], corr.sigmas[:, j])
-        want = monte_carlo_svd(corr, 200, seed=3).samples
-        assert fold.distribution().samples.tobytes() == want.tobytes()
 
 
 class TestScaleInvariance:
@@ -1319,11 +1329,11 @@ def calls_by_scope(path: Path) -> list[tuple[str, str]]:
 
 
 def test_one_monte_carlo_engine_and_one_quantile_rule():
-    # the procedure and the scan both fold through _GramFold, whose exact
-    # matrix is the one SVD; every quantile is _quantile's
+    # the procedure and the scan both fold through _GramFold; the one SVD is
+    # the procedure's, of its exact columns; every quantile is _quantile's
     src = Path(wit.__file__).parent
     witness_calls = calls_by_scope(src / "witness.py")
-    assert [scope for scope, f in witness_calls if f.endswith("svd")] == ["_GramFold._exact_sv"]
+    assert [scope for scope, f in witness_calls if f.endswith("svd")] == ["witness_procedure"]
     # one draw function, run inline or on the look-ahead helper
     assert [scope for scope, f in witness_calls if f.endswith("standard_normal")] == ["_draw_noise"]
     assert not [f for scope, f in witness_calls if scope == "column_combination_scan"
